@@ -9,6 +9,7 @@ their trace files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .applications import (
     simulate_diffusion,
     simulate_shifting_quadratic,
 )
-from .equilibrium import ConvergenceError, solve_equilibrium
+from .equilibrium import ConvergenceError
 from .instances import (
     drifting_speeds,
     make_network,
@@ -52,6 +53,7 @@ from .tatonnement import (
     CPF,
     MISSPENDING,
     TatonnementConfig,
+    _CpfPotential,
     default_step_size,
     fit_contraction,
     run_tatonnement_trace,
@@ -280,17 +282,22 @@ def _run_tatonnement(config: dict, kind: str):
         config.get("market", {}).get("initial_prices", uniform_prices(market)),
         dtype=float,
     )
+    # One potential serves the fit, the trace and the report, so the cpf
+    # minimum of the starting market is solved once.
+    potential = _CpfPotential(market) if variant == CPF else None
     delta_source = "supplied"
     if tat_config.delta is None:
         # Fit here instead of inside the runner so the report can carry the
         # fitted value; the trace is identical either way.
         delta_hat, prices0, _ = fit_contraction(
-            market, prices0, tat_config, tat_config.warmup_rounds
+            market, prices0, tat_config, tat_config.warmup_rounds, _potential=potential
         )
         tat_config = replace(tat_config, delta=delta_hat)
         delta_source = "fitted-from-warmup"
     schedule = _build_schedule(config.get("schedule"), market, horizon)
-    records = run_tatonnement_trace(market, prices0, tat_config, schedule, horizon)
+    records = run_tatonnement_trace(
+        market, prices0, tat_config, schedule, horizon, _potential=potential
+    )
 
     constants = {
         "step_size": {"value": tat_config.lam, "source": "supplied" if dynamics.get("step_size", "auto") != "auto" else "default"},
@@ -309,8 +316,7 @@ def _run_tatonnement(config: dict, kind: str):
         report["final_potential"] = records[-1].potential
         report["final_bound"] = records[-1].bound
     if variant == CPF:
-        eq = solve_equilibrium(market)
-        report["initial_price_ratio"] = float(np.min(prices0 / eq.prices))
+        report["initial_price_ratio"] = float(np.min(prices0 / potential.initial_prices))
     return records, report
 
 
@@ -461,8 +467,18 @@ _RUNNERS = {
 }
 
 
-def load_config(path: Path) -> dict:
+@functools.cache
+def _config_validator():
+    """Validator for CONFIG_SCHEMA, with the schema itself checked once."""
     import jsonschema
+
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
+def load_config(path: Path) -> dict:
+    from jsonschema.exceptions import best_match
 
     try:
         text = path.read_text()
@@ -474,11 +490,12 @@ def load_config(path: Path) -> dict:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        field = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {field}: {exc.message}")
+    # The same error jsonschema.validate would raise, without re-checking
+    # the schema on every call.
+    error = best_match(_config_validator().iter_errors(config))
+    if error is not None:
+        field = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config field {field}: {error.message}")
     return config
 
 

@@ -126,10 +126,15 @@ def _step(prices, market, config):
 
 
 class _CpfPotential:
-    """Convex potential normalised by a cached, warm-started minimum value."""
+    """Convex potential normalised by a cached, warm-started minimum value.
+
+    `initial_prices` keeps the cold-solved equilibrium prices of the market
+    it was built for.
+    """
 
     def __init__(self, market: CesMarket):
         self._solve(market)
+        self.initial_prices = self._warm
 
     def _solve(self, market):
         result = solve_equilibrium(
@@ -234,6 +239,7 @@ def run_tatonnement_trace(
     config: TatonnementConfig,
     schedule: PerturbationSchedule,
     horizon: int,
+    _potential=None,
 ) -> list[TraceRecord]:
     """Simulate `horizon` rounds of price adjustment on a drifting market.
 
@@ -245,7 +251,9 @@ def run_tatonnement_trace(
     update contracts by at least delta.
 
     With config.delta = None the rate is fitted from a static warm-up and the
-    trace continues from the warmed state.
+    trace continues from the warmed state.  `_potential` lets a caller that
+    already built the potential for market0 (e.g. for its own fit) share it,
+    so the cpf minimum is not solved again.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -256,7 +264,7 @@ def run_tatonnement_trace(
         raise ValueError("price cap must be at least the largest initial price")
 
     market = market0
-    potential = (
+    potential = _potential or (
         misspending_potential
         if config.variant == MISSPENDING
         else _CpfPotential(market0)

@@ -189,9 +189,10 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
     worst_margin = -np.inf
     c_prime_max = 0.0
     cases = list(product((MISSPENDING, CPF), (SUPPLY, BUDGET, UTILITY)))
-    for potential_kind, channel in cases:
+    for case, (potential_kind, channel) in enumerate(cases):
         for trial in range(trials):
-            rng = np.random.default_rng(hash((potential_kind, channel, trial)) % 2**32)
+            # Integer entropy only: hash() of strings is salted per process.
+            rng = np.random.default_rng(np.random.SeedSequence((case, trial)))
             m, n = _sizes(rng)
             if potential_kind == CPF and channel == SUPPLY:
                 market = random_market(rng, m, n, 0.2, 0.8)

@@ -4,6 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` for the per-criterion lines,
 or from the command line as `eqtracer verify --suite all`.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from eqtracer import verify
@@ -33,3 +38,23 @@ def test_criterion(label, check, budget):
         assert result.seconds < budget, (
             f"criterion {label} took {result.seconds:.1f}s, budget {budget}s"
         )
+
+
+def test_delta_domination_instances_ignore_hash_salt():
+    # Battery 3 must test the same instances in every process, whatever
+    # Python's per-process string-hash salt.
+    code = (
+        "from eqtracer.verify import check_delta_domination; "
+        "print(check_delta_domination(trials=5).detail)"
+    )
+    package_root = str(Path(verify.__file__).resolve().parents[1])
+    details = []
+    for salt in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": package_root}
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        details.append(run.stdout)
+    assert details[0].startswith("5 trials x 6 pairs")
+    assert details[0] == details[1]

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from eqtracer import CesMarket, ConvergenceError, misspending_potential, solve_equilibrium
-from eqtracer.equilibrium import spending_map
+from eqtracer import equilibrium
+from eqtracer.equilibrium import _gradient_hessian, spending_map
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
+from eqtracer.market import demand
+from eqtracer.perturbation import UTILITY, PerturbationEvent, apply_event
 
 
 def test_symmetric_market_uniform_prices():
@@ -86,3 +89,78 @@ def test_rejects_unsellable_good():
                 coefficients=[[1.0, 0.0]],
             )
         )
+
+
+def _log_price_gradient_hessian(market, y):
+    p = np.exp(y)
+    shares = demand(market, p).spending / market.budgets[:, None]
+    return _gradient_hessian(market, p, shares)
+
+
+@pytest.mark.parametrize("rho_range", [(0.2, 0.8), (-2.0, -0.5)])
+def test_hessian_matches_finite_differences(rho_range):
+    market = random_market(11, 5, 6, *rho_range)
+    rng = np.random.default_rng(3)
+    y = np.log(uniform_prices(market)) + rng.uniform(-0.3, 0.3, 6)
+    _, hessian = _log_price_gradient_hessian(market, y)
+    h = 1e-5
+    numeric = np.empty_like(hessian)
+    for k in range(6):
+        step = np.zeros(6)
+        step[k] = h
+        up, _ = _log_price_gradient_hessian(market, y + step)
+        down, _ = _log_price_gradient_hessian(market, y - step)
+        numeric[:, k] = (up - down) / (2 * h)
+    assert np.max(np.abs(hessian - numeric)) <= 1e-6 * np.max(np.abs(hessian))
+
+
+@pytest.mark.parametrize("rho_range", [(0.2, 0.8), (-2.0, -0.5)])
+def test_warm_resolve_takes_few_newton_steps(rho_range):
+    market = random_market(12, 20, 20, *rho_range)
+    before = solve_equilibrium(market, tolerance=1e-10)
+    rng = np.random.default_rng(4)
+    factors = np.exp(rng.uniform(-0.005, 0.005, market.coefficients.shape))
+    perturbed = apply_event(market, PerturbationEvent(1, UTILITY, factors))
+    after = solve_equilibrium(perturbed, tolerance=1e-10, initial_prices=before.prices)
+    assert 1 <= after.iterations <= 3
+    assert after.residual <= 1e-10 * perturbed.total_budget
+
+
+def test_newton_line_search_does_not_cycle():
+    # One buyer with rho near 1 spends almost everything on one good at
+    # uniform prices.  Accepting every step that lowers the residual, even
+    # one that raises the potential, makes Newton oscillate here forever.
+    market = CesMarket(
+        budgets=[1.79297288],
+        supplies=[1.0, 1.0, 1.0],
+        rho=[0.93545502],
+        coefficients=[[0.45442284, 0.63002205, 1.37358589]],
+    )
+    result = solve_equilibrium(market, tolerance=1e-10, max_iters=30)
+    assert result.residual <= 1e-10 * market.total_budget
+    # Unit supplies and one buyer: prices are the buyer's spending shares.
+    a = market.coefficients[0]
+    assert result.prices == pytest.approx(market.budgets[0] * a / a.sum(), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "market_args,fallback",
+    [((154, 2, 9, 0.9, 0.99), "_bid_pass"), ((60, 7, 7, -2.0, -0.5), "_damped_pass")],
+)
+def test_stalled_newton_hands_over_to_regime_fallback(monkeypatch, market_args, fallback):
+    market = random_market(*market_args)
+    monkeypatch.setattr(
+        equilibrium, "_newton_pass", lambda market, p, target, max_iters: (p, np.inf, 0)
+    )
+    calls = []
+    original = getattr(equilibrium, fallback)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(equilibrium, fallback, spy)
+    result = solve_equilibrium(market)
+    assert calls
+    assert result.residual <= 1e-8 * market.total_budget
+    assert misspending_potential(market, result.prices) == result.residual
