@@ -2,8 +2,8 @@
 
 Core objects: CES Fisher markets with price (tatonnement) and bid
 (proportional response) dynamics, perturbation schedules with closed-form
-potential-jump caps, and generic geometric tracking envelopes instantiated on
-markets, drifting-optimum gradient descent, and diffusive load balancing.
+potential-jump caps, and geometric tracking envelopes instantiated on markets,
+drifting-optimum gradient descent, and diffusive load balancing.
 """
 
 from .applications import (
@@ -24,16 +24,7 @@ from .applications import (
     simulate_shifting_quadratic,
 )
 from .equilibrium import ConvergenceError, EquilibriumResult, solve_equilibrium
-from .lyapunov import (
-    LyapunovTrace,
-    MarketPriceSystem,
-    bregman_bound,
-    dominant_window,
-    meta_bound,
-    schedule_perturbations,
-    track,
-    windowed_bound,
-)
+from .lyapunov import bregman_bound, dominant_window, meta_bound, windowed_bound
 from .market import (
     CesMarket,
     DegenerateDemandError,

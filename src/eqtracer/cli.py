@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,6 +59,9 @@ from .tatonnement import (
 from .trace import TraceRecord, write_trace_csv
 
 KINDS = ("tatonnement-ms", "tatonnement-cpf", "prd", "gd-shifting", "diffusion")
+
+# One path component, so a run's outputs land directly inside --out.
+_FILE_NAME = {"type": "string", "pattern": r"^[^/\\]+$", "not": {"enum": [".", ".."]}}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -198,8 +199,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "trace": {"type": "string"},
-                "report": {"type": "string"},
+                "trace": _FILE_NAME,
+                "report": _FILE_NAME,
             },
         },
     },
@@ -535,23 +536,18 @@ def run_batch(batch_dir: Path, out_dir: Path, strict: bool) -> int:
     if not configs:
         print(f"no *.json configs under {batch_dir}", file=sys.stderr)
         return EXIT_CONFIG
-    workers = int(os.environ.get("TRACER_THREADS", "0")) or min(len(configs), os.cpu_count() or 1)
-    codes = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(run_experiment, cfg, out_dir / cfg.stem, strict): cfg
-            for cfg in configs
-        }
-        for future, cfg in futures.items():
-            try:
-                codes[cfg.name] = future.result()
-            except ConfigError as exc:
-                print(f"{cfg.name}: {exc}", file=sys.stderr)
-                codes[cfg.name] = EXIT_CONFIG
-            except Exception as exc:
-                print(f"{cfg.name}: simulation error: {exc}", file=sys.stderr)
-                codes[cfg.name] = EXIT_SIMULATION
-    return max(codes.values())
+    worst = EXIT_OK
+    for cfg in configs:
+        try:
+            code = run_experiment(cfg, out_dir / cfg.stem, strict)
+        except ConfigError as exc:
+            print(f"{cfg.name}: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+        except Exception as exc:
+            print(f"{cfg.name}: simulation error: {exc}", file=sys.stderr)
+            code = EXIT_SIMULATION
+        worst = max(worst, code)
+    return worst
 
 
 def run_verify(suite: str) -> int:

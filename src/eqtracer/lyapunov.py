@@ -1,22 +1,20 @@
-"""Generic tracking bounds for linearly converging dynamics under drift.
+"""Closed-form tracking envelopes for linearly converging dynamics under drift.
 
-A system exposes an evolution rule for its control variables and a
-non-negative potential over (system parameters, control variables).  When
-every static update contracts the potential by a factor (1 - delta) and each
-parameter change raises it by at most a known jump, the potential stays under
-an explicit envelope: geometric decay of the initial value plus a discounted
-sum of the jumps.  A divergence-based variant replaces the contraction factor
-with a pair of constants (q1, q2) driving a one-round recurrence on the
-divergence to the moving fixed point.
+When every static update contracts a non-negative potential by a factor
+(1 - delta) and each parameter change raises it by at most a known jump, the
+potential stays under an explicit envelope: geometric decay of the initial
+value plus a discounted sum of the jumps (`meta_bound`), or the same sum with
+older jumps capped by the largest one (`windowed_bound`).  A divergence-based
+variant (`bregman_bound`) replaces the contraction factor with a pair of
+constants (q1, q2) driving a one-round recurrence on the divergence to the
+moving fixed point.  The trace runners build these envelopes round by round;
+the closed forms are the reference they are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, log
-from typing import Callable, Protocol, Sequence, runtime_checkable
-
-from .trace import TraceRecord
+from typing import Sequence
 
 
 def _check_delta(delta: float):
@@ -97,147 +95,3 @@ def bregman_bound(
     for i in range(T):
         value += ratio**i * deltas[T - 1 - i]
     return float(value)
-
-
-@runtime_checkable
-class LyapunovSystem(Protocol):
-    """Evolution rule plus potential; optionally a fixed point and divergence.
-
-    initial_state / initial_control seed the tracker; evolve(state, control)
-    applies one round of the dynamics using the current parameters.
-    """
-
-    initial_state: object
-    initial_control: object
-
-    def evolve(self, state, control): ...
-
-    def potential(self, state, control) -> float: ...
-
-
-@dataclass
-class LyapunovTrace:
-    """Tracker output: per-round records plus the constants that shaped them."""
-
-    records: list
-    phi0: float
-    delta: float | None = None
-    q1: float | None = None
-    q2: float | None = None
-
-
-def track(
-    system: LyapunovSystem,
-    perturbations: Sequence[Callable | None],
-    horizon: int,
-    delta: float | None = None,
-    q1: float | None = None,
-    q2: float | None = None,
-) -> LyapunovTrace:
-    """Run the generic loop: evolve control, perturb parameters, measure.
-
-    perturbations[t-1] (when given and non-None) maps the current state to
-    (new state, jump cap) at round t.  With `delta` the recorded bound is the
-    contraction envelope anchored at the initial potential; with (q1, q2) the
-    system must expose fixed_point(state) and divergence(target, control),
-    and the bound is the divergence-recurrence envelope.  The t=0 record is
-    always included.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    if delta is not None:
-        _check_delta(delta)
-    elif q1 is not None or q2 is not None:
-        if q1 is None or q2 is None or not 0 < q1 < q2:
-            raise ValueError("constants must satisfy 0 < q1 < q2")
-        if not hasattr(system, "fixed_point") or not hasattr(system, "divergence"):
-            raise ValueError(
-                "divergence tracking needs fixed_point and divergence on the system"
-            )
-    else:
-        raise ValueError("supply either delta or the pair (q1, q2)")
-
-    state = system.initial_state
-    control = system.initial_control
-    phi0 = system.potential(state, control)
-
-    divergence_mode = delta is None
-    d_env = None
-    d_meas = None
-    if divergence_mode:
-        target = system.fixed_point(state)
-        d_env = d_meas = system.divergence(target, control)
-
-    records = [
-        TraceRecord(
-            round=0,
-            potential=phi0,
-            delta=0.0,
-            bound=phi0,
-            kl_to_equilibrium=d_meas,
-        )
-    ]
-    bound = phi0
-    for t in range(1, horizon + 1):
-        control = system.evolve(state, control)
-        pert = perturbations[t - 1] if t - 1 < len(perturbations) else None
-        jump = 0.0
-        if pert is not None:
-            state, jump = pert(state)
-        phi = system.potential(state, control)
-        if divergence_mode:
-            bound = q1 * d_env + jump
-            d_env = (q1 / q2) * d_env + jump / q2
-            target = system.fixed_point(state)
-            d_meas = system.divergence(target, control)
-        else:
-            bound = (1.0 - delta) * bound + jump
-        records.append(
-            TraceRecord(
-                round=t,
-                potential=phi,
-                delta=jump,
-                bound=bound,
-                kl_to_equilibrium=d_meas,
-            )
-        )
-    return LyapunovTrace(records=records, phi0=phi0, delta=delta, q1=q1, q2=q2)
-
-
-class MarketPriceSystem:
-    """Tatonnement as a trackable system: state is the market, control the prices."""
-
-    def __init__(self, market, prices, config):
-        from .market import check_prices, misspending_potential
-        from .tatonnement import CPF, _CpfPotential, _step
-
-        self.initial_state = market
-        self.initial_control = check_prices(market, prices)
-        self._config = config
-        self._step = _step
-        self._potential = (
-            _CpfPotential(market) if config.variant == CPF else misspending_potential
-        )
-
-    def evolve(self, market, prices):
-        return self._step(prices, market, self._config)
-
-    def potential(self, market, prices) -> float:
-        return self._potential(market, prices)
-
-
-def schedule_perturbations(schedule, horizon: int, config) -> list:
-    """Per-round callables applying the schedule's events with their jump caps."""
-    from .tatonnement import apply_round_events
-
-    def make(t):
-        events = schedule.events_at(t)
-        if not events:
-            return None
-
-        def perturb(market):
-            return apply_round_events(market, events, config)
-
-        return perturb
-
-    return [make(t) for t in range(1, horizon + 1)]

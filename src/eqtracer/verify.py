@@ -78,6 +78,13 @@ class CheckResult:
     seconds: float = 0.0
 
 
+def _result(name: str, detail: str, failures: list[str], t0: float) -> CheckResult:
+    """Pass when nothing failed; the first three failures extend the detail."""
+    if failures:
+        detail += "; " + "; ".join(failures[:3])
+    return CheckResult(name, not failures, detail, time.perf_counter() - t0)
+
+
 def _sizes(rng) -> tuple[int, int]:
     return int(rng.integers(2, 9)), int(rng.integers(2, 9))
 
@@ -111,12 +118,7 @@ def check_static_misspending(markets: int = 50) -> CheckResult:
         if not (monotone and reached):
             failures.append(f"seed {seed}: monotone={monotone} final={phi:.2e}")
     detail = f"{markets} markets, worst convergence {worst_rounds} rounds"
-    if failures:
-        detail += "; " + "; ".join(failures[:3])
-    return CheckResult(
-        "static contraction, misspending", not failures, detail,
-        time.perf_counter() - t0,
-    )
+    return _result("static contraction, misspending", detail, failures, t0)
 
 
 def check_static_cpf(markets: int = 50) -> CheckResult:
@@ -155,11 +157,7 @@ def check_static_cpf(markets: int = 50) -> CheckResult:
                 f"seed {seed} rho[{lo},{hi}]: monotone={monotone} final={phi:.2e}"
             )
     detail = f"{markets} markets, worst convergence {worst_rounds} rounds"
-    if failures:
-        detail += "; " + "; ".join(failures[:3])
-    return CheckResult(
-        "static contraction, cpf", not failures, detail, time.perf_counter() - t0
-    )
+    return _result("static contraction, cpf", detail, failures, t0)
 
 
 def _random_event(rng, market, channel):
@@ -240,12 +238,7 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
         f"{trials} trials x {len(cases)} pairs, worst margin {worst_margin:.2e}, "
         f"calibrated C' up to {c_prime_max:.3f}"
     )
-    if failures:
-        detail += "; " + "; ".join(failures[:3])
-    return CheckResult(
-        "perturbation jump caps dominate", not failures, detail,
-        time.perf_counter() - t0,
-    )
+    return _result("perturbation jump caps dominate", detail, failures, t0)
 
 
 def check_dynamic_tracing(traces: int = 20, horizon: int = 2000) -> CheckResult:
@@ -293,12 +286,7 @@ def check_dynamic_tracing(traces: int = 20, horizon: int = 2000) -> CheckResult:
                 f"cap ok={all(r.assumption1_ok for r in records)}"
             )
     detail = f"{traces} traces x {horizon} rounds, fitted contraction rates"
-    if failures:
-        detail += "; " + "; ".join(failures[:3])
-    return CheckResult(
-        "dynamic tracing under windowed bound", not failures, detail,
-        time.perf_counter() - t0,
-    )
+    return _result("dynamic tracing under windowed bound", detail, failures, t0)
 
 
 def check_extremal_shares(trials: int = 500) -> CheckResult:
@@ -326,12 +314,7 @@ def check_extremal_shares(trials: int = 500) -> CheckResult:
         if value < share_deviation(alpha, beta) - 1e-12:
             failures.append(f"trial {trial}: input deviation not dominated")
     detail = f"{trials} instances vs exhaustive search, worst gap {worst_gap:.2e}"
-    if failures:
-        detail += "; " + "; ".join(failures[:3])
-    return CheckResult(
-        "extremal shares match exhaustive search", not failures, detail,
-        time.perf_counter() - t0,
-    )
+    return _result("extremal shares match exhaustive search", detail, failures, t0)
 
 
 def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
@@ -381,12 +364,7 @@ def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
         f"{markets} markets; recurrence fraction min {min(fractions, default=0):.3f}, "
         f"{hit99}/{len(fractions)} traces at or above the 0.99 target"
     )
-    if failures:
-        detail += "; " + "; ".join(failures[:3])
-    return CheckResult(
-        "bid dynamics converge and satisfy the recurrence", not failures, detail,
-        time.perf_counter() - t0,
-    )
+    return _result("bid dynamics converge and satisfy the recurrence", detail, failures, t0)
 
 
 def check_supply_reduction(instances: int = 20, rounds: int = 500) -> CheckResult:
@@ -415,12 +393,7 @@ def check_supply_reduction(instances: int = 20, rounds: int = 500) -> CheckResul
         if err > 1e-9:
             failures.append(f"seed {seed}: max entrywise gap {err:.2e}")
     detail = f"{instances} drifting-supply instances x {rounds} rounds, worst gap {worst:.2e}"
-    if failures:
-        detail += "; " + "; ".join(failures[:3])
-    return CheckResult(
-        "supply perturbations reduce to utility ones", not failures, detail,
-        time.perf_counter() - t0,
-    )
+    return _result("supply perturbations reduce to utility ones", detail, failures, t0)
 
 
 def check_gd_tracking(instances: int = 50, horizon: int = 600) -> CheckResult:
@@ -453,12 +426,7 @@ def check_gd_tracking(instances: int = 50, horizon: int = 600) -> CheckResult:
                 f"seed {seed}: envelope={enveloped} radius={settled} regret={regret_ok}"
             )
     detail = f"{instances} drifting quadratics x {horizon} rounds"
-    if failures:
-        detail += "; " + "; ".join(failures[:3])
-    return CheckResult(
-        "gradient descent tracks the drifting optimum", not failures, detail,
-        time.perf_counter() - t0,
-    )
+    return _result("gradient descent tracks the drifting optimum", detail, failures, t0)
 
 
 def check_diffusion(horizon: int = 400) -> CheckResult:
@@ -520,8 +488,43 @@ def check_diffusion(horizon: int = 400) -> CheckResult:
     )
 
 
+_UTILITY_DRIFT = {"channel": "utility-multiplicative", "magnitude": 0.005}
+
+# One small seeded config per simulate kind, for the determinism battery.
+_DETERMINISM_CONFIGS = {
+    "tatonnement-ms": {
+        "horizon": 300,
+        "market": {"random": {"m": 4, "n": 5, "seed": 11}},
+        "schedule": {
+            "generator": {"channel": "supply-additive", "magnitude": 0.01, "seed": 12}
+        },
+    },
+    "tatonnement-cpf": {
+        "horizon": 100,
+        "market": {"random": {"m": 3, "n": 4, "seed": 13}},
+        "schedule": {"generator": {**_UTILITY_DRIFT, "seed": 14}},
+    },
+    "prd": {
+        "horizon": 100,
+        "market": {"random": {"m": 3, "n": 4, "seed": 15, "unit_supplies": True}},
+        "schedule": {"generator": {**_UTILITY_DRIFT, "seed": 16}},
+        "bounds": {"fit_rounds": 100},
+    },
+    "gd-shifting": {"horizon": 200, "quadratic": {"dims": 5, "shift": 0.01, "seed": 17}},
+    "diffusion": {
+        "horizon": 200,
+        "network": {"graph": "cycle", "n": 8, "seed": 18, "drift": {"magnitude": 0.01, "seed": 19}},
+    },
+}
+
+
 def check_determinism() -> CheckResult:
-    """Identical configs and seeds produce byte-identical trace files."""
+    """Each kind's trace.csv is byte-identical over two runs and a batch copy.
+
+    The CLI's summary lines are swallowed, so the battery prints nothing.
+    """
+    import contextlib
+    import io
     import json
     import tempfile
     from pathlib import Path
@@ -530,32 +533,26 @@ def check_determinism() -> CheckResult:
     from .trace import file_sha256
 
     t0 = time.perf_counter()
-    config = {
-        "kind": "tatonnement-ms",
-        "horizon": 300,
-        "market": {"random": {"m": 4, "n": 5, "seed": 11}},
-        "dynamics": {"step_size": "auto", "price_cap": "2B"},
-        "schedule": {
-            "generator": {"channel": "supply-additive", "magnitude": 0.01, "seed": 12}
-        },
-        "bounds": {"delta": "fit", "warmup_rounds": 100},
-    }
-    digests = []
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp) / "config.json"
-        cfg_path.write_text(json.dumps(config))
-        for run in range(2):
-            out = Path(tmp) / f"out{run}"
-            code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
-            if code != 0:
-                return CheckResult(
-                    "byte-identical reruns", False, f"simulate exited {code}",
-                    time.perf_counter() - t0,
-                )
-            digests.append(file_sha256(out / "trace.csv"))
-    passed = digests[0] == digests[1]
-    detail = f"sha256 {digests[0][:16]}... twice" if passed else f"{digests[0]} != {digests[1]}"
-    return CheckResult("byte-identical reruns", passed, detail, time.perf_counter() - t0)
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        root = Path(tmp)
+        configs = root / "configs"
+        configs.mkdir()
+        for kind, config in _DETERMINISM_CONFIGS.items():
+            (configs / f"{kind}.json").write_text(json.dumps({"kind": kind, **config}))
+        code = main(["simulate", "--batch", str(configs), "--out", str(root / "batch")])
+        for kind in _DETERMINISM_CONFIGS:
+            argv = ["simulate", "--config", str(configs / f"{kind}.json"), "--out"]
+            outs = [root / f"{kind}-{run}" for run in range(2)]
+            code = max([code] + [main([*argv, str(out)]) for out in outs])
+            if code:
+                failures.append(f"simulate exited {code}")
+                break
+            outs.append(root / "batch" / kind)
+            if len({file_sha256(out / "trace.csv") for out in outs}) > 1:
+                failures.append(f"{kind} trace files differ")
+    detail = f"{len(_DETERMINISM_CONFIGS)} kinds x (2 runs + 1 batch copy)"
+    return _result("byte-identical reruns", detail, failures, t0)
 
 
 ALL_CHECKS = (

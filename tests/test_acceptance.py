@@ -58,3 +58,9 @@ def test_delta_domination_instances_ignore_hash_salt():
         details.append(run.stdout)
     assert details[0].startswith("5 trials x 6 pairs")
     assert details[0] == details[1]
+
+
+def test_determinism_battery_prints_nothing(capsys):
+    result = verify.check_determinism()
+    assert result.passed, result.detail
+    assert capsys.readouterr().out == ""

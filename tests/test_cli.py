@@ -129,13 +129,36 @@ def test_batch_runs_all_configs(tmp_path):
     assert (out / "b" / "report.json").exists()
 
 
-def test_batch_propagates_worst_exit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TRACER_THREADS", "2")
+def test_batch_propagates_worst_exit(tmp_path, capsys):
     configs = tmp_path / "configs"
     configs.mkdir()
     write_config(configs, "good.json", BASE)
     (configs / "bad.json").write_text("{nope")
     assert main(["simulate", "--batch", str(configs), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_batch_keeps_going_past_a_failing_config(tmp_path, capsys):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "a_bad.json").write_text('{"kind": }')
+    good = write_config(configs, "b_good.json", BASE)
+    out = tmp_path / "out"
+    assert main(["simulate", "--batch", str(configs), "--out", str(out)]) == EXIT_CONFIG
+    assert "a_bad.json" in capsys.readouterr().err
+    alone = tmp_path / "alone"
+    assert main(["simulate", "--config", str(good), "--out", str(alone)]) == 0
+    assert file_sha256(out / "b_good" / "trace.csv") == file_sha256(alone / "trace.csv")
+
+
+def test_output_names_must_stay_inside_out_dir(tmp_path, capsys):
+    out = tmp_path / "nest" / "out"
+    for field, name in (("trace", "nested/trace.csv"), ("report", "../escaped.csv")):
+        config = {"kind": "gd-shifting", "horizon": 5, "output": {field: name}}
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and f"output/{field}" in err
+    assert not (tmp_path / "nest" / "escaped.csv").exists()
 
 
 def test_verify_unknown_suite_exits_2(capsys):

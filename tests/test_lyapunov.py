@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqtracer import (
-    PerturbationSchedule,
     ScheduleSpec,
     TatonnementConfig,
     bregman_bound,
-    dominant_window,
     default_step_size,
+    dominant_window,
+    fit_prd_constants,
     generate_schedule,
+    kl_divergence,
     meta_bound,
+    misspending_potential,
+    proportional_bids,
+    run_prd_trace,
     run_tatonnement_trace,
-    track,
+    solve_equilibrium,
     windowed_bound,
 )
-from eqtracer.lyapunov import MarketPriceSystem, schedule_perturbations
 from eqtracer.instances import random_market, uniform_prices
 
 
@@ -122,77 +125,48 @@ class TestBregmanBound:
             bregman_bound(1.0, 2.0, 1.0, [0.0], 1)
 
 
-class _GeometricSystem:
-    """Potential contracts by exactly (1 - delta) per round; jumps add afterwards."""
+class TestRunnersFollowClosedForms:
+    """The runners' round-by-round bound columns against the closed forms."""
 
-    def __init__(self, phi0, delta):
-        self.initial_state = phi0
-        self.initial_control = phi0
-        self._delta = delta
-
-    def evolve(self, state, control):
-        return (1.0 - self._delta) * control
-
-    def potential(self, state, control):
-        return control
-
-
-class TestTrack:
-    def test_exact_contraction_meets_bound_exactly(self):
-        system = _GeometricSystem(4.0, 0.3)
-        trace = track(system, [], 10, delta=0.3)
-        for record in trace.records:
-            assert record.potential == pytest.approx(record.bound, rel=1e-12)
-
-    def test_zero_horizon_single_record(self):
-        system = _GeometricSystem(2.0, 0.5)
-        trace = track(system, [], 0, delta=0.5)
-        assert len(trace.records) == 1
-        assert trace.records[0].round == 0
-        assert trace.records[0].potential == 2.0
-
-    def test_perturbations_add_jumps(self):
-        system = _GeometricSystem(1.0, 0.5)
-
-        def bump(state):
-            return state, 0.25
-
-        trace = track(system, [bump, None, bump], 3, delta=0.5)
-        assert trace.records[1].delta == 0.25
-        assert trace.records[2].delta == 0.0
-        # envelope recursion: 1 -> 0.75 -> 0.375 -> 0.4375
-        assert trace.records[3].bound == pytest.approx(0.4375)
-
-    def test_requires_some_constants(self):
-        with pytest.raises(ValueError, match="delta or"):
-            track(_GeometricSystem(1.0, 0.5), [], 1)
-
-    def test_divergence_mode_needs_fixed_point(self):
-        with pytest.raises(ValueError, match="fixed_point"):
-            track(_GeometricSystem(1.0, 0.5), [], 1, q1=0.5, q2=1.0)
-
-
-class TestMarketAdapter:
-    def test_reproduces_trace_runner_bitwise(self):
-        market = random_market(0, 4, 5)
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_tatonnement_bound_is_meta_bound(self, seed):
+        market = random_market(seed, 4, 5)
         config = TatonnementConfig(
             lam=default_step_size(market),
             price_cap=2 * market.total_budget,
             delta=0.01,
         )
         schedule = generate_schedule(
-            ScheduleSpec(channel="supply-additive", magnitude=0.01, seed=5),
+            ScheduleSpec(channel="supply-additive", magnitude=0.01, seed=seed + 5),
             market,
             150,
         )
         prices = uniform_prices(market)
         records = run_tatonnement_trace(market, prices, config, schedule, 150)
-        system = MarketPriceSystem(market, prices, config)
-        generic = track(
-            system, schedule_perturbations(schedule, 150, config), 150, delta=0.01
+        phi0 = misspending_potential(market, prices)
+        jumps = [r.delta for r in records]
+        assert any(jumps)
+        for T, record in enumerate(records, start=1):
+            assert record.bound == pytest.approx(
+                meta_bound(phi0, 0.01, jumps[:T], T), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_prd_bound_dominates_bregman_bound(self, seed):
+        market = random_market(seed, 3, 4, unit_supplies=True)
+        bound, bids = fit_prd_constants(market, proportional_bids(market))
+        schedule = generate_schedule(
+            ScheduleSpec(
+                channel="utility-multiplicative", magnitude=0.005, seed=seed + 5
+            ),
+            market,
+            100,
         )
-        assert len(generic.records) == 151
-        for ours, theirs in zip(records, generic.records[1:]):
-            assert ours.potential == theirs.potential
-            assert ours.delta == theirs.delta
-            assert ours.bound == theirs.bound
+        records = run_prd_trace(market, bids, schedule, bound, 100)
+        kl_anchor = kl_divergence(solve_equilibrium(market, tolerance=1e-10).bids, bids)
+        jumps = [r.delta for r in records]
+        assert any(jumps)
+        for T, record in enumerate(records, start=1):
+            assert record.bound >= bregman_bound(
+                kl_anchor, bound.q1, bound.q2, jumps[:T], T
+            )
