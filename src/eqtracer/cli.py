@@ -506,10 +506,14 @@ class ConfigError(ValueError):
 
 def run_experiment(config_path: Path, out_dir: Path, strict: bool) -> int:
     config = load_config(config_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
     output = config.get("output", {})
     trace_path = out_dir / output.get("trace", "trace.csv")
     report_path = out_dir / output.get("report", "report.json")
+    if trace_path == report_path:
+        raise ConfigError(
+            f"config field output: trace and report both name {trace_path.name}"
+        )
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     records, report = _RUNNERS[config["kind"]](config)
     write_trace_csv(records, trace_path)
@@ -624,3 +628,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

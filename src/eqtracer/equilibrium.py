@@ -1,22 +1,22 @@
 """Static-market equilibrium solver.
 
 Used to normalise potentials (the convex potential's minimum value) and to
-seed bid-space dynamics with equilibrium spending matrices.  Every solve
-first runs Newton's method on the convex price potential
+seed bid-space dynamics with equilibrium spending matrices.  Every solve runs
+Newton's method on the convex price potential
 Psi(p) = sum_j w_j p_j - sum_i b_i ln Q_i(p) (Cheung, Cole & Devanur,
-STOC 2013) in log prices, whose gradient is p times (supply - demand) and
-whose Hessian has a closed form; from a warm start it reaches the target in
-a few steps.  When Newton stalls (the Hessian is not positive definite, or
-the line search fails) the solve continues from Newton's best point with a
-regime-specific fallback, both deterministic:
+STOC 2013) in log prices y = ln p.  The gradient is p times (supply - demand)
+and the Hessian H has a closed form; from a warm start Newton reaches the
+target in a few steps.
 
-* all buyers in the substitutes regime (rho in (0, 1)): iterate the
-  proportional bid update on the supply-normalised market and read prices
-  off the bids.  The implied prices converge linearly to the clearing
-  prices; raw iteration of the spending map itself can 2-cycle, see
-  spending_map.
-* otherwise: damped multiplicative price updates driven by absolute excess
-  demand (step factor 0.05), which converge for every CES market.
+Psi is convex in p for every CES market, but not always in y: H can be
+indefinite (often for complements far from equilibrium).  Such steps use
+H - diag(g) instead, which is diag(p) times the price-space Hessian times
+diag(p), i.e. sum_i b_i ((1 - c_i) diag(s_i) + c_i s_i s_i^T) with s_i the
+spending shares and c_i the demand exponent.  Each buyer's term is positive
+semidefinite (for c_i < 0 write it as diag(s_i) - c_i (diag(s_i) - s_i s_i^T)),
+so the sum is positive definite whenever every good carries spending and the
+step is a descent direction for Psi (damped Newton, Boyd & Vandenberghe,
+Convex Optimization, section 9.5).
 """
 
 from __future__ import annotations
@@ -25,15 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import (
-    CesMarket,
-    check_prices,
-    cpf_potential,
-    demand,
-    misspending_potential,
-)
+from .market import CesMarket, check_prices
 
-_FALLBACK_STEP = 0.05
 _ARMIJO = 1e-4
 _LINE_SEARCH_HALVINGS = 40
 # Relative rounding noise of Psi, scaled by |Psi| + total budget.
@@ -59,71 +52,6 @@ class EquilibriumResult:
     iterations: int
 
 
-def _unit_supply_form(market: CesMarket) -> CesMarket:
-    """Equivalent unit-supply market: supplies folded into the coefficients."""
-    a = market.coefficients * market.supplies[None, :] ** market.rho[:, None]
-    return market.replace(coefficients=a, supplies=np.ones(market.num_goods))
-
-
-def spending_map(market: CesMarket, prices) -> np.ndarray:
-    """One application of p <- money spent per good at prices p.
-
-    Preserves sum(p) = total budget at every iterate.  Its fixed points are
-    the clearing prices of the unit-supply form, but iterating it raw can
-    cycle (spending overshoots), so the solver drives the underlying bid
-    update instead and reads prices off the bids.
-    """
-    profile = demand(market, prices)
-    return profile.spending.sum(axis=0)
-
-
-def _bid_pass(unit: CesMarket, bids: np.ndarray, target: float, max_iters: int):
-    """Iterate the proportional bid update until implied prices clear.
-
-    Hand-rolled inner loop: the coefficient power a^(1-c) is constant across
-    iterations, and unit supplies make quantities plain bid shares.
-    """
-    a = unit.coefficients
-    b = unit.budgets[:, None]
-    rho = unit.rho[:, None]
-    c = unit.demand_exponent[:, None]
-    a_pow = a ** (1.0 - c)
-    residual = np.inf
-    for it in range(max_iters):
-        p = bids.sum(axis=0)
-        # From an extreme start (e.g. Newton's stall point with rho near 1)
-        # p^c can overflow for one update; a NaN residual is just not done.
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = a_pow * p[None, :] ** c
-            spend = b * weights / weights.sum(axis=1, keepdims=True)
-            excess = (spend / p[None, :]).sum(axis=0) - 1.0
-            residual = float(np.sum(p * np.abs(excess)))
-        if residual <= target:
-            return p, bids, residual, it
-        utility = a * (bids / p[None, :]) ** rho
-        bids = b * utility / utility.sum(axis=1, keepdims=True)
-    return bids.sum(axis=0), bids, residual, max_iters
-
-
-def _damped_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int):
-    """Multiplicative updates p <- p * (1 + step * min(1, excess))."""
-    residual = np.inf
-    for it in range(max_iters):
-        profile = demand(market, p)
-        residual = float(np.sum(p * np.abs(profile.excess)))
-        if residual <= target:
-            return p, residual, it
-        factors = 1.0 + _FALLBACK_STEP * np.minimum(profile.excess, 1.0)
-        if np.any(factors <= 0):
-            raise ConvergenceError(
-                "price update would drive a price non-positive; "
-                "the damping step is too large for this market",
-                residual,
-            )
-        p = p * factors
-    return p, residual, max_iters
-
-
 def _gradient_hessian(market: CesMarket, prices: np.ndarray, shares: np.ndarray):
     """Gradient and Hessian of the convex price potential in log prices.
 
@@ -142,18 +70,19 @@ def _gradient_hessian(market: CesMarket, prices: np.ndarray, shares: np.ndarray)
 def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int):
     """Newton's method on the convex price potential in log prices y = ln p.
 
-    Each step factors the Hessian (Cholesky, to confirm it is positive
-    definite) and solves for the step.  A step is accepted on an Armijo
-    decrease of Psi, or when the misspending sum |g| falls while Psi rises by
-    no more than its rounding noise: near the optimum Psi's decrease drops
-    below rounding while the residual still shrinks quadratically, and away
-    from it a residual-only rule lets Newton cycle.  Residual and potential
-    are computed exactly as misspending_potential and cpf_potential compute
-    them.
+    Each step factors the log-price Hessian H (Cholesky, to confirm it is
+    positive definite) and solves for the step; where H is not positive
+    definite the step uses H - diag(g), which is positive definite (see the
+    module docstring).  A step is accepted on an Armijo decrease of Psi, or
+    when the misspending sum |g| falls while Psi rises by no more than its
+    rounding noise: near the optimum Psi's decrease drops below rounding
+    while the residual still shrinks quadratically, and away from it a
+    residual-only rule lets Newton cycle.  Residual, spending and potential
+    are computed exactly as misspending_potential, demand and cpf_potential
+    compute them.
 
-    Returns (best prices, their residual, Newton steps taken).  Fewer than
-    max_iters steps with the residual above target means Newton stalled: the
-    Hessian was not positive definite or no trial step was accepted.
+    Returns the result at the last iterate.  Its residual is above target
+    when max_iters steps ran out or no trial step was accepted.
     """
     w = market.supplies
     b = market.budgets
@@ -177,39 +106,53 @@ def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int
 
     state = evaluate(p)
     if state is None:
-        return p, np.inf, 0
+        raise ConvergenceError(
+            "the convex potential is not finite at the starting prices", np.inf
+        )
     shares, residual, psi = state
-    best_p, best_residual = p, residual
-    for step in range(max_iters):
-        if residual <= target:
-            return p, residual, step
+    steps = 0
+    while steps < max_iters and residual > target:
         g, hessian = _gradient_hessian(market, p, shares)
         try:
             np.linalg.cholesky(hessian)
         except np.linalg.LinAlgError:
-            return best_p, best_residual, step
-        direction = np.linalg.solve(hessian, -g)
+            # Far from equilibrium the spending on some goods, and with it
+            # their rows of H - diag(g), can be hundreds of orders of
+            # magnitude below the rest; a pivoted solve of the unscaled
+            # matrix drowns those rows in rounding, so scale it to unit
+            # diagonal first.
+            hessian[np.diag_indices_from(hessian)] -= g
+            scale = 1.0 / np.sqrt(np.diag(hessian))
+            scaled = hessian * np.outer(scale, scale)
+            direction = -scale * np.linalg.solve(scaled, scale * g)
+        else:
+            direction = np.linalg.solve(hessian, -g)
         slope = float(g @ direction)
         psi_noise = _PSI_NOISE * (abs(psi) + total)
         t = 1.0
         for _ in range(_LINE_SEARCH_HALVINGS):
             with np.errstate(over="ignore"):
                 trial = p * np.exp(t * direction)
-            state = evaluate(trial)
-            if state is not None:
-                _, trial_residual, trial_psi = state
+            trial_state = evaluate(trial)
+            if trial_state is not None:
+                _, trial_residual, trial_psi = trial_state
                 if trial_psi <= psi + _ARMIJO * t * slope or (
                     trial_residual < residual and trial_psi <= psi + psi_noise
                 ):
                     break
             t *= 0.5
         else:
-            return best_p, best_residual, step
+            break
         p = trial
-        shares, residual, psi = state
-        if residual < best_residual:
-            best_p, best_residual = p, residual
-    return best_p, best_residual, max_iters
+        shares, residual, psi = trial_state
+        steps += 1
+    return EquilibriumResult(
+        prices=p,
+        bids=b[:, None] * shares,
+        psi_star=psi,
+        residual=residual,
+        iterations=steps,
+    )
 
 
 def solve_equilibrium(
@@ -220,10 +163,13 @@ def solve_equilibrium(
 ) -> EquilibriumResult:
     """Find prices whose misspending is at most tolerance * total budget.
 
-    `initial_prices` warm-starts the solve (defaults to uniform B/n).
-    `max_iters` bounds Newton steps plus any fallback iterations, and
-    `iterations` reports both.  Raises ConvergenceError, reporting the final
-    residual, if the iteration budget is exhausted.
+    `initial_prices` warm-starts the solve (defaults to uniform B/n); a warm
+    start that already clears is returned unchanged after 0 steps, so
+    re-solves on an unchanged market reproduce the previous result bit for
+    bit.  `max_iters` bounds the Newton steps and `iterations` counts them.
+    Raises ConvergenceError, reporting the final residual, if the target is
+    not met: the potential is not finite at the start, the steps ran out, or
+    the line search found no acceptable step.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -237,62 +183,15 @@ def solve_equilibrium(
             "invalid market: some good carries no positive coefficient, "
             "so its clearing price is zero and outside the price domain"
         )
-
-    if initial_prices is not None:
-        # A warm start that already clears is returned untouched, so re-solves
-        # on an unchanged market reproduce the previous result bit for bit.
-        warm = check_prices(market, initial_prices)
-        residual = misspending_potential(market, warm)
-        if residual <= target:
-            profile = demand(market, warm)
-            return EquilibriumResult(
-                prices=warm.copy(),
-                bids=profile.spending,
-                psi_star=cpf_potential(market, warm),
-                residual=residual,
-                iterations=0,
-            )
-
     if initial_prices is None:
         start = np.full(n, total / n)
     else:
         start = check_prices(market, initial_prices)
-    prices, residual, iterations = _newton_pass(market, start, target, max_iters)
-    stalled = residual > target and iterations < max_iters
-    if stalled and np.all((market.rho > 0) & (market.rho < 1)):
-        # Substitutes: drive the proportional bid update on the unit-supply
-        # form from Newton's best point; its implied prices converge linearly
-        # to the clearing prices, which map back to the original market
-        # through the supply factor.  The residual transfers exactly up to
-        # rounding, so converge a bit past the target and re-check on the
-        # original market.
-        unit = _unit_supply_form(market)
-        bids = demand(unit, prices * market.supplies).spending
-        inner_target = 0.9 * target
-        for _ in range(3):
-            p, bids, _, used = _bid_pass(unit, bids, inner_target, max_iters - iterations)
-            iterations += used
-            prices = p / market.supplies
-            residual = misspending_potential(market, prices)
-            if residual <= target or iterations >= max_iters:
-                break
-            inner_target *= 0.5
-    elif stalled:
-        prices, residual, used = _damped_pass(market, prices, target, max_iters - iterations)
-        iterations += used
-
-    if residual > target:
+    result = _newton_pass(market, start, target, max_iters)
+    if result.residual > target:
         raise ConvergenceError(
-            f"equilibrium solve stopped at residual {residual:.3e} "
-            f"(target {target:.3e}) after {iterations} iterations",
-            residual,
+            f"equilibrium solve stopped at residual {result.residual:.3e} "
+            f"(target {target:.3e}) after {result.iterations} iterations",
+            result.residual,
         )
-
-    profile = demand(market, prices)
-    return EquilibriumResult(
-        prices=prices,
-        bids=profile.spending,
-        psi_star=cpf_potential(market, prices),
-        residual=residual,
-        iterations=iterations,
-    )
+    return result

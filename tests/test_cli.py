@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 
 from eqtracer.cli import CONFIG_SCHEMA, EXIT_BOUND, EXIT_CONFIG, EXIT_SIMULATION, main
 from eqtracer.trace import CSV_HEADER, file_sha256
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name, config):
@@ -159,6 +165,31 @@ def test_output_names_must_stay_inside_out_dir(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and f"output/{field}" in err
     assert not (tmp_path / "nest" / "escaped.csv").exists()
+
+
+def test_trace_and_report_must_differ(tmp_path, capsys):
+    for output in ({"trace": "same.csv", "report": "same.csv"}, {"report": "trace.csv"}):
+        config = {"kind": "gd-shifting", "horizon": 5, "output": output}
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_module_entry_point_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "eqtracer.cli", *args],
+            env=env, cwd=ROOT, capture_output=True, text=True, timeout=60,
+        )
+
+    schema = run("--emit-schema")
+    assert schema.returncode == 0, schema.stderr
+    assert json.loads(schema.stdout) == CONFIG_SCHEMA
+    assert run("verify", "--suite", "nope").returncode == EXIT_CONFIG
 
 
 def test_verify_unknown_suite_exits_2(capsys):

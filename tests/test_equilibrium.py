@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from eqtracer import CesMarket, ConvergenceError, misspending_potential, solve_equilibrium
-from eqtracer import equilibrium
-from eqtracer.equilibrium import _gradient_hessian, spending_map
+from eqtracer.equilibrium import _gradient_hessian
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
 from eqtracer.market import demand
 from eqtracer.perturbation import UTILITY, PerturbationEvent, apply_event
@@ -55,15 +54,6 @@ def test_bids_row_and_column_sums():
     assert np.allclose(result.bids.sum(axis=0), result.prices, rtol=1e-7)
 
 
-def test_spending_map_preserves_total_budget():
-    market = random_market(5, 4, 4, unit_supplies=True)
-    rng = np.random.default_rng(0)
-    p = uniform_prices(market)
-    for _ in range(20):
-        p = spending_map(market, p * rng.uniform(0.9, 1.1, 4))
-        assert float(p.sum()) == pytest.approx(market.total_budget, rel=1e-12)
-
-
 def test_deterministic():
     market = random_market(6, 3, 4)
     a = solve_equilibrium(market)
@@ -113,6 +103,31 @@ def test_hessian_matches_finite_differences(rho_range):
         numeric[:, k] = (up - down) / (2 * h)
     assert np.max(np.abs(hessian - numeric)) <= 1e-6 * np.max(np.abs(hessian))
 
+    # H - diag(g) is diag(p) times the price-space Hessian times diag(p); the
+    # price-space gradient of Psi is g / p (supply minus demand).
+    p = np.exp(y)
+    g, _ = _log_price_gradient_hessian(market, y)
+    fallback = hessian - np.diag(g)
+    price_hessian = np.empty_like(hessian)
+    for k in range(6):
+        step = np.zeros(6)
+        step[k] = 1e-6 * p[k]
+        up, _ = _log_price_gradient_hessian(market, np.log(p + step))
+        down, _ = _log_price_gradient_hessian(market, np.log(p - step))
+        price_hessian[:, k] = (up / (p + step) - down / (p - step)) / (2 * step[k])
+    numeric = p[:, None] * price_hessian * p[None, :]
+    assert np.max(np.abs(fallback - numeric)) <= 1e-6 * np.max(np.abs(fallback))
+    np.linalg.cholesky(fallback)
+
+    # At uniform prices this complements market's log-price Hessian is
+    # indefinite, and the fallback matrix is not.
+    market = random_market(60, 7, 7, -2.0, -0.5)
+    p = uniform_prices(market)
+    g, hessian = _log_price_gradient_hessian(market, np.log(p))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(hessian)
+    np.linalg.cholesky(hessian - np.diag(g))
+
 
 @pytest.mark.parametrize("rho_range", [(0.2, 0.8), (-2.0, -0.5)])
 def test_warm_resolve_takes_few_newton_steps(rho_range):
@@ -143,24 +158,36 @@ def test_newton_line_search_does_not_cycle():
     assert result.prices == pytest.approx(market.budgets[0] * a / a.sum(), rel=1e-9)
 
 
-@pytest.mark.parametrize(
-    "market_args,fallback",
-    [((154, 2, 9, 0.9, 0.99), "_bid_pass"), ((60, 7, 7, -2.0, -0.5), "_damped_pass")],
-)
-def test_stalled_newton_hands_over_to_regime_fallback(monkeypatch, market_args, fallback):
-    market = random_market(*market_args)
-    monkeypatch.setattr(
-        equilibrium, "_newton_pass", lambda market, p, target, max_iters: (p, np.inf, 0)
+# random_market arguments: (seed, m, n, rho_low, rho_high, unit_supplies,
+# zero_fraction).
+_SWEEP = [
+    (seed, int(m), int(n), lo, hi, seed % 2 == 1, 0.0)
+    for k, (lo, hi) in enumerate(
+        [(0.2, 0.8), (0.9, 0.99), (-2.0, -0.5), (-10.0, -3.0), (-2.0, 0.9)]
     )
-    calls = []
-    original = getattr(equilibrium, fallback)
+    for seed in range(100 * k, 100 * k + 12)
+    for m, n in [np.random.default_rng(seed).integers(2, 9, size=2)]
+] + [
+    (154, 2, 9, 0.9, 0.99, False, 0.0),
+    (60, 7, 7, -2.0, -0.5, False, 0.0),
+    # Near-Leontief buyers and sparse coefficients: some clearing prices are
+    # below 1e-12, so the spending on those goods, and their rows of the
+    # Newton matrix, are many orders of magnitude below the rest.
+    (5123, 7, 18, -50.0, -10.0, True, 0.5),
+]
 
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
 
-    monkeypatch.setattr(equilibrium, fallback, spy)
-    result = solve_equilibrium(market)
-    assert calls
-    assert result.residual <= 1e-8 * market.total_budget
-    assert misspending_potential(market, result.prices) == result.residual
+def test_cold_and_warm_solves_take_few_newton_steps():
+    # Complements markets included: there the log-price Hessian is often
+    # indefinite at the start, and Newton must still take few steps.
+    for args in _SWEEP:
+        market = random_market(*args)
+        cold = solve_equilibrium(market)
+        assert cold.iterations <= 30, args
+        assert misspending_potential(market, cold.prices) == cold.residual
+        rng = np.random.default_rng(args[0])
+        factors = np.exp(rng.uniform(-0.005, 0.005, market.coefficients.shape))
+        perturbed = apply_event(market, PerturbationEvent(1, UTILITY, factors))
+        warm = solve_equilibrium(perturbed, initial_prices=cold.prices)
+        assert warm.iterations <= 4, args
+        assert misspending_potential(perturbed, warm.prices) == warm.residual
