@@ -13,6 +13,7 @@ from eqtracer import (
     ScheduleSpec,
     TatonnementConfig,
     default_step_size,
+    fit_contraction,
     generate_schedule,
     run_tatonnement_trace,
 )
@@ -24,14 +25,15 @@ config = TatonnementConfig(
     lam=lam,
     variant="misspending",
     price_cap=2.0 * market.total_budget,
-    delta=None,          # fit the contraction rate from a static warm-up
-    warmup_rounds=100,
 )
+# Fit the contraction rate from a 100-round static warm-up; the trace
+# starts from the warmed prices.
+delta, prices, _ = fit_contraction(market, uniform_prices(market), config, 100)
 schedule = generate_schedule(
     ScheduleSpec(channel="supply-additive", magnitude=0.01, seed=21), market, 1500
 )
 
-records = run_tatonnement_trace(market, uniform_prices(market), config, schedule, 1500)
+records = run_tatonnement_trace(market, prices, config, schedule, delta, 1500)
 
 print(f"step size {lam:.4f}, price cap {config.price_cap:.2f}, "
       f"supply drift magnitude 0.01 per round")

@@ -11,6 +11,7 @@ import numpy as np
 
 from eqtracer import (
     ScheduleSpec,
+    fit_prd_constants,
     generate_schedule,
     proportional_bids,
     run_prd_trace,
@@ -39,7 +40,8 @@ schedule = generate_schedule(
     market,
     600,
 )
-records = run_prd_trace(market, proportional_bids(market), schedule, None, 600)
+bound, warmed = fit_prd_constants(market, proportional_bids(market))
+records = run_prd_trace(market, warmed, schedule, bound, 600)
 
 recurrence = np.mean([r.recurrence_ok for r in records])
 dominated = np.mean([r.potential <= r.bound + 1e-9 for r in records])

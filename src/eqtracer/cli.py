@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -214,15 +213,7 @@ EXIT_BOUND = 4
 
 def _build_market(section: dict) -> CesMarket:
     if "random" in section:
-        spec = dict(section["random"])
-        return random_market(
-            spec["seed"],
-            spec["m"],
-            spec["n"],
-            spec.get("rho_low", 0.2),
-            spec.get("rho_high", 0.8),
-            unit_supplies=spec.get("unit_supplies", False),
-        )
+        return random_market(**section["random"])
     try:
         return CesMarket(
             budgets=section["budgets"],
@@ -256,27 +247,24 @@ def _domination(records) -> dict:
     }
 
 
-def _run_tatonnement(config: dict, kind: str):
+def _run_tatonnement(config: dict):
     market = _build_market(config.get("market", {}))
     dynamics = config.get("dynamics", {})
     bounds = config.get("bounds", {})
     horizon = config["horizon"]
     total = market.total_budget
 
-    variant = MISSPENDING if kind == "tatonnement-ms" else CPF
+    variant = MISSPENDING if config["kind"] == "tatonnement-ms" else CPF
     step_size = dynamics.get("step_size", "auto")
     if step_size == "auto":
         step_size = default_step_size(market) if variant == MISSPENDING else 0.05
     price_cap = dynamics.get("price_cap", "2B")
     if price_cap == "2B":
         price_cap = 2.0 * total
-    delta = bounds.get("delta", "fit")
     tat_config = TatonnementConfig(
         lam=float(step_size),
         variant=variant,
         price_cap=float(price_cap),
-        delta=None if delta == "fit" else float(delta),
-        warmup_rounds=bounds.get("warmup_rounds", 100),
         c_prime=dynamics.get("c_prime"),
     )
     prices0 = np.asarray(
@@ -286,30 +274,28 @@ def _run_tatonnement(config: dict, kind: str):
     # One potential serves the fit, the trace and the report, so the cpf
     # minimum of the starting market is solved once.
     potential = _CpfPotential(market) if variant == CPF else None
-    delta_source = "supplied"
-    if tat_config.delta is None:
-        # Fit here instead of inside the runner so the report can carry the
-        # fitted value; the trace is identical either way.
-        delta_hat, prices0, _ = fit_contraction(
-            market, prices0, tat_config, tat_config.warmup_rounds, _potential=potential
+    delta = bounds.get("delta", "fit")
+    if delta == "fit":
+        delta, prices0, _ = fit_contraction(
+            market, prices0, tat_config, bounds.get("warmup_rounds", 100),
+            _potential=potential,
         )
-        tat_config = replace(tat_config, delta=delta_hat)
         delta_source = "fitted-from-warmup"
+    else:
+        delta = float(delta)
+        delta_source = "supplied"
     schedule = _build_schedule(config.get("schedule"), market, horizon)
     records = run_tatonnement_trace(
-        market, prices0, tat_config, schedule, horizon, _potential=potential
+        market, prices0, tat_config, schedule, delta, horizon, _potential=potential
     )
 
     constants = {
         "step_size": {"value": tat_config.lam, "source": "supplied" if dynamics.get("step_size", "auto") != "auto" else "default"},
         "price_cap": {"value": tat_config.price_cap},
-        "delta": {"value": tat_config.delta, "source": delta_source},
+        "delta": {"value": delta, "source": delta_source},
     }
     report = {
-        "kind": kind,
-        "horizon": horizon,
         "constants": constants,
-        "domination": _domination(records),
         "assumption1_violations": sum(1 for r in records if not r.assumption1_ok),
         "schedule_channels": sorted(schedule.channels()),
     }
@@ -341,13 +327,10 @@ def _run_prd(config: dict):
         float(np.mean([r.recurrence_ok for r in records])) if records else 1.0
     )
     report = {
-        "kind": "prd",
-        "horizon": horizon,
         "constants": {
             "q1": {"value": bound.q1, "source": source},
             "q2": {"value": bound.q2, "source": source},
         },
-        "domination": _domination(records),
         "recurrence_fraction": recurrence,
         "schedule_channels": sorted(schedule.channels()),
     }
@@ -390,15 +373,12 @@ def _run_gd(config: dict):
         float(trace.distances[0]), problem.delta, shift, problem.beta_smooth, horizon
     )
     report = {
-        "kind": "gd-shifting",
-        "horizon": horizon,
         "constants": {
             "delta": {"value": problem.delta, "source": "curvature"},
             "eta": {"value": problem.eta},
             "alpha": problem.alpha,
             "beta": problem.beta_smooth,
         },
-        "domination": _domination(records),
         "initial_distance": float(trace.distances[0]),
         "regret": trace.regret,
         "regret_bound": regret_cap,
@@ -421,15 +401,7 @@ def _run_diffusion(config: dict):
     )
     drift = spec.get("drift")
     if drift:
-        path = drifting_speeds(
-            drift["seed"],
-            n,
-            horizon,
-            drift["magnitude"],
-            drift.get("low", 0.8),
-            drift.get("high", 1.25),
-            drift.get("mode", "common"),
-        )
+        path = drifting_speeds(n=n, T=horizon, **drift)
         path = [network.speeds * p for p in path]
     else:
         path = [network.speeds] * (horizon + 1)
@@ -447,21 +419,20 @@ def _run_diffusion(config: dict):
     slacked = bool(
         np.all(trace.potentials <= np.sqrt(n) * trace.bounds + 1e-9)
     )
+    # Rounds already within rounding noise of balance carry a NaN ratio.
+    measured = trace.contractions[~np.isnan(trace.contractions)]
     report = {
-        "kind": "diffusion",
-        "horizon": horizon,
         "constants": {"lambda2": {"value": lam, "source": "power-iteration"}},
-        "domination": _domination(records),
         "dominated_with_sqrt_n_slack": slacked,
-        "worst_contraction": float(np.nanmax(trace.contractions)) if horizon else None,
+        "worst_contraction": float(measured.max()) if measured.size else None,
         "initial_imbalance": float(trace.potentials[0]),
     }
     return records, report
 
 
 _RUNNERS = {
-    "tatonnement-ms": lambda cfg: _run_tatonnement(cfg, "tatonnement-ms"),
-    "tatonnement-cpf": lambda cfg: _run_tatonnement(cfg, "tatonnement-cpf"),
+    "tatonnement-ms": _run_tatonnement,
+    "tatonnement-cpf": _run_tatonnement,
     "prd": _run_prd,
     "gd-shifting": _run_gd,
     "diffusion": _run_diffusion,
@@ -516,11 +487,16 @@ def run_experiment(config_path: Path, out_dir: Path, strict: bool) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records, report = _RUNNERS[config["kind"]](config)
+    report.update(
+        kind=config["kind"],
+        horizon=config["horizon"],
+        domination=_domination(records),
+        trace_file=trace_path.name,
+    )
+    # Refuse NaN and infinities, which are not JSON, before writing anything.
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     write_trace_csv(records, trace_path)
-    report["trace_file"] = trace_path.name
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report_path.write_text(text + "\n")
 
     verdict = report["domination"]["verdict"]
     final = report.get("final_potential")

@@ -9,7 +9,7 @@ prices; trace runners accumulate these caps into cumulative tracking bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class PerturbationSchedule:
     """Ordered event list; at most one event per (round, channel)."""
 
     events: tuple = ()
-    spec: ScheduleSpec | None = None
 
     def __post_init__(self):
         events = tuple(sorted(self.events, key=lambda e: (e.round, e.channel)))
@@ -125,9 +124,6 @@ class PerturbationSchedule:
 
     def channels(self) -> set:
         return {e.channel for e in self.events}
-
-    def __iter__(self) -> Iterator[PerturbationEvent]:
-        return iter(self.events)
 
 
 def generate_schedule(
@@ -161,7 +157,7 @@ def generate_schedule(
         step = np.where(outside, -step, step)
         level = level + step
         events.append(PerturbationEvent(t, spec.channel, step))
-    return PerturbationSchedule(events=tuple(events), spec=spec)
+    return PerturbationSchedule(events=tuple(events))
 
 
 def _draw(rng: np.random.Generator, spec: ScheduleSpec, size) -> np.ndarray:

@@ -26,6 +26,10 @@ from .perturbation import (
 )
 from .trace import TraceRecord
 
+# Residual target for the equilibrium solves behind the potential gap and
+# the KL distance.
+_SOLVER_TOLERANCE = 1e-10
+
 
 def _check_substitutes(market: CesMarket):
     if np.any((market.rho <= 0) | (market.rho >= 1)):
@@ -188,10 +192,7 @@ class PrdBoundConfig:
 
 
 def fit_prd_constants(
-    market: CesMarket,
-    bids,
-    rounds: int = 200,
-    solver_tolerance: float = 1e-10,
+    market: CesMarket, bids, rounds: int = 200
 ) -> tuple[PrdBoundConfig, np.ndarray]:
     """Fit (q1, q2) from a static run and return them with the final bids.
 
@@ -203,7 +204,7 @@ def fit_prd_constants(
     if rounds < 2:
         raise ValueError("need at least two warm-up rounds to fit constants")
     _check_substitutes(market)
-    eq = solve_equilibrium(market, tolerance=solver_tolerance)
+    eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
     g_star = prd_potential_g(market, eq.bids)
     bids = np.asarray(bids, dtype=float)
     kl = kl_divergence(eq.bids, bids)
@@ -237,10 +238,8 @@ def run_prd_trace(
     market0: CesMarket,
     bids0,
     schedule: PerturbationSchedule,
-    bound: PrdBoundConfig | None,
+    bound: PrdBoundConfig,
     horizon: int,
-    warmup_rounds: int = 200,
-    solver_tolerance: float = 1e-10,
 ) -> list[TraceRecord]:
     """Simulate bid dynamics while supplies and utility coefficients drift.
 
@@ -252,8 +251,8 @@ def run_prd_trace(
     coefficient-share floor taken over rounds seen so far), the cumulative
     geometric KL bound, and whether the one-round KL recurrence held.
 
-    With bound=None the constants are fitted from a static warm-up and the
-    trace continues from the warmed bids.
+    `bound` is supplied or fitted beforehand with `fit_prd_constants`, whose
+    final bids are then the natural `bids0`.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -268,12 +267,7 @@ def run_prd_trace(
     market = reduce_supply_to_utility(market0, np.zeros(market0.num_goods))
     bids = check_bids(market, bids0)
 
-    if bound is None:
-        bound, bids = fit_prd_constants(
-            market, bids, rounds=warmup_rounds, solver_tolerance=solver_tolerance
-        )
-
-    eq = solve_equilibrium(market, tolerance=solver_tolerance)
+    eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
     g_star = prd_potential_g(market, eq.bids)
     kl_prev = kl_divergence(eq.bids, bids)
     kl_anchor = kl_prev
@@ -303,7 +297,7 @@ def run_prd_trace(
             eps_t = float(np.abs(logs).max())
             min_share = np.minimum(min_share, _min_coefficient_share([market]))
             eq = solve_equilibrium(
-                market, tolerance=solver_tolerance, initial_prices=eq.prices
+                market, tolerance=_SOLVER_TOLERANCE, initial_prices=eq.prices
             )
             g_star = prd_potential_g(market, eq.bids)
         delta_t = _prd_delta_from_parts(budgets, rho, min_share, eps_t)

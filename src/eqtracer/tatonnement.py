@@ -29,7 +29,6 @@ from .market import (
 from .perturbation import (
     BUDGET,
     SUPPLY,
-    UTILITY,
     PerturbationSchedule,
     apply_event,
     delta_cpf_budget,
@@ -47,19 +46,16 @@ CPF = "cpf"
 
 @dataclass(frozen=True)
 class TatonnementConfig:
-    """Step size, update variant, price cap and bound parameters.
+    """Step size, update variant, price cap and cpf budget constant.
 
-    delta: contraction rate for the tracking bound; None fits it empirically
-    from a static warm-up of `warmup_rounds` rounds before the trace starts.
     c_prime: unit-cost log-ratio bound, required only when a cpf trace has
-    budget events.
+    budget events.  The contraction rate is not part of the config: callers
+    fit it with `fit_contraction` or supply it, and pass it to the runner.
     """
 
     lam: float
     variant: str = MISSPENDING
     price_cap: float = np.inf
-    delta: float | None = None
-    warmup_rounds: int = 100
     c_prime: float | None = None
 
     def __post_init__(self):
@@ -71,10 +67,6 @@ class TatonnementConfig:
             raise ValueError("the cpf update requires a step size below 1/6")
         if self.price_cap <= 0:
             raise ValueError("price_cap must be positive")
-        if self.delta is not None and not 0 < self.delta <= 1:
-            raise ValueError("delta must lie in (0, 1]")
-        if self.warmup_rounds < 0:
-            raise ValueError("warmup_rounds must be non-negative")
 
 
 def default_step_size(market: CesMarket) -> float:
@@ -150,21 +142,22 @@ class _CpfPotential:
         return cpf_potential(market, prices) - self._psi_star
 
 
-def _round_delta(event, market, config) -> float:
-    if config.variant == MISSPENDING:
+def jump_cap(event, market, variant, price_cap, c_prime) -> float:
+    """Closed-form cap on the potential jump `event` causes on `market`."""
+    if variant == MISSPENDING:
         if event.channel == SUPPLY:
-            return delta_ms_supply(event, config.price_cap)
+            return delta_ms_supply(event, price_cap)
         if event.channel == BUDGET:
             return delta_ms_budget(event)
         return delta_ms_utility(event, market)
     if event.channel == SUPPLY:
-        return delta_cpf_supply(event, config.price_cap, market)
+        return delta_cpf_supply(event, price_cap, market)
     if event.channel == BUDGET:
-        if config.c_prime is None:
+        if c_prime is None:
             raise ValueError(
                 "budget events in a cpf trace need c_prime in the config"
             )
-        return delta_cpf_budget(event, config.c_prime)
+        return delta_cpf_budget(event, c_prime)
     return delta_cpf_utility(event, market)
 
 
@@ -174,7 +167,9 @@ def apply_round_events(
     """Apply one round's events in order and total their jump caps."""
     total = 0.0
     for event in events:
-        total += _round_delta(event, market, config)
+        total += jump_cap(
+            event, market, config.variant, config.price_cap, config.c_prime
+        )
         _warn_if_untraceable(market, event, config.lam)
         market = apply_event(market, event)
     return market, total
@@ -238,6 +233,7 @@ def run_tatonnement_trace(
     prices0,
     config: TatonnementConfig,
     schedule: PerturbationSchedule,
+    delta: float,
     horizon: int,
     _potential=None,
 ) -> list[TraceRecord]:
@@ -246,15 +242,17 @@ def run_tatonnement_trace(
     Round t: update prices against the previous round's market, apply the
     round's scheduled events, then measure the potential on the perturbed
     market.  The recorded bound is the running envelope
-    bound_t = (1 - delta) * bound_{t-1} + jump cap_t, anchored at the starting
-    potential, so measured <= bound round by round whenever every static
-    update contracts by at least delta.
+    bound_t = (1 - delta) * bound_{t-1} + jump cap_t, anchored at the
+    potential of (market0, prices0), so measured <= bound round by round
+    whenever every static update contracts by at least delta.
 
-    With config.delta = None the rate is fitted from a static warm-up and the
-    trace continues from the warmed state.  `_potential` lets a caller that
-    already built the potential for market0 (e.g. for its own fit) share it,
-    so the cpf minimum is not solved again.
+    `delta` is supplied or fitted beforehand with `fit_contraction`, whose
+    final prices are then the natural `prices0`.  `_potential` lets a caller
+    that already built the potential for market0 (e.g. for its own fit)
+    share it, so the cpf minimum is not solved again.
     """
+    if not 0 < delta <= 1:
+        raise ValueError("delta must lie in (0, 1]")
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     if schedule.max_round > horizon:
@@ -269,13 +267,7 @@ def run_tatonnement_trace(
         if config.variant == MISSPENDING
         else _CpfPotential(market0)
     )
-    if config.delta is None:
-        delta, prices, phi0 = fit_contraction(
-            market0, prices, config, config.warmup_rounds, _potential=potential
-        )
-    else:
-        delta = config.delta
-        phi0 = potential(market0, prices)
+    phi0 = potential(market0, prices)
 
     records: list[TraceRecord] = []
     bound = phi0

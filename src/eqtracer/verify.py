@@ -8,7 +8,7 @@ bound, and returns a CheckResult; nothing here prints.  The command-line
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -41,17 +41,12 @@ from .perturbation import (
     ScheduleSpec,
     apply_event,
     calibrate_c_prime,
-    delta_cpf_budget,
-    delta_cpf_supply,
-    delta_cpf_utility,
-    delta_ms_budget,
-    delta_ms_supply,
-    delta_ms_utility,
     extremize_shares,
     generate_schedule,
     share_deviation,
 )
 from .prd import (
+    fit_prd_constants,
     prd_potential_g,
     prd_step,
     proportional_bids,
@@ -64,6 +59,7 @@ from .tatonnement import (
     TatonnementConfig,
     default_step_size,
     fit_contraction,
+    jump_cap,
     run_tatonnement_trace,
     step_cpf,
     step_ms,
@@ -200,33 +196,24 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
             prices = uniform_prices(market) * rng.uniform(0.3, 3.0, n)
             event = _random_event(rng, market, channel)
             perturbed = apply_event(market, event)
-            price_cap = float(prices.max())
+            c_prime = None
             if potential_kind == MISSPENDING:
                 measured = misspending_potential(perturbed, prices) - misspending_potential(
                     market, prices
                 )
-                if channel == SUPPLY:
-                    cap = delta_ms_supply(event, price_cap)
-                elif channel == BUDGET:
-                    cap = delta_ms_budget(event)
-                else:
-                    cap = delta_ms_utility(event, market)
             else:
                 before = solve_equilibrium(market)
                 after = solve_equilibrium(perturbed, initial_prices=before.prices)
                 measured = (cpf_potential(perturbed, prices) - after.psi_star) - (
                     cpf_potential(market, prices) - before.psi_star
                 )
-                if channel == SUPPLY:
-                    cap = delta_cpf_supply(event, price_cap, market)
-                elif channel == BUDGET:
+                if channel == BUDGET:
                     c_prime = calibrate_c_prime(
                         market, [before.prices, after.prices], [prices]
                     )
                     c_prime_max = max(c_prime_max, c_prime)
-                    cap = delta_cpf_budget(event, c_prime)
-                else:
-                    cap = delta_cpf_utility(event, market)
+            # The same cap dispatch the trace runners use.
+            cap = jump_cap(event, market, potential_kind, float(prices.max()), c_prime)
             margin = measured - cap
             worst_margin = max(worst_margin, margin)
             if margin > 1e-9:
@@ -268,7 +255,7 @@ def check_dynamic_tracing(traces: int = 20, horizon: int = 2000) -> CheckResult:
             market, uniform_prices(market), config, rounds=100
         )
         records = run_tatonnement_trace(
-            market, warmed, replace(config, delta=delta_hat), schedule, horizon
+            market, warmed, config, schedule, delta_hat, horizon
         )
         decay = 1.0 - delta_hat
         recent = 0.0
@@ -352,9 +339,8 @@ def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
             continue
         spec = ScheduleSpec(channel=UTILITY, magnitude=0.005, seed=5000 + seed)
         schedule = generate_schedule(spec, market, horizon)
-        records = run_prd_trace(
-            market, proportional_bids(market), schedule, None, horizon
-        )
+        bound, warmed = fit_prd_constants(market, proportional_bids(market))
+        records = run_prd_trace(market, warmed, schedule, bound, horizon)
         fraction = float(np.mean([r.recurrence_ok for r in records]))
         fractions.append(fraction)
         if fraction < 0.95:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -5,8 +6,10 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from eqtracer.cli import CONFIG_SCHEMA, EXIT_BOUND, EXIT_CONFIG, EXIT_SIMULATION, main
+from eqtracer.instances import drifting_speeds, random_market
 from eqtracer.trace import CSV_HEADER, file_sha256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -256,3 +259,41 @@ def test_budget_schedule_on_prd_exits_3(tmp_path, capsys):
         },
     )
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SIMULATION
+
+
+def test_supplied_delta_outside_unit_interval_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {**BASE, "bounds": {"delta": 1.5}})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SIMULATION
+    assert "delta must lie" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "network",
+    [{"graph": "path", "n": 1}, {"graph": "complete", "n": 2, "loads": [1, 1]}],
+    ids=["single-machine", "balanced-pair"],
+)
+def test_report_without_measurable_contraction_is_valid_json(tmp_path, network):
+    # Every round starts balanced, so no round has a contraction ratio.
+    config = {"kind": "diffusion", "horizon": 5, "network": network}
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["worst_contraction"] is None
+
+
+@pytest.mark.parametrize(
+    "section, generator",
+    [(("market", "random"), random_market), (("network", "drift"), drifting_speeds)],
+)
+def test_generator_sections_name_generator_parameters(section, generator):
+    # The CLI passes these sections to their generators as keyword arguments.
+    schema = CONFIG_SCHEMA
+    for key in section:
+        schema = schema["properties"][key]
+    assert set(schema["properties"]) <= set(inspect.signature(generator).parameters)

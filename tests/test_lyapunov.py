@@ -134,7 +134,6 @@ class TestRunnersFollowClosedForms:
         config = TatonnementConfig(
             lam=default_step_size(market),
             price_cap=2 * market.total_budget,
-            delta=0.01,
         )
         schedule = generate_schedule(
             ScheduleSpec(channel="supply-additive", magnitude=0.01, seed=seed + 5),
@@ -142,7 +141,7 @@ class TestRunnersFollowClosedForms:
             150,
         )
         prices = uniform_prices(market)
-        records = run_tatonnement_trace(market, prices, config, schedule, 150)
+        records = run_tatonnement_trace(market, prices, config, schedule, 0.01, 150)
         phi0 = misspending_potential(market, prices)
         jumps = [r.delta for r in records]
         assert any(jumps)

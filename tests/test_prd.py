@@ -208,10 +208,8 @@ class TestFitAndTrace:
 
     def test_static_geometric_envelope_dominates(self):
         market = random_market(12, 3, 3, unit_supplies=True)
-        records = run_prd_trace(
-            market, proportional_bids(market), PerturbationSchedule(), None, 200,
-            warmup_rounds=30,
-        )
+        bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
+        records = run_prd_trace(market, bids, PerturbationSchedule(), bound, 200)
         assert all(r.potential <= r.bound + 1e-9 for r in records)
         assert records[-1].potential < records[0].potential
 
@@ -238,9 +236,8 @@ class TestFitAndTrace:
         market = random_market(14, 3, 4, unit_supplies=True)
         spec = ScheduleSpec(channel=SUPPLY, magnitude=0.01, seed=3)
         schedule = generate_schedule(spec, market, 100)
-        records = run_prd_trace(
-            market, proportional_bids(market), schedule, None, 100
-        )
+        bound, bids = fit_prd_constants(market, proportional_bids(market))
+        records = run_prd_trace(market, bids, schedule, bound, 100)
         assert all(r.delta >= 0 for r in records)
         assert all(r.potential <= r.bound + 1e-9 for r in records)
 

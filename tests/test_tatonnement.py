@@ -96,19 +96,28 @@ class TestConfig:
 
     def test_price_cap_must_cover_initial_prices(self):
         market = random_market(2, 2, 2)
-        config = TatonnementConfig(lam=0.05, price_cap=1e-3, delta=0.01)
+        config = TatonnementConfig(lam=0.05, price_cap=1e-3)
         with pytest.raises(ValueError, match="price cap"):
             run_tatonnement_trace(
-                market, uniform_prices(market), config, PerturbationSchedule(), 1
+                market, uniform_prices(market), config, PerturbationSchedule(), 0.01, 1
+            )
+
+    @pytest.mark.parametrize("delta", [0.0, 1.5])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        market = random_market(2, 2, 2)
+        config = TatonnementConfig(lam=0.05, price_cap=2 * market.total_budget)
+        with pytest.raises(ValueError, match="delta must lie"):
+            run_tatonnement_trace(
+                market, uniform_prices(market), config, PerturbationSchedule(), delta, 1
             )
 
 
 class TestTraces:
     def test_zero_horizon_empty(self):
         market = random_market(3, 2, 3)
-        config = TatonnementConfig(lam=0.05, price_cap=2 * market.total_budget, delta=0.05)
+        config = TatonnementConfig(lam=0.05, price_cap=2 * market.total_budget)
         assert run_tatonnement_trace(
-            market, uniform_prices(market), config, PerturbationSchedule(), 0
+            market, uniform_prices(market), config, PerturbationSchedule(), 0.05, 0
         ) == []
 
     def test_static_convergence_and_monotone_tail(self):
@@ -116,10 +125,9 @@ class TestTraces:
         config = TatonnementConfig(
             lam=default_step_size(market),
             price_cap=2 * market.total_budget,
-            delta=0.001,
         )
         records = run_tatonnement_trace(
-            market, uniform_prices(market), config, PerturbationSchedule(), 2000
+            market, uniform_prices(market), config, PerturbationSchedule(), 0.001, 2000
         )
         potentials = [r.potential for r in records]
         assert potentials[-1] < 1e-6 * market.total_budget
@@ -128,12 +136,12 @@ class TestTraces:
     def test_supply_bump_jump_bounded_then_recontracts(self):
         market = random_market(5, 3, 4)
         cap = 2 * market.total_budget
-        config = TatonnementConfig(lam=default_step_size(market), price_cap=cap, delta=0.001)
+        config = TatonnementConfig(lam=default_step_size(market), price_cap=cap)
         eps = np.array([0.05, -0.02, 0.0, 0.03])
         bump = PerturbationEvent(50, SUPPLY, eps)
         schedule = PerturbationSchedule(events=(bump,))
         records = run_tatonnement_trace(
-            market, uniform_prices(market), config, schedule, 120
+            market, uniform_prices(market), config, schedule, 0.001, 120
         )
         jump = records[49].potential - records[48].potential
         assert jump <= delta_ms_supply(bump, cap) + 1e-9
@@ -145,49 +153,48 @@ class TestTraces:
         config = TatonnementConfig(
             lam=default_step_size(market),
             price_cap=2 * market.total_budget,
-            delta=None,
-            warmup_rounds=100,
         )
+        delta, prices, _ = fit_contraction(market, uniform_prices(market), config, 100)
         eps = np.full(4, 0.002)
         events = tuple(
             PerturbationEvent(t, SUPPLY, eps * (-1) ** t) for t in range(1, 301)
         )
         records = run_tatonnement_trace(
-            market, uniform_prices(market), config, PerturbationSchedule(events=events), 300
+            market, prices, config, PerturbationSchedule(events=events), delta, 300
         )
         assert all(r.potential <= r.bound + 1e-9 for r in records)
         assert all(r.assumption1_ok for r in records)
 
     def test_schedule_beyond_horizon_rejected(self):
         market = random_market(7, 2, 2)
-        config = TatonnementConfig(lam=0.05, price_cap=2 * market.total_budget, delta=0.05)
+        config = TatonnementConfig(lam=0.05, price_cap=2 * market.total_budget)
         schedule = PerturbationSchedule(
             events=(PerturbationEvent(10, SUPPLY, np.zeros(2)),)
         )
         with pytest.raises(ValueError, match="beyond the horizon"):
-            run_tatonnement_trace(market, uniform_prices(market), config, schedule, 5)
+            run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 5)
 
     def test_budget_events_in_cpf_trace_need_c_prime(self):
         market = random_market(8, 2, 2)
         config = TatonnementConfig(
-            lam=0.05, variant="cpf", price_cap=2 * market.total_budget, delta=0.05
+            lam=0.05, variant="cpf", price_cap=2 * market.total_budget
         )
         schedule = PerturbationSchedule(
             events=(PerturbationEvent(1, "budget-additive", np.array([0.01, 0.0])),)
         )
         with pytest.raises(ValueError, match="c_prime"):
-            run_tatonnement_trace(market, uniform_prices(market), config, schedule, 2)
+            run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 2)
 
     def test_uniform_shrink_warns_when_untraceable(self):
         market = random_market(9, 2, 3, unit_supplies=True)
         lam = 0.02
-        config = TatonnementConfig(lam=lam, price_cap=2 * market.total_budget, delta=0.05)
+        config = TatonnementConfig(lam=lam, price_cap=2 * market.total_budget)
         shrink = -(1 - 1 / (1 + lam)) * 1.5  # factor below 1/(1+lam)
         events = (PerturbationEvent(1, SUPPLY, np.full(3, shrink)),)
         with pytest.warns(RuntimeWarning, match="tracing"):
             run_tatonnement_trace(
                 market, uniform_prices(market), config,
-                PerturbationSchedule(events=events), 1,
+                PerturbationSchedule(events=events), 0.05, 1,
             )
 
 
