@@ -40,7 +40,7 @@ schedule = generate_schedule(
     market,
     600,
 )
-bound, warmed = fit_prd_constants(market, proportional_bids(market))
+bound, warmed, _ = fit_prd_constants(market, proportional_bids(market))
 records = run_prd_trace(market, warmed, schedule, bound, 600)
 
 recurrence = np.mean([r.recurrence_ok for r in records])

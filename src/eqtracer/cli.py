@@ -313,16 +313,19 @@ def _run_prd(config: dict):
     horizon = config["horizon"]
     reduced = reduce_supply_to_utility(market, np.zeros(market.num_goods))
     bids = proportional_bids(reduced)
+    equilibrium = None
     if "q1" in bounds and "q2" in bounds:
         bound = PrdBoundConfig(q1=bounds["q1"], q2=bounds["q2"])
         source = "supplied"
     else:
-        bound, bids = fit_prd_constants(
+        bound, bids, equilibrium = fit_prd_constants(
             reduced, bids, rounds=bounds.get("fit_rounds", 200)
         )
         source = "fitted-from-warmup"
     schedule = _build_schedule(config.get("schedule"), reduced, horizon)
-    records = run_prd_trace(reduced, bids, schedule, bound, horizon)
+    records = run_prd_trace(
+        reduced, bids, schedule, bound, horizon, _equilibrium=equilibrium
+    )
     recurrence = (
         float(np.mean([r.recurrence_ok for r in records])) if records else 1.0
     )

@@ -87,7 +87,7 @@ def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int
     w = market.supplies
     b = market.budgets
     c = market.demand_exponent
-    a_pow = market.coefficients ** (1.0 - c[:, None])
+    a_pow = market._weight_base
     total = market.total_budget
 
     def evaluate(prices):

@@ -5,11 +5,20 @@ supplies.  Buyer i values bundles through a CES utility with coefficients
 a[i, :] and curvature rho[i] (rho < 1, rho != 0; rho in (0, 1) is the
 gross-substitutes regime, rho < 0 the complements regime).  All functions
 here are pure: they never mutate their inputs.
+
+Validation happens at the public boundary only: `CesMarket(...)` and
+`CesMarket.replace` check every field, and each public function checks its
+prices once.  Every demand, unit cost and potential goes through one kernel,
+the CES weights a^(1-c) p^c and their row sums; the price-free factor
+a^(1-c) is computed once per market, and the unvalidated copies that
+perturbation events make (`CesMarket._derive`) share it while they keep the
+coefficients and rho.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +99,18 @@ class CesMarket:
         """Per-buyer exponent c_i = rho_i / (rho_i - 1) used by the demand formula."""
         return self.rho / (self.rho - 1.0)
 
+    @cached_property
+    def _weight_base(self) -> np.ndarray:
+        """a^(1-c), the price-free factor of the CES weights, computed once."""
+        if np.any(self.rho == 1.0):
+            raise LinearUtilityError(
+                "demand requires strictly concave utilities (rho < 1); "
+                "a buyer with rho == 1 has no unique demand bundle"
+            )
+        base = self.coefficients ** (1.0 - self.demand_exponent[:, None])
+        base.setflags(write=False)
+        return base
+
     def replace(self, **kwargs) -> "CesMarket":
         """Return a copy with some fields replaced."""
         fields = {
@@ -101,6 +122,20 @@ class CesMarket:
         fields.update(kwargs)
         return CesMarket(**fields)
 
+    def _derive(self, **kwargs) -> "CesMarket":
+        """Unvalidated copy with fields replaced, for internal callers.
+
+        The new arrays must be float, read-only, of the right shapes and keep
+        every invariant `__post_init__` checks.  Unchanged arrays are shared,
+        and so is the cached a^(1-c) while coefficients and rho are kept.
+        """
+        new = object.__new__(CesMarket)
+        new.__dict__.update(self.__dict__)
+        if "rho" in kwargs or "coefficients" in kwargs:
+            new.__dict__.pop("_weight_base", None)
+        new.__dict__.update(kwargs)
+        return new
+
 
 @dataclass(frozen=True)
 class DemandProfile:
@@ -110,6 +145,7 @@ class DemandProfile:
     totals: np.ndarray      # (n,) column sums
     excess: np.ndarray      # (n,) totals - supplies
     spending: np.ndarray    # (m, n) prices * quantities
+    weight_sums: np.ndarray  # (m,) row sums of the CES weights a^(1-c) p^c
 
 
 def check_prices(market: CesMarket, prices) -> np.ndarray:
@@ -125,37 +161,35 @@ def check_prices(market: CesMarket, prices) -> np.ndarray:
     return prices
 
 
-def _spending_shares(market: CesMarket, prices: np.ndarray) -> np.ndarray:
-    """Fraction of each buyer's budget spent on each good at the given prices.
+def _ces_weights(market: CesMarket, prices: np.ndarray):
+    """CES weights a[i,j]^(1-c_i) p_j^c_i and their row sums, at checked prices.
 
-    share[i, j] = a[i,j]^(1-c_i) p_j^c_i / sum_k a[i,k]^(1-c_i) p_k^c_i.
-    Rows sum to one; zero coefficients yield exactly zero shares.
+    Every demand, unit cost and potential in this module is built from these.
+    Raises DegenerateDemandError if a row sum is zero or non-finite.
     """
-    if np.any(market.rho == 1.0):
-        raise LinearUtilityError(
-            "demand requires strictly concave utilities (rho < 1); "
-            "a buyer with rho == 1 has no unique demand bundle"
-        )
-    c = market.demand_exponent[:, None]            # (m, 1)
-    a = market.coefficients
-    weights = a ** (1.0 - c) * prices[None, :] ** c  # (m, n)
-    denom = weights.sum(axis=1)
-    if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
+    base = market._weight_base
+    weights = prices[None, :] ** market.demand_exponent[:, None]
+    weights *= base
+    sums = weights.sum(axis=1)
+    if not np.all(np.isfinite(sums)) or np.any(sums <= 0):
         raise DegenerateDemandError(
-            "demand denominator is zero or non-finite; "
+            "CES weight sum is zero or non-finite; "
             "degenerate coefficients or extreme prices"
         )
-    return weights / denom[:, None]
+    return weights, sums
 
 
 def demand(market: CesMarket, prices) -> DemandProfile:
     """Utility-maximising demand of every buyer at the given prices.
 
-    Each buyer spends the whole budget, so prices . quantities[i] == budgets[i].
+    Buyer i spends the share weight[i, j] / sum_k weight[i, k] of its budget
+    on good j; zero coefficients yield exactly zero demand.  Each buyer
+    spends the whole budget, so prices . quantities[i] == budgets[i].
     """
     prices = check_prices(market, prices)
-    shares = _spending_shares(market, prices)
-    spending = market.budgets[:, None] * shares
+    spending, sums = _ces_weights(market, prices)
+    spending /= sums[:, None]
+    spending *= market.budgets[:, None]
     quantities = spending / prices[None, :]
     totals = quantities.sum(axis=0)
     return DemandProfile(
@@ -163,17 +197,20 @@ def demand(market: CesMarket, prices) -> DemandProfile:
         totals=totals,
         excess=totals - market.supplies,
         spending=spending,
+        weight_sums=sums,
     )
 
 
-def misspending_potential(market: CesMarket, prices) -> float:
+def misspending_potential(market: CesMarket, prices, _profile=None) -> float:
     """Total money misallocated relative to clearing: sum_j p_j * |x_j - w_j|.
 
-    Zero exactly at market-clearing prices, positive elsewhere.
+    Zero exactly at market-clearing prices, positive elsewhere.  `_profile`
+    is a caller's `demand(market, prices)`, reused instead of evaluated again.
     """
-    prices = check_prices(market, prices)
-    profile = demand(market, prices)
-    return float(np.sum(prices * np.abs(profile.excess)))
+    if _profile is None:
+        prices = check_prices(market, prices)
+        _profile = demand(market, prices)
+    return float(np.sum(prices * np.abs(_profile.excess)))
 
 
 def unit_cost(market: CesMarket, prices) -> np.ndarray:
@@ -182,29 +219,24 @@ def unit_cost(market: CesMarket, prices) -> np.ndarray:
     Q_i(p) = (sum_k a[i,k]^(1-c_i) p_k^c_i)^(1/c_i); independent of budgets
     and supplies.
     """
-    prices = check_prices(market, prices)
-    c = market.demand_exponent[:, None]
-    weights = market.coefficients ** (1.0 - c) * prices[None, :] ** c
-    denom = weights.sum(axis=1)
-    if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
-        raise DegenerateDemandError("unit cost is zero or non-finite")
-    return denom ** (1.0 / market.demand_exponent)
+    _, sums = _ces_weights(market, check_prices(market, prices))
+    return sums ** (1.0 / market.demand_exponent)
 
 
-def cpf_potential(market: CesMarket, prices) -> float:
+def cpf_potential(market: CesMarket, prices, _profile=None) -> float:
     """Convex price potential: sum_j w_j p_j - sum_i b_i ln Q_i(p).
 
     Convex in prices and minimised exactly at equilibrium prices; the minimum
     value is generally nonzero (use normalized_cpf_potential for a potential
-    that vanishes at equilibrium).  May be negative.
+    that vanishes at equilibrium).  May be negative.  `_profile` is a
+    caller's `demand(market, prices)`, whose weight sums give ln Q.
     """
-    prices = check_prices(market, prices)
-    c = market.demand_exponent
-    weights = market.coefficients ** (1.0 - c[:, None]) * prices[None, :] ** c[:, None]
-    denom = weights.sum(axis=1)
-    if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
-        raise DegenerateDemandError("unit cost is zero or non-finite")
-    log_q = np.log(denom) / c
+    if _profile is None:
+        prices = check_prices(market, prices)
+        sums = _ces_weights(market, prices)[1]
+    else:
+        sums = _profile.weight_sums
+    log_q = np.log(sums) / market.demand_exponent
     return float(np.sum(market.supplies * prices) - np.sum(market.budgets * log_q))
 
 

@@ -49,24 +49,38 @@ class PerturbationEvent:
 
 
 def apply_event(market: CesMarket, event: PerturbationEvent) -> CesMarket:
-    """Return the perturbed market; the original is untouched."""
+    """Return the perturbed market; the original is untouched.
+
+    Only the field the event changes is built and checked: supplies and
+    budgets must stay positive and finite, coefficients finite with a
+    positive entry in every row.  The other fields, and for supply and budget
+    events the cached a^(1-c), are shared with `market`.
+    """
+    if event.channel == UTILITY:
+        if event.payload.shape != market.coefficients.shape:
+            raise ValueError("utility payload must match the coefficient matrix shape")
+        with np.errstate(over="ignore"):
+            new = market.coefficients * event.payload
+        if not np.all(np.isfinite(new)):
+            raise ValueError("utility event would drive a coefficient to infinity")
+        if not np.all(new.max(axis=1) > 0):
+            raise ValueError("utility event would leave a buyer no positive coefficient")
+        new.setflags(write=False)
+        return market._derive(coefficients=new)
     if event.channel == SUPPLY:
-        if event.payload.shape != (market.num_goods,):
-            raise ValueError("supply payload length must equal the number of goods")
-        new = market.supplies + event.payload
-        if np.any(new <= 0):
-            raise ValueError("supply event would drive a supply non-positive")
-        return market.replace(supplies=new)
-    if event.channel == BUDGET:
-        if event.payload.shape != (market.num_buyers,):
-            raise ValueError("budget payload length must equal the number of buyers")
-        new = market.budgets + event.payload
-        if np.any(new <= 0):
-            raise ValueError("budget event would drive a budget non-positive")
-        return market.replace(budgets=new)
-    if event.payload.shape != market.coefficients.shape:
-        raise ValueError("utility payload must match the coefficient matrix shape")
-    return market.replace(coefficients=market.coefficients * event.payload)
+        field, name, size, noun = "supplies", "supply", market.num_goods, "goods"
+    else:
+        field, name, size, noun = "budgets", "budget", market.num_buyers, "buyers"
+    if event.payload.shape != (size,):
+        raise ValueError(f"{name} payload length must equal the number of {noun}")
+    with np.errstate(over="ignore"):
+        new = getattr(market, field) + event.payload
+    if np.any(new <= 0):
+        raise ValueError(f"{name} event would drive a {name} non-positive")
+    if not np.all(np.isfinite(new)):
+        raise ValueError(f"{name} event would drive a {name} to infinity")
+    new.setflags(write=False)
+    return market._derive(**{field: new})
 
 
 @dataclass(frozen=True)

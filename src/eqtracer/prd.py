@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import solve_equilibrium
+from .equilibrium import EquilibriumResult, solve_equilibrium
 from .market import CesMarket
 from .perturbation import (
     BUDGET,
@@ -193,8 +193,9 @@ class PrdBoundConfig:
 
 def fit_prd_constants(
     market: CesMarket, bids, rounds: int = 200
-) -> tuple[PrdBoundConfig, np.ndarray]:
-    """Fit (q1, q2) from a static run and return them with the final bids.
+) -> tuple[PrdBoundConfig, np.ndarray, EquilibriumResult]:
+    """Fit (q1, q2) from a static run; return them, the final bids and the
+    equilibrium solved for the fit.
 
     The ratio q1/q2 is set halfway between the worst observed per-round KL
     ratio and 1; the scale is the smallest q2 for which
@@ -231,7 +232,7 @@ def fit_prd_constants(
         max(gap / (ratio * cur - nxt) for cur, nxt, gap in triples),
         1e-9,
     )
-    return PrdBoundConfig(q1=ratio * q2, q2=q2), bids
+    return PrdBoundConfig(q1=ratio * q2, q2=q2), bids, eq
 
 
 def run_prd_trace(
@@ -240,6 +241,7 @@ def run_prd_trace(
     schedule: PerturbationSchedule,
     bound: PrdBoundConfig,
     horizon: int,
+    _equilibrium: EquilibriumResult | None = None,
 ) -> list[TraceRecord]:
     """Simulate bid dynamics while supplies and utility coefficients drift.
 
@@ -252,7 +254,8 @@ def run_prd_trace(
     geometric KL bound, and whether the one-round KL recurrence held.
 
     `bound` is supplied or fitted beforehand with `fit_prd_constants`, whose
-    final bids are then the natural `bids0`.
+    final bids are then the natural `bids0`.  On a unit-supply market0 the
+    fit's equilibrium, passed as `_equilibrium`, is not solved again.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -267,7 +270,9 @@ def run_prd_trace(
     market = reduce_supply_to_utility(market0, np.zeros(market0.num_goods))
     bids = check_bids(market, bids0)
 
-    eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
+    if _equilibrium is not None and np.any(market0.supplies != 1.0):
+        raise ValueError("a fitted equilibrium can only be reused on unit supplies")
+    eq = _equilibrium or solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
     g_star = prd_potential_g(market, eq.bids)
     kl_prev = kl_divergence(eq.bids, bids)
     kl_anchor = kl_prev

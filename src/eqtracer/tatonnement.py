@@ -77,32 +77,36 @@ def default_step_size(market: CesMarket) -> float:
     return (1.0 - rho_max) / 10.0
 
 
-def step_ms(prices, market: CesMarket, lam: float) -> np.ndarray:
+def step_ms(prices, market: CesMarket, lam: float, _profile=None) -> np.ndarray:
     """One price update from relative excess demand, capped at one.
 
     p'_j = p_j * (1 + lam * min((x_j - w_j) / w_j, 1)); the multiplier always
     stays within [1 - lam, 1 + lam] because demand is non-negative.
+    `_profile` is a caller's `demand(market, prices)`, reused instead of
+    evaluated again.
     """
     if not 0 < lam < 1:
         raise ValueError("step size must lie in (0, 1)")
-    prices = check_prices(market, prices)
-    profile = demand(market, prices)
-    relative = profile.excess / market.supplies
+    if _profile is None:
+        prices = check_prices(market, prices)
+        _profile = demand(market, prices)
+    relative = _profile.excess / market.supplies
     return prices * (1.0 + lam * np.minimum(relative, 1.0))
 
 
-def step_cpf(prices, market: CesMarket, lam: float) -> np.ndarray:
+def step_cpf(prices, market: CesMarket, lam: float, _profile=None) -> np.ndarray:
     """One price update from absolute excess demand, capped at one.
 
     p'_j = p_j * (1 + lam * min(1, z_j)).  Raises if some z_j <= -1/lam would
     drive the price non-positive (the step size is too large for the market's
-    supply scale).
+    supply scale).  `_profile` is as for `step_ms`.
     """
     if not 0 < lam < 1.0 / 6.0:
         raise ValueError("step size must lie in (0, 1/6)")
-    prices = check_prices(market, prices)
-    profile = demand(market, prices)
-    factors = 1.0 + lam * np.minimum(profile.excess, 1.0)
+    if _profile is None:
+        prices = check_prices(market, prices)
+        _profile = demand(market, prices)
+    factors = 1.0 + lam * np.minimum(_profile.excess, 1.0)
     if np.any(factors <= 0):
         raise ValueError(
             "price update would drive a price non-positive; "
@@ -111,10 +115,9 @@ def step_cpf(prices, market: CesMarket, lam: float) -> np.ndarray:
     return prices * factors
 
 
-def _step(prices, market, config):
-    if config.variant == MISSPENDING:
-        return step_ms(prices, market, config.lam)
-    return step_cpf(prices, market, config.lam)
+def _step(prices, market, config, profile):
+    step = step_ms if config.variant == MISSPENDING else step_cpf
+    return step(prices, market, config.lam, _profile=profile)
 
 
 class _CpfPotential:
@@ -136,10 +139,10 @@ class _CpfPotential:
         self._psi_star = result.psi_star
         self._market = market
 
-    def __call__(self, market: CesMarket, prices) -> float:
+    def __call__(self, market: CesMarket, prices, _profile=None) -> float:
         if market is not self._market:
             self._solve(market)
-        return cpf_potential(market, prices) - self._psi_star
+        return cpf_potential(market, prices, _profile=_profile) - self._psi_star
 
 
 def jump_cap(event, market, variant, price_cap, c_prime) -> float:
@@ -199,6 +202,7 @@ def fit_contraction(
     Runs `rounds` updates, measures 1 - potential ratio per round, and returns
     (smallest observed rate, final prices, final potential).  Rounds whose
     potential sank below 1e-12 of the start are ignored as converged noise.
+    Each round evaluates demand once, as in `run_tatonnement_trace`.
     """
     if rounds < 1:
         raise ValueError("need at least one warm-up round")
@@ -208,12 +212,14 @@ def fit_contraction(
         else _CpfPotential(market)
     )
     p = check_prices(market, prices)
-    phi = potential(market, p)
+    profile = demand(market, p)
+    phi = potential(market, p, _profile=profile)
     floor = max(phi * 1e-12, 1e-300)
     rates = []
     for _ in range(rounds):
-        p = _step(p, market, config)
-        phi_next = potential(market, p)
+        p = _step(p, market, config, profile)
+        profile = demand(market, p)
+        phi_next = potential(market, p, _profile=profile)
         if phi > floor:
             rates.append(1.0 - phi_next / phi)
         phi = phi_next
@@ -246,10 +252,17 @@ def run_tatonnement_trace(
     potential of (market0, prices0), so measured <= bound round by round
     whenever every static update contracts by at least delta.
 
+    Each round evaluates demand once, through `demand`, which is also the
+    round's only price validation: the demand that measures the potential at
+    (market_t, p_t) drives the update of round t+1.  Events build the next
+    market without re-validating the fields they leave alone (see
+    `apply_event`), and each market's a^(1-c) is computed at most once.
+
     `delta` is supplied or fitted beforehand with `fit_contraction`, whose
     final prices are then the natural `prices0`.  `_potential` lets a caller
     that already built the potential for market0 (e.g. for its own fit)
-    share it, so the cpf minimum is not solved again.
+    share it, so the cpf minimum is not solved again; it is called as
+    potential(market, prices, _profile=demand(market, prices)).
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
@@ -267,14 +280,15 @@ def run_tatonnement_trace(
         if config.variant == MISSPENDING
         else _CpfPotential(market0)
     )
-    phi0 = potential(market0, prices)
+    profile = demand(market0, prices)
+    bound = potential(market0, prices, _profile=profile)
 
     records: list[TraceRecord] = []
-    bound = phi0
     for t in range(1, horizon + 1):
-        prices = _step(prices, market, config)
+        prices = _step(prices, market, config, profile)
         market, jump = apply_round_events(market, schedule.events_at(t), config)
-        phi = potential(market, prices)
+        profile = demand(market, prices)
+        phi = potential(market, prices, _profile=profile)
         bound = (1.0 - delta) * bound + jump
         records.append(
             TraceRecord(

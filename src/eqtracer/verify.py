@@ -339,8 +339,10 @@ def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
             continue
         spec = ScheduleSpec(channel=UTILITY, magnitude=0.005, seed=5000 + seed)
         schedule = generate_schedule(spec, market, horizon)
-        bound, warmed = fit_prd_constants(market, proportional_bids(market))
-        records = run_prd_trace(market, warmed, schedule, bound, horizon)
+        bound, warmed, fitted_eq = fit_prd_constants(market, proportional_bids(market))
+        records = run_prd_trace(
+            market, warmed, schedule, bound, horizon, _equilibrium=fitted_eq
+        )
         fraction = float(np.mean([r.recurrence_ok for r in records]))
         fractions.append(fraction)
         if fraction < 0.95:

@@ -1,0 +1,7 @@
+"""Hypothesis runs derandomized and without an example database, so every
+run of the suite explores the same examples."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")

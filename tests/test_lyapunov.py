@@ -153,7 +153,7 @@ class TestRunnersFollowClosedForms:
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_prd_bound_dominates_bregman_bound(self, seed):
         market = random_market(seed, 3, 4, unit_supplies=True)
-        bound, bids = fit_prd_constants(market, proportional_bids(market))
+        bound, bids, _ = fit_prd_constants(market, proportional_bids(market))
         schedule = generate_schedule(
             ScheduleSpec(
                 channel="utility-multiplicative", magnitude=0.005, seed=seed + 5

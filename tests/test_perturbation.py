@@ -30,6 +30,9 @@ from eqtracer import (
 from eqtracer.instances import random_market, uniform_prices
 
 
+FIELDS = ("budgets", "supplies", "rho", "coefficients")
+
+
 def event(channel, payload, round_=1):
     return PerturbationEvent(round_, channel, np.asarray(payload, dtype=float))
 
@@ -64,6 +67,52 @@ class TestEvents:
     def test_nonpositive_utility_factor_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             event(UTILITY, [[1.0, -2.0]])
+
+    @pytest.mark.parametrize("channel, field", [(SUPPLY, "supplies"), (BUDGET, "budgets")])
+    def test_additive_overflow_rejected(self, channel, field):
+        market = random_market(4, 2, 2).replace(**{field: np.array([1e308, 1.0])})
+        with pytest.raises(ValueError, match="infinity"):
+            apply_event(market, event(channel, [1e308, 0.0]))
+
+    def test_utility_underflow_of_a_whole_row_rejected(self):
+        market = random_market(5, 2, 2).replace(
+            coefficients=np.array([[1e-200, 1e-200], [1.0, 1.0]])
+        )
+        factors = np.array([[1e-200, 1e-200], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="no positive coefficient"):
+            apply_event(market, event(UTILITY, factors))
+
+    def test_utility_overflow_rejected(self):
+        market = random_market(6, 2, 2).replace(
+            coefficients=np.array([[1e200, 1.0], [1.0, 1.0]])
+        )
+        factors = np.array([[1e200, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="infinity"):
+            apply_event(market, event(UTILITY, factors))
+
+    @pytest.mark.parametrize("channel", [SUPPLY, BUDGET, UTILITY])
+    def test_new_market_read_only_and_original_untouched(self, channel):
+        market = random_market(7, 3, 4)
+        before = {f: getattr(market, f).copy() for f in FIELDS}
+        shape = {SUPPLY: (4,), BUDGET: (3,), UTILITY: (3, 4)}[channel]
+        payload = np.full(shape, 1.01 if channel == UTILITY else 0.01)
+        out = apply_event(market, event(channel, payload))
+        for f in FIELDS:
+            assert not getattr(out, f).flags.writeable
+            assert np.array_equal(getattr(market, f), before[f])
+        with pytest.raises(ValueError):
+            out.coefficients[0, 0] = 2.0
+
+    def test_weight_base_cache_tracks_coefficients(self):
+        market = random_market(8, 3, 4)
+        cached = market._weight_base
+        shifted = apply_event(market, event(SUPPLY, np.full(4, 0.01)))
+        assert shifted._weight_base is cached
+        factors = np.exp(np.linspace(-0.05, 0.05, 12)).reshape(3, 4)
+        out = apply_event(market, event(UTILITY, factors))
+        fresh = out.coefficients ** (1.0 - out.demand_exponent[:, None])
+        assert np.array_equal(out._weight_base, fresh)
+        assert not np.array_equal(out._weight_base, cached)
 
 
 class TestSchedules:

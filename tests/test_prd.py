@@ -181,7 +181,7 @@ class TestReduction:
 class TestFitAndTrace:
     def test_fit_produces_ordered_constants(self):
         market = random_market(9, 3, 4, unit_supplies=True)
-        bound, _ = fit_prd_constants(market, proportional_bids(market), rounds=100)
+        bound, _, _ = fit_prd_constants(market, proportional_bids(market), rounds=100)
         assert 0 < bound.q1 < bound.q2
 
     def test_bound_config_validation(self):
@@ -208,7 +208,7 @@ class TestFitAndTrace:
 
     def test_static_geometric_envelope_dominates(self):
         market = random_market(12, 3, 3, unit_supplies=True)
-        bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
+        bound, bids, _ = fit_prd_constants(market, proportional_bids(market), rounds=30)
         records = run_prd_trace(market, bids, PerturbationSchedule(), bound, 200)
         assert all(r.potential <= r.bound + 1e-9 for r in records)
         assert records[-1].potential < records[0].potential
@@ -236,10 +236,23 @@ class TestFitAndTrace:
         market = random_market(14, 3, 4, unit_supplies=True)
         spec = ScheduleSpec(channel=SUPPLY, magnitude=0.01, seed=3)
         schedule = generate_schedule(spec, market, 100)
-        bound, bids = fit_prd_constants(market, proportional_bids(market))
+        bound, bids, _ = fit_prd_constants(market, proportional_bids(market))
         records = run_prd_trace(market, bids, schedule, bound, 100)
         assert all(r.delta >= 0 for r in records)
         assert all(r.potential <= r.bound + 1e-9 for r in records)
+
+    def test_fitted_equilibrium_reuse_is_bitwise(self):
+        market = random_market(16, 3, 4, unit_supplies=True)
+        schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=4), market, 30)
+        bound, bids, eq = fit_prd_constants(market, proportional_bids(market), rounds=30)
+        reused = run_prd_trace(market, bids, schedule, bound, 30, _equilibrium=eq)
+        assert reused == run_prd_trace(market, bids, schedule, bound, 30)
+
+    def test_fitted_equilibrium_reuse_needs_unit_supplies(self):
+        market = random_market(17, 3, 4)
+        bound, bids, eq = fit_prd_constants(market, proportional_bids(market), rounds=30)
+        with pytest.raises(ValueError, match="unit supplies"):
+            run_prd_trace(market, bids, PerturbationSchedule(), bound, 5, _equilibrium=eq)
 
     def test_check_bids_validates_support_and_rows(self):
         market = random_market(15, 2, 3, unit_supplies=True)

@@ -3,20 +3,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqtracer import (
+    CHANNELS,
     SUPPLY,
     CesMarket,
     PerturbationEvent,
     PerturbationSchedule,
+    ScheduleSpec,
     TatonnementConfig,
+    TraceRecord,
+    apply_event,
     default_step_size,
     delta_ms_supply,
+    generate_schedule,
     misspending_potential,
     run_tatonnement_trace,
     solve_equilibrium,
     step_cpf,
     step_ms,
 )
-from eqtracer.tatonnement import fit_contraction
+import eqtracer.market
+import eqtracer.tatonnement
+from eqtracer.tatonnement import MISSPENDING, _CpfPotential, fit_contraction, jump_cap
 from eqtracer.instances import random_market, uniform_prices
 
 
@@ -215,3 +222,108 @@ class TestFitContraction:
         config = TatonnementConfig(lam=0.05, price_cap=2 * market.total_budget)
         with pytest.raises(ValueError, match="warm-up"):
             fit_contraction(market, uniform_prices(market), config, rounds=0)
+
+
+def _reference_setup(variant, seed):
+    market = random_market(seed, 4, 5)
+    lam = default_step_size(market) if variant == MISSPENDING else 0.05
+    config = TatonnementConfig(
+        lam=lam, variant=variant, price_cap=2 * market.total_budget, c_prime=1.0
+    )
+    if variant == MISSPENDING:
+        return market, config, step_ms, misspending_potential
+    return market, config, step_cpf, _CpfPotential(market)
+
+
+def _reference_fit(market, prices, config, step, potential, rounds):
+    """fit_contraction written out: demand evaluated afresh by every call."""
+    p = np.asarray(prices, dtype=float)
+    phi = potential(market, p)
+    floor = max(phi * 1e-12, 1e-300)
+    rates = []
+    for _ in range(rounds):
+        p = step(p, market, config.lam)
+        phi_next = potential(market, p)
+        if phi > floor:
+            rates.append(1.0 - phi_next / phi)
+        phi = phi_next
+    return min(rates), p, phi
+
+
+def _reference_trace(market, prices, config, step, potential, schedule, delta, horizon):
+    """run_tatonnement_trace written out: demand evaluated afresh by every call."""
+    p = np.asarray(prices, dtype=float)
+    bound = potential(market, p)
+    records = []
+    for t in range(1, horizon + 1):
+        p = step(p, market, config.lam)
+        jump = 0.0
+        for event in schedule.events_at(t):
+            jump += jump_cap(
+                event, market, config.variant, config.price_cap, config.c_prime
+            )
+            # A validated copy that carries no cached state from `market`.
+            market = apply_event(market, event).replace()
+        phi = potential(market, p)
+        bound = (1.0 - delta) * bound + jump
+        records.append(TraceRecord(
+            round=t, potential=phi, delta=jump, bound=bound,
+            max_price=float(p.max()), min_price=float(p.min()),
+            assumption1_ok=bool(p.max() <= config.price_cap),
+        ))
+    return records
+
+
+class TestReferenceEquivalence:
+    """Sharing one demand per round changes no bit of a fit or a trace."""
+
+    @pytest.mark.parametrize("variant", [MISSPENDING, "cpf"])
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_fit_and_trace_match_reference_bitwise(self, variant, channel):
+        seed = 20 + CHANNELS.index(channel)
+        market, config, step, potential = _reference_setup(variant, seed)
+        prices = uniform_prices(market) * np.linspace(0.7, 1.4, market.num_goods)
+
+        got = fit_contraction(market, prices, config, 15)
+        want = _reference_fit(market, prices, config, step, potential, 15)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+
+        spec = ScheduleSpec(channel=channel, magnitude=0.01, seed=seed)
+        schedule = generate_schedule(spec, market, 25)
+        records = run_tatonnement_trace(market, got[1], config, schedule, got[0], 25)
+        assert records == _reference_trace(
+            market, got[1], config, step, potential, schedule, got[0], 25
+        )
+
+
+class TestDemandCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+        original = eqtracer.market.demand
+
+        def counting(*args, **kwargs):
+            counter.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(eqtracer.market, "demand", counting)
+        monkeypatch.setattr(eqtracer.tatonnement, "demand", counting)
+        return counter
+
+    def test_trace_evaluates_demand_once_per_round(self, calls):
+        market = random_market(30, 3, 4)
+        config = TatonnementConfig(
+            lam=default_step_size(market), price_cap=2 * market.total_budget
+        )
+        schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=1), market, 40)
+        run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.01, 40)
+        assert len(calls) == 40 + 1
+
+    def test_fit_evaluates_demand_once_per_round(self, calls):
+        market = random_market(31, 3, 4)
+        config = TatonnementConfig(
+            lam=default_step_size(market), price_cap=2 * market.total_budget
+        )
+        fit_contraction(market, uniform_prices(market), config, 25)
+        assert len(calls) == 25 + 1
