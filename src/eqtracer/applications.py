@@ -165,12 +165,27 @@ def simulate_shifting_quadratic(problem: ShiftingQuadratic, x0) -> GdTrace:
 # ---------------------------------------------------------------------------
 
 
+def _check_speeds(speeds) -> np.ndarray:
+    s = np.asarray(speeds, dtype=float)
+    if s.ndim != 1 or (s <= 0).any():
+        raise ValueError("speeds must be a positive vector")
+    return s
+
+
+def _check_loads(loads, n: int) -> np.ndarray:
+    l = np.asarray(loads, dtype=float)
+    if l.shape != (n,) or (l < 0).any():
+        raise ValueError("loads must be a non-negative vector of matching length")
+    return l
+
+
 @dataclass(frozen=True)
 class LoadNetwork:
     """Machines with speeds and divisible load, coupled by a diffusion matrix.
 
     The matrix must be symmetric, stochastic, with diagonal at least 1/2 and
-    positive entries exactly on the network's edges.
+    positive entries exactly on the network's edges.  It is validated once, at
+    construction; derived networks check only the replaced field.
     """
 
     speeds: np.ndarray       # (n,) positive
@@ -178,21 +193,17 @@ class LoadNetwork:
     diffusivity: np.ndarray  # (n, n)
 
     def __post_init__(self):
-        s = np.asarray(self.speeds, dtype=float)
-        l = np.asarray(self.loads, dtype=float)
-        P = np.asarray(self.diffusivity, dtype=float)
+        s = _check_speeds(self.speeds)
         n = s.size
-        if s.ndim != 1 or np.any(s <= 0):
-            raise ValueError("speeds must be a positive vector")
-        if l.shape != (n,) or np.any(l < 0):
-            raise ValueError("loads must be a non-negative vector of matching length")
+        l = _check_loads(self.loads, n)
+        P = np.asarray(self.diffusivity, dtype=float)
         if P.shape != (n, n):
             raise ValueError("diffusivity must be square and match the machine count")
         if not np.allclose(P, P.T, rtol=0, atol=1e-12):
             raise ValueError("diffusivity must be symmetric")
-        if np.any(P < 0) or not np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12):
+        if (P < 0).any() or not np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12):
             raise ValueError("diffusivity rows must be non-negative and sum to one")
-        if np.any(np.diag(P) < 0.5 - 1e-12):
+        if (np.diag(P) < 0.5 - 1e-12).any():
             raise ValueError("diffusivity diagonal must be at least 1/2")
         for name, arr in (("speeds", s), ("loads", l), ("diffusivity", P)):
             arr.setflags(write=False)
@@ -207,8 +218,16 @@ class LoadNetwork:
         return self.loads / self.speeds
 
     def with_speeds(self, speeds) -> "LoadNetwork":
-        return LoadNetwork(speeds=np.asarray(speeds, dtype=float), loads=self.loads,
-                           diffusivity=self.diffusivity)
+        s = _check_speeds(speeds)
+        _check_loads(self.loads, s.size)  # the loads must still match
+        s.setflags(write=False)
+        return self._derive(speeds=s)
+
+    def _derive(self, **fields) -> "LoadNetwork":
+        """Unvalidated copy sharing unchanged arrays, as `CesMarket._derive`."""
+        new = object.__new__(LoadNetwork)
+        new.__dict__.update(self.__dict__, **fields)
+        return new
 
 
 def diffusion_step(network: LoadNetwork) -> LoadNetwork:
@@ -218,15 +237,16 @@ def diffusion_step(network: LoadNetwork) -> LoadNetwork:
     P_ij * (f_i - f_j) * s_i load to its neighbour.  Transfers are pairwise,
     so total load is conserved; the half-lazy diagonal keeps loads
     non-negative.  With uniform speeds the finishing times evolve exactly as
-    f' = P f.
+    f' = P f.  Only the new loads are checked; the rest is shared unchecked.
     """
     f = network.finishing_times
     gap = np.maximum(f[:, None] - f[None, :], 0.0)
     sent = network.diffusivity * gap * network.speeds[:, None]
-    new_loads = network.loads - sent.sum(axis=1) + sent.sum(axis=0)
-    return LoadNetwork(
-        speeds=network.speeds, loads=new_loads, diffusivity=network.diffusivity
+    new_loads = _check_loads(
+        network.loads - sent.sum(axis=1) + sent.sum(axis=0), f.size
     )
+    new_loads.setflags(write=False)
+    return network._derive(loads=new_loads)
 
 
 def balanced_state(network: LoadNetwork) -> tuple[np.ndarray, float]:

@@ -549,6 +549,7 @@ def run_verify(suite: str) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqtracer",

@@ -63,7 +63,7 @@ def _gradient_hessian(market: CesMarket, prices: np.ndarray, shares: np.ndarray)
     bc = market.budgets * market.demand_exponent
     gradient = wp - market.budgets @ shares
     hessian = (shares.T * bc) @ shares
-    hessian[np.diag_indices_from(hessian)] += wp - bc @ shares
+    hessian.flat[:: prices.size + 1] += wp - bc @ shares
     return gradient, hessian
 
 
@@ -98,9 +98,9 @@ def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int
             shares = weights / denom[:, None]
             spending = b[:, None] * shares
             excess = (spending / prices[None, :]).sum(axis=0) - w
-            residual = float(np.sum(prices * np.abs(excess)))
-            psi = float(np.sum(w * prices) - np.sum(b * (np.log(denom) / c)))
-        if not (np.isfinite(residual) and np.isfinite(psi) and np.all(prices > 0)):
+            residual = float((prices * np.abs(excess)).sum())
+            psi = float((w * prices).sum() - (b * (np.log(denom) / c)).sum())
+        if not (np.isfinite(residual) and np.isfinite(psi) and (prices > 0).all()):
             return None
         return shares, residual, psi
 
@@ -121,7 +121,7 @@ def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int
             # magnitude below the rest; a pivoted solve of the unscaled
             # matrix drowns those rows in rounding, so scale it to unit
             # diagonal first.
-            hessian[np.diag_indices_from(hessian)] -= g
+            hessian.flat[:: p.size + 1] -= g
             scale = 1.0 / np.sqrt(np.diag(hessian))
             scaled = hessian * np.outer(scale, scale)
             direction = -scale * np.linalg.solve(scaled, scale * g)
@@ -178,7 +178,7 @@ def solve_equilibrium(
     total = market.total_budget
     target = tolerance * total
     n = market.num_goods
-    if np.any(market.coefficients.max(axis=0) == 0):
+    if (market.coefficients.max(axis=0) == 0).any():
         raise ValueError(
             "invalid market: some good carries no positive coefficient, "
             "so its clearing price is zero and outside the price domain"

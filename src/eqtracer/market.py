@@ -9,10 +9,10 @@ here are pure: they never mutate their inputs.
 Validation happens at the public boundary only: `CesMarket(...)` and
 `CesMarket.replace` check every field, and each public function checks its
 prices once.  Every demand, unit cost and potential goes through one kernel,
-the CES weights a^(1-c) p^c and their row sums; the price-free factor
-a^(1-c) is computed once per market, and the unvalidated copies that
-perturbation events make (`CesMarket._derive`) share it while they keep the
-coefficients and rho.
+the CES weights a^(1-c) p^c and their row sums; the demand exponent c and
+the price-free factor a^(1-c) are computed once per market and cached, and
+the unvalidated copies that perturbation events make (`CesMarket._derive`)
+share them while they keep rho (and, for a^(1-c), the coefficients).
 """
 
 from __future__ import annotations
@@ -67,18 +67,20 @@ class CesMarket:
                 f"inconsistent shapes: budgets {b.shape}, rho {r.shape}, "
                 f"supplies {w.shape}, coefficients {a.shape}"
             )
-        if not np.all(b > 0):
+        if not (b > 0).all():
             raise ValueError("all budgets must be strictly positive")
-        if not np.all(w > 0):
+        if not (w > 0).all():
             raise ValueError("all supplies must be strictly positive")
-        if not np.all(a >= 0):
+        if not (a >= 0).all():
             raise ValueError("utility coefficients must be non-negative")
-        if not np.all(a.max(axis=1) > 0):
+        if not (a.max(axis=1) > 0).all():
             raise ValueError("every buyer needs at least one positive coefficient")
-        if np.any(r == 0) or np.any(r > 1) or not np.all(np.isfinite(r)):
+        if (r == 0).any() or (r > 1).any() or not np.isfinite(r).all():
             raise ValueError("each rho must be finite, nonzero and at most 1")
-        # Freeze the arrays so shared markets are safe across threads.
+        # Reject infinities, then freeze the arrays so shared markets are thread-safe.
         for name, arr in (("budgets", b), ("supplies", w), ("rho", r), ("coefficients", a)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -92,17 +94,19 @@ class CesMarket:
 
     @property
     def total_budget(self) -> float:
-        return float(np.sum(self.budgets))
+        return float(self.budgets.sum())
 
-    @property
+    @cached_property
     def demand_exponent(self) -> np.ndarray:
-        """Per-buyer exponent c_i = rho_i / (rho_i - 1) used by the demand formula."""
-        return self.rho / (self.rho - 1.0)
+        """Per-buyer demand exponent c_i = rho_i / (rho_i - 1), cached, read-only."""
+        c = self.rho / (self.rho - 1.0)
+        c.setflags(write=False)
+        return c
 
     @cached_property
     def _weight_base(self) -> np.ndarray:
         """a^(1-c), the price-free factor of the CES weights, computed once."""
-        if np.any(self.rho == 1.0):
+        if (self.rho == 1.0).any():
             raise LinearUtilityError(
                 "demand requires strictly concave utilities (rho < 1); "
                 "a buyer with rho == 1 has no unique demand bundle"
@@ -127,10 +131,13 @@ class CesMarket:
 
         The new arrays must be float, read-only, of the right shapes and keep
         every invariant `__post_init__` checks.  Unchanged arrays are shared,
-        and so is the cached a^(1-c) while coefficients and rho are kept.
+        and so are the cached exponent while rho is kept and the cached
+        a^(1-c) while coefficients and rho are kept.
         """
         new = object.__new__(CesMarket)
         new.__dict__.update(self.__dict__)
+        if "rho" in kwargs:
+            new.__dict__.pop("demand_exponent", None)
         if "rho" in kwargs or "coefficients" in kwargs:
             new.__dict__.pop("_weight_base", None)
         new.__dict__.update(kwargs)
@@ -154,9 +161,9 @@ def check_prices(market: CesMarket, prices) -> np.ndarray:
         raise ValueError(
             f"price vector has shape {prices.shape}, expected ({market.num_goods},)"
         )
-    if not np.all(prices > 0):
+    if not (prices > 0).all():
         raise ValueError("all prices must be strictly positive")
-    if not np.all(np.isfinite(prices)):
+    if not np.isfinite(prices).all():
         raise ValueError("prices must be finite")
     return prices
 
@@ -171,7 +178,7 @@ def _ces_weights(market: CesMarket, prices: np.ndarray):
     weights = prices[None, :] ** market.demand_exponent[:, None]
     weights *= base
     sums = weights.sum(axis=1)
-    if not np.all(np.isfinite(sums)) or np.any(sums <= 0):
+    if not np.isfinite(sums).all() or (sums <= 0).any():
         raise DegenerateDemandError(
             "CES weight sum is zero or non-finite; "
             "degenerate coefficients or extreme prices"
@@ -210,7 +217,7 @@ def misspending_potential(market: CesMarket, prices, _profile=None) -> float:
     if _profile is None:
         prices = check_prices(market, prices)
         _profile = demand(market, prices)
-    return float(np.sum(prices * np.abs(_profile.excess)))
+    return float((prices * np.abs(_profile.excess)).sum())
 
 
 def unit_cost(market: CesMarket, prices) -> np.ndarray:
@@ -237,7 +244,7 @@ def cpf_potential(market: CesMarket, prices, _profile=None) -> float:
     else:
         sums = _profile.weight_sums
     log_q = np.log(sums) / market.demand_exponent
-    return float(np.sum(market.supplies * prices) - np.sum(market.budgets * log_q))
+    return float((market.supplies * prices).sum() - (market.budgets * log_q).sum())
 
 
 def normalized_cpf_potential(market: CesMarket, prices, psi_star: float) -> float:

@@ -35,14 +35,14 @@ class PerturbationEvent:
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}; expected one of {CHANNELS}")
         payload = np.array(self.payload, dtype=float)
-        if not np.all(np.isfinite(payload)):
+        if not np.isfinite(payload).all():
             raise ValueError("event payload must be finite")
         expected_ndim = 2 if self.channel == UTILITY else 1
         if payload.ndim != expected_ndim:
             raise ValueError(
                 f"{self.channel} payload must be {expected_ndim}-d, got shape {payload.shape}"
             )
-        if self.channel == UTILITY and not np.all(payload > 0):
+        if self.channel == UTILITY and not (payload > 0).all():
             raise ValueError("utility factors must be strictly positive")
         payload.setflags(write=False)
         object.__setattr__(self, "payload", payload)
@@ -61,9 +61,9 @@ def apply_event(market: CesMarket, event: PerturbationEvent) -> CesMarket:
             raise ValueError("utility payload must match the coefficient matrix shape")
         with np.errstate(over="ignore"):
             new = market.coefficients * event.payload
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise ValueError("utility event would drive a coefficient to infinity")
-        if not np.all(new.max(axis=1) > 0):
+        if not (new.max(axis=1) > 0).all():
             raise ValueError("utility event would leave a buyer no positive coefficient")
         new.setflags(write=False)
         return market._derive(coefficients=new)
@@ -75,9 +75,9 @@ def apply_event(market: CesMarket, event: PerturbationEvent) -> CesMarket:
         raise ValueError(f"{name} payload length must equal the number of {noun}")
     with np.errstate(over="ignore"):
         new = getattr(market, field) + event.payload
-    if np.any(new <= 0):
+    if (new <= 0).any():
         raise ValueError(f"{name} event would drive a {name} non-positive")
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise ValueError(f"{name} event would drive a {name} to infinity")
     new.setflags(write=False)
     return market._derive(**{field: new})
@@ -196,13 +196,13 @@ def delta_ms_supply(event: PerturbationEvent, price_cap: float) -> float:
     _require(event, SUPPLY)
     if price_cap <= 0:
         raise ValueError("price_cap must be positive")
-    return float(price_cap * np.sum(np.abs(event.payload)))
+    return float(price_cap * np.abs(event.payload).sum())
 
 
 def delta_ms_budget(event: PerturbationEvent) -> float:
     """Misspending jump cap under a budget change: l1(payload)."""
     _require(event, BUDGET)
-    return float(np.sum(np.abs(event.payload)))
+    return float(np.abs(event.payload).sum())
 
 
 def _worst_factor(event: PerturbationEvent, exponents: np.ndarray) -> float:
@@ -219,7 +219,7 @@ def delta_ms_utility(event: PerturbationEvent, market: CesMarket) -> float:
     most a 2(g-1)/(g+1) fraction of the total budget.
     """
     _require(event, UTILITY)
-    if np.any(market.rho >= 1):
+    if (market.rho >= 1).any():
         raise ValueError("utility jump caps need rho < 1 for every buyer")
     gamma = _worst_factor(event, 1.0 / (1.0 - market.rho))
     return float(market.total_budget * 2.0 * (gamma - 1.0) / (gamma + 1.0))
@@ -233,7 +233,7 @@ def delta_cpf_supply(event: PerturbationEvent, price_cap: float, market: CesMark
     _require(event, SUPPLY)
     if price_cap <= 0:
         raise ValueError("price_cap must be positive")
-    return float((price_cap + market.total_budget) * np.sum(np.abs(event.payload)))
+    return float((price_cap + market.total_budget) * np.abs(event.payload).sum())
 
 
 def delta_cpf_budget(event: PerturbationEvent, c_prime: float) -> float:
@@ -245,7 +245,7 @@ def delta_cpf_budget(event: PerturbationEvent, c_prime: float) -> float:
     _require(event, BUDGET)
     if c_prime <= 0:
         raise ValueError("c_prime must be positive")
-    return float(c_prime * np.sum(np.abs(event.payload)))
+    return float(c_prime * np.abs(event.payload).sum())
 
 
 def delta_cpf_utility(event: PerturbationEvent, market: CesMarket) -> float:
@@ -295,7 +295,7 @@ def delta_prd_utility(market_history: Sequence[CesMarket], epsilon: float) -> fl
     if not markets:
         raise ValueError("market history must be non-empty")
     base = markets[0]
-    if np.any((base.rho <= 0) | (base.rho >= 1)):
+    if ((base.rho <= 0) | (base.rho >= 1)).any():
         raise ValueError("the bid-potential cap needs rho in (0, 1) for every buyer")
     min_share = _min_coefficient_share(markets)
     return _prd_delta_from_parts(base.budgets, base.rho, min_share, epsilon)
@@ -319,12 +319,12 @@ def _prd_delta_from_parts(
         return 0.0
     c = rho / (rho - 1.0)
     kappa = 2.0 * epsilon * (1.0 - c * (3.0 - 2.0 * c.min()))
-    total = float(np.sum(budgets))
+    total = float(budgets.sum())
     log_c = (rho / (1.0 - rho)) * np.log(total / budgets)
     log_pi = np.log(min_share) / (1.0 - rho)
     first = budgets * np.expm1(kappa) * np.abs(log_c - log_pi)
     second = 2.0 * budgets * epsilon / rho
-    return float(np.sum(first + second))
+    return float((first + second).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def share_deviation(alpha: np.ndarray, beta: np.ndarray) -> float:
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     scaled = alpha * beta
-    return float(np.sum(np.abs(scaled / scaled.sum() - alpha)))
+    return float(np.abs(scaled / scaled.sum() - alpha).sum())
 
 
 def _pattern_mass_score(mass: float, mu: float) -> float:
@@ -380,11 +380,11 @@ def extremize_shares(alpha, beta, mu: float):
         raise ValueError("alpha and beta must be 1-d arrays of equal length")
     if abs(alpha.sum() - 1.0) > 1e-9:
         raise ValueError("alpha must sum to one")
-    if np.any(alpha < 0):
+    if (alpha < 0).any():
         raise ValueError("alpha entries must be non-negative")
     if mu < 1:
         raise ValueError("mu must be at least 1")
-    if np.any(beta > mu * (1 + 1e-12)) or np.any(beta < (1.0 / mu) * (1 - 1e-12)):
+    if (beta > mu * (1 + 1e-12)).any() or (beta < (1.0 / mu) * (1 - 1e-12)).any():
         raise ValueError("beta entries must lie within [1/mu, mu]")
 
     n = alpha.size

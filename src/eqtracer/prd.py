@@ -32,7 +32,7 @@ _SOLVER_TOLERANCE = 1e-10
 
 
 def _check_substitutes(market: CesMarket):
-    if np.any((market.rho <= 0) | (market.rho >= 1)):
+    if ((market.rho <= 0) | (market.rho >= 1)).any():
         raise ValueError("bid dynamics require rho in (0, 1) for every buyer")
 
 
@@ -53,13 +53,13 @@ def check_bids(market: CesMarket, bids) -> np.ndarray:
             f"bids shape {bids.shape} does not match market "
             f"{market.coefficients.shape}"
         )
-    if np.any(bids < 0):
+    if (bids < 0).any():
         raise ValueError("bids must be non-negative")
     rows = bids.sum(axis=1)
     if not np.allclose(rows, market.budgets, rtol=1e-9, atol=0):
         raise ValueError("each buyer's bids must sum to the budget")
     support_mismatch = (bids > 0) != (market.coefficients > 0)
-    if np.any(support_mismatch):
+    if support_mismatch.any():
         raise ValueError("bids must be positive exactly where coefficients are")
     return bids
 
@@ -76,12 +76,12 @@ def prd_step(bids, market: CesMarket) -> np.ndarray:
     bids = np.asarray(bids, dtype=float)
     if bids.shape != market.coefficients.shape:
         raise ValueError("bids shape does not match the market")
-    if np.any(bids < 0):
+    if (bids < 0).any():
         raise ValueError("bids must be non-negative")
     a = market.coefficients
     prices = bids.sum(axis=0)
     dead = prices <= 0
-    if np.any(dead) and np.any(a[:, dead] > 0):
+    if dead.any() and (a[:, dead] > 0).any():
         raise ValueError(
             "a good with zero total bids still carries positive "
             "coefficients; its allocation share is undefined"
@@ -90,7 +90,7 @@ def prd_step(bids, market: CesMarket) -> np.ndarray:
     quantity = market.supplies[None, :] * bids / safe_prices[None, :]
     weights = a * quantity ** market.rho[:, None]
     norms = weights.sum(axis=1)
-    if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
+    if (norms <= 0).any() or not np.isfinite(norms).all():
         raise ValueError("a buyer's bid normaliser is zero or non-finite")
     new = market.budgets[:, None] * (weights / norms[:, None])
     # Pin row sums to the budgets (to the last rounding unit, so sums cannot
@@ -114,15 +114,15 @@ def kl_divergence(x, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise ValueError("arrays must have matching shapes")
-    if np.any(x < 0) or np.any(y < 0):
+    if (x < 0).any() or (y < 0).any():
         raise ValueError("arrays must be non-negative")
     mass_x, mass_y = float(x.sum()), float(y.sum())
     if abs(mass_x - mass_y) > 1e-12 * max(abs(mass_x), abs(mass_y), 1.0):
         raise ValueError(f"mass mismatch: {mass_x!r} vs {mass_y!r}")
     active = x > 0
-    if np.any(y[active] <= 0):
+    if (y[active] <= 0).any():
         raise ValueError("support violation: y must be positive wherever x is")
-    value = float(np.sum(x[active] * np.log(x[active] / y[active])))
+    value = float((x[active] * np.log(x[active] / y[active])).sum())
     return max(value, 0.0)
 
 
@@ -138,7 +138,7 @@ def prd_potential_g(market: CesMarket, bids) -> float:
         raise ValueError("bids shape does not match the market")
     a = market.coefficients
     active = bids > 0
-    if np.any(active & (a <= 0)):
+    if (active & (a <= 0)).any():
         raise ValueError("positive bid on a zero coefficient makes g non-finite")
     prices = bids.sum(axis=0)
     rho = market.rho[:, None]
@@ -270,7 +270,7 @@ def run_prd_trace(
     market = reduce_supply_to_utility(market0, np.zeros(market0.num_goods))
     bids = check_bids(market, bids0)
 
-    if _equilibrium is not None and np.any(market0.supplies != 1.0):
+    if _equilibrium is not None and (market0.supplies != 1.0).any():
         raise ValueError("a fitted equilibrium can only be reused on unit supplies")
     eq = _equilibrium or solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
     g_star = prd_potential_g(market, eq.bids)

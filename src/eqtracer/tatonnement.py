@@ -107,7 +107,7 @@ def step_cpf(prices, market: CesMarket, lam: float, _profile=None) -> np.ndarray
         prices = check_prices(market, prices)
         _profile = demand(market, prices)
     factors = 1.0 + lam * np.minimum(_profile.excess, 1.0)
-    if np.any(factors <= 0):
+    if (factors <= 0).any():
         raise ValueError(
             "price update would drive a price non-positive; "
             "reduce the step size for this supply scale"
@@ -185,13 +185,15 @@ def _warn_if_untraceable(market, event, lam):
         return
     factors = (market.supplies + event.payload) / market.supplies
     first = factors[0]
-    if first < 1.0 and np.allclose(factors, first, rtol=1e-12) and (1.0 + lam) * first <= 1.0:
-        warnings.warn(
-            "uniform supply shrink outpaces the capped price update; "
-            "equilibrium tracing is implausible at this step size",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    if first < 1.0 and (1.0 + lam) * first <= 1.0:
+        # np.allclose(factors, first, rtol=1e-12) written out; atol is 1e-8.
+        if (np.abs(factors - first) <= 1e-8 + 1e-12 * abs(first)).all():
+            warnings.warn(
+                "uniform supply shrink outpaces the capped price update; "
+                "equilibrium tracing is implausible at this step size",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
 
 def fit_contraction(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqtracer import (
     LoadNetwork,
@@ -24,6 +25,7 @@ from eqtracer.instances import (
     make_network,
     path_edges,
 )
+from eqtracer.applications import DiffusionTrace
 
 
 class TestGdStep:
@@ -209,3 +211,129 @@ class TestDiffusion:
         net = make_network("path", 4, seed=8)
         with pytest.raises(ValueError, match="match"):
             simulate_diffusion(net, [np.full(4, 2.0)] * 11, 10)
+
+
+class TestValidateOnce:
+    """A network is validated at construction; its successors check only the
+    field they replace and share the diffusivity."""
+
+    def test_diffusion_step_rejects_negative_loads(self):
+        net = make_network("complete", 2, loads=[1.0, 0.0])
+        # Planted past validation: off-diagonal mass 2 sends twice the load.
+        object.__setattr__(net, "diffusivity", np.array([[0.0, 2.0], [2.0, 0.0]]))
+        with pytest.raises(
+            ValueError, match="^loads must be a non-negative vector of matching length$"
+        ):
+            diffusion_step(net)
+
+    @pytest.mark.parametrize(
+        "speeds, message",
+        [
+            ([1.0, 0.0, 1.0], "speeds must be a positive vector"),
+            ([1.0, -2.0, 1.0], "speeds must be a positive vector"),
+            ([[1.0, 1.0, 1.0]], "speeds must be a positive vector"),
+            ([1.0, 1.0], "loads must be a non-negative vector of matching length"),
+            ([1.0, 1.0, 1.0, 1.0], "loads must be a non-negative vector of matching length"),
+        ],
+    )
+    def test_with_speeds_rejects_bad_speeds(self, speeds, message):
+        net = make_network("path", 3, seed=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            net.with_speeds(speeds)
+
+    def test_derived_networks_share_diffusivity_and_are_read_only(self):
+        net = make_network("cycle", 5, speeds=np.linspace(0.5, 2.0, 5), seed=2)
+        stepped = diffusion_step(net)
+        moved = stepped.with_speeds(np.linspace(0.6, 1.8, 5))
+        for derived in (stepped, moved):
+            assert derived.diffusivity is net.diffusivity
+            for field in ("speeds", "loads", "diffusivity"):
+                assert not getattr(derived, field).flags.writeable
+        assert stepped.speeds is net.speeds
+        assert moved.loads is stepped.loads
+        with pytest.raises(ValueError):
+            moved.loads[0] = 1.0
+
+    def test_simulate_diffusion_validates_no_network_of_its_own(self, monkeypatch):
+        original = LoadNetwork.__post_init__
+        calls = []
+
+        def counted(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(LoadNetwork, "__post_init__", counted)
+        net = make_network("path", 6, speeds=np.linspace(0.8, 1.2, 6), seed=3)
+        assert len(calls) == 1
+        path = drifting_speeds(9, 6, 40, 0.01, mode="per-machine")
+        simulate_diffusion(net, [net.speeds * p for p in path], 40)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("graph", ["path", "cycle", "complete"])
+    def test_simulate_diffusion_bit_equal_to_rebuilding_loop(self, graph):
+        net = make_network(graph, 7, speeds=np.linspace(0.5, 2.0, 7), seed=4)
+        path = [net.speeds * p for p in drifting_speeds(5, 7, 60, 0.02, mode="per-machine")]
+        trace = simulate_diffusion(net, path, 60)
+        expected = _rebuilding_diffusion(net, path, 60)
+        for name in ("potentials", "jumps", "bounds", "contractions"):
+            got, want = getattr(trace, name), getattr(expected, name)
+            assert np.array_equal(np.isnan(got), np.isnan(want)), name
+            assert (got == want)[~np.isnan(want)].all(), name
+
+
+def _rebuilding_diffusion(network, path, T):
+    """simulate_diffusion written with a fully validated LoadNetwork per step."""
+    lam = second_eigenvalue(network.diffusivity)
+    M, n = network.total_load, network.speeds.size
+
+    def rebuilt(speeds, loads):
+        return LoadNetwork(speeds=speeds, loads=loads, diffusivity=network.diffusivity)
+
+    def imbalance(net):
+        _, finish = balanced_state(net)
+        return float(np.abs(net.finishing_times - finish).sum())
+
+    potentials, bounds = np.empty(T + 1), np.empty(T + 1)
+    jumps, contractions = np.empty(T), np.empty(T)
+    potentials[0] = bounds[0] = imbalance(network)
+    for t in range(1, T + 1):
+        _, finish = balanced_state(network)
+        error_before = np.linalg.norm(network.finishing_times - finish)
+        f = network.finishing_times
+        gap = np.maximum(f[:, None] - f[None, :], 0.0)
+        sent = network.diffusivity * gap * network.speeds[:, None]
+        loads = network.loads - sent.sum(axis=1) + sent.sum(axis=0)
+        network = rebuilt(network.speeds, loads)
+        error_after = np.linalg.norm(network.finishing_times - finish)
+        noise_floor = 1e-7 * max(1.0, finish)
+        contractions[t - 1] = (
+            error_after / error_before if error_before > noise_floor else np.nan
+        )
+        jumps[t - 1] = M * n * abs(1.0 / float(path[t].sum()) - 1.0 / float(path[t - 1].sum()))
+        network = rebuilt(np.asarray(path[t], dtype=float), network.loads)
+        potentials[t] = imbalance(network)
+        bounds[t] = lam * bounds[t - 1] + jumps[t - 1]
+    return DiffusionTrace(
+        potentials=potentials, jumps=jumps, bounds=bounds, contractions=contractions
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=st.sampled_from(["path", "cycle", "complete"]),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 10_000),
+    speed_high=st.floats(1.0, 20.0),
+    load_total=st.floats(1e-3, 1e3),
+)
+def test_diffusion_conserves_load_and_stays_non_negative(
+    graph, n, seed, speed_high, load_total
+):
+    rng = np.random.default_rng(seed)
+    speeds = rng.uniform(0.05, speed_high, size=n)
+    net = make_network(graph, n, speeds=speeds, seed=seed, load_total=load_total)
+    total = net.total_load
+    for _ in range(25):
+        net = diffusion_step(net)
+        assert abs(net.total_load - total) <= 1e-12 * total
+        assert (net.loads >= 0).all()

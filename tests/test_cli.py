@@ -8,7 +8,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from eqtracer.cli import CONFIG_SCHEMA, EXIT_BOUND, EXIT_CONFIG, EXIT_SIMULATION, main
+from eqtracer.cli import (
+    CONFIG_SCHEMA,
+    EXIT_BOUND,
+    EXIT_CONFIG,
+    EXIT_SIMULATION,
+    build_parser,
+    main,
+)
 from eqtracer.instances import drifting_speeds, random_market
 from eqtracer.trace import CSV_HEADER, file_sha256
 
@@ -297,3 +304,69 @@ def test_generator_sections_name_generator_parameters(section, generator):
     for key in section:
         schema = schema["properties"][key]
     assert set(schema["properties"]) <= set(inspect.signature(generator).parameters)
+
+
+@pytest.mark.parametrize(
+    "field, literal, message",
+    [
+        ("supplies", "[1e400, 1.0]", "supplies must be finite"),
+        ("budgets", "[1e400, 1.0]", "budgets must be finite"),
+        ("coefficients", "[[1e400, 1.0], [1.0, 2.0]]", "coefficients must be finite"),
+        ("rho", "[1e400, 0.5]", "each rho must be finite"),
+    ],
+)
+def test_infinite_market_field_exits_3_before_any_output(
+    tmp_path, capsys, field, literal, message
+):
+    # JSON reads 1e400 as infinity; the market must refuse it by name before
+    # numpy warns or a trace is written.
+    market = {
+        "budgets": "[1.0, 2.0]",
+        "supplies": "[1.0, 1.0]",
+        "rho": "[0.5, 0.5]",
+        "coefficients": "[[1.0, 2.0], [2.0, 1.0]]",
+        field: literal,
+    }
+    body = ", ".join(f'"{key}": {value}' for key, value in market.items())
+    cfg = tmp_path / "c.json"
+    cfg.write_text(f'{{"kind": "tatonnement-ms", "horizon": 10, "market": {{{body}}}}}')
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Warning" not in err
+    assert not (out / "trace.csv").exists()
+
+
+def test_cached_parser_leaks_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = write_config(tmp_path, "a.json", BASE)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_config(batch, "tat.json", {**BASE, "horizon": 60})
+    write_config(
+        batch,
+        "diff.json",
+        {"kind": "diffusion", "horizon": 40, "network": {"graph": "path", "n": 5}},
+    )
+    runs = [
+        ("config", ["--config", str(cfg)], ["."]),
+        ("batch", ["--batch", str(batch)], ["diff", "tat"]),
+        ("config-again", ["--config", str(cfg)], ["."]),
+    ]
+    assert main(["--emit-schema"]) == 0
+    for name, args, _ in runs:
+        assert main(["simulate", *args, "--out", str(tmp_path / "in" / name)]) == 0
+    capsys.readouterr()
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for name, args, subdirs in runs:
+        fresh = tmp_path / "fresh" / name
+        subprocess.run(
+            [sys.executable, "-m", "eqtracer.cli", "simulate", *args, "--out", str(fresh)],
+            env=env, cwd=ROOT, capture_output=True, check=True, timeout=120,
+        )
+        for sub in subdirs:
+            for file in ("trace.csv", "report.json"):
+                ours = (tmp_path / "in" / name / sub / file).read_bytes()
+                assert ours == (fresh / sub / file).read_bytes(), (name, sub, file)

@@ -53,6 +53,73 @@ class TestValidation:
         with pytest.raises(ValueError):
             market.budgets[0] = 2.0
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("budgets", [math.inf, 1.0], "budgets must be finite"),
+            ("supplies", [math.inf, 1.0], "supplies must be finite"),
+            ("coefficients", [[math.inf, 1.0], [1.0, 2.0]], "coefficients must be finite"),
+            ("rho", [math.inf, 0.5], "each rho must be finite"),
+            ("rho", [-math.inf, 0.5], "each rho must be finite"),
+        ],
+    )
+    def test_rejects_infinite_fields(self, field, value, message):
+        fields = {
+            "budgets": [1.0, 2.0],
+            "supplies": [1.0, 1.0],
+            "rho": [0.5, -1.0],
+            "coefficients": [[1.0, 2.0], [2.0, 1.0]],
+            field: value,
+        }
+        with pytest.raises(ValueError, match=message):
+            CesMarket(**fields)
+        with pytest.raises(ValueError, match=message):
+            random_market(1, 2, 2).replace(**{field: value})
+
+    def test_nan_fields_keep_their_sign_messages(self):
+        with pytest.raises(ValueError, match="budgets must be strictly positive"):
+            single_good(budget=math.nan)
+        with pytest.raises(ValueError, match="supplies must be strictly positive"):
+            single_good(supply=math.nan)
+        with pytest.raises(ValueError, match="coefficients must be non-negative"):
+            single_good(a=math.nan)
+
+
+class TestCachedExponent:
+    def test_read_only_and_bit_equal_to_formula(self):
+        market = random_market(3, 4, 5, rho_low=-2.0, rho_high=0.9)
+        c = market.demand_exponent
+        assert c is market.demand_exponent
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+        assert np.array_equal(c, market.rho / (market.rho - 1.0))
+
+    def test_derive_with_new_rho_drops_stale_caches(self):
+        market = random_market(4, 3, 4)
+        old_c, old_base = market.demand_exponent, market._weight_base
+        rho = np.array([0.2, -0.5, 0.7])
+        rho.setflags(write=False)
+        derived = market._derive(rho=rho)
+        fresh = market.replace(rho=rho)
+        assert derived.demand_exponent is not old_c
+        assert derived._weight_base is not old_base
+        assert np.array_equal(derived.demand_exponent, fresh.demand_exponent)
+        assert np.array_equal(derived._weight_base, fresh._weight_base)
+        # The parent keeps its own caches.
+        assert market.demand_exponent is old_c and market._weight_base is old_base
+
+    def test_derive_keeping_rho_shares_the_exponent(self):
+        market = random_market(5, 3, 4)
+        c = market.demand_exponent
+        coefficients = market.coefficients * 2.0
+        coefficients.setflags(write=False)
+        derived = market._derive(coefficients=coefficients)
+        assert derived.demand_exponent is c
+        assert np.array_equal(
+            derived._weight_base, market.replace(coefficients=coefficients)._weight_base
+        )
+
 
 class TestDemand:
     def test_single_good_spends_whole_budget(self):

@@ -267,3 +267,21 @@ class TestFitAndTrace:
         short[0, 0] *= 0.5
         with pytest.raises(ValueError, match="sum to the budget"):
             check_bids(market, short)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(1, 7),
+    n=st.integers(1, 7),
+    zero_fraction=st.sampled_from([0.0, 0.3]),
+    budget_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_prd_step_pins_row_sums_to_budgets(seed, m, n, zero_fraction, budget_scale):
+    base = random_market(seed, m, n, zero_fraction=zero_fraction)
+    market = base.replace(budgets=base.budgets * budget_scale)
+    bids = proportional_bids(market)
+    for _ in range(30):
+        bids = prd_step(bids, market)
+        rows = bids.sum(axis=1)
+        assert (np.abs(rows - market.budgets) <= 1e-15 * market.budgets).all()

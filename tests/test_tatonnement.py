@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,13 @@ from eqtracer import (
 )
 import eqtracer.market
 import eqtracer.tatonnement
-from eqtracer.tatonnement import MISSPENDING, _CpfPotential, fit_contraction, jump_cap
+from eqtracer.tatonnement import (
+    MISSPENDING,
+    _CpfPotential,
+    apply_round_events,
+    fit_contraction,
+    jump_cap,
+)
 from eqtracer.instances import random_market, uniform_prices
 
 
@@ -204,6 +212,18 @@ class TestTraces:
                 PerturbationSchedule(events=events), 0.05, 1,
             )
 
+    @pytest.mark.parametrize("spread", [0.0, 0.5e-8, 0.99e-8, 1.01e-8, 2e-8, 1e-6])
+    def test_uniform_shrink_tolerance_matches_allclose(self, spread):
+        # The uniformity test keeps np.allclose's default absolute tolerance.
+        market = random_market(9, 2, 3, unit_supplies=True)
+        config = TatonnementConfig(lam=0.02, price_cap=2 * market.total_budget)
+        payload = np.full(3, -0.05) + np.array([0.0, spread, -spread])
+        factors = (market.supplies + payload) / market.supplies
+        expected = np.allclose(factors, factors[0], rtol=1e-12)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            apply_round_events(market, [PerturbationEvent(1, SUPPLY, payload)], config)
+        assert bool(caught) == expected == (spread < 1e-8)
 
 class TestFitContraction:
     def test_fitted_rate_is_attained(self):
