@@ -33,20 +33,19 @@ schedule = generate_schedule(
     ScheduleSpec(channel="supply-additive", magnitude=0.01, seed=21), market, 1500
 )
 
-records = run_tatonnement_trace(market, prices, config, schedule, delta, 1500)
+trace = run_tatonnement_trace(market, prices, config, schedule, delta, 1500)
 
 print(f"step size {lam:.4f}, price cap {config.price_cap:.2f}, "
       f"supply drift magnitude 0.01 per round")
 print(f"{'round':>6} {'measured':>12} {'jump cap':>12} {'envelope':>12}")
 for t in (1, 5, 20, 100, 500, 1000, 1500):
-    r = records[t - 1]
-    print(f"{r.round:>6} {r.potential:>12.3e} {r.delta:>12.3e} {r.bound:>12.3e}")
+    print(f"{t:>6} {trace.potential[t - 1]:>12.3e} {trace.delta[t - 1]:>12.3e} "
+          f"{trace.bound[t - 1]:>12.3e}")
 
-violations = sum(1 for r in records if r.potential > r.bound + 1e-9)
-steady = np.median([r.potential for r in records[500:]])
-print(f"\nenvelope violations: {violations} of {len(records)} rounds")
+steady = np.median(trace.potential[500:])
+print(f"\nenvelope violations: {trace.violations()} of {len(trace)} rounds")
 print(f"steady-state misspending (median of late rounds): {steady:.3e}")
-print(f"price cap respected everywhere: {all(r.assumption1_ok for r in records)}")
+print(f"price cap respected everywhere: {trace.assumption1_ok.all()}")
 print("\nThe potential no longer converges to zero; it hovers at the level "
       "the drift rate\nand the contraction rate jointly allow, exactly as the "
       "envelope predicts.")

@@ -30,20 +30,22 @@ problem = ShiftingQuadratic(
 print(f"curvatures in [{problem.alpha:.2f}, {problem.beta_smooth:.2f}], "
       f"step size {problem.eta:.4f}, contraction rate {problem.delta:.4f}")
 
-trace = simulate_shifting_quadratic(problem, optima[0] + rng.normal(size=dims))
+trace, regret = simulate_shifting_quadratic(problem, optima[0] + rng.normal(size=dims))
+distances = np.concatenate(([trace.initial], trace.potential))
+envelope = np.concatenate(([trace.initial], trace.bound))
 
 radius = gd_steady_state(problem.delta, shift)
 print(f"\n{'round':>6} {'distance':>10} {'envelope':>10}")
 for t in (0, 5, 20, 100, 400, 800):
-    print(f"{t:>6} {trace.distances[t]:>10.4f} {trace.bounds[t]:>10.4f}")
+    print(f"{t:>6} {distances[t]:>10.4f} {envelope[t]:>10.4f}")
 
 print(f"\ntracking radius 2 d / delta = {radius:.4f}")
 print(f"late-round distances stay below it: "
-      f"{bool(np.all(trace.distances[200:] <= radius + 1e-9))}")
+      f"{bool(np.all(distances[200:] <= radius + 1e-9))}")
 
-cap = gd_regret_bound(trace.distances[0], problem.delta, shift,
+cap = gd_regret_bound(trace.initial, problem.delta, shift,
                       problem.beta_smooth, horizon)
-print(f"cumulative suboptimality {trace.regret:.3f} <= cap {cap:.3f} "
+print(f"cumulative suboptimality {regret:.3f} <= cap {cap:.3f} "
       f"(linear in the horizon)")
 print(f"per-round average late in the run: "
-      f"{(trace.regret / horizon):.5f}, a constant once inside the radius")
+      f"{(regret / horizon):.5f}, a constant once inside the radius")

@@ -7,8 +7,6 @@ drifting-optimum gradient descent, and diffusive load balancing.
 """
 
 from .applications import (
-    DiffusionTrace,
-    GdTrace,
     LoadNetwork,
     ShiftingQuadratic,
     balanced_state,
@@ -24,7 +22,13 @@ from .applications import (
     simulate_shifting_quadratic,
 )
 from .equilibrium import ConvergenceError, EquilibriumResult, solve_equilibrium
-from .lyapunov import bregman_bound, dominant_window, meta_bound, windowed_bound
+from .lyapunov import (
+    bregman_bound,
+    dominant_window,
+    meta_bound,
+    running_bound,
+    windowed_bound,
+)
 from .market import (
     CesMarket,
     DegenerateDemandError,
@@ -79,6 +83,6 @@ from .tatonnement import (
     step_cpf,
     step_ms,
 )
-from .trace import CSV_HEADER, TraceRecord, file_sha256, trace_csv_lines, write_trace_csv
+from .trace import CSV_HEADER, Trace, file_sha256, trace_csv_lines, write_trace_csv
 
 __version__ = "0.1.0"

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lyapunov import running_bound
+from .trace import Trace
+
 # ---------------------------------------------------------------------------
 # Gradient descent with a shifting optimum.
 # ---------------------------------------------------------------------------
@@ -128,36 +131,28 @@ class ShiftingQuadratic:
         return float(0.5 * np.sum(self.curvatures * (x - self.optima[t]) ** 2))
 
 
-@dataclass
-class GdTrace:
-    distances: np.ndarray     # (T+1,) distance to the current optimum
-    shifts: np.ndarray        # (T,) optimum movement per round
-    bounds: np.ndarray        # (T+1,) tracking envelope, bounds[0] = distances[0]
-    regret: float             # cumulative suboptimality over rounds 1..T
-
-
-def simulate_shifting_quadratic(problem: ShiftingQuadratic, x0) -> GdTrace:
-    """Descend while the optimum moves; record distances against the envelope.
+def simulate_shifting_quadratic(problem: ShiftingQuadratic, x0) -> tuple[Trace, float]:
+    """Descend while the optimum moves; return the trace and the regret.
 
     Round t: step against f_{t-1}, then the optimum shifts to optima[t] and
     the distance is measured there, so each round contracts first and absorbs
-    the shift afterwards, exactly the envelope's recursion.
+    the shift afterwards, exactly the envelope's recursion.  The potential is
+    the distance to the optimum, delta its shift, the bound's rate
+    sqrt(1 - delta); regret sums the suboptimality over rounds 1..T.
     """
     x = np.asarray(x0, dtype=float)
     T = problem.optima.shape[0] - 1
-    root = (1.0 - problem.delta) ** 0.5
-    distances = np.empty(T + 1)
-    bounds = np.empty(T + 1)
+    distances = np.empty(T)
     shifts = np.empty(T)
-    distances[0] = bounds[0] = float(np.linalg.norm(x - problem.optima[0]))
+    initial = float(np.linalg.norm(x - problem.optima[0]))
     regret = 0.0
     for t in range(1, T + 1):
         x = gd_step(x, problem.gradient(t - 1, x), problem.eta)
         shifts[t - 1] = float(np.linalg.norm(problem.optima[t] - problem.optima[t - 1]))
-        distances[t] = float(np.linalg.norm(x - problem.optima[t]))
-        bounds[t] = root * bounds[t - 1] + shifts[t - 1]
+        distances[t - 1] = float(np.linalg.norm(x - problem.optima[t]))
         regret += problem.gap(t, x)
-    return GdTrace(distances=distances, shifts=shifts, bounds=bounds, regret=regret)
+    root = (1.0 - problem.delta) ** 0.5
+    return Trace(initial, distances, shifts, running_bound(initial, root, shifts)), regret
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +161,8 @@ def simulate_shifting_quadratic(problem: ShiftingQuadratic, x0) -> GdTrace:
 
 
 def _check_speeds(speeds) -> np.ndarray:
-    s = np.asarray(speeds, dtype=float)
+    # Copy so freezing the field never locks a caller-owned array.
+    s = np.array(speeds, dtype=float)
     if s.ndim != 1 or (s <= 0).any():
         raise ValueError("speeds must be a positive vector")
     return s
@@ -195,8 +191,8 @@ class LoadNetwork:
     def __post_init__(self):
         s = _check_speeds(self.speeds)
         n = s.size
-        l = _check_loads(self.loads, n)
-        P = np.asarray(self.diffusivity, dtype=float)
+        l = _check_loads(np.array(self.loads, dtype=float), n)
+        P = np.array(self.diffusivity, dtype=float)
         if P.shape != (n, n):
             raise ValueError("diffusivity must be square and match the machine count")
         if not np.allclose(P, P.T, rtol=0, atol=1e-12):
@@ -312,21 +308,17 @@ def diffusion_tracking_bound(
     return float(value)
 
 
-@dataclass
-class DiffusionTrace:
-    potentials: np.ndarray    # (T+1,) L1 distance of finishing times to balanced
-    jumps: np.ndarray         # (T,) M n |1/||s^t|| - 1/||s^(t-1)|||
-    bounds: np.ndarray        # (T+1,) tracking envelope
-    contractions: np.ndarray  # (T,) per-step L2 error ratio at fixed speeds
-
-
-def simulate_diffusion(network: LoadNetwork, speed_path, T: int) -> DiffusionTrace:
-    """Diffuse while speeds drift; record the imbalance against the envelope.
+def simulate_diffusion(
+    network: LoadNetwork, speed_path, T: int
+) -> tuple[Trace, float, np.ndarray]:
+    """Diffuse while speeds drift; return (trace, lambda2, contractions).
 
     Round t: one diffusion step at the old speeds, then speeds move to
     speed_path[t] (loads persist), then the L1 imbalance of finishing times
     against the balanced state is measured.  speed_path[0] must equal the
-    network's speeds.
+    network's speeds.  The trace's delta is the speed-change jump
+    M n |1/||s^t|| - 1/||s^(t-1)||| and its bound's rate |lambda2|;
+    contractions holds each round's L2 error ratio at fixed speeds.
     """
     path = [np.asarray(s, dtype=float) for s in speed_path]
     if len(path) < T + 1:
@@ -341,11 +333,10 @@ def simulate_diffusion(network: LoadNetwork, speed_path, T: int) -> DiffusionTra
         _, finish = balanced_state(net)
         return float(np.abs(net.finishing_times - finish).sum())
 
-    potentials = np.empty(T + 1)
-    bounds = np.empty(T + 1)
+    potentials = np.empty(T)
     jumps = np.empty(T)
     contractions = np.empty(T)
-    potentials[0] = bounds[0] = imbalance(network)
+    initial = imbalance(network)
     for t in range(1, T + 1):
         _, finish = balanced_state(network)
         error_before = np.linalg.norm(network.finishing_times - finish)
@@ -361,8 +352,6 @@ def simulate_diffusion(network: LoadNetwork, speed_path, T: int) -> DiffusionTra
         inv_old = 1.0 / float(path[t - 1].sum())
         jumps[t - 1] = M * n * abs(inv_new - inv_old)
         network = network.with_speeds(path[t])
-        potentials[t] = imbalance(network)
-        bounds[t] = lam * bounds[t - 1] + jumps[t - 1]
-    return DiffusionTrace(
-        potentials=potentials, jumps=jumps, bounds=bounds, contractions=contractions
-    )
+        potentials[t - 1] = imbalance(network)
+    trace = Trace(initial, potentials, jumps, running_bound(initial, lam, jumps))
+    return trace, lam, contractions

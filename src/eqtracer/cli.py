@@ -20,7 +20,6 @@ from . import verify as verify_mod
 from .applications import (
     ShiftingQuadratic,
     gd_regret_bound,
-    second_eigenvalue,
     simulate_diffusion,
     simulate_shifting_quadratic,
 )
@@ -55,7 +54,7 @@ from .tatonnement import (
     fit_contraction,
     run_tatonnement_trace,
 )
-from .trace import TraceRecord, write_trace_csv
+from .trace import write_trace_csv
 
 KINDS = ("tatonnement-ms", "tatonnement-cpf", "prd", "gd-shifting", "diffusion")
 
@@ -238,12 +237,12 @@ def _build_schedule(section: dict | None, market, horizon: int) -> PerturbationS
     return PerturbationSchedule(events=events)
 
 
-def _domination(records) -> dict:
-    violations = sum(1 for r in records if r.potential > r.bound + 1e-9)
+def _domination(trace) -> dict:
+    violations = trace.violations()
     return {
         "violations": violations,
         "verdict": "PASS" if violations == 0 else "FAIL",
-        "rounds": len(records),
+        "rounds": len(trace),
     }
 
 
@@ -285,7 +284,7 @@ def _run_tatonnement(config: dict):
         delta = float(delta)
         delta_source = "supplied"
     schedule = _build_schedule(config.get("schedule"), market, horizon)
-    records = run_tatonnement_trace(
+    trace = run_tatonnement_trace(
         market, prices0, tat_config, schedule, delta, horizon, _potential=potential
     )
 
@@ -296,15 +295,15 @@ def _run_tatonnement(config: dict):
     }
     report = {
         "constants": constants,
-        "assumption1_violations": sum(1 for r in records if not r.assumption1_ok),
+        "assumption1_violations": int(np.count_nonzero(~trace.assumption1_ok)),
         "schedule_channels": sorted(schedule.channels()),
     }
-    if records:
-        report["final_potential"] = records[-1].potential
-        report["final_bound"] = records[-1].bound
+    if len(trace):
+        report["final_potential"] = float(trace.potential[-1])
+        report["final_bound"] = float(trace.bound[-1])
     if variant == CPF:
         report["initial_price_ratio"] = float(np.min(prices0 / potential.initial_prices))
-    return records, report
+    return trace, report
 
 
 def _run_prd(config: dict):
@@ -323,12 +322,10 @@ def _run_prd(config: dict):
         )
         source = "fitted-from-warmup"
     schedule = _build_schedule(config.get("schedule"), reduced, horizon)
-    records = run_prd_trace(
+    trace = run_prd_trace(
         reduced, bids, schedule, bound, horizon, _equilibrium=equilibrium
     )
-    recurrence = (
-        float(np.mean([r.recurrence_ok for r in records])) if records else 1.0
-    )
+    recurrence = float(trace.recurrence_ok.mean()) if len(trace) else 1.0
     report = {
         "constants": {
             "q1": {"value": bound.q1, "source": source},
@@ -337,11 +334,11 @@ def _run_prd(config: dict):
         "recurrence_fraction": recurrence,
         "schedule_channels": sorted(schedule.channels()),
     }
-    if records:
-        report["final_potential"] = records[-1].potential
-        report["final_bound"] = records[-1].bound
-        report["final_kl"] = records[-1].kl_to_equilibrium
-    return records, report
+    if len(trace):
+        report["final_potential"] = float(trace.potential[-1])
+        report["final_bound"] = float(trace.bound[-1])
+        report["final_kl"] = float(trace.kl_to_equilibrium[-1])
+    return trace, report
 
 
 def _run_gd(config: dict):
@@ -362,18 +359,9 @@ def _run_gd(config: dict):
         eta = 2.0 / (curvatures.min() + curvatures.max())
     problem = ShiftingQuadratic(curvatures=curvatures, optima=optima, eta=float(eta))
     x0 = optima[0] + spec.get("start_offset", 1.0) * rng.normal(size=dims)
-    trace = simulate_shifting_quadratic(problem, x0)
-    records = [
-        TraceRecord(
-            round=t,
-            potential=float(trace.distances[t]),
-            delta=float(trace.shifts[t - 1]),
-            bound=float(trace.bounds[t]),
-        )
-        for t in range(1, horizon + 1)
-    ]
+    trace, regret = simulate_shifting_quadratic(problem, x0)
     regret_cap = gd_regret_bound(
-        float(trace.distances[0]), problem.delta, shift, problem.beta_smooth, horizon
+        trace.initial, problem.delta, shift, problem.beta_smooth, horizon
     )
     report = {
         "constants": {
@@ -382,12 +370,12 @@ def _run_gd(config: dict):
             "alpha": problem.alpha,
             "beta": problem.beta_smooth,
         },
-        "initial_distance": float(trace.distances[0]),
-        "regret": trace.regret,
+        "initial_distance": trace.initial,
+        "regret": regret,
         "regret_bound": regret_cap,
-        "regret_ok": bool(trace.regret <= regret_cap),
+        "regret_ok": bool(regret <= regret_cap),
     }
-    return records, report
+    return trace, report
 
 
 def _run_diffusion(config: dict):
@@ -408,29 +396,16 @@ def _run_diffusion(config: dict):
         path = [network.speeds * p for p in path]
     else:
         path = [network.speeds] * (horizon + 1)
-    trace = simulate_diffusion(network, path, horizon)
-    lam = second_eigenvalue(network.diffusivity)
-    records = [
-        TraceRecord(
-            round=t,
-            potential=float(trace.potentials[t]),
-            delta=float(trace.jumps[t - 1]),
-            bound=float(trace.bounds[t]),
-        )
-        for t in range(1, horizon + 1)
-    ]
-    slacked = bool(
-        np.all(trace.potentials <= np.sqrt(n) * trace.bounds + 1e-9)
-    )
+    trace, lam, contractions = simulate_diffusion(network, path, horizon)
     # Rounds already within rounding noise of balance carry a NaN ratio.
-    measured = trace.contractions[~np.isnan(trace.contractions)]
+    measured = contractions[~np.isnan(contractions)]
     report = {
         "constants": {"lambda2": {"value": lam, "source": "power-iteration"}},
-        "dominated_with_sqrt_n_slack": slacked,
+        "dominated_with_sqrt_n_slack": trace.violations(np.sqrt(n)) == 0,
         "worst_contraction": float(measured.max()) if measured.size else None,
-        "initial_imbalance": float(trace.potentials[0]),
+        "initial_imbalance": trace.initial,
     }
-    return records, report
+    return trace, report
 
 
 _RUNNERS = {
@@ -489,21 +464,21 @@ def run_experiment(config_path: Path, out_dir: Path, strict: bool) -> int:
         )
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    records, report = _RUNNERS[config["kind"]](config)
+    trace, report = _RUNNERS[config["kind"]](config)
     report.update(
         kind=config["kind"],
         horizon=config["horizon"],
-        domination=_domination(records),
+        domination=_domination(trace),
         trace_file=trace_path.name,
     )
     # Refuse NaN and infinities, which are not JSON, before writing anything.
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    write_trace_csv(records, trace_path)
+    write_trace_csv(trace, trace_path)
     report_path.write_text(text + "\n")
 
     verdict = report["domination"]["verdict"]
     final = report.get("final_potential")
-    summary = f"{config['kind']}: {len(records)} rounds, domination {verdict}"
+    summary = f"{config['kind']}: {len(trace)} rounds, domination {verdict}"
     if final is not None:
         summary += f", final potential {final:.6g}"
     print(summary)

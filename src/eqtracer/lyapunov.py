@@ -7,14 +7,17 @@ value plus a discounted sum of the jumps (`meta_bound`), or the same sum with
 older jumps capped by the largest one (`windowed_bound`).  A divergence-based
 variant (`bregman_bound`) replaces the contraction factor with a pair of
 constants (q1, q2) driving a one-round recurrence on the divergence to the
-moving fixed point.  The trace runners build these envelopes round by round;
-the closed forms are the reference they are tested against.
+moving fixed point.  The trace runners build the geometric envelope round by
+round with `running_bound`; the closed forms are the reference they are
+tested against.
 """
 
 from __future__ import annotations
 
 from math import ceil, log
 from typing import Sequence
+
+import numpy as np
 
 
 def _check_delta(delta: float):
@@ -27,6 +30,22 @@ def _check_deltas(deltas: Sequence[float], T: int):
         raise ValueError(f"need exactly {T} jump values, got {len(deltas)}")
     if any(d < 0 for d in deltas):
         raise ValueError("jump values must be non-negative")
+
+
+def running_bound(anchor: float, rate: float, jumps) -> np.ndarray:
+    """Envelope b_t = rate * b_{t-1} + jump_t for t = 1..T, with b_0 = anchor.
+
+    The one recursion behind every geometric envelope: rate is 1 - delta for
+    tatonnement, sqrt(1 - delta) for descent and |lambda2| for diffusion.
+    Evaluated round by round, so each entry equals the hand-written loop's
+    to the last bit; returns b_1..b_T.
+    """
+    bounds = np.empty(len(jumps))
+    b = anchor
+    for t, jump in enumerate(np.asarray(jumps, dtype=float).tolist()):
+        b = rate * b + jump
+        bounds[t] = b
+    return bounds
 
 
 def meta_bound(phi0: float, delta: float, deltas: Sequence[float], T: int) -> float:

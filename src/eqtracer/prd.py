@@ -24,7 +24,7 @@ from .perturbation import (
     _prd_delta_from_parts,
     apply_event,
 )
-from .trace import TraceRecord
+from .trace import Trace
 
 # Residual target for the equilibrium solves behind the potential gap and
 # the KL distance.
@@ -242,7 +242,7 @@ def run_prd_trace(
     bound: PrdBoundConfig,
     horizon: int,
     _equilibrium: EquilibriumResult | None = None,
-) -> list[TraceRecord]:
+) -> Trace:
     """Simulate bid dynamics while supplies and utility coefficients drift.
 
     Supply events are first folded into utility coefficients (unit-supply
@@ -251,7 +251,12 @@ def run_prd_trace(
     (warm-started; cached on static rounds), then record the potential gap,
     the KL distance to equilibrium, the per-round jump cap (with the
     coefficient-share floor taken over rounds seen so far), the cumulative
-    geometric KL bound, and whether the one-round KL recurrence held.
+    KL bound, and whether the one-round KL recurrence held.  The trace's
+    `initial` is the gap of bids0.
+
+    The bound is not the `running_bound` recursion the other runners share:
+    it is the divergence bound q1 (q1/q2)^(t-1) KL_0 + q2/(q2 - q1) max_s
+    jump_s, a closed form in the anchor KL and the largest jump so far.
 
     `bound` is supplied or fitted beforehand with `fit_prd_constants`, whose
     final bids are then the natural `bids0`.  On a unit-supply market0 the
@@ -281,11 +286,13 @@ def run_prd_trace(
     total = market.total_budget
     recurrence_slack = 1e-12 * max(total, 1.0)
 
-    records: list[TraceRecord] = []
+    initial = prd_potential_g(market, bids) - g_star
+    gaps, deltas, bounds, highs, lows, kls = (np.empty(horizon) for _ in range(6))
+    recurrence = np.empty(horizon, dtype=bool)
     delta_max = 0.0
-    for t in range(1, horizon + 1):
+    for t in range(horizon):
         bids = prd_step(bids, market)
-        events = schedule.events_at(t)
+        events = schedule.events_at(t + 1)
         eps_t = 0.0
         if events:
             logs = np.zeros_like(market.coefficients)
@@ -307,25 +314,24 @@ def run_prd_trace(
             g_star = prd_potential_g(market, eq.bids)
         delta_t = _prd_delta_from_parts(budgets, rho, min_share, eps_t)
         delta_max = max(delta_max, delta_t)
-        gap = prd_potential_g(market, bids) - g_star
+        gaps[t] = prd_potential_g(market, bids) - g_star
         kl = kl_divergence(eq.bids, bids)
-        geo = bound.q1 * bound.ratio ** (t - 1) * kl_anchor
-        cumulative = geo + bound.q2 / (bound.q2 - bound.q1) * delta_max
-        recurrence_ok = bool(
-            bound.q2 * kl <= bound.q1 * kl_prev + delta_t + recurrence_slack
-        )
+        geo = bound.q1 * bound.ratio**t * kl_anchor
+        deltas[t] = delta_t
+        bounds[t] = geo + bound.q2 / (bound.q2 - bound.q1) * delta_max
+        kls[t] = kl
+        recurrence[t] = bound.q2 * kl <= bound.q1 * kl_prev + delta_t + recurrence_slack
         prices = bids.sum(axis=0)
-        records.append(
-            TraceRecord(
-                round=t,
-                potential=gap,
-                delta=delta_t,
-                bound=cumulative,
-                max_price=float(prices.max()),
-                min_price=float(prices.min()),
-                kl_to_equilibrium=kl,
-                recurrence_ok=recurrence_ok,
-            )
-        )
+        highs[t] = prices.max()
+        lows[t] = prices.min()
         kl_prev = kl
-    return records
+    return Trace(
+        initial=initial,
+        potential=gaps,
+        delta=deltas,
+        bound=bounds,
+        max_price=highs,
+        min_price=lows,
+        kl_to_equilibrium=kls,
+        recurrence_ok=recurrence,
+    )

@@ -7,8 +7,8 @@ prices of under-demanded ones:
 * convex-potential variant: absolute excess demand, capped at one.
 
 The trace runner interleaves price updates with scheduled market
-perturbations and records, per round, the measured potential, the
-perturbation's worst-case jump, and the running geometric tracking bound.
+perturbations and returns a `Trace`: per round, the measured potential,
+the perturbation's worst-case jump, and the running geometric tracking bound.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import solve_equilibrium
+from .lyapunov import running_bound
 from .market import (
     CesMarket,
     check_prices,
@@ -38,7 +39,7 @@ from .perturbation import (
     delta_ms_supply,
     delta_ms_utility,
 )
-from .trace import TraceRecord
+from .trace import Trace
 
 MISSPENDING = "misspending"
 CPF = "cpf"
@@ -244,15 +245,17 @@ def run_tatonnement_trace(
     delta: float,
     horizon: int,
     _potential=None,
-) -> list[TraceRecord]:
+) -> Trace:
     """Simulate `horizon` rounds of price adjustment on a drifting market.
 
     Round t: update prices against the previous round's market, apply the
     round's scheduled events, then measure the potential on the perturbed
-    market.  The recorded bound is the running envelope
-    bound_t = (1 - delta) * bound_{t-1} + jump cap_t, anchored at the
-    potential of (market0, prices0), so measured <= bound round by round
-    whenever every static update contracts by at least delta.
+    market.  The bound column is the running envelope
+    bound_t = (1 - delta) * bound_{t-1} + jump cap_t (`running_bound`),
+    anchored at the trace's `initial` potential of (market0, prices0), so
+    measured <= bound round by round whenever every static update contracts
+    by at least delta.  The trace also carries the price extremes and the
+    price-cap flag per round.
 
     Each round evaluates demand once, through `demand`, which is also the
     round's only price validation: the demand that measures the potential at
@@ -283,24 +286,22 @@ def run_tatonnement_trace(
         else _CpfPotential(market0)
     )
     profile = demand(market0, prices)
-    bound = potential(market0, prices, _profile=profile)
+    initial = potential(market0, prices, _profile=profile)
 
-    records: list[TraceRecord] = []
-    for t in range(1, horizon + 1):
+    phis, jumps, highs, lows = (np.empty(horizon) for _ in range(4))
+    for t in range(horizon):
         prices = _step(prices, market, config, profile)
-        market, jump = apply_round_events(market, schedule.events_at(t), config)
+        market, jumps[t] = apply_round_events(market, schedule.events_at(t + 1), config)
         profile = demand(market, prices)
-        phi = potential(market, prices, _profile=profile)
-        bound = (1.0 - delta) * bound + jump
-        records.append(
-            TraceRecord(
-                round=t,
-                potential=phi,
-                delta=jump,
-                bound=bound,
-                max_price=float(prices.max()),
-                min_price=float(prices.min()),
-                assumption1_ok=bool(prices.max() <= config.price_cap),
-            )
-        )
-    return records
+        phis[t] = potential(market, prices, _profile=profile)
+        highs[t] = prices.max()
+        lows[t] = prices.min()
+    return Trace(
+        initial=initial,
+        potential=phis,
+        delta=jumps,
+        bound=running_bound(initial, 1.0 - delta, jumps),
+        max_price=highs,
+        min_price=lows,
+        assumption1_ok=highs <= config.price_cap,
+    )

@@ -1,10 +1,12 @@
-"""Per-round trace records and their stable CSV serialization."""
+"""Columnar run traces and their stable CSV serialization."""
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 CSV_HEADER = (
     "round",
@@ -19,24 +21,37 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One simulated round: measured potential, its jump cap, running bound.
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One run, rounds 1..T: measured potential, jump cap, running bound.
 
-    Diagnostics are optional and dynamics-specific: price extremes and the
-    price-cap flag for tatonnement, distance to the per-round equilibrium and
-    the recurrence flag for bid dynamics.
+    Every column is an array over rounds 1..T, named after its CSV field;
+    `initial` is the potential at round 0.  The optional columns are
+    dynamics-specific: price extremes and the price-cap flag for
+    tatonnement, distance to the per-round equilibrium and the recurrence
+    flag for bid dynamics.  An absent column is None and writes empty cells.
+    Traces do not compare by value; compare their columns.
     """
 
-    round: int
-    potential: float
-    delta: float
-    bound: float
-    max_price: float | None = None
-    min_price: float | None = None
-    assumption1_ok: bool | None = None
-    kl_to_equilibrium: float | None = None
-    recurrence_ok: bool | None = None
+    initial: float
+    potential: np.ndarray
+    delta: np.ndarray
+    bound: np.ndarray
+    max_price: np.ndarray | None = None
+    min_price: np.ndarray | None = None
+    assumption1_ok: np.ndarray | None = None
+    kl_to_equilibrium: np.ndarray | None = None
+    recurrence_ok: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.potential)
+
+    def violations(self, scale: float = 1.0) -> int:
+        """Rounds whose potential is not within scale * bound + 1e-9.
+
+        Written as a failed `<=`, so a NaN potential or bound counts.
+        """
+        return int(np.count_nonzero(~(self.potential <= scale * self.bound + 1e-9)))
 
 
 def format_number(x: float) -> str:
@@ -45,37 +60,25 @@ def format_number(x: float) -> str:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return format_number(float(value))
+    return format_number(value)
 
 
-def trace_csv_lines(records: Sequence[TraceRecord]) -> Iterable[str]:
+def trace_csv_lines(trace: Trace) -> Iterable[str]:
     yield ",".join(CSV_HEADER)
-    for r in records:
-        yield ",".join(
-            _cell(v)
-            for v in (
-                r.round,
-                r.potential,
-                r.delta,
-                r.bound,
-                r.max_price,
-                r.min_price,
-                r.assumption1_ok,
-                r.kl_to_equilibrium,
-                r.recurrence_ok,
-            )
-        )
+    empty = [""] * len(trace)
+    columns = [
+        empty if column is None else [_cell(v) for v in column.tolist()]
+        for column in (getattr(trace, name) for name in CSV_HEADER[1:])
+    ]
+    for t, row in enumerate(zip(*columns), start=1):
+        yield ",".join((str(t), *row))
 
 
-def write_trace_csv(records: Sequence[TraceRecord], path) -> None:
+def write_trace_csv(trace: Trace, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        for line in trace_csv_lines(records):
+        for line in trace_csv_lines(trace):
             fh.write(line + "\n")
 
 

@@ -20,7 +20,6 @@ from .applications import (
     gd_regret_bound,
     gd_steady_state,
     gd_tracking_bound,
-    second_eigenvalue,
     simulate_diffusion,
     simulate_shifting_quadratic,
 )
@@ -31,6 +30,7 @@ from .instances import (
     random_market,
     uniform_prices,
 )
+from .lyapunov import running_bound
 from .market import cpf_potential, misspending_potential
 from .perturbation import (
     BUDGET,
@@ -254,23 +254,21 @@ def check_dynamic_tracing(traces: int = 20, horizon: int = 2000) -> CheckResult:
         delta_hat, warmed, phi0 = fit_contraction(
             market, uniform_prices(market), config, rounds=100
         )
-        records = run_tatonnement_trace(
+        trace = run_tatonnement_trace(
             market, warmed, config, schedule, delta_hat, horizon
         )
         decay = 1.0 - delta_hat
-        recent = 0.0
-        worst = 0.0
-        violations = 0
-        for r in records:
-            recent = decay * recent + r.delta
-            worst = max(worst, r.delta)
-            windowed = recent + decay**r.round / delta_hat * worst + decay**r.round * phi0
-            if r.potential > windowed * (1 + 1e-12) + 1e-12:
-                violations += 1
-        if violations or not all(r.assumption1_ok for r in records):
+        # Recent jumps exactly, older ones capped by the largest so far.
+        recent = running_bound(0.0, decay, trace.delta)
+        worst = np.maximum.accumulate(trace.delta)
+        decays = np.array([decay**t for t in range(1, horizon + 1)])
+        windowed = recent + decays / delta_hat * worst + decays * phi0
+        within = trace.potential <= windowed * (1 + 1e-12) + 1e-12
+        violations = np.count_nonzero(~within)
+        cap_ok = bool(trace.assumption1_ok.all())
+        if violations or not cap_ok:
             failures.append(
-                f"trace {i} ({channel}): {violations} violations, "
-                f"cap ok={all(r.assumption1_ok for r in records)}"
+                f"trace {i} ({channel}): {violations} violations, cap ok={cap_ok}"
             )
     detail = f"{traces} traces x {horizon} rounds, fitted contraction rates"
     return _result("dynamic tracing under windowed bound", detail, failures, t0)
@@ -340,10 +338,10 @@ def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
         spec = ScheduleSpec(channel=UTILITY, magnitude=0.005, seed=5000 + seed)
         schedule = generate_schedule(spec, market, horizon)
         bound, warmed, fitted_eq = fit_prd_constants(market, proportional_bids(market))
-        records = run_prd_trace(
+        trace = run_prd_trace(
             market, warmed, schedule, bound, horizon, _equilibrium=fitted_eq
         )
-        fraction = float(np.mean([r.recurrence_ok for r in records]))
+        fraction = float(trace.recurrence_ok.mean())
         fractions.append(fraction)
         if fraction < 0.95:
             failures.append(f"seed {seed}: recurrence fraction {fraction:.3f}")
@@ -399,16 +397,16 @@ def check_gd_tracking(instances: int = 50, horizon: int = 600) -> CheckResult:
         eta = 2.0 / (curvatures.min() + curvatures.max())
         problem = ShiftingQuadratic(curvatures=curvatures, optima=optima, eta=eta)
         x0 = optima[0] + rng.normal(size=dims)
-        trace = simulate_shifting_quadratic(problem, x0)
-        enveloped = bool(np.all(trace.distances <= trace.bounds + 1e-9))
-        closed = gd_tracking_bound(trace.distances[0], problem.delta, trace.shifts, horizon)
+        trace, regret = simulate_shifting_quadratic(problem, x0)
+        enveloped = trace.violations() == 0
+        closed = gd_tracking_bound(trace.initial, problem.delta, trace.delta, horizon)
         radius = gd_steady_state(problem.delta, shift)
-        settled = bool(trace.distances[-1] <= radius + 1e-9)
+        settled = bool(trace.potential[-1] <= radius + 1e-9)
         regret_cap = gd_regret_bound(
-            trace.distances[0], problem.delta, shift, problem.beta_smooth, horizon
+            trace.initial, problem.delta, shift, problem.beta_smooth, horizon
         )
-        regret_ok = trace.regret <= regret_cap
-        consistent = abs(closed - trace.bounds[-1]) <= 1e-9 * max(1.0, closed)
+        regret_ok = regret <= regret_cap
+        consistent = abs(closed - trace.bound[-1]) <= 1e-9 * max(1.0, closed)
         if not (enveloped and settled and regret_ok and consistent):
             failures.append(
                 f"seed {seed}: envelope={enveloped} radius={settled} regret={regret_ok}"
@@ -430,9 +428,8 @@ def check_diffusion(horizon: int = 400) -> CheckResult:
     reports = []
     for graph, n in (("path", 16), ("cycle", 16), ("complete", 16), ("path", 7)):
         net = make_network(graph, n, loads=None, seed=n, load_total=float(n))
-        lam = second_eigenvalue(net.diffusivity)
-        static = simulate_diffusion(net, [net.speeds] * (201), 200)
-        contraction_ok = bool(np.nanmax(static.contractions) <= lam + 1e-9)
+        _, lam, contractions = simulate_diffusion(net, [net.speeds] * 201, 200)
+        contraction_ok = bool(np.nanmax(contractions) <= lam + 1e-9)
 
         het = net.with_speeds(np.linspace(0.8, 1.25, n))
         after = diffusion_step(het)
@@ -445,19 +442,15 @@ def check_diffusion(horizon: int = 400) -> CheckResult:
         fixed_ok = residual <= 1e-12
 
         path = drifting_speeds(100 + n, n, horizon, 0.002, 0.9, 1.1, mode="common")
-        trace = simulate_diffusion(net, path, horizon)
-        plain = bool(np.all(trace.potentials <= trace.bounds + 1e-9))
-        slacked = bool(
-            np.all(trace.potentials <= np.sqrt(n) * trace.bounds + 1e-9)
-        )
-        per_machine = simulate_diffusion(
+        trace, _, _ = simulate_diffusion(net, path, horizon)
+        plain = trace.violations() == 0
+        slacked = trace.violations(np.sqrt(n)) == 0
+        per_machine, _, _ = simulate_diffusion(
             net, drifting_speeds(200 + n, n, horizon, 0.002, 0.9, 1.1, "per-machine"),
             horizon,
         )
-        pm_plain = bool(np.all(per_machine.potentials <= per_machine.bounds + 1e-9))
-        pm_slack = bool(
-            np.all(per_machine.potentials <= np.sqrt(n) * per_machine.bounds + 1e-9)
-        )
+        pm_plain = per_machine.violations() == 0
+        pm_slack = per_machine.violations(np.sqrt(n)) == 0
         reports.append(
             f"{graph}-{n}: common drift {'plain' if plain else 'sqrt-n' if slacked else 'FAIL'},"
             f" per-machine {'plain' if pm_plain else 'sqrt-n' if pm_slack else 'unbounded'}"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from eqtracer.instances import (
     make_network,
     path_edges,
 )
-from eqtracer.applications import DiffusionTrace
+from eqtracer.trace import Trace
 
 
 class TestGdStep:
@@ -38,8 +40,8 @@ class TestGdStep:
         problem = ShiftingQuadratic(
             curvatures=curv, optima=np.zeros((2, 4)), eta=1 / 3.0
         )
-        trace = simulate_shifting_quadratic(problem, np.array([1.0, 2.0, -1.0, 0.5]))
-        assert trace.distances[1] == 0.0
+        trace, _ = simulate_shifting_quadratic(problem, np.array([1.0, 2.0, -1.0, 0.5]))
+        assert trace.potential[0] == 0.0
 
     def test_per_axis_contraction_matches_rate(self):
         # Starting on an extreme-curvature axis attains the worst-case factor
@@ -89,8 +91,8 @@ class TestGdBounds:
         problem = ShiftingQuadratic(
             curvatures=np.array([1.0, 2.0]), optima=np.zeros((51, 2)), eta=2 / 3.0
         )
-        trace = simulate_shifting_quadratic(problem, np.zeros(2))
-        assert trace.regret == 0.0
+        _, regret = simulate_shifting_quadratic(problem, np.zeros(2))
+        assert regret == 0.0
 
     def test_regret_linear_in_horizon(self):
         r1 = gd_regret_bound(1.0, 0.5, 0.1, 2.0, 100)
@@ -108,12 +110,14 @@ class TestGdBounds:
             problem = ShiftingQuadratic(
                 curvatures=curv, optima=optima, eta=2.0 / (curv.min() + curv.max())
             )
-            trace = simulate_shifting_quadratic(problem, optima[0] + rng.normal(size=5))
-            assert np.all(trace.distances <= trace.bounds + 1e-9)
-            cap = gd_regret_bound(
-                trace.distances[0], problem.delta, 0.01, problem.beta_smooth, 300
+            trace, regret = simulate_shifting_quadratic(
+                problem, optima[0] + rng.normal(size=5)
             )
-            assert trace.regret <= cap
+            assert np.all(trace.potential <= trace.bound + 1e-9)
+            cap = gd_regret_bound(
+                trace.initial, problem.delta, 0.01, problem.beta_smooth, 300
+            )
+            assert regret <= cap
 
 
 class TestNetworkValidation:
@@ -172,8 +176,9 @@ class TestDiffusion:
         for graph in ("path", "cycle", "complete"):
             net = make_network(graph, 10, loads=None, seed=3, load_total=10.0)
             lam = second_eigenvalue(net.diffusivity)
-            trace = simulate_diffusion(net, [net.speeds] * 101, 100)
-            assert np.nanmax(trace.contractions) <= lam + 1e-9
+            _, returned, contractions = simulate_diffusion(net, [net.speeds] * 101, 100)
+            assert returned == lam
+            assert np.nanmax(contractions) <= lam + 1e-9
 
     def test_second_eigenvalue_matches_dense_solver(self):
         rng = np.random.default_rng(4)
@@ -185,11 +190,11 @@ class TestDiffusion:
     def test_static_bound_is_pure_decay(self):
         net = make_network("cycle", 6, loads=None, seed=5, load_total=3.0)
         lam = second_eigenvalue(net.diffusivity)
-        trace = simulate_diffusion(net, [net.speeds] * 51, 50)
-        assert trace.bounds[-1] == pytest.approx(lam**50 * trace.potentials[0], rel=1e-9)
+        trace, _, _ = simulate_diffusion(net, [net.speeds] * 51, 50)
+        assert trace.bound[-1] == pytest.approx(lam**50 * trace.initial, rel=1e-9)
         assert diffusion_tracking_bound(
-            trace.potentials[0], lam, [net.speeds] * 51, net.total_load, 6, 50
-        ) == pytest.approx(trace.bounds[-1], rel=1e-9)
+            trace.initial, lam, [net.speeds] * 51, net.total_load, 6, 50
+        ) == pytest.approx(trace.bound[-1], rel=1e-9)
 
     def test_complete_mixing_bound_is_last_jump(self):
         # lambda2 = 0 on two fully mixed machines: only the newest speed
@@ -204,8 +209,8 @@ class TestDiffusion:
         for graph in ("path", "cycle", "complete"):
             net = make_network(graph, 8, loads=None, seed=6, load_total=5.0)
             path = drifting_speeds(7, 8, 300, 0.002, 0.9, 1.1, mode="common")
-            trace = simulate_diffusion(net, path, 300)
-            assert np.all(trace.potentials <= np.sqrt(8) * trace.bounds + 1e-9)
+            trace, _, _ = simulate_diffusion(net, path, 300)
+            assert np.all(trace.potential <= np.sqrt(8) * trace.bound + 1e-9)
 
     def test_speed_path_must_match_network(self):
         net = make_network("path", 4, seed=8)
@@ -269,16 +274,27 @@ class TestValidateOnce:
         simulate_diffusion(net, [net.speeds * p for p in path], 40)
         assert len(calls) == 1
 
+    def test_caller_arrays_stay_writable(self):
+        speeds, loads = np.ones(4), np.ones(4)
+        P = make_network("cycle", 4).diffusivity.copy()
+        LoadNetwork(speeds=speeds, loads=loads, diffusivity=P)
+        made = make_network("cycle", 4, speeds=speeds, loads=loads)
+        path = [made.speeds.copy()] + [np.full(4, 1.0 + t / 10) for t in range(1, 4)]
+        simulate_diffusion(made, path, 3)
+        for array in (speeds, loads, P, *path):
+            assert array.flags.writeable
+
     @pytest.mark.parametrize("graph", ["path", "cycle", "complete"])
     def test_simulate_diffusion_bit_equal_to_rebuilding_loop(self, graph):
         net = make_network(graph, 7, speeds=np.linspace(0.5, 2.0, 7), seed=4)
         path = [net.speeds * p for p in drifting_speeds(5, 7, 60, 0.02, mode="per-machine")]
-        trace = simulate_diffusion(net, path, 60)
-        expected = _rebuilding_diffusion(net, path, 60)
-        for name in ("potentials", "jumps", "bounds", "contractions"):
-            got, want = getattr(trace, name), getattr(expected, name)
-            assert np.array_equal(np.isnan(got), np.isnan(want)), name
-            assert (got == want)[~np.isnan(want)].all(), name
+        trace, lam, contractions = simulate_diffusion(net, path, 60)
+        want_trace, want_lam, want_contractions = _rebuilding_diffusion(net, path, 60)
+        for field in fields(Trace):
+            name = field.name
+            assert np.array_equal(getattr(trace, name), getattr(want_trace, name)), name
+        assert lam == want_lam
+        assert np.array_equal(contractions, want_contractions, equal_nan=True)
 
 
 def _rebuilding_diffusion(network, path, T):
@@ -313,9 +329,10 @@ def _rebuilding_diffusion(network, path, T):
         network = rebuilt(np.asarray(path[t], dtype=float), network.loads)
         potentials[t] = imbalance(network)
         bounds[t] = lam * bounds[t - 1] + jumps[t - 1]
-    return DiffusionTrace(
-        potentials=potentials, jumps=jumps, bounds=bounds, contractions=contractions
+    trace = Trace(
+        initial=potentials[0], potential=potentials[1:], delta=jumps, bound=bounds[1:]
     )
+    return trace, lam, contractions
 
 
 @settings(max_examples=60, deadline=None)

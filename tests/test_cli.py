@@ -8,6 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import eqtracer.applications
+import eqtracer.cli
+from eqtracer import verify
 from eqtracer.cli import (
     CONFIG_SCHEMA,
     EXIT_BOUND,
@@ -252,6 +255,23 @@ def test_prd_and_diffusion_reports(tmp_path):
     assert report2["dominated_with_sqrt_n_slack"] is True
 
 
+def test_diffusion_run_computes_lambda2_once(tmp_path, monkeypatch):
+    calls = []
+    original = eqtracer.applications.second_eigenvalue
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # Any binding of the function, wherever the run looks it up.
+    for module in (eqtracer.applications, eqtracer.cli):
+        monkeypatch.setattr(module, "second_eigenvalue", counted, raising=False)
+    config = {"kind": "diffusion", **verify._DETERMINISM_CONFIGS["diffusion"]}
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 def test_budget_schedule_on_prd_exits_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -370,3 +390,68 @@ def test_cached_parser_leaks_no_state_between_calls(tmp_path, capsys):
             for file in ("trace.csv", "report.json"):
                 ours = (tmp_path / "in" / name / sub / file).read_bytes()
                 assert ours == (fresh / sub / file).read_bytes(), (name, sub, file)
+
+
+_HEADER_ONLY = "b073bcd32f4daf7e70bd68c40a639e3f77293a38b2602265b65f878ffeaa6d4e"
+
+# sha256 of (trace.csv, report.json) for each determinism config, at its own
+# horizon and at horizon 0.  A change that moves any output byte must say
+# so and update these digests.
+GOLDEN_DIGESTS = {
+    ("tatonnement-ms", None): (
+        "c317068b1566385255866309b5fcd2ff1f1b88e36da96e3668a738edc7b56bc2",
+        "8e26e6e1945da12c0ecdb3828ab361c8e43775b26477910d0660dd01a7be0850",
+    ),
+    ("tatonnement-ms", 0): (
+        _HEADER_ONLY,
+        "7db1e488ef563677b3debb5d3b101686dce2320e1f526b69bf96bd1d8fec0723",
+    ),
+    ("tatonnement-cpf", None): (
+        "78a045be97f23bb1310992627561e71d65c86c6bb4193cc021b560912f6e8c45",
+        "b07628c4f776a0e14acd4e8e8cc76b83694e8ee78259b47859842af47845797d",
+    ),
+    ("tatonnement-cpf", 0): (
+        _HEADER_ONLY,
+        "931a4f31f40e86672f2185f5dfcba5a5e583f7b25fe933bdf492dd247376d93c",
+    ),
+    ("prd", None): (
+        "394574d25e02444a03312b04c6eee027492cc4b4b87830df6ecdac5f12dfafa7",
+        "0a9f9e751582e0f46f1bbc73d80719c330ef6e77d31f8f2582d1a96f6fd5216a",
+    ),
+    ("prd", 0): (
+        _HEADER_ONLY,
+        "ebe7b04fed8a9a05e41bac8e8469e4613013ac4b5af61a5e985336ce50ffd0c2",
+    ),
+    ("gd-shifting", None): (
+        "282d76bc878b976300711d7ba45e6dd06b77af2a03d3d5ed65da79e16744304b",
+        "a0f60b8397bb9d2301b62cecfafb317d6fe907ca8bb667947af891c2dbf6ab0a",
+    ),
+    ("gd-shifting", 0): (
+        _HEADER_ONLY,
+        "7301b5a3d2c6efeb916babdd3bf82dbae1d82cd286e5ca98515d0d62c0a1ff5b",
+    ),
+    ("diffusion", None): (
+        "b052481c143b03021ba4bbebfb3898aaf08b7b9e2f333bffe5f1a444c7e9e26a",
+        "e5a0e1ef26d3fec5147827683aefac98eb3e19ea8dd39059c83b5392175773ba",
+    ),
+    ("diffusion", 0): (
+        _HEADER_ONLY,
+        "9be5a5d83c6cbb6d24a5f3effe859d0536d3b623c7287d0f2bfb9a516377cbec",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, horizon",
+    GOLDEN_DIGESTS,
+    ids=[f"{k}-{'own' if h is None else h}" for k, h in GOLDEN_DIGESTS],
+)
+def test_determinism_configs_match_golden_digests(tmp_path, capsys, kind, horizon):
+    config = {"kind": kind, **verify._DETERMINISM_CONFIGS[kind]}
+    if horizon is not None:
+        config["horizon"] = horizon
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    got = (file_sha256(out / "trace.csv"), file_sha256(out / "report.json"))
+    assert got == GOLDEN_DIGESTS[kind, horizon]

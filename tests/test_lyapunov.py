@@ -17,6 +17,7 @@ from eqtracer import (
     misspending_potential,
     proportional_bids,
     run_prd_trace,
+    running_bound,
     run_tatonnement_trace,
     solve_equilibrium,
     windowed_bound,
@@ -47,6 +48,36 @@ class TestMetaBound:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="jump"):
             meta_bound(1.0, 0.5, [0.1], 2)
+
+
+_POSITIVE_OR_ZERO = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+
+
+class TestRunningBound:
+    def test_bit_equal_to_written_out_loop(self):
+        rng = np.random.default_rng(0)
+        for rate in (0.0, 0.3, 1.0 - 0.0123, np.sqrt(1.0 - 0.2), 1.0):
+            anchor, jumps = float(rng.exponential()), rng.exponential(size=40) * 1e-3
+            expected, b = [], anchor
+            for jump in jumps:
+                b = rate * b + jump
+                expected.append(b)
+            assert np.array_equal(running_bound(anchor, rate, jumps), expected)
+
+    def test_no_jumps_no_rounds(self):
+        assert running_bound(3.0, 0.5, []).shape == (0,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        phi0=_POSITIVE_OR_ZERO,
+        delta=st.floats(0.0, 0.99, exclude_min=True),
+        jumps=st.lists(_POSITIVE_OR_ZERO, min_size=1, max_size=50),
+    )
+    def test_matches_meta_bound(self, phi0, delta, jumps):
+        bounds = running_bound(phi0, 1.0 - delta, jumps)
+        for T, got in enumerate(bounds, start=1):
+            want = meta_bound(phi0, delta, jumps[:T], T)
+            assert abs(got - want) <= 1e-12 * want
 
 
 class TestWindowedBound:
@@ -141,12 +172,12 @@ class TestRunnersFollowClosedForms:
             150,
         )
         prices = uniform_prices(market)
-        records = run_tatonnement_trace(market, prices, config, schedule, 0.01, 150)
+        trace = run_tatonnement_trace(market, prices, config, schedule, 0.01, 150)
         phi0 = misspending_potential(market, prices)
-        jumps = [r.delta for r in records]
+        jumps = trace.delta.tolist()
         assert any(jumps)
-        for T, record in enumerate(records, start=1):
-            assert record.bound == pytest.approx(
+        for T, bound in enumerate(trace.bound, start=1):
+            assert bound == pytest.approx(
                 meta_bound(phi0, 0.01, jumps[:T], T), rel=1e-12
             )
 
@@ -161,11 +192,11 @@ class TestRunnersFollowClosedForms:
             market,
             100,
         )
-        records = run_prd_trace(market, bids, schedule, bound, 100)
+        trace = run_prd_trace(market, bids, schedule, bound, 100)
         kl_anchor = kl_divergence(solve_equilibrium(market, tolerance=1e-10).bids, bids)
-        jumps = [r.delta for r in records]
+        jumps = trace.delta.tolist()
         assert any(jumps)
-        for T, record in enumerate(records, start=1):
-            assert record.bound >= bregman_bound(
+        for T, cumulative in enumerate(trace.bound, start=1):
+            assert cumulative >= bregman_bound(
                 kl_anchor, bound.q1, bound.q2, jumps[:T], T
             )

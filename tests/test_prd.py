@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from eqtracer import (
     solve_equilibrium,
 )
 from eqtracer.instances import random_market
+from eqtracer.trace import Trace
 
 
 def single_buyer(a=(1.0, 1.0), rho=0.5):
@@ -190,11 +193,13 @@ class TestFitAndTrace:
 
     def test_zero_horizon_empty(self):
         market = random_market(10, 2, 3, unit_supplies=True)
-        records = run_prd_trace(
-            market, proportional_bids(market), PerturbationSchedule(),
-            PrdBoundConfig(0.5, 1.0), 0,
+        bids = proportional_bids(market)
+        trace = run_prd_trace(
+            market, bids, PerturbationSchedule(), PrdBoundConfig(0.5, 1.0), 0
         )
-        assert records == []
+        assert len(trace) == 0
+        g_star = prd_potential_g(market, solve_equilibrium(market, tolerance=1e-10).bids)
+        assert trace.initial == prd_potential_g(market, bids) - g_star
 
     def test_budget_events_rejected(self):
         market = random_market(11, 2, 3, unit_supplies=True)
@@ -209,9 +214,9 @@ class TestFitAndTrace:
     def test_static_geometric_envelope_dominates(self):
         market = random_market(12, 3, 3, unit_supplies=True)
         bound, bids, _ = fit_prd_constants(market, proportional_bids(market), rounds=30)
-        records = run_prd_trace(market, bids, PerturbationSchedule(), bound, 200)
-        assert all(r.potential <= r.bound + 1e-9 for r in records)
-        assert records[-1].potential < records[0].potential
+        trace = run_prd_trace(market, bids, PerturbationSchedule(), bound, 200)
+        assert (trace.potential <= trace.bound + 1e-9).all()
+        assert trace.potential[-1] < trace.potential[0]
 
     def test_zero_magnitude_schedule_matches_static_bitwise(self):
         market = random_market(13, 3, 3, unit_supplies=True)
@@ -227,26 +232,27 @@ class TestFitAndTrace:
             market, proportional_bids(market),
             PerturbationSchedule(events=zero_events), bound, 50,
         )
-        for a, b in zip(static, nulled):
-            assert a.potential == b.potential
-            assert a.kl_to_equilibrium == b.kl_to_equilibrium
-            assert a.bound == b.bound
+        for name in ("potential", "kl_to_equilibrium", "bound"):
+            assert np.array_equal(getattr(static, name), getattr(nulled, name)), name
 
     def test_dynamic_supply_events_run_through_reduction(self):
         market = random_market(14, 3, 4, unit_supplies=True)
         spec = ScheduleSpec(channel=SUPPLY, magnitude=0.01, seed=3)
         schedule = generate_schedule(spec, market, 100)
         bound, bids, _ = fit_prd_constants(market, proportional_bids(market))
-        records = run_prd_trace(market, bids, schedule, bound, 100)
-        assert all(r.delta >= 0 for r in records)
-        assert all(r.potential <= r.bound + 1e-9 for r in records)
+        trace = run_prd_trace(market, bids, schedule, bound, 100)
+        assert (trace.delta >= 0).all()
+        assert (trace.potential <= trace.bound + 1e-9).all()
 
     def test_fitted_equilibrium_reuse_is_bitwise(self):
         market = random_market(16, 3, 4, unit_supplies=True)
         schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=4), market, 30)
         bound, bids, eq = fit_prd_constants(market, proportional_bids(market), rounds=30)
         reused = run_prd_trace(market, bids, schedule, bound, 30, _equilibrium=eq)
-        assert reused == run_prd_trace(market, bids, schedule, bound, 30)
+        solved = run_prd_trace(market, bids, schedule, bound, 30)
+        for field in fields(Trace):
+            name = field.name
+            assert np.array_equal(getattr(reused, name), getattr(solved, name)), name
 
     def test_fitted_equilibrium_reuse_needs_unit_supplies(self):
         market = random_market(17, 3, 4)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from eqtracer import (
     PerturbationSchedule,
     ScheduleSpec,
     TatonnementConfig,
-    TraceRecord,
+    Trace,
     apply_event,
     default_step_size,
     delta_ms_supply,
@@ -131,9 +132,12 @@ class TestTraces:
     def test_zero_horizon_empty(self):
         market = random_market(3, 2, 3)
         config = TatonnementConfig(lam=0.05, price_cap=2 * market.total_budget)
-        assert run_tatonnement_trace(
-            market, uniform_prices(market), config, PerturbationSchedule(), 0.05, 0
-        ) == []
+        prices = uniform_prices(market)
+        trace = run_tatonnement_trace(
+            market, prices, config, PerturbationSchedule(), 0.05, 0
+        )
+        assert len(trace) == 0
+        assert trace.initial == misspending_potential(market, prices)
 
     def test_static_convergence_and_monotone_tail(self):
         market = random_market(4, 4, 4)
@@ -141,12 +145,12 @@ class TestTraces:
             lam=default_step_size(market),
             price_cap=2 * market.total_budget,
         )
-        records = run_tatonnement_trace(
+        trace = run_tatonnement_trace(
             market, uniform_prices(market), config, PerturbationSchedule(), 0.001, 2000
         )
-        potentials = [r.potential for r in records]
+        potentials = trace.potential
         assert potentials[-1] < 1e-6 * market.total_budget
-        assert all(b <= a + 1e-12 for a, b in zip(potentials, potentials[1:]))
+        assert (potentials[1:] <= potentials[:-1] + 1e-12).all()
 
     def test_supply_bump_jump_bounded_then_recontracts(self):
         market = random_market(5, 3, 4)
@@ -155,13 +159,13 @@ class TestTraces:
         eps = np.array([0.05, -0.02, 0.0, 0.03])
         bump = PerturbationEvent(50, SUPPLY, eps)
         schedule = PerturbationSchedule(events=(bump,))
-        records = run_tatonnement_trace(
+        trace = run_tatonnement_trace(
             market, uniform_prices(market), config, schedule, 0.001, 120
         )
-        jump = records[49].potential - records[48].potential
+        jump = trace.potential[49] - trace.potential[48]
         assert jump <= delta_ms_supply(bump, cap) + 1e-9
-        tail = [r.potential for r in records[49:]]
-        assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+        tail = trace.potential[49:]
+        assert (tail[1:] <= tail[:-1] + 1e-12).all()
 
     def test_envelope_dominates_with_fitted_rate(self):
         market = random_market(6, 3, 4)
@@ -174,11 +178,11 @@ class TestTraces:
         events = tuple(
             PerturbationEvent(t, SUPPLY, eps * (-1) ** t) for t in range(1, 301)
         )
-        records = run_tatonnement_trace(
+        trace = run_tatonnement_trace(
             market, prices, config, PerturbationSchedule(events=events), delta, 300
         )
-        assert all(r.potential <= r.bound + 1e-9 for r in records)
-        assert all(r.assumption1_ok for r in records)
+        assert (trace.potential <= trace.bound + 1e-9).all()
+        assert trace.assumption1_ok.all()
 
     def test_schedule_beyond_horizon_rejected(self):
         market = random_market(7, 2, 2)
@@ -273,8 +277,8 @@ def _reference_fit(market, prices, config, step, potential, rounds):
 def _reference_trace(market, prices, config, step, potential, schedule, delta, horizon):
     """run_tatonnement_trace written out: demand evaluated afresh by every call."""
     p = np.asarray(prices, dtype=float)
-    bound = potential(market, p)
-    records = []
+    initial = bound = potential(market, p)
+    rows = []
     for t in range(1, horizon + 1):
         p = step(p, market, config.lam)
         jump = 0.0
@@ -286,12 +290,12 @@ def _reference_trace(market, prices, config, step, potential, schedule, delta, h
             market = apply_event(market, event).replace()
         phi = potential(market, p)
         bound = (1.0 - delta) * bound + jump
-        records.append(TraceRecord(
-            round=t, potential=phi, delta=jump, bound=bound,
-            max_price=float(p.max()), min_price=float(p.min()),
-            assumption1_ok=bool(p.max() <= config.price_cap),
-        ))
-    return records
+        rows.append((phi, jump, bound, p.max(), p.min(), p.max() <= config.price_cap))
+    phis, jumps, bounds, highs, lows, oks = (np.array(c) for c in zip(*rows))
+    return Trace(
+        initial=initial, potential=phis, delta=jumps, bound=bounds,
+        max_price=highs, min_price=lows, assumption1_ok=oks,
+    )
 
 
 class TestReferenceEquivalence:
@@ -311,10 +315,14 @@ class TestReferenceEquivalence:
 
         spec = ScheduleSpec(channel=channel, magnitude=0.01, seed=seed)
         schedule = generate_schedule(spec, market, 25)
-        records = run_tatonnement_trace(market, got[1], config, schedule, got[0], 25)
-        assert records == _reference_trace(
+        trace = run_tatonnement_trace(market, got[1], config, schedule, got[0], 25)
+        want = _reference_trace(
             market, got[1], config, step, potential, schedule, got[0], 25
         )
+        # Every column, None for None; kl and recurrence are None on both.
+        for field in fields(Trace):
+            name = field.name
+            assert np.array_equal(getattr(trace, name), getattr(want, name)), name
 
 
 class TestDemandCalls:
