@@ -31,7 +31,6 @@ from .lyapunov import (
 )
 from .market import (
     CesMarket,
-    DegenerateDemandError,
     DemandProfile,
     LinearUtilityError,
     cpf_potential,

@@ -180,8 +180,9 @@ class LoadNetwork:
     """Machines with speeds and divisible load, coupled by a diffusion matrix.
 
     The matrix must be symmetric, stochastic, with diagonal at least 1/2 and
-    positive entries exactly on the network's edges.  It is validated once, at
-    construction; derived networks check only the replaced field.
+    positive entries exactly on the network's edges, which must connect every
+    machine (else |lambda2| = 1).  It is validated once, at construction;
+    derived networks check only the replaced field.
     """
 
     speeds: np.ndarray       # (n,) positive
@@ -201,6 +202,12 @@ class LoadNetwork:
             raise ValueError("diffusivity rows must be non-negative and sum to one")
         if (np.diag(P) < 0.5 - 1e-12).any():
             raise ValueError("diffusivity diagonal must be at least 1/2")
+        reached = frontier = np.arange(n) == 0
+        while frontier.any():  # breadth-first search over the edges
+            frontier = (P[frontier] > 0).any(axis=0) & ~reached
+            reached = reached | frontier
+        if not reached.all():
+            raise ValueError("the diffusion matrix must mix: its graph is disconnected")
         for name, arr in (("speeds", s), ("loads", l), ("diffusivity", P)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

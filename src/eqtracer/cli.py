@@ -9,6 +9,7 @@ their trace files byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -18,13 +19,13 @@ import numpy as np
 
 from . import verify as verify_mod
 from .applications import (
-    ShiftingQuadratic,
     gd_regret_bound,
     simulate_diffusion,
     simulate_shifting_quadratic,
 )
 from .equilibrium import ConvergenceError
 from .instances import (
+    drifting_quadratic,
     drifting_speeds,
     make_network,
     random_market,
@@ -149,6 +150,7 @@ CONFIG_SCHEMA = {
                 "q2": {"type": "number"},
                 "fit_rounds": {"type": "integer", "minimum": 2},
             },
+            "dependentRequired": {"q1": ["q2"], "q2": ["q1"]},
         },
         "quadratic": {
             "type": "object",
@@ -313,7 +315,7 @@ def _run_prd(config: dict):
     reduced = reduce_supply_to_utility(market, np.zeros(market.num_goods))
     bids = proportional_bids(reduced)
     equilibrium = None
-    if "q1" in bounds and "q2" in bounds:
+    if "q1" in bounds:  # the schema requires q1 and q2 together
         bound = PrdBoundConfig(q1=bounds["q1"], q2=bounds["q2"])
         source = "supplied"
     else:
@@ -344,24 +346,14 @@ def _run_prd(config: dict):
 def _run_gd(config: dict):
     spec = config.get("quadratic", {})
     horizon = config["horizon"]
-    rng = np.random.default_rng(spec.get("seed", 0))
-    dims = spec.get("dims", 5)
-    curvatures = rng.uniform(
-        spec.get("curvature_low", 0.5), spec.get("curvature_high", 3.0), dims
-    )
-    shift = spec.get("shift", 0.01)
-    directions = rng.normal(size=(horizon + 1, dims))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    directions = np.divide(directions, norms, out=np.zeros_like(directions), where=norms > 0)
-    optima = np.cumsum(shift * directions, axis=0)
+    problem, x0 = drifting_quadratic(horizon=horizon, **spec)
     eta = config.get("dynamics", {}).get("eta", "max")
-    if eta == "max":
-        eta = 2.0 / (curvatures.min() + curvatures.max())
-    problem = ShiftingQuadratic(curvatures=curvatures, optima=optima, eta=float(eta))
-    x0 = optima[0] + spec.get("start_offset", 1.0) * rng.normal(size=dims)
+    if eta != "max":
+        problem = dataclasses.replace(problem, eta=float(eta))
     trace, regret = simulate_shifting_quadratic(problem, x0)
     regret_cap = gd_regret_bound(
-        trace.initial, problem.delta, shift, problem.beta_smooth, horizon
+        trace.initial, problem.delta, spec.get("shift", 0.01), problem.beta_smooth,
+        horizon,
     )
     report = {
         "constants": {

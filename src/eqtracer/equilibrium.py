@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import CesMarket, check_prices
+from .market import CesMarket, _ces_weights, check_prices
 
 _ARMIJO = 1e-4
 _LINE_SEARCH_HALVINGS = 40
@@ -77,29 +77,26 @@ def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int
     when the misspending sum |g| falls while Psi rises by no more than its
     rounding noise: near the optimum Psi's decrease drops below rounding
     while the residual still shrinks quadratically, and away from it a
-    residual-only rule lets Newton cycle.  Residual, spending and potential
-    are computed exactly as misspending_potential, demand and cpf_potential
-    compute them.
+    residual-only rule lets Newton cycle.  Every point is evaluated by the
+    market's log-domain kernel `_ces_weights`, so the start stays finite as
+    rho -> 1, and residual, spending and potential are computed exactly as
+    misspending_potential, demand and cpf_potential compute them.
 
     Returns the result at the last iterate.  Its residual is above target
     when max_iters steps ran out or no trial step was accepted.
     """
     w = market.supplies
     b = market.budgets
-    c = market.demand_exponent
-    a_pow = market._weight_base
     total = market.total_budget
 
     def evaluate(prices):
         # Trial points may overflow or leave the price domain; reject them.
         with np.errstate(all="ignore"):
-            weights = a_pow * prices[None, :] ** c[:, None]
-            denom = weights.sum(axis=1)
-            shares = weights / denom[:, None]
+            shares, log_q = _ces_weights(market, prices)
             spending = b[:, None] * shares
             excess = (spending / prices[None, :]).sum(axis=0) - w
             residual = float((prices * np.abs(excess)).sum())
-            psi = float((w * prices).sum() - (b * (np.log(denom) / c)).sum())
+            psi = float((w * prices).sum() - (b * log_q).sum())
         if not (np.isfinite(residual) and np.isfinite(psi) and (prices > 0).all()):
             return None
         return shares, residual, psi

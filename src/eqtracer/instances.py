@@ -1,4 +1,4 @@
-"""Reproducible random instances: markets, networks, test quadratics.
+"""Reproducible random instances: markets, networks, drifting quadratics.
 
 Every generator takes a seed or an explicit numpy Generator; identical seeds
 give identical instances bit for bit.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .applications import LoadNetwork
+from .applications import LoadNetwork, ShiftingQuadratic
 from .market import CesMarket
 
 
@@ -166,3 +166,23 @@ def drifting_speeds(
         nxt = np.where(outside, path[-1] / factors, nxt)
         path.append(nxt)
     return path
+
+
+def drifting_quadratic(
+    seed=0, dims=5, *, horizon, shift=0.01, curvature_low=0.5, curvature_high=3.0,
+    start_offset=1.0,
+) -> tuple[ShiftingQuadratic, np.ndarray]:
+    """Random quadratic whose optimum takes horizon steps of length `shift`.
+
+    Returns the problem, at the largest admissible step size 2/(alpha+beta),
+    and a start `start_offset` times a normal vector away from the optimum.
+    """
+    rng = _rng(seed)
+    curvatures = rng.uniform(curvature_low, curvature_high, dims)
+    directions = rng.normal(size=(horizon + 1, dims))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    directions = np.divide(directions, norms, out=np.zeros_like(directions), where=norms > 0)
+    optima = np.cumsum(shift * directions, axis=0)
+    eta = float(2.0 / (curvatures.min() + curvatures.max()))
+    problem = ShiftingQuadratic(curvatures=curvatures, optima=optima, eta=eta)
+    return problem, optima[0] + start_offset * rng.normal(size=dims)

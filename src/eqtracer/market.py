@@ -8,11 +8,13 @@ here are pure: they never mutate their inputs.
 
 Validation happens at the public boundary only: `CesMarket(...)` and
 `CesMarket.replace` check every field, and each public function checks its
-prices once.  Every demand, unit cost and potential goes through one kernel,
-the CES weights a^(1-c) p^c and their row sums; the demand exponent c and
-the price-free factor a^(1-c) are computed once per market and cached, and
-the unvalidated copies that perturbation events make (`CesMarket._derive`)
-share them while they keep rho (and, for a^(1-c), the coefficients).
+prices once.  Every demand, unit cost and potential, and every point the
+equilibrium solver evaluates, goes through one log-domain kernel; it stays
+finite as rho -> 1, where c = rho/(rho-1) -> -inf and a^(1-c) p^c overflows.
+The demand exponent c and the price-free part (1-c) ln a are cached per
+market, and the unvalidated copies that perturbation events make
+(`CesMarket._derive`) share them while they keep rho (and, for (1-c) ln a,
+the coefficients).
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ import numpy as np
 
 class LinearUtilityError(ValueError):
     """Demand is undefined for rho == 1 (no unique utility-maximising bundle)."""
-
-
-class DegenerateDemandError(ValueError):
-    """A buyer's demand denominator evaluated to zero or a non-finite value."""
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -105,13 +103,14 @@ class CesMarket:
 
     @cached_property
     def _weight_base(self) -> np.ndarray:
-        """a^(1-c), the price-free factor of the CES weights, computed once."""
+        """(1-c) ln a, the price-free log CES weight (-inf where a = 0), cached."""
         if (self.rho == 1.0).any():
             raise LinearUtilityError(
                 "demand requires strictly concave utilities (rho < 1); "
                 "a buyer with rho == 1 has no unique demand bundle"
             )
-        base = self.coefficients ** (1.0 - self.demand_exponent[:, None])
+        with np.errstate(divide="ignore"):
+            base = (1.0 - self.demand_exponent[:, None]) * np.log(self.coefficients)
         base.setflags(write=False)
         return base
 
@@ -132,7 +131,7 @@ class CesMarket:
         The new arrays must be float, read-only, of the right shapes and keep
         every invariant `__post_init__` checks.  Unchanged arrays are shared,
         and so are the cached exponent while rho is kept and the cached
-        a^(1-c) while coefficients and rho are kept.
+        (1-c) ln a while coefficients and rho are kept.
         """
         new = object.__new__(CesMarket)
         new.__dict__.update(self.__dict__)
@@ -152,7 +151,7 @@ class DemandProfile:
     totals: np.ndarray      # (n,) column sums
     excess: np.ndarray      # (n,) totals - supplies
     spending: np.ndarray    # (m, n) prices * quantities
-    weight_sums: np.ndarray  # (m,) row sums of the CES weights a^(1-c) p^c
+    log_unit_costs: np.ndarray  # (m,) ln Q_i, see unit_cost
 
 
 def check_prices(market: CesMarket, prices) -> np.ndarray:
@@ -169,34 +168,35 @@ def check_prices(market: CesMarket, prices) -> np.ndarray:
 
 
 def _ces_weights(market: CesMarket, prices: np.ndarray):
-    """CES weights a[i,j]^(1-c_i) p_j^c_i and their row sums, at checked prices.
+    """Spending shares and ln Q_i at checked prices, from the log CES weights.
 
-    Every demand, unit cost and potential in this module is built from these.
-    Raises DegenerateDemandError if a row sum is zero or non-finite.
+    With l[i, j] = (1-c_i) ln a[i, j] + c_i ln p_j and L_i = max_k l[i, k],
+    the shares are exp(l - L) over their row sums S, and ln Q_i =
+    (L_i + ln S_i) / c_i.  The largest shifted weight is exactly 1, so
+    nothing overflows; zero coefficients get exactly zero share.
     """
-    base = market._weight_base
-    weights = prices[None, :] ** market.demand_exponent[:, None]
-    weights *= base
-    sums = weights.sum(axis=1)
-    if not np.isfinite(sums).all() or (sums <= 0).any():
-        raise DegenerateDemandError(
-            "CES weight sum is zero or non-finite; "
-            "degenerate coefficients or extreme prices"
-        )
-    return weights, sums
+    base = market._weight_base  # first: it refuses rho == 1
+    c = market.demand_exponent
+    logs = np.log(prices) * c[:, None]
+    logs += base
+    top = logs.max(axis=1)
+    logs -= top[:, None]
+    shares = np.exp(logs, out=logs)
+    sums = shares.sum(axis=1)
+    shares /= sums[:, None]
+    return shares, (top + np.log(sums)) / c
 
 
 def demand(market: CesMarket, prices) -> DemandProfile:
     """Utility-maximising demand of every buyer at the given prices.
 
-    Buyer i spends the share weight[i, j] / sum_k weight[i, k] of its budget
-    on good j; zero coefficients yield exactly zero demand.  Each buyer
-    spends the whole budget, so prices . quantities[i] == budgets[i].
+    Buyer i spends on good j the share of its budget that the CES weight
+    a[i,j]^(1-c_i) p_j^c_i has in its row sum; zero coefficients yield zero
+    demand.  Each buyer spends the whole budget, prices . quantities[i] == b_i.
     """
     prices = check_prices(market, prices)
-    spending, sums = _ces_weights(market, prices)
-    spending /= sums[:, None]
-    spending *= market.budgets[:, None]
+    shares, log_q = _ces_weights(market, prices)
+    spending = market.budgets[:, None] * shares
     quantities = spending / prices[None, :]
     totals = quantities.sum(axis=0)
     return DemandProfile(
@@ -204,7 +204,7 @@ def demand(market: CesMarket, prices) -> DemandProfile:
         totals=totals,
         excess=totals - market.supplies,
         spending=spending,
-        weight_sums=sums,
+        log_unit_costs=log_q,
     )
 
 
@@ -226,8 +226,7 @@ def unit_cost(market: CesMarket, prices) -> np.ndarray:
     Q_i(p) = (sum_k a[i,k]^(1-c_i) p_k^c_i)^(1/c_i); independent of budgets
     and supplies.
     """
-    _, sums = _ces_weights(market, check_prices(market, prices))
-    return sums ** (1.0 / market.demand_exponent)
+    return np.exp(_ces_weights(market, check_prices(market, prices))[1])
 
 
 def cpf_potential(market: CesMarket, prices, _profile=None) -> float:
@@ -236,14 +235,13 @@ def cpf_potential(market: CesMarket, prices, _profile=None) -> float:
     Convex in prices and minimised exactly at equilibrium prices; the minimum
     value is generally nonzero (use normalized_cpf_potential for a potential
     that vanishes at equilibrium).  May be negative.  `_profile` is a
-    caller's `demand(market, prices)`, whose weight sums give ln Q.
+    caller's `demand(market, prices)`, whose ln Q is reused.
     """
     if _profile is None:
         prices = check_prices(market, prices)
-        sums = _ces_weights(market, prices)[1]
+        log_q = _ces_weights(market, prices)[1]
     else:
-        sums = _profile.weight_sums
-    log_q = np.log(sums) / market.demand_exponent
+        log_q = _profile.log_unit_costs
     return float((market.supplies * prices).sum() - (market.budgets * log_q).sum())
 
 

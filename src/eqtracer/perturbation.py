@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import CesMarket, unit_cost
+from .market import CesMarket, _ces_weights, check_prices
 
 SUPPLY = "supply-additive"
 BUDGET = "budget-additive"
@@ -54,7 +54,7 @@ def apply_event(market: CesMarket, event: PerturbationEvent) -> CesMarket:
     Only the field the event changes is built and checked: supplies and
     budgets must stay positive and finite, coefficients finite with a
     positive entry in every row.  The other fields, and for supply and budget
-    events the cached a^(1-c), are shared with `market`.
+    events the cached (1-c) ln a, are shared with `market`.
     """
     if event.channel == UTILITY:
         if event.payload.shape != market.coefficients.shape:
@@ -273,9 +273,10 @@ def calibrate_c_prime(
     """
     if not equilibrium_prices or not probe_prices:
         raise ValueError("need at least one equilibrium and one probe price vector")
-    log_star = np.array([np.log(unit_cost(market, p)) for p in equilibrium_prices])
-    log_probe = np.array([np.log(unit_cost(market, p)) for p in probe_prices])
-    diffs = np.abs(log_star[:, None, :] - log_probe[None, :, :])
+    def log_q(points):
+        return np.array([_ces_weights(market, check_prices(market, p))[1] for p in points])
+
+    diffs = np.abs(log_q(equilibrium_prices)[:, None, :] - log_q(probe_prices)[None])
     return float(diffs.max())
 
 
@@ -288,6 +289,7 @@ def delta_prd_utility(market_history: Sequence[CesMarket], epsilon: float) -> fl
     restricted to goods the buyer values, and C_i = (B/b_i)^(rho_i/(1-rho_i)),
     and returns
         sum_i b_i (e^kappa_i - 1) |ln C_i - ln Pi_i| + 2 b_i eps / rho_i.
+    Raises ValueError when that sum overflows (rho near 1 and eps too large).
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
@@ -322,9 +324,13 @@ def _prd_delta_from_parts(
     total = float(budgets.sum())
     log_c = (rho / (1.0 - rho)) * np.log(total / budgets)
     log_pi = np.log(min_share) / (1.0 - rho)
-    first = budgets * np.expm1(kappa) * np.abs(log_c - log_pi)
-    second = 2.0 * budgets * epsilon / rho
-    return float((first + second).sum())
+    # kappa grows like eps c^2, so near rho = 1 the cap can overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = budgets * np.expm1(kappa) * np.abs(log_c - log_pi)
+        cap = float((first + 2.0 * budgets * epsilon / rho).sum())
+    if not np.isfinite(cap):
+        raise ValueError(f"drift {epsilon:.3g} is too large for rho this close to 1")
+    return cap
 
 
 # ---------------------------------------------------------------------------

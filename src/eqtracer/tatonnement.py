@@ -146,6 +146,10 @@ class _CpfPotential:
         return cpf_potential(market, prices, _profile=_profile) - self._psi_star
 
 
+def _make_potential(market, config):
+    return misspending_potential if config.variant == MISSPENDING else _CpfPotential(market)
+
+
 def jump_cap(event, market, variant, price_cap, c_prime) -> float:
     """Closed-form cap on the potential jump `event` causes on `market`."""
     if variant == MISSPENDING:
@@ -209,11 +213,7 @@ def fit_contraction(
     """
     if rounds < 1:
         raise ValueError("need at least one warm-up round")
-    potential = _potential or (
-        misspending_potential
-        if config.variant == MISSPENDING
-        else _CpfPotential(market)
-    )
+    potential = _potential or _make_potential(market, config)
     p = check_prices(market, prices)
     profile = demand(market, p)
     phi = potential(market, p, _profile=profile)
@@ -261,7 +261,7 @@ def run_tatonnement_trace(
     round's only price validation: the demand that measures the potential at
     (market_t, p_t) drives the update of round t+1.  Events build the next
     market without re-validating the fields they leave alone (see
-    `apply_event`), and each market's a^(1-c) is computed at most once.
+    `apply_event`), and each market's (1-c) ln a is computed at most once.
 
     `delta` is supplied or fitted beforehand with `fit_contraction`, whose
     final prices are then the natural `prices0`.  `_potential` lets a caller
@@ -280,11 +280,7 @@ def run_tatonnement_trace(
         raise ValueError("price cap must be at least the largest initial price")
 
     market = market0
-    potential = _potential or (
-        misspending_potential
-        if config.variant == MISSPENDING
-        else _CpfPotential(market0)
-    )
+    potential = _potential or _make_potential(market0, config)
     profile = demand(market0, prices)
     initial = potential(market0, prices, _profile=profile)
 

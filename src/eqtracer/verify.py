@@ -14,7 +14,6 @@ from itertools import product
 import numpy as np
 
 from .applications import (
-    ShiftingQuadratic,
     balanced_state,
     diffusion_step,
     gd_regret_bound,
@@ -25,6 +24,7 @@ from .applications import (
 )
 from .equilibrium import solve_equilibrium
 from .instances import (
+    drifting_quadratic,
     drifting_speeds,
     make_network,
     random_market,
@@ -85,6 +85,26 @@ def _sizes(rng) -> tuple[int, int]:
     return int(rng.integers(2, 9)), int(rng.integers(2, 9))
 
 
+def _descend(step, potential, state, target: float, limit: int, scale=None):
+    """Apply `step` until `potential` is at most `target`, or `limit` times.
+
+    Returns (monotone, reached, rounds, potential).  A step that raises the
+    potential by more than 1e-12 * scale (default max(1, |start|)) stops the
+    run as not monotone.
+    """
+    phi = potential(state)
+    slack = 1e-12 * (scale or max(1.0, abs(phi)))
+    for rounds in range(1, limit + 1):
+        state = step(state)
+        nxt = potential(state)
+        if nxt > phi + slack:
+            return False, False, rounds, phi
+        phi = nxt
+        if phi <= target:
+            return True, True, rounds, phi
+    return True, False, limit, phi
+
+
 def check_static_misspending(markets: int = 50) -> CheckResult:
     """Misspending falls monotonically to 1e-6 of the budget within 5000 rounds."""
     t0 = time.perf_counter()
@@ -95,21 +115,11 @@ def check_static_misspending(markets: int = 50) -> CheckResult:
         m, n = _sizes(rng)
         market = random_market(rng, m, n, 0.2, 0.8)
         lam = default_step_size(market)
-        target = 1e-6 * market.total_budget
-        slack = 1e-12 * market.total_budget
-        p = uniform_prices(market)
-        phi = misspending_potential(market, p)
-        monotone, reached = True, False
-        for rounds in range(1, 5001):
-            p = step_ms(p, market, lam)
-            nxt = misspending_potential(market, p)
-            if nxt > phi + slack:
-                monotone = False
-                break
-            phi = nxt
-            if phi <= target:
-                reached = True
-                break
+        total = market.total_budget
+        monotone, reached, rounds, phi = _descend(
+            lambda p: step_ms(p, market, lam), lambda p: misspending_potential(market, p),
+            uniform_prices(market), 1e-6 * total, 5000, scale=total,
+        )
         worst_rounds = max(worst_rounds, rounds)
         if not (monotone and reached):
             failures.append(f"seed {seed}: monotone={monotone} final={phi:.2e}")
@@ -133,20 +143,10 @@ def check_static_cpf(markets: int = 50) -> CheckResult:
         lo, hi = (0.2, 0.8) if seed % 2 == 0 else (-2.0, -0.5)
         market = random_market(rng, m, n, lo, hi)
         psi_star = solve_equilibrium(market).psi_star
-        p = uniform_prices(market)
-        phi = cpf_potential(market, p) - psi_star
-        slack = 1e-12 * max(1.0, abs(phi))
-        monotone, reached = True, False
-        for rounds in range(1, 20001):
-            p = step_cpf(p, market, 0.05)
-            nxt = cpf_potential(market, p) - psi_star
-            if nxt > phi + slack:
-                monotone = False
-                break
-            phi = nxt
-            if phi <= 1e-6:
-                reached = True
-                break
+        monotone, reached, rounds, phi = _descend(
+            lambda p: step_cpf(p, market, 0.05), lambda p: cpf_potential(market, p) - psi_star,
+            uniform_prices(market), 1e-6, 20_000,
+        )
         worst_rounds = max(worst_rounds, rounds)
         if not (monotone and reached):
             failures.append(
@@ -318,20 +318,10 @@ def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
         market = random_market(rng, m, n, 0.2, 0.8, unit_supplies=True)
         eq = solve_equilibrium(market, tolerance=1e-10)
         g_star = prd_potential_g(market, eq.bids)
-        bids = proportional_bids(market)
-        gap = prd_potential_g(market, bids) - g_star
-        slack = 1e-12 * max(1.0, abs(gap))
-        monotone, reached = True, False
-        for _ in range(10_000):
-            bids = prd_step(bids, market)
-            nxt = prd_potential_g(market, bids) - g_star
-            if nxt > gap + slack:
-                monotone = False
-                break
-            gap = nxt
-            if gap <= 1e-8:
-                reached = True
-                break
+        monotone, reached, _, gap = _descend(
+            lambda b: prd_step(b, market), lambda b: prd_potential_g(market, b) - g_star,
+            proportional_bids(market), 1e-8, 10_000,
+        )
         if not (monotone and reached):
             failures.append(f"seed {seed}: monotone={monotone} final gap={gap:.2e}")
             continue
@@ -388,15 +378,7 @@ def check_gd_tracking(instances: int = 50, horizon: int = 600) -> CheckResult:
     failures = []
     shift = 0.01
     for seed in range(instances):
-        rng = np.random.default_rng(7000 + seed)
-        dims = 5
-        curvatures = rng.uniform(0.5, 3.0, dims)
-        directions = rng.normal(size=(horizon + 1, dims))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        optima = np.cumsum(shift * directions, axis=0)
-        eta = 2.0 / (curvatures.min() + curvatures.max())
-        problem = ShiftingQuadratic(curvatures=curvatures, optima=optima, eta=eta)
-        x0 = optima[0] + rng.normal(size=dims)
+        problem, x0 = drifting_quadratic(7000 + seed, horizon=horizon, shift=shift)
         trace, regret = simulate_shifting_quadratic(problem, x0)
         enveloped = trace.violations() == 0
         closed = gd_tracking_bound(trace.initial, problem.delta, trace.delta, horizon)

@@ -131,6 +131,21 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="diagonal"):
             LoadNetwork(speeds=np.ones(2), loads=np.ones(2), diffusivity=P)
 
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1), (2, 3)], [(0, 1), (1, 2)]], ids=["two-pairs", "isolated-node"]
+    )
+    def test_rejects_disconnected_support(self, edges):
+        P = default_diffusivity(4, edges)
+        # Power iteration puts the isolated node's lambda2 just below 1, so
+        # only the connectivity test catches it.
+        assert second_eigenvalue(P) > 0.999
+        with pytest.raises(ValueError, match="the diffusion matrix must mix"):
+            LoadNetwork(speeds=np.ones(4), loads=np.ones(4), diffusivity=P)
+
+    def test_single_machine_is_connected(self):
+        net = LoadNetwork(speeds=[1.0], loads=[2.0], diffusivity=[[1.0]])
+        assert net.total_load == 2.0
+
     def test_default_diffusivity_properties(self):
         for edges, n in ((path_edges(7), 7), (cycle_edges(8), 8), (complete_edges(5), 5)):
             P = default_diffusivity(n, edges)

@@ -19,7 +19,7 @@ from eqtracer.cli import (
     build_parser,
     main,
 )
-from eqtracer.instances import drifting_speeds, random_market
+from eqtracer.instances import drifting_quadratic, drifting_speeds, random_market
 from eqtracer.trace import CSV_HEADER, file_sha256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -316,7 +316,11 @@ def test_report_without_measurable_contraction_is_valid_json(tmp_path, network):
 
 @pytest.mark.parametrize(
     "section, generator",
-    [(("market", "random"), random_market), (("network", "drift"), drifting_speeds)],
+    [
+        (("market", "random"), random_market),
+        (("network", "drift"), drifting_speeds),
+        (("quadratic",), drifting_quadratic),
+    ],
 )
 def test_generator_sections_name_generator_parameters(section, generator):
     # The CLI passes these sections to their generators as keyword arguments.
@@ -324,6 +328,43 @@ def test_generator_sections_name_generator_parameters(section, generator):
     for key in section:
         schema = schema["properties"][key]
     assert set(schema["properties"]) <= set(inspect.signature(generator).parameters)
+
+
+@pytest.mark.parametrize("graph", [[[0, 1], [2, 3]], [[0, 1], [1, 2]]])
+def test_disconnected_diffusion_network_exits_3(tmp_path, capsys, graph):
+    network = {"graph": graph, "n": 4, "seed": 1, "drift": {"magnitude": 0.01, "seed": 2}}
+    cfg = write_config(tmp_path, "c.json", {"kind": "diffusion", "horizon": 20, "network": network})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_SIMULATION
+    assert "the diffusion matrix must mix" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+def test_overflowing_prd_cap_exits_3_by_name(tmp_path, capsys):
+    market = {"m": 2, "n": 12, "seed": 5, "rho_low": 0.99, "rho_high": 0.999, "unit_supplies": True}
+    config = {
+        "kind": "prd",
+        "horizon": 20,
+        "market": {"random": market},
+        "schedule": {
+            "generator": {"channel": "utility-multiplicative", "magnitude": 0.006, "seed": 4}
+        },
+    }
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert "too large for rho this close to 1" in err
+    assert "Warning" not in err and "JSON" not in err
+
+
+@pytest.mark.parametrize("bounds", [{"q1": 0.5}, {"q2": 0.5}], ids=["q1-alone", "q2-alone"])
+def test_lone_prd_constant_is_a_config_error(tmp_path, capsys, bounds):
+    cfg = write_config(tmp_path, "c.json", {"kind": "prd", "horizon": 5, "bounds": bounds})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config field bounds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -399,28 +440,28 @@ _HEADER_ONLY = "b073bcd32f4daf7e70bd68c40a639e3f77293a38b2602265b65f878ffeaa6d4e
 # so and update these digests.
 GOLDEN_DIGESTS = {
     ("tatonnement-ms", None): (
-        "c317068b1566385255866309b5fcd2ff1f1b88e36da96e3668a738edc7b56bc2",
-        "8e26e6e1945da12c0ecdb3828ab361c8e43775b26477910d0660dd01a7be0850",
+        "56e73d6da8e56635d70d23f027384dc736c92bcee4f890276e222408dbe35ab4",
+        "a2201e0d87e064d7ad9ccac1077aefb96e14b52be50894d168952ea2d2f1b550",
     ),
     ("tatonnement-ms", 0): (
         _HEADER_ONLY,
-        "7db1e488ef563677b3debb5d3b101686dce2320e1f526b69bf96bd1d8fec0723",
+        "fe9ecbd9cca5380b7b4392af6f829d6acc9fe095a8d5d257bde2c5e97792a58c",
     ),
     ("tatonnement-cpf", None): (
-        "78a045be97f23bb1310992627561e71d65c86c6bb4193cc021b560912f6e8c45",
-        "b07628c4f776a0e14acd4e8e8cc76b83694e8ee78259b47859842af47845797d",
+        "6ca657c2953da7a064d14b9247a118a9159fe0ad7ec59cdc01d561a31613355e",
+        "892241ea2fe2e7ca306d574e9920c89d9bcc25641d5cfa3549e179492bff3682",
     ),
     ("tatonnement-cpf", 0): (
         _HEADER_ONLY,
-        "931a4f31f40e86672f2185f5dfcba5a5e583f7b25fe933bdf492dd247376d93c",
+        "380b412ab247c77d79a3d0b82af3d25a9109f5f3c1ee2df3f0d286465097730f",
     ),
     ("prd", None): (
-        "394574d25e02444a03312b04c6eee027492cc4b4b87830df6ecdac5f12dfafa7",
-        "0a9f9e751582e0f46f1bbc73d80719c330ef6e77d31f8f2582d1a96f6fd5216a",
+        "4fdf293f61a70c85e7626245dd863db99cbe98ae55297a99cbb0148df4ab0e96",
+        "7768f0e3b96230b98333b7aa07a309a373ce37680ba220398bbafb82b27ad211",
     ),
     ("prd", 0): (
         _HEADER_ONLY,
-        "ebe7b04fed8a9a05e41bac8e8469e4613013ac4b5af61a5e985336ce50ffd0c2",
+        "9956a1c381b49b5514cbd3955f70790c95276ae5824944c231c3b5df7fba3748",
     ),
     ("gd-shifting", None): (
         "282d76bc878b976300711d7ba45e6dd06b77af2a03d3d5ed65da79e16744304b",

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from eqtracer import (
     CesMarket,
-    DegenerateDemandError,
     LinearUtilityError,
     cpf_potential,
     demand,
@@ -116,6 +115,8 @@ class TestCachedExponent:
         coefficients.setflags(write=False)
         derived = market._derive(coefficients=coefficients)
         assert derived.demand_exponent is c
+        fresh = (1.0 - c[:, None]) * np.log(coefficients)
+        assert np.array_equal(derived._weight_base, fresh)
         assert np.array_equal(
             derived._weight_base, market.replace(coefficients=coefficients)._weight_base
         )
@@ -156,12 +157,13 @@ class TestDemand:
         with pytest.raises(ValueError, match="shape"):
             demand(single_good(), [1.0, 2.0])
 
-    def test_degenerate_denominator_reported(self):
-        # rho = 0.9 gives c = -9; an astronomic price underflows the
-        # spending weights to zero.
-        market = single_good(rho=0.9)
-        with pytest.raises(DegenerateDemandError):
-            demand(market, [1e40])
+    def test_extreme_price_gives_budget_over_price(self):
+        # rho = 0.9 gives c = -9, so the written-out weight p^c underflows to
+        # zero at p = 1e40; the shifted log weights keep the whole budget.
+        market = single_good(budget=3.0, rho=0.9)
+        profile = demand(market, [1e40])
+        assert profile.quantities[0, 0] == 3.0 / 1e40
+        assert profile.spending[0, 0] == 3.0
 
     def test_budget_exhaustion_random_markets(self):
         for seed in range(30):
@@ -280,3 +282,34 @@ def test_budget_exhaustion_property(seed, scale):
     prices = uniform_prices(market) * scale
     spent = demand(market, prices).spending.sum(axis=1)
     assert np.all(np.abs(spent - market.budgets) <= 1e-9 * market.budgets)
+
+
+_RHO_RANGES = [(-50.0, -10.0), (-2.0, -0.5), (0.2, 0.8), (0.9, 0.99), (0.99, 0.999)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    rho_range=st.sampled_from(_RHO_RANGES),
+    spread=st.floats(0.0, 3.0),
+)
+def test_log_kernel_matches_written_out_weights(seed, rho_range, spread):
+    market = random_market(seed, 3, 4, *rho_range, zero_fraction=0.3)
+    rng = np.random.default_rng(seed)
+    prices = uniform_prices(market) * 10.0 ** rng.uniform(-spread, spread, 4)
+    c = market.demand_exponent[:, None]
+    with np.errstate(all="ignore"):
+        weights = market.coefficients ** (1.0 - c) * prices**c
+        sums = weights.sum(axis=1, keepdims=True)
+        reference = weights / sums
+    profile = demand(market, prices)
+    shares = profile.spending / market.budgets[:, None]
+    # Compare wherever the written-out weights are finite and neither
+    # overflowed nor lost precision to underflow.
+    usable = np.isfinite(sums) & (sums > 0)
+    usable = usable & ((weights >= np.finfo(float).tiny) | (market.coefficients == 0))
+    assert np.all(
+        np.abs(shares - reference)[usable] <= 1e-12 * reference[usable]
+    ), (shares, reference)
+    spent = profile.spending.sum(axis=1)
+    assert np.all(np.abs(spent - market.budgets) <= 1e-12 * market.budgets)

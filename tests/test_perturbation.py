@@ -110,7 +110,7 @@ class TestEvents:
         assert shifted._weight_base is cached
         factors = np.exp(np.linspace(-0.05, 0.05, 12)).reshape(3, 4)
         out = apply_event(market, event(UTILITY, factors))
-        fresh = out.coefficients ** (1.0 - out.demand_exponent[:, None])
+        fresh = (1.0 - out.demand_exponent[:, None]) * np.log(out.coefficients)
         assert np.array_equal(out._weight_base, fresh)
         assert not np.array_equal(out._weight_base, cached)
 
@@ -221,6 +221,13 @@ class TestBidPotentialCap:
         market = random_market(11, 2, 3, unit_supplies=True)
         shrunk = market.replace(coefficients=market.coefficients * np.array([[1.0, 1.0, 0.1]]))
         assert delta_prd_utility([market, shrunk], 0.01) >= delta_prd_utility([market], 0.01)
+
+    def test_overflowing_cap_fails_by_name(self):
+        # rho in [0.99, 0.999] puts c near -1000, so kappa ~ eps c^2 makes
+        # e^kappa overflow even for a drift of 0.006.
+        market = random_market(5, 2, 12, 0.99, 0.999, unit_supplies=True)
+        with pytest.raises(ValueError, match="too large for rho this close to 1"):
+            delta_prd_utility([market], 0.006)
 
     def test_rejects_negative_drift(self):
         market = random_market(12, 2, 2, unit_supplies=True)
