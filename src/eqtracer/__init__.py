@@ -11,12 +11,10 @@ from .applications import (
     ShiftingQuadratic,
     balanced_state,
     diffusion_step,
-    diffusion_tracking_bound,
     gd_contraction,
     gd_regret_bound,
     gd_step,
     gd_steady_state,
-    gd_tracking_bound,
     second_eigenvalue,
     simulate_diffusion,
     simulate_shifting_quadratic,

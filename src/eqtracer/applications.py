@@ -2,9 +2,10 @@
 
 Gradient descent on smooth, strongly convex objectives whose minimiser moves
 every round, and diffusive load balancing on a machine network whose speeds
-drift.  Both supply a per-step contraction factor (from curvature or from the
-diffusion matrix's second eigenvalue) and a per-round jump cap, which combine
-into the same geometric tracking envelopes used for markets.
+drift.  Both supply a per-round rate (sqrt(1 - delta) from curvature, or the
+diffusion matrix's |lambda2|) and a per-round jump, which `running_bound`
+turns into the same geometric envelope used for markets; `lyapunov.meta_bound`
+is its closed form.
 """
 
 from __future__ import annotations
@@ -38,29 +39,6 @@ def gd_contraction(alpha: float, beta_smooth: float, eta: float) -> float:
     if not 0 < eta <= 2.0 / (alpha + beta_smooth):
         raise ValueError("step size must lie in (0, 2/(alpha+beta)]")
     return 2.0 * eta * alpha * beta_smooth / (alpha + beta_smooth)
-
-
-def gd_tracking_bound(
-    phi0: float, delta: float, shift_deltas, T: int
-) -> float:
-    """(1-delta)^(T/2) phi0 + sum_t (1-delta)^((T-t)/2) shift_t.
-
-    Distance envelope: the per-step contraction acts on squared distances, so
-    the distance itself decays by sqrt(1-delta) per round while each optimum
-    shift adds linearly.
-    """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    shifts = list(shift_deltas)
-    if len(shifts) != T:
-        raise ValueError(f"need exactly {T} shifts, got {len(shifts)}")
-    if any(s < 0 for s in shifts):
-        raise ValueError("shifts must be non-negative")
-    root = (1.0 - delta) ** 0.5
-    value = root**T * phi0
-    for t, shift in enumerate(shifts, start=1):
-        value += root ** (T - t) * shift
-    return float(value)
 
 
 def gd_steady_state(delta: float, shift: float) -> float:
@@ -259,60 +237,16 @@ def balanced_state(network: LoadNetwork) -> tuple[np.ndarray, float]:
     return network.speeds * finish, finish
 
 
-def second_eigenvalue(P, tol: float = 1e-10, max_iters: int = 10_000) -> float:
-    """|second-largest eigenvalue| of a diffusion matrix, by power iteration.
+def second_eigenvalue(P) -> float:
+    """|lambda2| of a symmetric diffusion matrix, by one exact eigensolve.
 
-    Iterates on the complement of the uniform eigenvector (eigenvalue one) and
-    estimates the magnitude from the iterate's growth, which converges even
-    when the subdominant eigenvalues come in +/- pairs.
+    The largest |eigenvalue| other than the top one, which is one for a
+    stochastic matrix (the uniform eigenvector); 0.0 for a single machine.
+    A disconnected matrix repeats the top eigenvalue, so it gets 1 up to
+    rounding.
     """
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    if n == 1:
-        return 0.0
-    uniform = np.full(n, 1.0 / np.sqrt(n))
-    v = np.arange(1.0, n + 1.0)
-    v -= (v @ uniform) * uniform
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        return 0.0
-    v /= norm
-    estimate = 0.0
-    for _ in range(max_iters):
-        w = P @ v
-        w -= (w @ uniform) * uniform
-        norm = float(np.linalg.norm(w))
-        if norm < 1e-300:
-            return 0.0
-        previous, estimate = estimate, norm
-        v = w / norm
-        if abs(estimate - previous) <= tol * max(1.0, estimate):
-            break
-    return estimate
-
-
-def diffusion_tracking_bound(
-    phi0: float, lambda2: float, speed_path, M: float, n: int, T: int
-) -> float:
-    """|lambda2|^T phi0 + M n sum_t |lambda2|^(T-t) |1/||s^t|| - 1/||s^(t-1)|||.
-
-    All norms are L1; speed_path must hold T+1 speed vectors (rounds 0..T).
-    A speed change moves the balanced finishing time by M/||s|| per machine,
-    hence the M n factor on each jump.
-    """
-    lam = abs(lambda2)
-    if lam >= 1:
-        raise ValueError("the diffusion matrix must mix: |lambda2| < 1")
-    path = [np.asarray(s, dtype=float) for s in speed_path]
-    if len(path) < T + 1:
-        raise ValueError(f"need {T + 1} speed vectors, got {len(path)}")
-    if any(np.any(s <= 0) for s in path):
-        raise ValueError("speeds must stay positive")
-    inv = [1.0 / float(np.abs(s).sum()) for s in path]
-    value = lam**T * phi0
-    for t in range(1, T + 1):
-        value += lam ** (T - t) * M * n * abs(inv[t] - inv[t - 1])
-    return float(value)
+    eigenvalues = np.linalg.eigvalsh(np.asarray(P, dtype=float))  # ascending
+    return float(np.abs(eigenvalues[:-1]).max(initial=0.0))
 
 
 def simulate_diffusion(

@@ -171,7 +171,15 @@ CONFIG_SCHEMA = {
                 "graph": {
                     "anyOf": [
                         {"enum": ["path", "cycle", "complete"]},
-                        {"type": "array", "items": {"type": "array"}},
+                        {
+                            "type": "array",
+                            "items": {
+                                "type": "array",
+                                "items": {"type": "integer", "minimum": 0},
+                                "minItems": 2,
+                                "maxItems": 2,
+                            },
+                        },
                     ]
                 },
                 "n": {"type": "integer", "minimum": 1},
@@ -312,7 +320,7 @@ def _run_prd(config: dict):
     market = _build_market(config.get("market", {}))
     bounds = config.get("bounds", {})
     horizon = config["horizon"]
-    reduced = reduce_supply_to_utility(market, np.zeros(market.num_goods))
+    reduced = reduce_supply_to_utility(market)
     bids = proportional_bids(reduced)
     equilibrium = None
     if "q1" in bounds:  # the schema requires q1 and q2 together
@@ -392,7 +400,7 @@ def _run_diffusion(config: dict):
     # Rounds already within rounding noise of balance carry a NaN ratio.
     measured = contractions[~np.isnan(contractions)]
     report = {
-        "constants": {"lambda2": {"value": lam, "source": "power-iteration"}},
+        "constants": {"lambda2": {"value": lam, "source": "eigensolve"}},
         "dominated_with_sqrt_n_slack": trace.violations(np.sqrt(n)) == 0,
         "worst_contraction": float(measured.max()) if measured.size else None,
         "initial_imbalance": trace.initial,

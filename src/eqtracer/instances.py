@@ -83,10 +83,14 @@ def complete_edges(n: int) -> list[tuple[int, int]]:
 def default_diffusivity(n: int, edges) -> np.ndarray:
     """Half-lazy diffusion matrix P = I - L / (2 max degree).
 
-    Symmetric, stochastic, diagonal at least 1/2, positive exactly on edges.
+    Symmetric, stochastic, diagonal at least 1/2, positive exactly on edges,
+    whose endpoints must be machine indices 0..n-1.
     """
     adjacency = np.zeros((n, n))
     for i, j in edges:
+        if not all(v == int(v) and 0 <= v < n for v in (i, j)):
+            raise ValueError(f"edge ({i}, {j}) must join machine indices 0..{n - 1}")
+        i, j = int(i), int(j)
         if i == j:
             raise ValueError("self-loops are not edges")
         adjacency[i, j] = adjacency[j, i] = 1.0

@@ -157,18 +157,14 @@ def prd_normalized_potential(market: CesMarket, bids, g_star: float) -> float:
     return prd_potential_g(market, bids) - g_star
 
 
-def reduce_supply_to_utility(market: CesMarket, supply_log_changes) -> CesMarket:
+def reduce_supply_to_utility(market: CesMarket) -> CesMarket:
     """Absorb supply scale into coefficients, returning a unit-supply market.
 
-    Good j's log-supply change eps_j (plus any non-unit current supply) is
-    folded in as a_ij <- a_ij * exp((eps_j + ln w_j) * rho_i); bid dynamics
-    on the original and reduced markets coincide entrywise.
+    Good j's supply w_j is folded in as a_ij <- a_ij * w_j^rho_i, i.e.
+    a_ij * exp(rho_i ln w_j); bid dynamics on the original and reduced
+    markets coincide entrywise.
     """
-    eps = np.asarray(supply_log_changes, dtype=float)
-    if eps.shape != (market.num_goods,):
-        raise ValueError("need one log change per good")
-    total_log = eps + np.log(market.supplies)
-    factors = np.exp(market.rho[:, None] * total_log[None, :])
+    factors = np.exp(market.rho[:, None] * np.log(market.supplies)[None, :])
     return market.replace(
         coefficients=market.coefficients * factors,
         supplies=np.ones(market.num_goods),
@@ -272,7 +268,7 @@ def run_prd_trace(
         )
     _check_substitutes(market0)
 
-    market = reduce_supply_to_utility(market0, np.zeros(market0.num_goods))
+    market = reduce_supply_to_utility(market0)
     bids = check_bids(market, bids0)
 
     if _equilibrium is not None and (market0.supplies != 1.0).any():
@@ -300,9 +296,7 @@ def run_prd_trace(
                 if event.channel == SUPPLY:
                     perturbed = apply_event(market, event)
                     logs += rho[:, None] * np.log(perturbed.supplies)[None, :]
-                    market = reduce_supply_to_utility(
-                        perturbed, np.zeros(market.num_goods)
-                    )
+                    market = reduce_supply_to_utility(perturbed)
                 else:
                     logs += np.log(event.payload)
                     market = apply_event(market, event)

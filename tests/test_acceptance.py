@@ -18,7 +18,7 @@ CRITERIA = [
     ("1 static misspending contraction", verify.check_static_misspending, 30.0),
     ("2 static convex-potential contraction", verify.check_static_cpf, None),
     ("3 perturbation jump caps dominate", verify.check_delta_domination, None),
-    ("4 dynamic tracing under windowed bound", verify.check_dynamic_tracing, None),
+    ("4 dynamic tracing under the running bound", verify.check_dynamic_tracing, None),
     ("5 extremal shares equal exhaustive search", verify.check_extremal_shares, None),
     ("6 bid dynamics convergence and recurrence", verify.check_prd_convergence, None),
     ("7 supply perturbations reduce to utility", verify.check_supply_reduction, None),

@@ -9,12 +9,11 @@ from eqtracer import (
     ShiftingQuadratic,
     balanced_state,
     diffusion_step,
-    diffusion_tracking_bound,
     gd_contraction,
     gd_regret_bound,
     gd_step,
     gd_steady_state,
-    gd_tracking_bound,
+    meta_bound,
     second_eigenvalue,
     simulate_diffusion,
     simulate_shifting_quadratic,
@@ -73,7 +72,8 @@ class TestGdStep:
 
 class TestGdBounds:
     def test_zero_shifts_pure_decay(self):
-        assert gd_tracking_bound(2.0, 0.36, [0.0] * 4, 4) == pytest.approx(
+        # Descent's rate is sqrt(1 - delta): the contraction acts on squares.
+        assert meta_bound(2.0, (1 - 0.36) ** 0.5, [0.0] * 4) == pytest.approx(
             2.0 * 0.8**4
         )
 
@@ -83,7 +83,7 @@ class TestGdBounds:
 
     def test_constant_shift_sum_below_radius_plus_decay(self):
         phi0, delta, d, T = 3.0, 0.4, 0.05, 200
-        bound = gd_tracking_bound(phi0, delta, [d] * T, T)
+        bound = meta_bound(phi0, (1 - delta) ** 0.5, [d] * T)
         assert bound <= (1 - delta) ** (T / 2) * phi0 + gd_steady_state(delta, d) + 1e-12
 
     def test_regret_zero_when_static_from_optimum(self):
@@ -136,15 +136,20 @@ class TestNetworkValidation:
     )
     def test_rejects_disconnected_support(self, edges):
         P = default_diffusivity(4, edges)
-        # Power iteration puts the isolated node's lambda2 just below 1, so
-        # only the connectivity test catches it.
-        assert second_eigenvalue(P) > 0.999
+        # A disconnected matrix repeats the eigenvalue one; the connectivity
+        # test names it before any envelope could use |lambda2| = 1.
+        assert second_eigenvalue(P) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="the diffusion matrix must mix"):
             LoadNetwork(speeds=np.ones(4), loads=np.ones(4), diffusivity=P)
 
     def test_single_machine_is_connected(self):
         net = LoadNetwork(speeds=[1.0], loads=[2.0], diffusivity=[[1.0]])
         assert net.total_load == 2.0
+
+    @pytest.mark.parametrize("edge", [(0, 5), (3, 1), (0, -1), (0, 1.5)])
+    def test_default_diffusivity_rejects_edges_off_the_machines(self, edge):
+        with pytest.raises(ValueError, match="must join machine indices 0..2"):
+            default_diffusivity(3, [edge, (1, 2)])
 
     def test_default_diffusivity_properties(self):
         for edges, n in ((path_edges(7), 7), (cycle_edges(8), 8), (complete_edges(5), 5)):
@@ -195,30 +200,41 @@ class TestDiffusion:
             assert returned == lam
             assert np.nanmax(contractions) <= lam + 1e-9
 
-    def test_second_eigenvalue_matches_dense_solver(self):
-        rng = np.random.default_rng(4)
-        for graph, n in (("path", 11), ("cycle", 12), ("complete", 9)):
-            net = make_network(graph, n, seed=int(rng.integers(100)))
-            dense = np.sort(np.abs(np.linalg.eigvalsh(net.diffusivity)))[-2]
-            assert second_eigenvalue(net.diffusivity) == pytest.approx(dense, abs=1e-9)
+    @pytest.mark.parametrize("n", [3, 7, 11, 16])
+    def test_second_eigenvalue_matches_closed_form_spectra(self, n):
+        # Half-lazy P = I - L / (2 max degree) on graphs with known spectra.
+        closed_forms = {
+            "path": (1 + np.cos(np.pi / n)) / 2,
+            "cycle": (1 + np.cos(2 * np.pi / n)) / 2,
+            "complete": 1 - n / (2 * (n - 1)),
+        }
+        for graph, want in closed_forms.items():
+            got = second_eigenvalue(make_network(graph, n).diffusivity)
+            assert abs(got - want) <= 1e-12 * want, graph
+
+    def test_second_eigenvalue_of_one_machine_is_zero(self):
+        assert second_eigenvalue([[1.0]]) == 0.0
 
     def test_static_bound_is_pure_decay(self):
         net = make_network("cycle", 6, loads=None, seed=5, load_total=3.0)
         lam = second_eigenvalue(net.diffusivity)
         trace, _, _ = simulate_diffusion(net, [net.speeds] * 51, 50)
+        assert not trace.delta.any()
         assert trace.bound[-1] == pytest.approx(lam**50 * trace.initial, rel=1e-9)
-        assert diffusion_tracking_bound(
-            trace.initial, lam, [net.speeds] * 51, net.total_load, 6, 50
-        ) == pytest.approx(trace.bound[-1], rel=1e-9)
+        assert meta_bound(trace.initial, lam, trace.delta) == pytest.approx(
+            trace.bound[-1], rel=1e-9
+        )
 
     def test_complete_mixing_bound_is_last_jump(self):
         # lambda2 = 0 on two fully mixed machines: only the newest speed
         # change survives in the envelope.
         net = make_network("complete", 2, speeds=[1.0, 1.0], loads=[2.0, 0.0])
         path = [np.array([1.0, 1.0]), np.array([1.1, 1.1])]
-        bound = diffusion_tracking_bound(5.0, 0.0, path, net.total_load, 2, 1)
+        trace, lam, _ = simulate_diffusion(net, path, 1)
         expected = net.total_load * 2 * abs(1 / 2.2 - 1 / 2.0)
-        assert bound == pytest.approx(expected, rel=1e-12)
+        assert trace.delta[0] == pytest.approx(expected, rel=1e-12)
+        assert trace.bound[-1] == pytest.approx(expected, rel=1e-12)
+        assert meta_bound(5.0, lam, trace.delta) == pytest.approx(expected, rel=1e-12)
 
     def test_common_drift_traces_dominated(self):
         for graph in ("path", "cycle", "complete"):

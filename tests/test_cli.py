@@ -340,6 +340,26 @@ def test_disconnected_diffusion_network_exits_3(tmp_path, capsys, graph):
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "graph", [[[0, 1.5], [1, 2]], [[0, -1], [0, 1]], [[0, 1, 2]], [[0]]],
+    ids=["fractional", "negative", "triple", "single"],
+)
+def test_malformed_edge_list_is_a_config_error(tmp_path, capsys, graph):
+    network = {"graph": graph, "n": 3}
+    cfg = write_config(tmp_path, "c.json", {"kind": "diffusion", "horizon": 5, "network": network})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config field network/graph" in capsys.readouterr().err
+
+
+def test_edge_beyond_machine_count_exits_3(tmp_path, capsys):
+    network = {"graph": [[0, 5], [1, 2]], "n": 3}
+    cfg = write_config(tmp_path, "c.json", {"kind": "diffusion", "horizon": 5, "network": network})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_SIMULATION
+    assert "edge (0, 5) must join machine indices 0..2" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_overflowing_prd_cap_exits_3_by_name(tmp_path, capsys):
     market = {"m": 2, "n": 12, "seed": 5, "rho_low": 0.99, "rho_high": 0.999, "unit_supplies": True}
     config = {
@@ -472,12 +492,12 @@ GOLDEN_DIGESTS = {
         "7301b5a3d2c6efeb916babdd3bf82dbae1d82cd286e5ca98515d0d62c0a1ff5b",
     ),
     ("diffusion", None): (
-        "b052481c143b03021ba4bbebfb3898aaf08b7b9e2f333bffe5f1a444c7e9e26a",
-        "e5a0e1ef26d3fec5147827683aefac98eb3e19ea8dd39059c83b5392175773ba",
+        "c0cde548a21f4154248fa11616ac36e159772733621e838917afadff7f0412db",
+        "2c1408c1a774753f0a5982f3f04519181163fe11f1d8d2974d8aadc159ef88e4",
     ),
     ("diffusion", 0): (
         _HEADER_ONLY,
-        "9be5a5d83c6cbb6d24a5f3effe859d0536d3b623c7287d0f2bfb9a516377cbec",
+        "3dbd648e3b076f9f56adba355f82eb88bf739dd1643333ddb44e331587e5c276",
     ),
 }
 

@@ -19,21 +19,29 @@ from eqtracer import (
     run_prd_trace,
     running_bound,
     run_tatonnement_trace,
+    simulate_diffusion,
+    simulate_shifting_quadratic,
     solve_equilibrium,
     windowed_bound,
 )
-from eqtracer.instances import random_market, uniform_prices
+from eqtracer.instances import (
+    drifting_quadratic,
+    drifting_speeds,
+    make_network,
+    random_market,
+    uniform_prices,
+)
 
 
 class TestMetaBound:
     def test_pure_decay(self):
-        assert meta_bound(1.0, 0.5, [0.0, 0.0], 2) == pytest.approx(0.25)
+        assert meta_bound(1.0, 0.5, [0.0, 0.0]) == pytest.approx(0.25)
 
     def test_jump_accumulation(self):
-        assert meta_bound(0.0, 0.5, [1.0, 1.0], 2) == pytest.approx(1.5)
+        assert meta_bound(0.0, 0.5, [1.0, 1.0]) == pytest.approx(1.5)
 
     def test_zero_horizon_returns_start(self):
-        assert meta_bound(3.0, 0.9, [], 0) == 3.0
+        assert meta_bound(3.0, 0.1, []) == 3.0
 
     def test_constant_jumps_below_closed_form(self):
         rng = np.random.default_rng(0)
@@ -42,12 +50,17 @@ class TestMetaBound:
             jump = rng.uniform(0.0, 2.0)
             phi0 = rng.uniform(0.0, 5.0)
             T = int(rng.integers(1, 50))
-            value = meta_bound(phi0, delta, [jump] * T, T)
+            value = meta_bound(phi0, 1 - delta, [jump] * T)
             assert value <= (1 - delta) ** T * phi0 + jump / delta + 1e-12
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
+    def test_rejects_rate_outside_unit_interval(self, rate):
+        with pytest.raises(ValueError, match="rate"):
+            meta_bound(1.0, rate, [0.1])
+
+    def test_rejects_negative_jump(self):
         with pytest.raises(ValueError, match="jump"):
-            meta_bound(1.0, 0.5, [0.1], 2)
+            meta_bound(1.0, 0.5, [0.1, -0.1])
 
 
 _POSITIVE_OR_ZERO = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
@@ -70,24 +83,24 @@ class TestRunningBound:
     @settings(max_examples=100, deadline=None)
     @given(
         phi0=_POSITIVE_OR_ZERO,
-        delta=st.floats(0.0, 0.99, exclude_min=True),
+        rate=st.floats(0.01, 1.0, exclude_max=True),
         jumps=st.lists(_POSITIVE_OR_ZERO, min_size=1, max_size=50),
     )
-    def test_matches_meta_bound(self, phi0, delta, jumps):
-        bounds = running_bound(phi0, 1.0 - delta, jumps)
+    def test_matches_meta_bound(self, phi0, rate, jumps):
+        bounds = running_bound(phi0, rate, jumps)
         for T, got in enumerate(bounds, start=1):
-            want = meta_bound(phi0, delta, jumps[:T], T)
+            want = meta_bound(phi0, rate, jumps[:T])
             assert abs(got - want) <= 1e-12 * want
 
 
 class TestWindowedBound:
     def test_full_split_collapses(self):
-        value = windowed_bound(2.0, 0.25, [1.0, 2.0], 2, 2)
+        value = windowed_bound(2.0, 0.75, [1.0, 2.0], 2)
         assert value == pytest.approx(2.0 / 0.25 + 0.75**2 * 2.0)
 
     def test_no_jumps_any_split(self):
         for t in range(4):
-            assert windowed_bound(1.0, 0.5, [0.0] * 3, 3, t) == pytest.approx(0.125)
+            assert windowed_bound(1.0, 0.5, [0.0] * 3, t) == pytest.approx(0.125)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -99,13 +112,13 @@ class TestWindowedBound:
     def test_dominates_meta(self, phi0, delta, jumps, data):
         T = len(jumps)
         t = data.draw(st.integers(0, T))
-        assert windowed_bound(phi0, delta, jumps, T, t) >= meta_bound(
-            phi0, delta, jumps, T
+        assert windowed_bound(phi0, 1 - delta, jumps, t) >= meta_bound(
+            phi0, 1 - delta, jumps
         ) - 1e-12
 
     def test_invalid_split(self):
         with pytest.raises(ValueError, match="split"):
-            windowed_bound(1.0, 0.5, [0.0], 1, 2)
+            windowed_bound(1.0, 0.5, [0.0], 2)
 
 
 class TestDominantWindow:
@@ -123,19 +136,19 @@ class TestDominantWindow:
 
 class TestBregmanBound:
     def test_geometric_envelope(self):
-        assert bregman_bound(2.0, 0.5, 1.0, [0.0] * 4, 4) == pytest.approx(
+        assert bregman_bound(2.0, 0.5, 1.0, [0.0] * 4) == pytest.approx(
             0.5 * 0.5**3 * 2.0
         )
 
     def test_single_round(self):
-        assert bregman_bound(1.0, 1.0, 2.0, [0.5], 1) == pytest.approx(1.5)
+        assert bregman_bound(1.0, 1.0, 2.0, [0.5]) == pytest.approx(1.5)
 
     def test_monotone_in_each_jump(self):
-        base = bregman_bound(1.0, 0.5, 1.0, [0.1, 0.1, 0.1], 3)
+        base = bregman_bound(1.0, 0.5, 1.0, [0.1, 0.1, 0.1])
         for i in range(3):
             jumps = [0.1] * 3
             jumps[i] = 0.2
-            assert bregman_bound(1.0, 0.5, 1.0, jumps, 3) > base
+            assert bregman_bound(1.0, 0.5, 1.0, jumps) > base
 
     def test_scaling_constants_rescales_lead_term_only(self):
         rng = np.random.default_rng(1)
@@ -145,15 +158,23 @@ class TestBregmanBound:
             c = rng.uniform(1.1, 3.0)
             jumps = list(rng.uniform(0, 1, 4))
             d0 = rng.uniform(0, 2)
-            scaled = bregman_bound(d0, c * q1, c * q2, jumps, 4)
-            plain = bregman_bound(d0, q1, q2, jumps, 4)
-            tail = bregman_bound(0.0, q1, q2, jumps, 4)
+            scaled = bregman_bound(d0, c * q1, c * q2, jumps)
+            plain = bregman_bound(d0, q1, q2, jumps)
+            tail = bregman_bound(0.0, q1, q2, jumps)
             lead = plain - tail
             assert scaled == pytest.approx(c * lead + tail, rel=1e-9)
 
     def test_requires_ordered_constants(self):
         with pytest.raises(ValueError, match="q1 < q2"):
-            bregman_bound(1.0, 2.0, 1.0, [0.0], 1)
+            bregman_bound(1.0, 2.0, 1.0, [0.0])
+
+
+def _assert_bound_column_is_meta_bound(trace, rate):
+    """Every entry of the bound column equals the closed form at its round."""
+    assert trace.delta.any()
+    for T, bound in enumerate(trace.bound, start=1):
+        want = meta_bound(trace.initial, rate, trace.delta[:T])
+        assert abs(bound - want) <= 1e-12 * want
 
 
 class TestRunnersFollowClosedForms:
@@ -173,13 +194,21 @@ class TestRunnersFollowClosedForms:
         )
         prices = uniform_prices(market)
         trace = run_tatonnement_trace(market, prices, config, schedule, 0.01, 150)
-        phi0 = misspending_potential(market, prices)
-        jumps = trace.delta.tolist()
-        assert any(jumps)
-        for T, bound in enumerate(trace.bound, start=1):
-            assert bound == pytest.approx(
-                meta_bound(phi0, 0.01, jumps[:T], T), rel=1e-12
-            )
+        assert trace.initial == misspending_potential(market, prices)
+        _assert_bound_column_is_meta_bound(trace, 1.0 - 0.01)
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_descent_bound_is_meta_bound(self, seed):
+        problem, x0 = drifting_quadratic(seed, horizon=200, shift=0.01)
+        trace, _ = simulate_shifting_quadratic(problem, x0)
+        _assert_bound_column_is_meta_bound(trace, math.sqrt(1.0 - problem.delta))
+
+    @pytest.mark.parametrize("graph", ["path", "cycle", "complete"])
+    def test_diffusion_bound_is_meta_bound(self, graph):
+        net = make_network(graph, 9, loads=None, seed=2, load_total=9.0)
+        path = drifting_speeds(4, 9, 300, 0.002, 0.9, 1.1, mode="common")
+        trace, lam, _ = simulate_diffusion(net, path, 300)
+        _assert_bound_column_is_meta_bound(trace, lam)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_prd_bound_dominates_bregman_bound(self, seed):
@@ -197,6 +226,4 @@ class TestRunnersFollowClosedForms:
         jumps = trace.delta.tolist()
         assert any(jumps)
         for T, cumulative in enumerate(trace.bound, start=1):
-            assert cumulative >= bregman_bound(
-                kl_anchor, bound.q1, bound.q2, jumps[:T], T
-            )
+            assert cumulative >= bregman_bound(kl_anchor, bound.q1, bound.q2, jumps[:T])

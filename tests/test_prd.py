@@ -161,18 +161,20 @@ class TestPotential:
 class TestReduction:
     def test_zero_change_unit_market_unchanged(self):
         market = random_market(7, 2, 3, unit_supplies=True)
-        reduced = reduce_supply_to_utility(market, np.zeros(3))
+        reduced = reduce_supply_to_utility(market)
         assert np.array_equal(reduced.coefficients, market.coefficients)
         assert np.array_equal(reduced.supplies, np.ones(3))
 
     def test_log_change_scales_coefficients(self):
-        market = CesMarket(budgets=[1.0], supplies=[1.0], rho=[0.5], coefficients=[[2.0]])
-        reduced = reduce_supply_to_utility(market, np.array([np.log(2.0)]))
+        # Supply 2 folds in as the factor 2^rho.
+        market = CesMarket(budgets=[1.0], supplies=[2.0], rho=[0.5], coefficients=[[2.0]])
+        reduced = reduce_supply_to_utility(market)
         assert reduced.coefficients[0, 0] == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-14)
+        assert np.array_equal(reduced.supplies, [1.0])
 
     def test_trajectories_match_entrywise(self):
         market = random_market(8, 3, 4)  # non-unit supplies
-        image = reduce_supply_to_utility(market, np.zeros(4))
+        image = reduce_supply_to_utility(market)
         bids_a = proportional_bids(market)
         bids_b = bids_a.copy()
         for _ in range(500):
