@@ -2,9 +2,10 @@
 
 Buyers re-split budgets in proportion to the utility each good delivered
 last round.  Statically the bid-space potential falls to zero; when the
-utility coefficients breathe by a factor e^{+/-0.005} each round, the KL
-distance to the per-round equilibrium obeys a one-round recurrence
-q2 KL' <= q1 KL + jump, which compounds into a geometric tracking bound.
+utility coefficients breathe by a factor e^{+/-0.005} each round, the
+potential gap and the KL distance to the per-round equilibrium obey a
+one-round recurrence gap' <= q1 KL - q2 KL' + jump, which compounds into a
+geometric tracking bound with rate q1/q2.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ trace = run_prd_trace(market, warmed, schedule, bound, 600)
 recurrence = trace.recurrence_ok.mean()
 dominated = 1.0 - trace.violations() / len(trace)
 print(f"\ndynamic run, 600 rounds of coefficient drift (log-magnitude 0.005):")
-print(f"  KL recurrence satisfied on {recurrence:.1%} of rounds")
+print(f"  one-round recurrence satisfied on {recurrence:.1%} of rounds")
 print(f"  measured gap under the cumulative bound on {dominated:.1%} of rounds")
 print(f"  final gap {trace.potential[-1]:.3e}, "
       f"final KL to the moving equilibrium {trace.kl_to_equilibrium[-1]:.3e}")

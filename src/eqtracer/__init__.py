@@ -20,13 +20,7 @@ from .applications import (
     simulate_shifting_quadratic,
 )
 from .equilibrium import ConvergenceError, EquilibriumResult, solve_equilibrium
-from .lyapunov import (
-    bregman_bound,
-    dominant_window,
-    meta_bound,
-    running_bound,
-    windowed_bound,
-)
+from .lyapunov import meta_bound, running_bound
 from .market import (
     CesMarket,
     DemandProfile,
@@ -63,7 +57,6 @@ from .prd import (
     check_bids,
     fit_prd_constants,
     kl_divergence,
-    prd_normalized_potential,
     prd_potential_g,
     prd_step,
     proportional_bids,

@@ -4,8 +4,9 @@ Buyers split budgets across goods, each good is allocated in proportion to
 the bids on it, and next round's bids are proportional to the utility each
 good contributed.  The dynamics minimise a convex bid-space potential whose
 progress per round is measured by KL divergence to the equilibrium spending
-matrix; the trace runner turns the per-round KL recurrence into cumulative
-tracking bounds under drifting utility coefficients and supplies.
+matrix; the trace runner unrolls the per-round recurrence on the gap and KL
+into the running tracking envelope under drifting utility coefficients and
+supplies.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumResult, solve_equilibrium
+from .lyapunov import running_bound
 from .market import CesMarket
 from .perturbation import (
     BUDGET,
@@ -152,11 +154,6 @@ def prd_potential_g(market: CesMarket, bids) -> float:
     return float(-contrib.sum())
 
 
-def prd_normalized_potential(market: CesMarket, bids, g_star: float) -> float:
-    """Potential gap to the equilibrium value; non-negative up to solver tolerance."""
-    return prd_potential_g(market, bids) - g_star
-
-
 def reduce_supply_to_utility(market: CesMarket) -> CesMarket:
     """Absorb supply scale into coefficients, returning a unit-supply market.
 
@@ -247,12 +244,14 @@ def run_prd_trace(
     (warm-started; cached on static rounds), then record the potential gap,
     the KL distance to equilibrium, the per-round jump cap (with the
     coefficient-share floor taken over rounds seen so far), the cumulative
-    KL bound, and whether the one-round KL recurrence held.  The trace's
+    bound, and whether the one-round recurrence held.  The trace's
     `initial` is the gap of bids0.
 
-    The bound is not the `running_bound` recursion the other runners share:
-    it is the divergence bound q1 (q1/q2)^(t-1) KL_0 + q2/(q2 - q1) max_s
-    jump_s, a closed form in the anchor KL and the largest jump so far.
+    The bound unrolls the one-round recurrence
+    gap_t <= q1 KL_{t-1} - q2 KL_t + jump_t, which `recurrence_ok` checks:
+      gap_t >= 0 gives KL_t <= (q1/q2) KL_{t-1} + jump_t / q2;
+      then gap_T <= q1 KL_{T-1} + jump_T;
+      together gap_T <= running_bound(q2 KL_0, q1/q2, jumps)_T.
 
     `bound` is supplied or fitted beforehand with `fit_prd_constants`, whose
     final bids are then the natural `bids0`.  On a unit-supply market0 the
@@ -275,17 +274,15 @@ def run_prd_trace(
         raise ValueError("a fitted equilibrium can only be reused on unit supplies")
     eq = _equilibrium or solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
     g_star = prd_potential_g(market, eq.bids)
-    kl_prev = kl_divergence(eq.bids, bids)
-    kl_anchor = kl_prev
+    kl_anchor = kl_prev = kl_divergence(eq.bids, bids)
     min_share = _min_coefficient_share([market])
     budgets, rho = market.budgets, market.rho
     total = market.total_budget
     recurrence_slack = 1e-12 * max(total, 1.0)
 
     initial = prd_potential_g(market, bids) - g_star
-    gaps, deltas, bounds, highs, lows, kls = (np.empty(horizon) for _ in range(6))
+    gaps, deltas, highs, lows, kls = (np.empty(horizon) for _ in range(5))
     recurrence = np.empty(horizon, dtype=bool)
-    delta_max = 0.0
     for t in range(horizon):
         bids = prd_step(bids, market)
         events = schedule.events_at(t + 1)
@@ -307,14 +304,12 @@ def run_prd_trace(
             )
             g_star = prd_potential_g(market, eq.bids)
         delta_t = _prd_delta_from_parts(budgets, rho, min_share, eps_t)
-        delta_max = max(delta_max, delta_t)
-        gaps[t] = prd_potential_g(market, bids) - g_star
+        gap = prd_potential_g(market, bids) - g_star
         kl = kl_divergence(eq.bids, bids)
-        geo = bound.q1 * bound.ratio**t * kl_anchor
-        deltas[t] = delta_t
-        bounds[t] = geo + bound.q2 / (bound.q2 - bound.q1) * delta_max
-        kls[t] = kl
-        recurrence[t] = bound.q2 * kl <= bound.q1 * kl_prev + delta_t + recurrence_slack
+        gaps[t], deltas[t], kls[t] = gap, delta_t, kl
+        recurrence[t] = (
+            gap <= bound.q1 * kl_prev - bound.q2 * kl + delta_t + recurrence_slack
+        )
         prices = bids.sum(axis=0)
         highs[t] = prices.max()
         lows[t] = prices.min()
@@ -323,7 +318,7 @@ def run_prd_trace(
         initial=initial,
         potential=gaps,
         delta=deltas,
-        bound=bounds,
+        bound=running_bound(bound.q2 * kl_anchor, bound.ratio, deltas),
         max_price=highs,
         min_price=lows,
         kl_to_equilibrium=kls,

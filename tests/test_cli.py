@@ -476,8 +476,8 @@ GOLDEN_DIGESTS = {
         "380b412ab247c77d79a3d0b82af3d25a9109f5f3c1ee2df3f0d286465097730f",
     ),
     ("prd", None): (
-        "4fdf293f61a70c85e7626245dd863db99cbe98ae55297a99cbb0148df4ab0e96",
-        "7768f0e3b96230b98333b7aa07a309a373ce37680ba220398bbafb82b27ad211",
+        "452b917d4d93c56a9f893d7485153e52771cbc0ed34c002e9f273b097dd97e0b",
+        "a1ca6a69a0d82cbb436fb2e03c141008036174f2e250ebb9b10fa7e81bd58568",
     ),
     ("prd", 0): (
         _HEADER_ONLY,

@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eqtracer import (
     ScheduleSpec,
     TatonnementConfig,
-    bregman_bound,
     default_step_size,
-    dominant_window,
     fit_prd_constants,
     generate_schedule,
     kl_divergence,
@@ -21,8 +19,6 @@ from eqtracer import (
     run_tatonnement_trace,
     simulate_diffusion,
     simulate_shifting_quadratic,
-    solve_equilibrium,
-    windowed_bound,
 )
 from eqtracer.instances import (
     drifting_quadratic,
@@ -62,6 +58,37 @@ class TestMetaBound:
         with pytest.raises(ValueError, match="jump"):
             meta_bound(1.0, 0.5, [0.1, -0.1])
 
+    def test_divergence_anchor_decays_geometrically(self):
+        # Bid dynamics with q1 = 0.5, q2 = 1 and KL_0 = 2.
+        assert meta_bound(1.0 * 2.0, 0.5 / 1.0, [0.0] * 4) == pytest.approx(
+            0.5 * 0.5**3 * 2.0
+        )
+
+    def test_divergence_single_round(self):
+        # q1 = 1, q2 = 2 and KL_0 = 1: q1 KL_0 plus the jump.
+        assert meta_bound(2.0 * 1.0, 1.0 / 2.0, [0.5]) == pytest.approx(1.5)
+
+    def test_monotone_in_each_jump(self):
+        base = meta_bound(1.0, 0.5, [0.1, 0.1, 0.1])
+        for i in range(3):
+            jumps = [0.1] * 3
+            jumps[i] = 0.2
+            assert meta_bound(1.0, 0.5, jumps) > base
+
+    def test_scaling_divergence_constants_rescales_lead_term_only(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            q1 = rng.uniform(0.1, 1.0)
+            q2 = q1 + rng.uniform(0.1, 1.0)
+            c = rng.uniform(1.1, 3.0)
+            jumps = list(rng.uniform(0, 1, 4))
+            d0 = rng.uniform(0, 2)
+            scaled = meta_bound(c * q2 * d0, (c * q1) / (c * q2), jumps)
+            plain = meta_bound(q2 * d0, q1 / q2, jumps)
+            tail = meta_bound(0.0, q1 / q2, jumps)
+            lead = plain - tail
+            assert scaled == pytest.approx(c * lead + tail, rel=1e-9)
+
 
 _POSITIVE_OR_ZERO = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
 
@@ -91,82 +118,6 @@ class TestRunningBound:
         for T, got in enumerate(bounds, start=1):
             want = meta_bound(phi0, rate, jumps[:T])
             assert abs(got - want) <= 1e-12 * want
-
-
-class TestWindowedBound:
-    def test_full_split_collapses(self):
-        value = windowed_bound(2.0, 0.75, [1.0, 2.0], 2)
-        assert value == pytest.approx(2.0 / 0.25 + 0.75**2 * 2.0)
-
-    def test_no_jumps_any_split(self):
-        for t in range(4):
-            assert windowed_bound(1.0, 0.5, [0.0] * 3, t) == pytest.approx(0.125)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        phi0=st.floats(0, 5),
-        delta=st.floats(0.01, 1.0),
-        jumps=st.lists(st.floats(0, 1), min_size=1, max_size=20),
-        data=st.data(),
-    )
-    def test_dominates_meta(self, phi0, delta, jumps, data):
-        T = len(jumps)
-        t = data.draw(st.integers(0, T))
-        assert windowed_bound(phi0, 1 - delta, jumps, t) >= meta_bound(
-            phi0, 1 - delta, jumps
-        ) - 1e-12
-
-    def test_invalid_split(self):
-        with pytest.raises(ValueError, match="split"):
-            windowed_bound(1.0, 0.5, [0.0], 2)
-
-
-class TestDominantWindow:
-    def test_unit_rate_log(self):
-        assert dominant_window(1.0, 3, 0.5, 0.5) == math.ceil(math.log(3))
-
-    def test_monotone_in_horizon(self):
-        values = [dominant_window(0.1, T, 0.5, 0.5) for T in (2, 10, 100, 1000)]
-        assert values == sorted(values)
-
-    def test_decreasing_in_rate(self):
-        values = [dominant_window(d, 100, 0.5, 0.5) for d in (0.05, 0.1, 0.5, 1.0)]
-        assert values == sorted(values, reverse=True)
-
-
-class TestBregmanBound:
-    def test_geometric_envelope(self):
-        assert bregman_bound(2.0, 0.5, 1.0, [0.0] * 4) == pytest.approx(
-            0.5 * 0.5**3 * 2.0
-        )
-
-    def test_single_round(self):
-        assert bregman_bound(1.0, 1.0, 2.0, [0.5]) == pytest.approx(1.5)
-
-    def test_monotone_in_each_jump(self):
-        base = bregman_bound(1.0, 0.5, 1.0, [0.1, 0.1, 0.1])
-        for i in range(3):
-            jumps = [0.1] * 3
-            jumps[i] = 0.2
-            assert bregman_bound(1.0, 0.5, 1.0, jumps) > base
-
-    def test_scaling_constants_rescales_lead_term_only(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            q1 = rng.uniform(0.1, 1.0)
-            q2 = q1 + rng.uniform(0.1, 1.0)
-            c = rng.uniform(1.1, 3.0)
-            jumps = list(rng.uniform(0, 1, 4))
-            d0 = rng.uniform(0, 2)
-            scaled = bregman_bound(d0, c * q1, c * q2, jumps)
-            plain = bregman_bound(d0, q1, q2, jumps)
-            tail = bregman_bound(0.0, q1, q2, jumps)
-            lead = plain - tail
-            assert scaled == pytest.approx(c * lead + tail, rel=1e-9)
-
-    def test_requires_ordered_constants(self):
-        with pytest.raises(ValueError, match="q1 < q2"):
-            bregman_bound(1.0, 2.0, 1.0, [0.0])
 
 
 def _assert_bound_column_is_meta_bound(trace, rate):
@@ -211,9 +162,12 @@ class TestRunnersFollowClosedForms:
         _assert_bound_column_is_meta_bound(trace, lam)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
-    def test_prd_bound_dominates_bregman_bound(self, seed):
+    def test_prd_bound_is_meta_bound(self, seed):
+        # Proportional bids sit away from equilibrium (KL_0 > 0), so the
+        # anchor term q2 * KL_0 is exercised, unlike the fit's final bids.
         market = random_market(seed, 3, 4, unit_supplies=True)
-        bound, bids, _ = fit_prd_constants(market, proportional_bids(market))
+        bids = proportional_bids(market)
+        bound, _, eq = fit_prd_constants(market, bids)
         schedule = generate_schedule(
             ScheduleSpec(
                 channel="utility-multiplicative", magnitude=0.005, seed=seed + 5
@@ -221,9 +175,10 @@ class TestRunnersFollowClosedForms:
             market,
             100,
         )
-        trace = run_prd_trace(market, bids, schedule, bound, 100)
-        kl_anchor = kl_divergence(solve_equilibrium(market, tolerance=1e-10).bids, bids)
-        jumps = trace.delta.tolist()
-        assert any(jumps)
-        for T, cumulative in enumerate(trace.bound, start=1):
-            assert cumulative >= bregman_bound(kl_anchor, bound.q1, bound.q2, jumps[:T])
+        trace = run_prd_trace(market, bids, schedule, bound, 100, _equilibrium=eq)
+        kl0 = kl_divergence(eq.bids, bids)
+        assert kl0 > 1e-3
+        assert trace.delta.any()
+        for T, got in enumerate(trace.bound, start=1):
+            want = meta_bound(bound.q2 * kl0, bound.q1 / bound.q2, trace.delta[:T])
+            assert abs(got - want) <= 1e-12 * want

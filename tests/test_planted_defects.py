@@ -6,7 +6,9 @@ on a reduced battery, so the real code is untouched between tests; the
 intact batteries pass in tests/test_acceptance.py.
 """
 
-from eqtracer import tatonnement, verify
+import pytest
+
+from eqtracer import applications, tatonnement, verify
 
 # Battery 4 size that reaches trace 13, a budget trace that each defect below
 # pushes over the runner's bound.
@@ -34,3 +36,26 @@ def test_halved_jump_caps_fail_battery_4(monkeypatch):
     result = verify.check_dynamic_tracing(traces=_TRACES)
     assert not result.passed
     assert "violations" in result.detail
+
+
+# Battery 3 keeps its default 200 trials: the first trial to catch the halved
+# cpf budget cap is trial 28.
+@pytest.mark.parametrize(
+    "cap_name", ["delta_ms_supply", "delta_ms_budget", "delta_cpf_budget"]
+)
+def test_halved_market_cap_fails_battery_3(monkeypatch, cap_name):
+    cap = getattr(tatonnement, cap_name)
+    monkeypatch.setattr(
+        tatonnement, cap_name, lambda *args, **kwargs: 0.5 * cap(*args, **kwargs)
+    )
+    result = verify.check_delta_domination()
+    assert not result.passed
+    assert "> cap" in result.detail
+
+
+def test_squared_second_eigenvalue_fails_battery_9(monkeypatch):
+    lam2 = applications.second_eigenvalue
+    monkeypatch.setattr(applications, "second_eigenvalue", lambda P: lam2(P) ** 2)
+    result = verify.check_diffusion()
+    assert not result.passed
+    assert "FAILURES" in result.detail

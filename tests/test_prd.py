@@ -17,7 +17,6 @@ from eqtracer import (
     fit_prd_constants,
     generate_schedule,
     kl_divergence,
-    prd_normalized_potential,
     prd_potential_g,
     prd_step,
     proportional_bids,
@@ -138,17 +137,17 @@ class TestPotential:
         for _ in range(100):
             raw = rng.random(market.coefficients.shape)
             bids = market.budgets[:, None] * raw / raw.sum(axis=1, keepdims=True)
-            assert prd_normalized_potential(market, bids, g_star) >= -1e-8
+            assert prd_potential_g(market, bids) - g_star >= -1e-8
 
     def test_decreases_along_trajectories(self):
         market = random_market(6, 3, 4, unit_supplies=True)
         eq = solve_equilibrium(market, tolerance=1e-10)
         g_star = prd_potential_g(market, eq.bids)
         bids = proportional_bids(market)
-        previous = prd_normalized_potential(market, bids, g_star)
+        previous = prd_potential_g(market, bids) - g_star
         for _ in range(300):
             bids = prd_step(bids, market)
-            current = prd_normalized_potential(market, bids, g_star)
+            current = prd_potential_g(market, bids) - g_star
             assert current <= previous + 1e-12
             previous = current
 
@@ -245,6 +244,19 @@ class TestFitAndTrace:
         trace = run_prd_trace(market, bids, schedule, bound, 100)
         assert (trace.delta >= 0).all()
         assert (trace.potential <= trace.bound + 1e-9).all()
+
+    def test_recurrence_flag_checks_the_gap(self):
+        # q1/q2 = 0.9 covers every KL ratio of this static run (at most about
+        # 0.63), but the scale is far too small for the potential gap, so the
+        # full recurrence gap_t <= q1 KL_{t-1} - q2 KL_t + jump_t fails.
+        market = random_market(6, 3, 4, unit_supplies=True)
+        bids = proportional_bids(market)
+        bound = PrdBoundConfig(0.9e-6, 1e-6)
+        trace = run_prd_trace(market, bids, PerturbationSchedule(), bound, 30)
+        kl0 = kl_divergence(solve_equilibrium(market, tolerance=1e-10).bids, bids)
+        kl = np.concatenate([[kl0], trace.kl_to_equilibrium])
+        assert (kl[1:] <= bound.ratio * kl[:-1]).all()
+        assert not trace.recurrence_ok.any()
 
     def test_fitted_equilibrium_reuse_is_bitwise(self):
         market = random_market(16, 3, 4, unit_supplies=True)
