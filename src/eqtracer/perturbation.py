@@ -300,7 +300,7 @@ def delta_prd_utility(market_history: Sequence[CesMarket], epsilon: float) -> fl
     if ((base.rho <= 0) | (base.rho >= 1)).any():
         raise ValueError("the bid-potential cap needs rho in (0, 1) for every buyer")
     min_share = _min_coefficient_share(markets)
-    return _prd_delta_from_parts(base.budgets, base.rho, min_share, epsilon)
+    return _prd_delta_from_parts(_prd_cap_parts(base.budgets, base.rho), min_share, epsilon)
 
 
 def _min_coefficient_share(markets: Sequence[CesMarket]) -> np.ndarray:
@@ -314,15 +314,18 @@ def _min_coefficient_share(markets: Sequence[CesMarket]) -> np.ndarray:
     return mins
 
 
-def _prd_delta_from_parts(
-    budgets: np.ndarray, rho: np.ndarray, min_share: np.ndarray, epsilon: float
-) -> float:
+def _prd_cap_parts(budgets: np.ndarray, rho: np.ndarray) -> tuple:
+    """The cap's parts that depend on budgets and rho alone: kappa_i / eps, ln C_i."""
+    c = rho / (rho - 1.0)
+    log_c = (rho / (1.0 - rho)) * np.log(float(budgets.sum()) / budgets)
+    return budgets, rho, 2.0 * (1.0 - c * (3.0 - 2.0 * c.min())), log_c
+
+
+def _prd_delta_from_parts(parts: tuple, min_share: np.ndarray, epsilon: float) -> float:
     if epsilon == 0.0:
         return 0.0
-    c = rho / (rho - 1.0)
-    kappa = 2.0 * epsilon * (1.0 - c * (3.0 - 2.0 * c.min()))
-    total = float(budgets.sum())
-    log_c = (rho / (1.0 - rho)) * np.log(total / budgets)
+    budgets, rho, kappa_rate, log_c = parts
+    kappa = epsilon * kappa_rate
     log_pi = np.log(min_share) / (1.0 - rho)
     # kappa grows like eps c^2, so near rho = 1 the cap can overflow.
     with np.errstate(over="ignore", invalid="ignore"):

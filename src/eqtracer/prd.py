@@ -6,7 +6,8 @@ good contributed.  The dynamics minimise a convex bid-space potential whose
 progress per round is measured by KL divergence to the equilibrium spending
 matrix; the trace runner unrolls the per-round recurrence on the gap and KL
 into the running tracking envelope under drifting utility coefficients and
-supplies.
+supplies.  Each round is one `_round_kernel` call: one set of logs gives the
+next bids, the potential and ln b, from which the KL distance follows.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .perturbation import (
     SUPPLY,
     PerturbationSchedule,
     _min_coefficient_share,
+    _prd_cap_parts,
     _prd_delta_from_parts,
     apply_event,
 )
@@ -48,62 +50,79 @@ def proportional_bids(market: CesMarket) -> np.ndarray:
     return market.budgets[:, None] * a / a.sum(axis=1, keepdims=True)
 
 
-def check_bids(market: CesMarket, bids) -> np.ndarray:
+def _checked_inputs(market: CesMarket, bids) -> np.ndarray:
+    _check_substitutes(market)
     bids = np.asarray(bids, dtype=float)
     if bids.shape != market.coefficients.shape:
-        raise ValueError(
-            f"bids shape {bids.shape} does not match market "
-            f"{market.coefficients.shape}"
-        )
+        raise ValueError(f"bids shape {bids.shape} does not match {market.coefficients.shape}")
     if (bids < 0).any():
         raise ValueError("bids must be non-negative")
-    rows = bids.sum(axis=1)
-    if not np.allclose(rows, market.budgets, rtol=1e-9, atol=0):
+    return bids
+
+
+def check_bids(market: CesMarket, bids) -> np.ndarray:
+    bids = _checked_inputs(market, bids)
+    if not np.allclose(bids.sum(axis=1), market.budgets, rtol=1e-9, atol=0):
         raise ValueError("each buyer's bids must sum to the budget")
-    support_mismatch = (bids > 0) != (market.coefficients > 0)
-    if support_mismatch.any():
+    if ((bids > 0) != (market.coefficients > 0)).any():
         raise ValueError("bids must be positive exactly where coefficients are")
     return bids
+
+
+def _round_kernel(market: CesMarket, bids: np.ndarray, log_a: np.ndarray):
+    """Next bids, g(market, bids), ln bids and prices, from one set of logs.
+
+    Unchecked: bids >= 0 and log_a = ln a.  With l = ln a + rho (ln w + ln b
+    - ln p) = ln(a q^rho), q = w b / p, and L_i its row maximum, next bids are
+    b_i exp(l - L_i) over the row sum and g = p.ln w - sum_{b>0} (b/rho)(l - ln b).
+    Rows are pinned to the budgets at their largest entry: no drift, zeros stay.
+    """
+    prices = bids.sum(axis=0)
+    dead = prices == 0
+    if dead.any() and (market.coefficients[:, dead] > 0).any():
+        raise ValueError("a good with zero total bids still carries positive coefficients")
+    log_w = np.log(market.supplies)
+    rows = np.arange(bids.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = np.log(bids)
+        logs = log_b - np.log(np.where(dead, 1.0, prices))
+        if log_w.any():
+            logs += log_w
+        logs *= market.rho[:, None]
+        logs += log_a
+        top = logs.argmax(axis=1)
+        terms = bids * (logs - log_b)
+        if np.count_nonzero(bids) < bids.size:  # zero bids add nothing (x ln x limit)
+            np.copyto(terms, 0.0, where=bids == 0)
+        g = float(prices @ log_w - (terms.sum(axis=1) / market.rho).sum())
+        del terms
+        logs -= logs[rows, top][:, None]
+        new = np.exp(logs, out=logs)
+        sums = new.sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise ValueError("a buyer's bid normaliser is zero or non-finite")
+    new *= (market.budgets / sums)[:, None]
+    for _ in range(4):
+        residue = market.budgets - new.sum(axis=1)
+        if not np.count_nonzero(residue):
+            break
+        new[rows, top] += residue
+    return new, g, log_b, prices
+
+
+def _log_coefficients(market: CesMarket) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(market.coefficients)
 
 
 def prd_step(bids, market: CesMarket) -> np.ndarray:
     """One bid update: allocate goods pro rata, re-split budgets by utility.
 
-    The quantity buyer i receives of good j is supplies_j * b_ij / p_j with
-    p_j the money on good j; new bids are proportional to
-    a_ij * quantity^rho_i and each row is renormalised to the buyer's budget
-    so row sums are preserved exactly.
+    Buyer i receives supplies_j * b_ij / p_j of good j, p_j the money on it;
+    new bids are proportional to a_ij * quantity^rho_i, with each row
+    renormalised to the buyer's budget exactly.
     """
-    _check_substitutes(market)
-    bids = np.asarray(bids, dtype=float)
-    if bids.shape != market.coefficients.shape:
-        raise ValueError("bids shape does not match the market")
-    if (bids < 0).any():
-        raise ValueError("bids must be non-negative")
-    a = market.coefficients
-    prices = bids.sum(axis=0)
-    dead = prices <= 0
-    if dead.any() and (a[:, dead] > 0).any():
-        raise ValueError(
-            "a good with zero total bids still carries positive "
-            "coefficients; its allocation share is undefined"
-        )
-    safe_prices = np.where(dead, 1.0, prices)
-    quantity = market.supplies[None, :] * bids / safe_prices[None, :]
-    weights = a * quantity ** market.rho[:, None]
-    norms = weights.sum(axis=1)
-    if (norms <= 0).any() or not np.isfinite(norms).all():
-        raise ValueError("a buyer's bid normaliser is zero or non-finite")
-    new = market.budgets[:, None] * (weights / norms[:, None])
-    # Pin row sums to the budgets (to the last rounding unit, so sums cannot
-    # drift over long runs); the residue goes to the largest entry, which
-    # never disturbs the zero pattern.
-    for _ in range(4):
-        residue = market.budgets - new.sum(axis=1)
-        if not residue.any():
-            break
-        new[np.arange(new.shape[0]), new.argmax(axis=1)] += residue
-    return new
+    return _round_kernel(market, _checked_inputs(market, bids), _log_coefficients(market))[0]
 
 
 def kl_divergence(x, y) -> float:
@@ -132,26 +151,33 @@ def prd_potential_g(market: CesMarket, bids) -> float:
     """Convex bid-space potential minimised exactly at equilibrium spending.
 
     g(B) = - sum over bids > 0 of (b_ij / rho_i) ln(a_ij b_ij^(rho_i - 1)
-    / p_j^rho_i); zero bids contribute nothing (x ln x limit).
+    / p_j^rho_i); zero bids contribute nothing (x ln x limit).  Like
+    `prd_step`, it rejects bids that leave a valued good without bids.
     """
-    _check_substitutes(market)
-    bids = np.asarray(bids, dtype=float)
-    if bids.shape != market.coefficients.shape:
-        raise ValueError("bids shape does not match the market")
-    a = market.coefficients
-    active = bids > 0
-    if (active & (a <= 0)).any():
+    g = _round_kernel(market, _checked_inputs(market, bids), _log_coefficients(market))[1]
+    if not np.isfinite(g):
         raise ValueError("positive bid on a zero coefficient makes g non-finite")
-    prices = bids.sum(axis=0)
-    rho = market.rho[:, None]
-    log_term = np.zeros_like(bids)
-    np.log(a, out=log_term, where=active)
-    log_bids = np.zeros_like(bids)
-    np.log(bids, out=log_bids, where=active)
-    log_prices = np.log(np.where(prices > 0, prices, 1.0))
-    inner = log_term + (rho - 1.0) * log_bids - rho * log_prices[None, :]
-    contrib = np.where(active, bids / rho * inner, 0.0)
-    return float(-contrib.sum())
+    return g
+
+
+def _anchor(market: CesMarket, eq: EquilibriumResult):
+    """ln a, g* and `kl_divergence(eq.bids, b)` as a function of ln b, for every solve.
+
+    The KL's mass and sign checks hold by construction: bids are checked on
+    entry, and the kernel keeps them non-negative with rows at the budgets.
+    """
+    log_a = _log_coefficients(market)
+    x = eq.bids.ravel()
+    support = slice(None) if x.all() else np.flatnonzero(x)
+    x, log_x = x[support], np.log(x[support])
+
+    def kl(log_b: np.ndarray) -> float:
+        value = float((x * (log_x - log_b.ravel()[support])).sum())
+        if not np.isfinite(value):  # ln b = -inf where x > 0
+            raise ValueError("support violation: y must be positive wherever x is")
+        return max(value, 0.0)
+
+    return log_a, _round_kernel(market, eq.bids, log_a)[1], kl
 
 
 def reduce_supply_to_utility(market: CesMarket) -> CesMarket:
@@ -197,21 +223,22 @@ def fit_prd_constants(
     """
     if rounds < 2:
         raise ValueError("need at least two warm-up rounds to fit constants")
-    _check_substitutes(market)
+    bids = check_bids(market, bids)
     eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
-    g_star = prd_potential_g(market, eq.bids)
-    bids = np.asarray(bids, dtype=float)
-    kl = kl_divergence(eq.bids, bids)
-    # Stop fitting once the KL distance sinks toward the solver's own
-    # accuracy plateau, where per-round ratios are rounding noise.
-    floor = max(kl * 1e-12, 1e-13 * market.total_budget)
+    log_a, g_star, kl_to = _anchor(market, eq)
+    step, _, log_b, _ = _round_kernel(market, bids, log_a)
+    kl = kl_to(log_b)
+    # The solve stops at a misspending of _SOLVER_TOLERANCE * B, so g* and every
+    # KL carry an error of that order.  Rounds whose KL is within a hundred times
+    # that are not fitted: their ratios and gaps are mostly the solve's error.
+    floor = max(kl * 1e-12, 100 * _SOLVER_TOLERANCE * market.total_budget)
     triples = []
     for _ in range(rounds):
-        bids = prd_step(bids, market)
-        kl_next = kl_divergence(eq.bids, bids)
-        gap_next = prd_potential_g(market, bids) - g_star
+        bids = step
+        step, g, log_b, _ = _round_kernel(market, bids, log_a)
+        kl_next = kl_to(log_b)
         if kl > floor:
-            triples.append((kl, kl_next, gap_next))
+            triples.append((kl, kl_next, g - g_star))
         kl = kl_next
     if not triples:
         raise ValueError("warm-up started at a converged state; nothing to fit")
@@ -221,10 +248,7 @@ def fit_prd_constants(
             f"KL distance failed to contract during warm-up (ratio {worst_ratio:.6f})"
         )
     ratio = (1.0 + worst_ratio) / 2.0
-    q2 = max(
-        max(gap / (ratio * cur - nxt) for cur, nxt, gap in triples),
-        1e-9,
-    )
+    q2 = max(max(gap / (ratio * cur - nxt) for cur, nxt, gap in triples), 1e-9)
     return PrdBoundConfig(q1=ratio * q2, q2=q2), bids, eq
 
 
@@ -262,29 +286,24 @@ def run_prd_trace(
     if schedule.max_round > horizon:
         raise ValueError("schedule contains events beyond the horizon")
     if BUDGET in schedule.channels():
-        raise ValueError(
-            "budget events are unsupported: the bid domain itself would move"
-        )
-    _check_substitutes(market0)
-
-    market = reduce_supply_to_utility(market0)
-    bids = check_bids(market, bids0)
-
+        raise ValueError("budget events are unsupported: the bid domain itself would move")
     if _equilibrium is not None and (market0.supplies != 1.0).any():
         raise ValueError("a fitted equilibrium can only be reused on unit supplies")
+    # Checked once: events keep rho; the kernel keeps bids on the support, rows at the budgets.
+    market = reduce_supply_to_utility(market0)
+    bids = check_bids(market, bids0)
     eq = _equilibrium or solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
-    g_star = prd_potential_g(market, eq.bids)
-    kl_anchor = kl_prev = kl_divergence(eq.bids, bids)
+    log_a, g_star, kl_to = _anchor(market, eq)
     min_share = _min_coefficient_share([market])
-    budgets, rho = market.budgets, market.rho
-    total = market.total_budget
-    recurrence_slack = 1e-12 * max(total, 1.0)
-
-    initial = prd_potential_g(market, bids) - g_star
+    cap_parts = _prd_cap_parts(market.budgets, market.rho)
+    recurrence_slack = 1e-12 * max(market.total_budget, 1.0)
+    step, g, log_b, _ = _round_kernel(market, bids, log_a)
+    initial = g - g_star
+    kl_anchor = kl_prev = kl_to(log_b)
     gaps, deltas, highs, lows, kls = (np.empty(horizon) for _ in range(5))
     recurrence = np.empty(horizon, dtype=bool)
     for t in range(horizon):
-        bids = prd_step(bids, market)
+        bids = step
         events = schedule.events_at(t + 1)
         eps_t = 0.0
         if events:
@@ -292,27 +311,24 @@ def run_prd_trace(
             for event in events:
                 if event.channel == SUPPLY:
                     perturbed = apply_event(market, event)
-                    logs += rho[:, None] * np.log(perturbed.supplies)[None, :]
+                    logs += market.rho[:, None] * np.log(perturbed.supplies)[None, :]
                     market = reduce_supply_to_utility(perturbed)
                 else:
                     logs += np.log(event.payload)
                     market = apply_event(market, event)
             eps_t = float(np.abs(logs).max())
             min_share = np.minimum(min_share, _min_coefficient_share([market]))
-            eq = solve_equilibrium(
-                market, tolerance=_SOLVER_TOLERANCE, initial_prices=eq.prices
-            )
-            g_star = prd_potential_g(market, eq.bids)
-        delta_t = _prd_delta_from_parts(budgets, rho, min_share, eps_t)
-        gap = prd_potential_g(market, bids) - g_star
-        kl = kl_divergence(eq.bids, bids)
+            eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE, initial_prices=eq.prices)
+            log_a, g_star, kl_to = _anchor(market, eq)
+        delta_t = _prd_delta_from_parts(cap_parts, min_share, eps_t)
+        # One call gives this round's gap and KL and next round's bids.
+        step, g, log_b, prices = _round_kernel(market, bids, log_a)
+        gap = g - g_star
+        kl = kl_to(log_b)
+        del log_b  # not needed during the next round's re-solve
         gaps[t], deltas[t], kls[t] = gap, delta_t, kl
-        recurrence[t] = (
-            gap <= bound.q1 * kl_prev - bound.q2 * kl + delta_t + recurrence_slack
-        )
-        prices = bids.sum(axis=0)
-        highs[t] = prices.max()
-        lows[t] = prices.min()
+        recurrence[t] = gap <= bound.q1 * kl_prev - bound.q2 * kl + delta_t + recurrence_slack
+        highs[t], lows[t] = prices.max(), prices.min()
         kl_prev = kl
     return Trace(
         initial=initial,

@@ -476,12 +476,12 @@ GOLDEN_DIGESTS = {
         "380b412ab247c77d79a3d0b82af3d25a9109f5f3c1ee2df3f0d286465097730f",
     ),
     ("prd", None): (
-        "452b917d4d93c56a9f893d7485153e52771cbc0ed34c002e9f273b097dd97e0b",
-        "a1ca6a69a0d82cbb436fb2e03c141008036174f2e250ebb9b10fa7e81bd58568",
+        "f282ba77aad4aebcac8cffe23147ecd5455c5a22987b0200f114c395a0655103",
+        "0eb2a63f5ea050f395948d6a29b21e8f15842e0f16d811fba8ae69d53a3302c0",
     ),
     ("prd", 0): (
         _HEADER_ONLY,
-        "9956a1c381b49b5514cbd3955f70790c95276ae5824944c231c3b5df7fba3748",
+        "23ba7e9c01cc7a4472b403d4685d85b429df4bc6d46a892e645068c0bbfd1271",
     ),
     ("gd-shifting", None): (
         "282d76bc878b976300711d7ba45e6dd06b77af2a03d3d5ed65da79e16744304b",

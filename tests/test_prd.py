@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,8 @@ from eqtracer import (
     run_prd_trace,
     solve_equilibrium,
 )
+from eqtracer import prd
+from eqtracer.equilibrium import EquilibriumResult
 from eqtracer.instances import random_market
 from eqtracer.trace import Trace
 
@@ -305,3 +307,130 @@ def test_prd_step_pins_row_sums_to_budgets(seed, m, n, zero_fraction, budget_sca
         bids = prd_step(bids, market)
         rows = bids.sum(axis=1)
         assert (np.abs(rows - market.budgets) <= 1e-15 * market.budgets).all()
+
+
+def _kernel_case(seed, m, n, near_linear, sparse, unit):
+    """A market with coefficient-supported bids and a spending matrix x whose
+    support is a subset of the bids' on every good, both with rows at the budgets."""
+    rng = np.random.default_rng(seed)
+    low, high = (0.99, 0.999) if near_linear else (0.2, 0.8)
+    a = rng.uniform(0.2, 1.5, size=(m, n))
+    if sparse:  # zero half of every other row
+        for i in range(0, m, 2):
+            a[i, rng.permutation(n)[: n // 2]] = 0.0
+    a[rng.integers(0, m, size=n), np.arange(n)] = rng.uniform(0.2, 1.5, size=n)  # goods stay valued
+    market = CesMarket(
+        budgets=rng.uniform(0.5, 2.0, size=m),
+        supplies=np.ones(n) if unit else rng.uniform(0.5, 2.0, size=n),
+        rho=rng.uniform(low, high, size=m),
+        coefficients=a,
+    )
+
+    def on_support(mask):
+        raw = np.where(mask, rng.uniform(0.05, 1.0, size=(m, n)), 0.0)
+        return market.budgets[:, None] * raw / raw.sum(axis=1, keepdims=True)
+
+    bids = on_support(a > 0)
+    x_mask = (a > 0) & (rng.random((m, n)) < 0.8)
+    x_mask[np.arange(m), a.argmax(axis=1)] = True
+    x_mask[a.argmax(axis=0), np.arange(n)] = True  # every good keeps spending
+    return market, bids, on_support(x_mask)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    near_linear=st.booleans(),
+    sparse=st.booleans(),
+    unit=st.booleans(),
+)
+def test_round_kernel_matches_written_out_formulas(seed, m, n, near_linear, sparse, unit):
+    market, bids, x = _kernel_case(seed, m, n, near_linear, sparse, unit)
+    a, rho = market.coefficients, market.rho[:, None]
+    step, g, log_b, prices = prd._round_kernel(market, bids, prd._log_coefficients(market))
+
+    # The step, a (w b / p)^rho with rows renormalised to the budgets.
+    weights = a * (market.supplies * bids / bids.sum(axis=0)) ** rho
+    want = market.budgets[:, None] * weights / weights.sum(axis=1, keepdims=True)
+    assert np.isfinite(want).all()
+    assert np.allclose(step, want, rtol=1e-12, atol=0)
+    assert np.array_equal(step > 0, a > 0)
+    assert (np.abs(step.sum(axis=1) - market.budgets) <= 2 * np.spacing(market.budgets)).all()
+
+    # g = -sum over b > 0 of (b / rho) ln(a b^(rho - 1) / p^rho), supplies aside.  Its
+    # terms have mixed signs, so rounding scales with their absolute sum, not with g.
+    active = bids > 0
+    terms = np.zeros_like(bids)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero bids are masked out
+        terms[active] = (bids / rho * np.log(a * bids ** (rho - 1) / prices ** rho))[active]
+    assert abs(g + terms.sum()) <= 1e-12 * np.abs(terms).sum()
+    assert np.array_equal(prices, bids.sum(axis=0))
+
+    spending = EquilibriumResult(x.sum(axis=0), x, psi_star=0.0, residual=0.0, iterations=0)
+    kl = prd._anchor(market, spending)[2]
+    total = market.total_budget
+    assert abs(kl(log_b) - kl_divergence(x, bids)) <= 1e-12 * kl_divergence(x, bids) + 1e-15 * total
+
+
+def test_round_kernel_kl_keeps_the_support_check():
+    market = random_market(21, 3, 4, unit_supplies=True)
+    eq = solve_equilibrium(market, tolerance=1e-10)
+    bids = proportional_bids(market)
+    bids[0, 1] = 0.0  # good 1 still carries the other buyers' bids
+    bids[0] *= market.budgets[0] / bids[0].sum()
+    assert eq.bids[0, 1] > 0
+    log_a, _, kl = prd._anchor(market, eq)
+    log_b = prd._round_kernel(market, bids, log_a)[2]
+    with pytest.raises(ValueError, match="support violation"):
+        kl(log_b)
+
+
+def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
+    market = random_market(22, 3, 4, unit_supplies=True)
+    schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=6), market, 12)
+    calls = []
+    kernel = prd._round_kernel
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the loops call the kernel only")
+
+    monkeypatch.setattr(prd, "_round_kernel", counted)
+    for name in ("prd_step", "prd_potential_g", "kl_divergence"):
+        monkeypatch.setattr(prd, name, refused)
+    bound, bids, eq = fit_prd_constants(market, proportional_bids(market), rounds=30)
+    assert len(calls) == 1 + 1 + 30  # g*, the start, one per round
+    calls.clear()
+    run_prd_trace(market, bids, schedule, bound, 12, _equilibrium=eq)
+    resolves = sum(1 for t in range(1, 13) if schedule.events_at(t))
+    assert resolves > 0
+    assert len(calls) == 1 + 1 + 12 + resolves
+
+
+# The fit floor sits a hundred times above the solver's residual target, so a
+# nudge of the equilibrium far below that target barely moves q1 and q2.
+@pytest.mark.parametrize(
+    "seed, m, n", [(1, 3, 5), (2, 6, 6), (3, 10, 8), (4, 30, 30), (5, 80, 60), (6, 200, 200)]
+)
+def test_fit_is_stable_under_solver_noise(monkeypatch, seed, m, n):
+    market = random_market(seed, m, n, unit_supplies=True)
+    bids = proportional_bids(market)
+    exact, _, _ = fit_prd_constants(market, bids)
+    solve = prd.solve_equilibrium
+    rng = np.random.default_rng(seed)
+
+    def nudged(*args, **kwargs):
+        eq = solve(*args, **kwargs)
+        moved = eq.bids * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, size=eq.bids.shape))
+        moved *= (market.budgets / moved.sum(axis=1))[:, None]
+        return replace(eq, bids=moved)
+
+    monkeypatch.setattr(prd, "solve_equilibrium", nudged)
+    noisy, _, _ = fit_prd_constants(market, bids)
+    assert noisy.q1 == pytest.approx(exact.q1, rel=1e-5)
+    assert noisy.q2 == pytest.approx(exact.q2, rel=1e-5)
