@@ -13,7 +13,6 @@ from eqtracer import (
     cpf_potential,
     demand,
     misspending_potential,
-    normalized_cpf_potential,
     solve_equilibrium,
 )
 
@@ -44,7 +43,7 @@ print(f"\nEquilibrium found in {result.iterations} iterations, "
 print("  clearing prices:", np.round(result.prices, 5))
 print("  misspending at clearing:", f"{misspending_potential(market, result.prices):.2e}")
 print("  normalized convex potential at clearing:",
-      f"{normalized_cpf_potential(market, result.prices, result.psi_star):.2e}")
+      f"{cpf_potential(market, result.prices) - result.psi_star:.2e}")
 
 # The convex potential is minimised exactly at the clearing prices.
 rng = np.random.default_rng(0)

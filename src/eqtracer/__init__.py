@@ -13,7 +13,6 @@ from .applications import (
     diffusion_step,
     gd_contraction,
     gd_regret_bound,
-    gd_step,
     gd_steady_state,
     second_eigenvalue,
     simulate_diffusion,
@@ -28,8 +27,6 @@ from .market import (
     cpf_potential,
     demand,
     misspending_potential,
-    normalized_cpf_potential,
-    unit_cost,
 )
 from .perturbation import (
     BUDGET,
@@ -41,6 +38,7 @@ from .perturbation import (
     ScheduleSpec,
     apply_event,
     calibrate_c_prime,
+    coefficient_share_floor,
     delta_cpf_budget,
     delta_cpf_supply,
     delta_cpf_utility,

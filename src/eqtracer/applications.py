@@ -22,11 +22,6 @@ from .trace import Trace
 # ---------------------------------------------------------------------------
 
 
-def gd_step(x, gradient_at_x, eta: float) -> np.ndarray:
-    """Plain descent update x - eta * gradient."""
-    return np.asarray(x, dtype=float) - eta * np.asarray(gradient_at_x, dtype=float)
-
-
 def gd_contraction(alpha: float, beta_smooth: float, eta: float) -> float:
     """Squared-distance decay rate 2 eta alpha beta / (alpha + beta).
 
@@ -125,7 +120,7 @@ def simulate_shifting_quadratic(problem: ShiftingQuadratic, x0) -> tuple[Trace, 
     initial = float(np.linalg.norm(x - problem.optima[0]))
     regret = 0.0
     for t in range(1, T + 1):
-        x = gd_step(x, problem.gradient(t - 1, x), problem.eta)
+        x = x - problem.eta * problem.gradient(t - 1, x)
         shifts[t - 1] = float(np.linalg.norm(problem.optima[t] - problem.optima[t - 1]))
         distances[t - 1] = float(np.linalg.norm(x - problem.optima[t]))
         regret += problem.gap(t, x)

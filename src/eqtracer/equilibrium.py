@@ -67,9 +67,15 @@ def _gradient_hessian(market: CesMarket, prices: np.ndarray, shares: np.ndarray)
     return gradient, hessian
 
 
-def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int):
-    """Newton's method on the convex price potential in log prices y = ln p.
+def solve_equilibrium(
+    market: CesMarket,
+    tolerance: float = 1e-8,
+    max_iters: int = 200_000,
+    initial_prices=None,
+) -> EquilibriumResult:
+    """Find prices whose misspending is at most tolerance * total budget.
 
+    Newton's method on the convex price potential in log prices y = ln p.
     Each step factors the log-price Hessian H (Cholesky, to confirm it is
     positive definite) and solves for the step; where H is not positive
     definite the step uses H - diag(g), which is positive definite (see the
@@ -82,12 +88,31 @@ def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int
     rho -> 1, and residual, spending and potential are computed exactly as
     misspending_potential, demand and cpf_potential compute them.
 
-    Returns the result at the last iterate.  Its residual is above target
-    when max_iters steps ran out or no trial step was accepted.
+    `initial_prices` warm-starts the solve (defaults to uniform B/n); a warm
+    start that already clears is returned unchanged after 0 steps, so
+    re-solves on an unchanged market reproduce the previous result bit for
+    bit.  `max_iters` bounds the Newton steps and `iterations` counts them.
+    Raises ConvergenceError, reporting the final residual, if the target is
+    not met: the potential is not finite at the start, the steps ran out, or
+    the line search found no acceptable step.
     """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     w = market.supplies
     b = market.budgets
     total = market.total_budget
+    target = tolerance * total
+    if (market.coefficients.max(axis=0) == 0).any():
+        raise ValueError(
+            "invalid market: some good carries no positive coefficient, "
+            "so its clearing price is zero and outside the price domain"
+        )
+    if initial_prices is None:
+        p = np.full(market.num_goods, total / market.num_goods)
+    else:
+        p = check_prices(market, initial_prices)
 
     def evaluate(prices):
         # Trial points may overflow or leave the price domain; reject them.
@@ -143,6 +168,12 @@ def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int
         p = trial
         shares, residual, psi = trial_state
         steps += 1
+    if residual > target:
+        raise ConvergenceError(
+            f"equilibrium solve stopped at residual {residual:.3e} "
+            f"(target {target:.3e}) after {steps} iterations",
+            residual,
+        )
     return EquilibriumResult(
         prices=p,
         bids=b[:, None] * shares,
@@ -150,45 +181,3 @@ def _newton_pass(market: CesMarket, p: np.ndarray, target: float, max_iters: int
         residual=residual,
         iterations=steps,
     )
-
-
-def solve_equilibrium(
-    market: CesMarket,
-    tolerance: float = 1e-8,
-    max_iters: int = 200_000,
-    initial_prices=None,
-) -> EquilibriumResult:
-    """Find prices whose misspending is at most tolerance * total budget.
-
-    `initial_prices` warm-starts the solve (defaults to uniform B/n); a warm
-    start that already clears is returned unchanged after 0 steps, so
-    re-solves on an unchanged market reproduce the previous result bit for
-    bit.  `max_iters` bounds the Newton steps and `iterations` counts them.
-    Raises ConvergenceError, reporting the final residual, if the target is
-    not met: the potential is not finite at the start, the steps ran out, or
-    the line search found no acceptable step.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    total = market.total_budget
-    target = tolerance * total
-    n = market.num_goods
-    if (market.coefficients.max(axis=0) == 0).any():
-        raise ValueError(
-            "invalid market: some good carries no positive coefficient, "
-            "so its clearing price is zero and outside the price domain"
-        )
-    if initial_prices is None:
-        start = np.full(n, total / n)
-    else:
-        start = check_prices(market, initial_prices)
-    result = _newton_pass(market, start, target, max_iters)
-    if result.residual > target:
-        raise ConvergenceError(
-            f"equilibrium solve stopped at residual {result.residual:.3e} "
-            f"(target {target:.3e}) after {result.iterations} iterations",
-            result.residual,
-        )
-    return result

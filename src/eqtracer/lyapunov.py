@@ -15,16 +15,6 @@ from typing import Sequence
 import numpy as np
 
 
-def _check_rate(rate: float):
-    if not 0 <= rate < 1:
-        raise ValueError("rate must lie in [0, 1)")
-
-
-def _check_jumps(jumps: Sequence[float]):
-    if any(j < 0 for j in jumps):
-        raise ValueError("jump values must be non-negative")
-
-
 def running_bound(anchor: float, rate: float, jumps) -> np.ndarray:
     """Envelope b_t = rate * b_{t-1} + jump_t for t = 1..T, with b_0 = anchor.
 
@@ -49,8 +39,10 @@ def meta_bound(anchor: float, rate: float, jumps: Sequence[float]) -> float:
     diffusion, and q1/q2 for bid dynamics, whose anchor is q2 KL_0 (the
     fitted recurrence constants and the initial KL distance).
     """
-    _check_rate(rate)
-    _check_jumps(jumps)
+    if not 0 <= rate < 1:
+        raise ValueError("rate must lie in [0, 1)")
+    if any(j < 0 for j in jumps):
+        raise ValueError("jump values must be non-negative")
     T = len(jumps)
     value = rate**T * anchor
     for t, jump in enumerate(jumps, start=1):

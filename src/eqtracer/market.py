@@ -151,7 +151,7 @@ class DemandProfile:
     totals: np.ndarray      # (n,) column sums
     excess: np.ndarray      # (n,) totals - supplies
     spending: np.ndarray    # (m, n) prices * quantities
-    log_unit_costs: np.ndarray  # (m,) ln Q_i, see unit_cost
+    log_unit_costs: np.ndarray  # (m,) ln Q_i, see cpf_potential
 
 
 def check_prices(market: CesMarket, prices) -> np.ndarray:
@@ -220,21 +220,12 @@ def misspending_potential(market: CesMarket, prices, _profile=None) -> float:
     return float((prices * np.abs(_profile.excess)).sum())
 
 
-def unit_cost(market: CesMarket, prices) -> np.ndarray:
-    """Minimum money each buyer needs to earn one unit of utility.
-
-    Q_i(p) = (sum_k a[i,k]^(1-c_i) p_k^c_i)^(1/c_i); independent of budgets
-    and supplies.
-    """
-    return np.exp(_ces_weights(market, check_prices(market, prices))[1])
-
-
 def cpf_potential(market: CesMarket, prices, _profile=None) -> float:
     """Convex price potential: sum_j w_j p_j - sum_i b_i ln Q_i(p).
 
-    Convex in prices and minimised exactly at equilibrium prices; the minimum
-    value is generally nonzero (use normalized_cpf_potential for a potential
-    that vanishes at equilibrium).  May be negative.  `_profile` is a
+    Q_i(p) = (sum_k a[i,k]^(1-c_i) p_k^c_i)^(1/c_i) is buyer i's unit cost.
+    Convex in prices and minimised exactly at equilibrium prices (value
+    psi_star, generally nonzero and possibly negative).  `_profile` is a
     caller's `demand(market, prices)`, whose ln Q is reused.
     """
     if _profile is None:
@@ -243,12 +234,3 @@ def cpf_potential(market: CesMarket, prices, _profile=None) -> float:
     else:
         log_q = _profile.log_unit_costs
     return float((market.supplies * prices).sum() - (market.budgets * log_q).sum())
-
-
-def normalized_cpf_potential(market: CesMarket, prices, psi_star: float) -> float:
-    """Convex potential shifted by its minimum value so equilibrium scores zero.
-
-    psi_star must come from the equilibrium solver for this market; the
-    result is non-negative up to solver tolerance.
-    """
-    return cpf_potential(market, prices) - psi_star

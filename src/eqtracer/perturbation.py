@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import CesMarket, _ces_weights, check_prices
+from .market import CesMarket, demand
 
 SUPPLY = "supply-additive"
 BUDGET = "budget-additive"
@@ -274,58 +274,39 @@ def calibrate_c_prime(
     if not equilibrium_prices or not probe_prices:
         raise ValueError("need at least one equilibrium and one probe price vector")
     def log_q(points):
-        return np.array([_ces_weights(market, check_prices(market, p))[1] for p in points])
+        return np.array([demand(market, p).log_unit_costs for p in points])
 
     diffs = np.abs(log_q(equilibrium_prices)[:, None, :] - log_q(probe_prices)[None])
     return float(diffs.max())
 
 
-def delta_prd_utility(market_history: Sequence[CesMarket], epsilon: float) -> float:
+def coefficient_share_floor(market: CesMarket) -> np.ndarray:
+    """Per-buyer minimum of a_ij / sum_k a_ik over the goods the buyer values."""
+    a = market.coefficients
+    shares = a / a.sum(axis=1, keepdims=True)
+    return np.where(a > 0, shares, np.inf).min(axis=1)
+
+
+def delta_prd_utility(market: CesMarket, min_share: np.ndarray, epsilon: float) -> float:
     """Bid-potential jump cap when coefficients drift within exp(+/- epsilon).
 
-    Evaluates, per buyer, kappa_i = 2 eps (1 - c_i (3 - 2 min_k c_k)) with
-    c_i = rho_i/(rho_i - 1), the spending-floor constant
-    Pi_i = (min over rounds and goods of a_ij / sum_k a_ik)^(1/(1-rho_i))
-    restricted to goods the buyer values, and C_i = (B/b_i)^(rho_i/(1-rho_i)),
-    and returns
+    `min_share` is the `coefficient_share_floor` reduced with np.minimum over
+    every market the drift has visited.  Evaluates, per buyer,
+    kappa_i = 2 eps (1 - c_i (3 - 2 min_k c_k)) with c_i = rho_i/(rho_i - 1),
+    the spending-floor constant Pi_i = min_share_i^(1/(1-rho_i)) and
+    C_i = (B/b_i)^(rho_i/(1-rho_i)), and returns
         sum_i b_i (e^kappa_i - 1) |ln C_i - ln Pi_i| + 2 b_i eps / rho_i.
     Raises ValueError when that sum overflows (rho near 1 and eps too large).
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    markets = list(market_history)
-    if not markets:
-        raise ValueError("market history must be non-empty")
-    base = markets[0]
-    if ((base.rho <= 0) | (base.rho >= 1)).any():
+    budgets, rho, c = market.budgets, market.rho, market.demand_exponent
+    if ((rho <= 0) | (rho >= 1)).any():
         raise ValueError("the bid-potential cap needs rho in (0, 1) for every buyer")
-    min_share = _min_coefficient_share(markets)
-    return _prd_delta_from_parts(_prd_cap_parts(base.budgets, base.rho), min_share, epsilon)
-
-
-def _min_coefficient_share(markets: Sequence[CesMarket]) -> np.ndarray:
-    """Per-buyer minimum of a_ij / sum_k a_ik over rounds and valued goods."""
-    mins = np.full(markets[0].num_buyers, np.inf)
-    for mkt in markets:
-        a = mkt.coefficients
-        shares = a / a.sum(axis=1, keepdims=True)
-        masked = np.where(a > 0, shares, np.inf)
-        mins = np.minimum(mins, masked.min(axis=1))
-    return mins
-
-
-def _prd_cap_parts(budgets: np.ndarray, rho: np.ndarray) -> tuple:
-    """The cap's parts that depend on budgets and rho alone: kappa_i / eps, ln C_i."""
-    c = rho / (rho - 1.0)
-    log_c = (rho / (1.0 - rho)) * np.log(float(budgets.sum()) / budgets)
-    return budgets, rho, 2.0 * (1.0 - c * (3.0 - 2.0 * c.min())), log_c
-
-
-def _prd_delta_from_parts(parts: tuple, min_share: np.ndarray, epsilon: float) -> float:
     if epsilon == 0.0:
         return 0.0
-    budgets, rho, kappa_rate, log_c = parts
-    kappa = epsilon * kappa_rate
+    kappa = epsilon * (2.0 * (1.0 - c * (3.0 - 2.0 * c.min())))
+    log_c = (rho / (1.0 - rho)) * np.log(market.total_budget / budgets)
     log_pi = np.log(min_share) / (1.0 - rho)
     # kappa grows like eps c^2, so near rho = 1 the cap can overflow.
     with np.errstate(over="ignore", invalid="ignore"):

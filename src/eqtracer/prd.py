@@ -23,21 +23,15 @@ from .perturbation import (
     BUDGET,
     SUPPLY,
     PerturbationSchedule,
-    _min_coefficient_share,
-    _prd_cap_parts,
-    _prd_delta_from_parts,
     apply_event,
+    coefficient_share_floor,
+    delta_prd_utility,
 )
 from .trace import Trace
 
 # Residual target for the equilibrium solves behind the potential gap and
 # the KL distance.
 _SOLVER_TOLERANCE = 1e-10
-
-
-def _check_substitutes(market: CesMarket):
-    if ((market.rho <= 0) | (market.rho >= 1)).any():
-        raise ValueError("bid dynamics require rho in (0, 1) for every buyer")
 
 
 def proportional_bids(market: CesMarket) -> np.ndarray:
@@ -51,7 +45,8 @@ def proportional_bids(market: CesMarket) -> np.ndarray:
 
 
 def _checked_inputs(market: CesMarket, bids) -> np.ndarray:
-    _check_substitutes(market)
+    if ((market.rho <= 0) | (market.rho >= 1)).any():
+        raise ValueError("bid dynamics require rho in (0, 1) for every buyer")
     bids = np.asarray(bids, dtype=float)
     if bids.shape != market.coefficients.shape:
         raise ValueError(f"bids shape {bids.shape} does not match {market.coefficients.shape}")
@@ -266,8 +261,8 @@ def run_prd_trace(
     normalisation), budget events are rejected.  Round t: update bids against
     the previous market, apply events, re-solve the per-round equilibrium
     (warm-started; cached on static rounds), then record the potential gap,
-    the KL distance to equilibrium, the per-round jump cap (with the
-    coefficient-share floor taken over rounds seen so far), the cumulative
+    the KL distance to equilibrium, the per-round jump cap `delta_prd_utility`
+    (its `coefficient_share_floor` taken over rounds seen so far), the cumulative
     bound, and whether the one-round recurrence held.  The trace's
     `initial` is the gap of bids0.
 
@@ -294,8 +289,7 @@ def run_prd_trace(
     bids = check_bids(market, bids0)
     eq = _equilibrium or solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
     log_a, g_star, kl_to = _anchor(market, eq)
-    min_share = _min_coefficient_share([market])
-    cap_parts = _prd_cap_parts(market.budgets, market.rho)
+    min_share = coefficient_share_floor(market)
     recurrence_slack = 1e-12 * max(market.total_budget, 1.0)
     step, g, log_b, _ = _round_kernel(market, bids, log_a)
     initial = g - g_star
@@ -317,10 +311,10 @@ def run_prd_trace(
                     logs += np.log(event.payload)
                     market = apply_event(market, event)
             eps_t = float(np.abs(logs).max())
-            min_share = np.minimum(min_share, _min_coefficient_share([market]))
+            min_share = np.minimum(min_share, coefficient_share_floor(market))
             eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE, initial_prices=eq.prices)
             log_a, g_star, kl_to = _anchor(market, eq)
-        delta_t = _prd_delta_from_parts(cap_parts, min_share, eps_t)
+        delta_t = delta_prd_utility(market, min_share, eps_t)
         # One call gives this round's gap and KL and next round's bids.
         step, g, log_b, prices = _round_kernel(market, bids, log_a)
         gap = g - g_star

@@ -15,6 +15,7 @@ from eqtracer import (
     ScheduleSpec,
     apply_event,
     calibrate_c_prime,
+    coefficient_share_floor,
     delta_cpf_budget,
     delta_cpf_supply,
     delta_cpf_utility,
@@ -193,10 +194,14 @@ class TestJumpCaps:
             delta_ms_supply(event(BUDGET, [0.1]), 1.0)
 
 
+def prd_cap(market, eps):
+    return delta_prd_utility(market, coefficient_share_floor(market), eps)
+
+
 class TestBidPotentialCap:
     def test_zero_drift_is_free(self):
         market = random_market(9, 2, 3, unit_supplies=True)
-        assert delta_prd_utility([market], 0.0) == 0.0
+        assert prd_cap(market, 0.0) == 0.0
 
     def test_single_buyer_closed_form(self):
         # rho = 1/2 gives c = -1, min c = -1, and drift exponent
@@ -210,29 +215,31 @@ class TestBidPotentialCap:
         kappa = 12.0 * eps
         min_share = 0.25
         expected = math.expm1(kappa) * abs(math.log(min_share)) / 0.5 + 2 * eps / 0.5
-        assert delta_prd_utility([market], eps) == pytest.approx(expected, rel=1e-12)
+        assert coefficient_share_floor(market).tolist() == [min_share]
+        assert prd_cap(market, eps) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_drift(self):
         market = random_market(10, 3, 3, unit_supplies=True)
-        values = [delta_prd_utility([market], eps) for eps in (0.0, 0.005, 0.01, 0.05)]
+        values = [prd_cap(market, eps) for eps in (0.0, 0.005, 0.01, 0.05)]
         assert all(b > a or (a == b == 0) for a, b in zip(values, values[1:]))
 
     def test_min_share_taken_over_history(self):
         market = random_market(11, 2, 3, unit_supplies=True)
         shrunk = market.replace(coefficients=market.coefficients * np.array([[1.0, 1.0, 0.1]]))
-        assert delta_prd_utility([market, shrunk], 0.01) >= delta_prd_utility([market], 0.01)
+        history = np.minimum(coefficient_share_floor(market), coefficient_share_floor(shrunk))
+        assert delta_prd_utility(market, history, 0.01) >= prd_cap(market, 0.01)
 
     def test_overflowing_cap_fails_by_name(self):
         # rho in [0.99, 0.999] puts c near -1000, so kappa ~ eps c^2 makes
         # e^kappa overflow even for a drift of 0.006.
         market = random_market(5, 2, 12, 0.99, 0.999, unit_supplies=True)
         with pytest.raises(ValueError, match="too large for rho this close to 1"):
-            delta_prd_utility([market], 0.006)
+            prd_cap(market, 0.006)
 
     def test_rejects_negative_drift(self):
         market = random_market(12, 2, 2, unit_supplies=True)
         with pytest.raises(ValueError):
-            delta_prd_utility([market], -0.1)
+            prd_cap(market, -0.1)
 
 
 class TestExtremalShares:

@@ -6,6 +6,7 @@ on a reduced battery, so the real code is untouched between tests; the
 intact batteries pass in tests/test_acceptance.py.
 """
 
+import numpy as np
 import pytest
 
 from eqtracer import applications, tatonnement, verify
@@ -34,6 +35,19 @@ def test_halved_jump_caps_fail_battery_4(monkeypatch):
         tatonnement, "jump_cap", lambda *args, **kwargs: 0.5 * cap(*args, **kwargs)
     )
     result = verify.check_dynamic_tracing(traces=_TRACES)
+    assert not result.passed
+    assert "violations" in result.detail
+
+
+def test_bound_one_round_late_fails_battery_4(monkeypatch):
+    # Round t is judged against b_{t-1}; trace 3, a supply trace, then fails.
+    bound = tatonnement.running_bound
+    monkeypatch.setattr(
+        tatonnement,
+        "running_bound",
+        lambda a, r, j: np.concatenate([[a], bound(a, r, j)])[: len(j)],
+    )
+    result = verify.check_dynamic_tracing(traces=4)
     assert not result.passed
     assert "violations" in result.detail
 

@@ -412,6 +412,21 @@ def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
     assert len(calls) == 1 + 1 + 12 + resolves
 
 
+def test_runner_charges_the_public_cap(monkeypatch):
+    market = random_market(14, 3, 4, unit_supplies=True)
+    drift = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=3), market, 40)
+    supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=4, every=3), market, 40)
+    schedule = PerturbationSchedule(events=drift.events + supply.events)
+    bound, bids, eq = fit_prd_constants(market, proportional_bids(market))
+    intact = run_prd_trace(market, bids, schedule, bound, 40, _equilibrium=eq)
+    cap = prd.delta_prd_utility
+    monkeypatch.setattr(prd, "delta_prd_utility", lambda *args: 0.5 * cap(*args))
+    halved = run_prd_trace(market, bids, schedule, bound, 40, _equilibrium=eq)
+    assert (intact.delta > 0).all()
+    assert np.array_equal(halved.delta, 0.5 * intact.delta)
+    assert np.array_equal(halved.potential, intact.potential)
+
+
 # The fit floor sits a hundred times above the solver's residual target, so a
 # nudge of the equilibrium far below that target barely moves q1 and q2.
 @pytest.mark.parametrize(
