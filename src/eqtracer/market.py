@@ -145,13 +145,33 @@ class CesMarket:
 
 @dataclass(frozen=True)
 class DemandProfile:
-    """Per-buyer demanded quantities plus per-good totals and excess demand."""
+    """Demand of a market at checked prices, kept as per-good and per-buyer vectors.
 
-    quantities: np.ndarray  # (m, n)
-    totals: np.ndarray      # (n,) column sums
-    excess: np.ndarray      # (n,) totals - supplies
-    spending: np.ndarray    # (m, n) prices * quantities
+    Only 1-d results are held, so a profile pins no (m, n) array between
+    rounds.  `spending` and `quantities` re-evaluate the kernel at `prices`
+    on each access, with the operations `demand` ran in the same order, so
+    they are bit-identical to the arrays `totals` was summed from.
+    """
+
+    market: CesMarket
+    prices: np.ndarray          # (n,) the checked prices demand ran at
+    totals: np.ndarray          # (n,) column sums of quantities
+    excess: np.ndarray          # (n,) totals - supplies
     log_unit_costs: np.ndarray  # (m,) ln Q_i, see cpf_potential
+
+    @property
+    def spending(self) -> np.ndarray:
+        """(m, n) money buyer i spends on good j, prices * quantities."""
+        work = _ces_weights(self.market, self.prices)[0]
+        work *= self.market.budgets[:, None]
+        return work
+
+    @property
+    def quantities(self) -> np.ndarray:
+        """(m, n) quantity of good j demanded by buyer i."""
+        work = self.spending
+        work /= self.prices[None, :]
+        return work
 
 
 def check_prices(market: CesMarket, prices) -> np.ndarray:
@@ -195,17 +215,11 @@ def demand(market: CesMarket, prices) -> DemandProfile:
     demand.  Each buyer spends the whole budget, prices . quantities[i] == b_i.
     """
     prices = check_prices(market, prices)
-    shares, log_q = _ces_weights(market, prices)
-    spending = market.budgets[:, None] * shares
-    quantities = spending / prices[None, :]
-    totals = quantities.sum(axis=0)
-    return DemandProfile(
-        quantities=quantities,
-        totals=totals,
-        excess=totals - market.supplies,
-        spending=spending,
-        log_unit_costs=log_q,
-    )
+    work, log_q = _ces_weights(market, prices)  # spending, then quantities, in place
+    work *= market.budgets[:, None]
+    work /= prices[None, :]
+    totals = work.sum(axis=0)
+    return DemandProfile(market, prices, totals, totals - market.supplies, log_q)
 
 
 def misspending_potential(market: CesMarket, prices, _profile=None) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from eqtracer import (
     solve_equilibrium,
 )
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
+from eqtracer.market import _ces_weights
 
 
 def single_good(budget=1.0, supply=1.0, rho=0.5, a=1.0):
@@ -312,3 +314,64 @@ def test_log_kernel_matches_written_out_weights(seed, rho_range, spread):
     ), (shares, reference)
     spent = profile.spending.sum(axis=1)
     assert np.all(np.abs(spent - market.budgets) <= 1e-12 * market.budgets)
+
+
+def assert_demand_bit_equal_to_written_out(market, prices):
+    shares, log_q = _ces_weights(market, prices)
+    spending = market.budgets[:, None] * shares
+    quantities = spending / prices[None, :]
+    totals = quantities.sum(axis=0)
+    profile = demand(market, prices)
+    expected = {
+        "totals": totals,
+        "excess": totals - market.supplies,
+        "log_unit_costs": log_q,
+        "spending": spending,
+        "quantities": quantities,
+    }
+    for name, want in expected.items():
+        got = getattr(profile, name)
+        assert got.shape == want.shape and (got == want).all(), name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    rho_range=st.sampled_from([(0.2, 0.8), (0.99, 0.999), (-50.0, -0.5)]),
+    zero_fraction=st.sampled_from([0.0, 0.5]),
+    spread=st.floats(0.0, 3.0),
+)
+def test_demand_bit_equal_to_written_out_arithmetic(
+    seed, m, n, rho_range, zero_fraction, spread
+):
+    market = random_market(seed, m, n, *rho_range, zero_fraction=zero_fraction)
+    rng = np.random.default_rng(seed)
+    prices = uniform_prices(market) * 10.0 ** rng.uniform(-spread, spread, n)
+    assert_demand_bit_equal_to_written_out(market, prices)
+
+
+def test_demand_bit_equal_to_written_out_arithmetic_at_200x200():
+    market = random_market(7, 200, 200, -50.0, 0.999, zero_fraction=0.5)
+    prices = uniform_prices(market) * np.random.default_rng(7).uniform(0.5, 2.0, 200)
+    assert_demand_bit_equal_to_written_out(market, prices)
+
+
+def test_demand_keeps_no_matrix_alive():
+    # A profile holds vectors only; the kernel's one (m, n) buffer is the
+    # whole working set, so tatonnement rounds do not re-fault fresh pages.
+    m = n = 200
+    market = random_market(5, m, n)
+    prices = uniform_prices(market)
+    demand(market, prices)  # warm: caches (1-c) ln a on the market
+    tracemalloc.start()
+    try:
+        profile = demand(market, prices)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = m * n * 8
+    assert peak < 2 * matrix, peak / matrix
+    assert held < 0.1 * matrix, held / matrix
+    assert profile.totals.shape == (n,)
