@@ -28,7 +28,7 @@ config = TatonnementConfig(
 )
 # Fit the contraction rate from a 100-round static warm-up; the trace
 # starts from the warmed prices.
-delta, prices, _ = fit_contraction(market, uniform_prices(market), config, 100)
+delta, prices = fit_contraction(market, uniform_prices(market), config, 100)
 schedule = generate_schedule(
     ScheduleSpec(channel="supply-additive", magnitude=0.01, seed=21), market, 1500
 )

@@ -41,7 +41,7 @@ schedule = generate_schedule(
     market,
     600,
 )
-bound, warmed, _ = fit_prd_constants(market, proportional_bids(market))
+bound, warmed = fit_prd_constants(market, proportional_bids(market))
 trace = run_prd_trace(market, warmed, schedule, bound, 600)
 
 recurrence = trace.recurrence_ok.mean()

@@ -23,7 +23,7 @@ from .applications import (
     simulate_diffusion,
     simulate_shifting_quadratic,
 )
-from .equilibrium import ConvergenceError
+from .equilibrium import ConvergenceError, solve_equilibrium
 from .instances import (
     drifting_quadratic,
     drifting_speeds,
@@ -50,7 +50,6 @@ from .tatonnement import (
     CPF,
     MISSPENDING,
     TatonnementConfig,
-    _CpfPotential,
     default_step_size,
     fit_contraction,
     run_tatonnement_trace,
@@ -214,6 +213,41 @@ CONFIG_SCHEMA = {
     },
 }
 
+# What each kind reads besides kind, horizon and output: section -> its keys
+# (None for all of them).  A config that sets anything else is rejected, not
+# silently ignored; the schema carries this table as one if/then per kind.
+_TATONNEMENT_READS = {
+    "market": None,
+    "dynamics": ["step_size", "price_cap", "c_prime"],
+    "schedule": None,
+    "bounds": ["delta", "warmup_rounds"],
+}
+KIND_READS = {
+    "tatonnement-ms": _TATONNEMENT_READS,
+    "tatonnement-cpf": _TATONNEMENT_READS,
+    "prd": {
+        "market": ["random", "budgets", "supplies", "rho", "coefficients"],
+        "schedule": None,
+        "bounds": ["q1", "q2", "fit_rounds"],
+    },
+    "gd-shifting": {"quadratic": None, "dynamics": ["eta"]},
+    "diffusion": {"network": None},
+}
+CONFIG_SCHEMA["allOf"] = [
+    {
+        "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+        "then": {
+            "propertyNames": {"enum": ["kind", "horizon", "output", *reads]},
+            "properties": {
+                section: {"propertyNames": {"enum": keys}}
+                for section, keys in reads.items()
+                if keys is not None
+            },
+        },
+    }
+    for kind, reads in KIND_READS.items()
+]
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SIMULATION = 3
@@ -280,23 +314,17 @@ def _run_tatonnement(config: dict):
         config.get("market", {}).get("initial_prices", uniform_prices(market)),
         dtype=float,
     )
-    # One potential serves the fit, the trace and the report, so the cpf
-    # minimum of the starting market is solved once.
-    potential = _CpfPotential(market) if variant == CPF else None
     delta = bounds.get("delta", "fit")
     if delta == "fit":
-        delta, prices0, _ = fit_contraction(
-            market, prices0, tat_config, bounds.get("warmup_rounds", 100),
-            _potential=potential,
+        delta, prices0 = fit_contraction(
+            market, prices0, tat_config, bounds.get("warmup_rounds", 100)
         )
         delta_source = "fitted-from-warmup"
     else:
         delta = float(delta)
         delta_source = "supplied"
     schedule = _build_schedule(config.get("schedule"), market, horizon)
-    trace = run_tatonnement_trace(
-        market, prices0, tat_config, schedule, delta, horizon, _potential=potential
-    )
+    trace = run_tatonnement_trace(market, prices0, tat_config, schedule, delta, horizon)
 
     constants = {
         "step_size": {"value": tat_config.lam, "source": "supplied" if dynamics.get("step_size", "auto") != "auto" else "default"},
@@ -312,7 +340,8 @@ def _run_tatonnement(config: dict):
         report["final_potential"] = float(trace.potential[-1])
         report["final_bound"] = float(trace.bound[-1])
     if variant == CPF:
-        report["initial_price_ratio"] = float(np.min(prices0 / potential.initial_prices))
+        # The starting market's cold solve, already made for its potential.
+        report["initial_price_ratio"] = float(np.min(prices0 / solve_equilibrium(market).prices))
     return trace, report
 
 
@@ -322,19 +351,16 @@ def _run_prd(config: dict):
     horizon = config["horizon"]
     reduced = reduce_supply_to_utility(market)
     bids = proportional_bids(reduced)
-    equilibrium = None
     if "q1" in bounds:  # the schema requires q1 and q2 together
         bound = PrdBoundConfig(q1=bounds["q1"], q2=bounds["q2"])
         source = "supplied"
     else:
-        bound, bids, equilibrium = fit_prd_constants(
+        bound, bids = fit_prd_constants(
             reduced, bids, rounds=bounds.get("fit_rounds", 200)
         )
         source = "fitted-from-warmup"
     schedule = _build_schedule(config.get("schedule"), reduced, horizon)
-    trace = run_prd_trace(
-        reduced, bids, schedule, bound, horizon, _equilibrium=equilibrium
-    )
+    trace = run_prd_trace(reduced, bids, schedule, bound, horizon)
     recurrence = float(trace.recurrence_ok.mean()) if len(trace) else 1.0
     report = {
         "constants": {
@@ -444,8 +470,12 @@ def load_config(path: Path) -> dict:
     # the schema on every call.
     error = best_match(_config_validator().iter_errors(config))
     if error is not None:
-        field = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config field {field}: {error.message}")
+        path, message = list(error.absolute_path), error.message
+        if "propertyNames" in error.schema_path:  # a KIND_READS rule
+            path.append(error.instance)
+            message = f"not read by kind {config['kind']}"
+        field = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config field {field}: {message}")
     return config
 
 

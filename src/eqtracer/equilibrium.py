@@ -91,7 +91,9 @@ def solve_equilibrium(
     `initial_prices` warm-starts the solve (defaults to uniform B/n); a warm
     start that already clears is returned unchanged after 0 steps, so
     re-solves on an unchanged market reproduce the previous result bit for
-    bit.  `max_iters` bounds the Newton steps and `iterations` counts them.
+    bit.  A cold solve (no `initial_prices`) runs once per market object and
+    tolerance; later cold calls return that same read-only result.
+    `max_iters` bounds the Newton steps and `iterations` counts them.
     Raises ConvergenceError, reporting the final residual, if the target is
     not met: the potential is not finite at the start, the steps ran out, or
     the line search found no acceptable step.
@@ -110,8 +112,13 @@ def solve_equilibrium(
             "so its clearing price is zero and outside the price domain"
         )
     if initial_prices is None:
+        # Kept in the market's __dict__, next to its cached CES weights.
+        cold = market.__dict__.setdefault("_cold_solves", {})
+        if tolerance in cold:
+            return cold[tolerance]
         p = np.full(market.num_goods, total / market.num_goods)
     else:
+        cold = None
         p = check_prices(market, initial_prices)
 
     def evaluate(prices):
@@ -174,10 +181,11 @@ def solve_equilibrium(
             f"(target {target:.3e}) after {steps} iterations",
             residual,
         )
-    return EquilibriumResult(
-        prices=p,
-        bids=b[:, None] * shares,
-        psi_star=psi,
-        residual=residual,
-        iterations=steps,
-    )
+    bids = b[:, None] * shares
+    p.setflags(write=False)
+    bids.setflags(write=False)
+    result = EquilibriumResult(p, bids, psi, residual, steps)
+    if cold is not None:
+        # The first result stored wins, so racing cold solves return one object.
+        result = cold.setdefault(tolerance, result)
+    return result

@@ -131,14 +131,16 @@ class CesMarket:
         The new arrays must be float, read-only, of the right shapes and keep
         every invariant `__post_init__` checks.  Unchanged arrays are shared,
         and so are the cached exponent while rho is kept and the cached
-        (1-c) ln a while coefficients and rho are kept.
+        (1-c) ln a while coefficients and rho are kept; nothing else carries
+        over.
         """
+        keep = {"budgets", "supplies", "rho", "coefficients"}
+        if "rho" not in kwargs:
+            keep.add("demand_exponent")
+            if "coefficients" not in kwargs:
+                keep.add("_weight_base")
         new = object.__new__(CesMarket)
-        new.__dict__.update(self.__dict__)
-        if "rho" in kwargs:
-            new.__dict__.pop("demand_exponent", None)
-        if "rho" in kwargs or "coefficients" in kwargs:
-            new.__dict__.pop("_weight_base", None)
+        new.__dict__.update((k, v) for k, v in self.__dict__.items() if k in keep)
         new.__dict__.update(kwargs)
         return new
 

@@ -180,8 +180,10 @@ def reduce_supply_to_utility(market: CesMarket) -> CesMarket:
 
     Good j's supply w_j is folded in as a_ij <- a_ij * w_j^rho_i, i.e.
     a_ij * exp(rho_i ln w_j); bid dynamics on the original and reduced
-    markets coincide entrywise.
+    markets coincide entrywise.  A unit-supply market is returned as it is.
     """
+    if (market.supplies == 1.0).all():
+        return market
     factors = np.exp(market.rho[:, None] * np.log(market.supplies)[None, :])
     return market.replace(
         coefficients=market.coefficients * factors,
@@ -207,9 +209,8 @@ class PrdBoundConfig:
 
 def fit_prd_constants(
     market: CesMarket, bids, rounds: int = 200
-) -> tuple[PrdBoundConfig, np.ndarray, EquilibriumResult]:
-    """Fit (q1, q2) from a static run; return them, the final bids and the
-    equilibrium solved for the fit.
+) -> tuple[PrdBoundConfig, np.ndarray]:
+    """Fit (q1, q2) from a static run; return them and the final bids.
 
     The ratio q1/q2 is set halfway between the worst observed per-round KL
     ratio and 1; the scale is the smallest q2 for which
@@ -244,7 +245,7 @@ def fit_prd_constants(
         )
     ratio = (1.0 + worst_ratio) / 2.0
     q2 = max(max(gap / (ratio * cur - nxt) for cur, nxt, gap in triples), 1e-9)
-    return PrdBoundConfig(q1=ratio * q2, q2=q2), bids, eq
+    return PrdBoundConfig(q1=ratio * q2, q2=q2), bids
 
 
 def run_prd_trace(
@@ -253,7 +254,6 @@ def run_prd_trace(
     schedule: PerturbationSchedule,
     bound: PrdBoundConfig,
     horizon: int,
-    _equilibrium: EquilibriumResult | None = None,
 ) -> Trace:
     """Simulate bid dynamics while supplies and utility coefficients drift.
 
@@ -273,8 +273,7 @@ def run_prd_trace(
       together gap_T <= running_bound(q2 KL_0, q1/q2, jumps)_T.
 
     `bound` is supplied or fitted beforehand with `fit_prd_constants`, whose
-    final bids are then the natural `bids0`.  On a unit-supply market0 the
-    fit's equilibrium, passed as `_equilibrium`, is not solved again.
+    final bids are then the natural `bids0`; market0's cold solve is the fit's.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -282,12 +281,10 @@ def run_prd_trace(
         raise ValueError("schedule contains events beyond the horizon")
     if BUDGET in schedule.channels():
         raise ValueError("budget events are unsupported: the bid domain itself would move")
-    if _equilibrium is not None and (market0.supplies != 1.0).any():
-        raise ValueError("a fitted equilibrium can only be reused on unit supplies")
     # Checked once: events keep rho; the kernel keeps bids on the support, rows at the budgets.
     market = reduce_supply_to_utility(market0)
     bids = check_bids(market, bids0)
-    eq = _equilibrium or solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
+    eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
     log_a, g_star, kl_to = _anchor(market, eq)
     min_share = coefficient_share_floor(market)
     recurrence_slack = 1e-12 * max(market.total_budget, 1.0)

@@ -122,20 +122,13 @@ def _step(prices, market, config, profile):
 
 
 class _CpfPotential:
-    """Convex potential normalised by a cached, warm-started minimum value.
-
-    `initial_prices` keeps the cold-solved equilibrium prices of the market
-    it was built for.
-    """
+    """Convex potential normalised by a cached, warm-started minimum value."""
 
     def __init__(self, market: CesMarket):
-        self._solve(market)
-        self.initial_prices = self._warm
+        self._solve(market)  # a cold solve, made once per market object
 
     def _solve(self, market):
-        result = solve_equilibrium(
-            market, initial_prices=getattr(self, "_warm", None)
-        )
+        result = solve_equilibrium(market, initial_prices=getattr(self, "_warm", None))
         self._warm = result.prices
         self._psi_star = result.psi_star
         self._market = market
@@ -202,18 +195,18 @@ def _warn_if_untraceable(market, event, lam):
 
 
 def fit_contraction(
-    market: CesMarket, prices, config: TatonnementConfig, rounds: int, _potential=None
-) -> tuple[float, np.ndarray, float]:
+    market: CesMarket, prices, config: TatonnementConfig, rounds: int
+) -> tuple[float, np.ndarray]:
     """Estimate the per-round contraction rate on a static market.
 
     Runs `rounds` updates, measures 1 - potential ratio per round, and returns
-    (smallest observed rate, final prices, final potential).  Rounds whose
-    potential sank below 1e-12 of the start are ignored as converged noise.
+    (smallest observed rate, final prices).  Rounds whose potential sank
+    below 1e-12 of the start are ignored as converged noise.
     Each round evaluates demand once, as in `run_tatonnement_trace`.
     """
     if rounds < 1:
         raise ValueError("need at least one warm-up round")
-    potential = _potential or _make_potential(market, config)
+    potential = _make_potential(market, config)
     p = check_prices(market, prices)
     profile = demand(market, p)
     phi = potential(market, p, _profile=profile)
@@ -234,7 +227,7 @@ def fit_contraction(
             f"no contraction observed during warm-up (worst rate {delta_hat:.3e}); "
             "the step size is outside the contracting regime"
         )
-    return delta_hat, p, phi
+    return delta_hat, p
 
 
 def run_tatonnement_trace(
@@ -244,7 +237,6 @@ def run_tatonnement_trace(
     schedule: PerturbationSchedule,
     delta: float,
     horizon: int,
-    _potential=None,
 ) -> Trace:
     """Simulate `horizon` rounds of price adjustment on a drifting market.
 
@@ -264,10 +256,7 @@ def run_tatonnement_trace(
     `apply_event`), and each market's (1-c) ln a is computed at most once.
 
     `delta` is supplied or fitted beforehand with `fit_contraction`, whose
-    final prices are then the natural `prices0`.  `_potential` lets a caller
-    that already built the potential for market0 (e.g. for its own fit)
-    share it, so the cpf minimum is not solved again; it is called as
-    potential(market, prices, _profile=demand(market, prices)).
+    final prices are then the natural `prices0`.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
@@ -280,7 +269,7 @@ def run_tatonnement_trace(
         raise ValueError("price cap must be at least the largest initial price")
 
     market = market0
-    potential = _potential or _make_potential(market0, config)
+    potential = _make_potential(market0, config)
     profile = demand(market0, prices)
     initial = potential(market0, prices, _profile=profile)
 

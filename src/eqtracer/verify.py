@@ -250,7 +250,7 @@ def check_dynamic_tracing(traces: int = 20, horizon: int = 2000) -> CheckResult:
         spec = ScheduleSpec(channel=channel, magnitude=magnitude, seed=3000 + i)
         schedule = generate_schedule(spec, market, horizon)
 
-        delta_hat, warmed, _ = fit_contraction(
+        delta_hat, warmed = fit_contraction(
             market, uniform_prices(market), config, rounds=100
         )
         trace = run_tatonnement_trace(
@@ -320,10 +320,8 @@ def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
             continue
         spec = ScheduleSpec(channel=UTILITY, magnitude=0.005, seed=5000 + seed)
         schedule = generate_schedule(spec, market, horizon)
-        bound, warmed, fitted_eq = fit_prd_constants(market, proportional_bids(market))
-        trace = run_prd_trace(
-            market, warmed, schedule, bound, horizon, _equilibrium=fitted_eq
-        )
+        bound, warmed = fit_prd_constants(market, proportional_bids(market))
+        trace = run_prd_trace(market, warmed, schedule, bound, horizon)
         fraction = float(trace.recurrence_ok.mean())
         fractions.append(fraction)
         if fraction < 0.95:

@@ -10,12 +10,16 @@ import pytest
 
 import eqtracer.applications
 import eqtracer.cli
+import eqtracer.equilibrium
+import eqtracer.prd
+import eqtracer.tatonnement
 from eqtracer import verify
 from eqtracer.cli import (
     CONFIG_SCHEMA,
     EXIT_BOUND,
     EXIT_CONFIG,
     EXIT_SIMULATION,
+    KINDS,
     build_parser,
     main,
 )
@@ -387,6 +391,59 @@ def test_lone_prd_constant_is_a_config_error(tmp_path, capsys, bounds):
     assert not out.exists()
 
 
+# One config per kind that sets sections the kind does not read.
+@pytest.mark.parametrize(
+    "config, fields",
+    [
+        (
+            {
+                "kind": "gd-shifting", "quadratic": {"dims": 3},
+                "schedule": BASE["schedule"], "market": BASE["market"],
+            },
+            {"schedule", "market"},
+        ),
+        (
+            {
+                "kind": "prd",
+                "market": {**BASE["market"], "initial_prices": [1.0, 1.0, 1.0, 1.0]},
+                "bounds": {"delta": 0.1, "warmup_rounds": 5},
+                "dynamics": {"step_size": 0.01},
+            },
+            {"market/initial_prices", "bounds/delta", "bounds/warmup_rounds", "dynamics"},
+        ),
+        (
+            {
+                "kind": "tatonnement-ms", "market": BASE["market"],
+                "bounds": {"q1": 0.5, "q2": 1.0, "fit_rounds": 10},
+                "network": {"graph": "path"},
+            },
+            {"bounds/q1", "bounds/q2", "bounds/fit_rounds", "network"},
+        ),
+    ],
+    ids=["gd-shifting", "prd", "tatonnement-ms"],
+)
+def test_sections_a_kind_does_not_read_are_config_errors(tmp_path, capsys, config, fields):
+    cfg = write_config(tmp_path, "c.json", {**config, "horizon": 5})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    named = err.split("config field ")[1].split(":")[0]
+    assert named in fields
+    assert f"not read by kind {config['kind']}" in err
+    assert not out.exists()
+
+
+def test_schema_states_what_each_kind_reads():
+    rules = {
+        rule["if"]["properties"]["kind"]["const"]: rule["then"]
+        for rule in CONFIG_SCHEMA["allOf"]
+    }
+    assert set(rules) == set(KINDS)
+    prd = rules["prd"]
+    assert "network" not in prd["propertyNames"]["enum"]
+    assert "initial_prices" not in prd["properties"]["market"]["propertyNames"]["enum"]
+
+
 @pytest.mark.parametrize(
     "field, literal, message",
     [
@@ -502,6 +559,22 @@ GOLDEN_DIGESTS = {
 }
 
 
+# The same digests for the paths that take supplied constants: the prd
+# runner's own cold solve, and the cpf initial price ratio read from a solve
+# the runner made.  Pinned with the determinism configs' markets and schedules.
+SUPPLIED_BOUNDS = {"prd": {"q1": 0.5, "q2": 1.0}, "tatonnement-cpf": {"delta": 0.01}}
+SUPPLIED_DIGESTS = {
+    "prd": (
+        "de6f3c30df226b8dc1e65277f5b7056c4ec46b89004f00dd216f8df35e89b61d",
+        "ae68824b806982ebcb5ec29084410a42b705a0a602107928e3c1e2ca5a7efb86",
+    ),
+    "tatonnement-cpf": (
+        "78eec8f5acfea4a32718d06e84493d9228f9ef4a8ad665acf4b930c7772b588b",
+        "be9dd8b46d7e20a434c1135122ece6e722a21940b1defe4d99220c4068167388",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "kind, horizon",
     GOLDEN_DIGESTS,
@@ -516,3 +589,39 @@ def test_determinism_configs_match_golden_digests(tmp_path, capsys, kind, horizo
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     got = (file_sha256(out / "trace.csv"), file_sha256(out / "report.json"))
     assert got == GOLDEN_DIGESTS[kind, horizon]
+
+
+@pytest.mark.parametrize("kind", SUPPLIED_DIGESTS)
+def test_supplied_constants_match_golden_digests(tmp_path, capsys, kind):
+    config = {**verify._DETERMINISM_CONFIGS[kind], "bounds": SUPPLIED_BOUNDS[kind]}
+    cfg = write_config(tmp_path, "c.json", {"kind": kind, **config})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    got = (file_sha256(out / "trace.csv"), file_sha256(out / "report.json"))
+    assert got == SUPPLIED_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", SUPPLIED_DIGESTS)
+@pytest.mark.parametrize("source", ["fitted", "supplied"])
+def test_newton_cold_solves_each_starting_market_once(
+    tmp_path, monkeypatch, capsys, kind, source
+):
+    config = {"kind": kind, **verify._DETERMINISM_CONFIGS[kind]}
+    if source == "supplied":
+        config["bounds"] = SUPPLIED_BOUNDS[kind]
+    solve = eqtracer.equilibrium.solve_equilibrium
+    cold = []
+
+    def recorded(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        if kwargs.get("initial_prices") is None:
+            cold.append(result)
+        return result
+
+    for module in (eqtracer.cli, eqtracer.prd, eqtracer.tatonnement):
+        monkeypatch.setattr(module, "solve_equilibrium", recorded)
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    # Every cold call after the first returns the first one's result.
+    assert len(cold) >= 1
+    assert len({id(result) for result in cold}) == 1

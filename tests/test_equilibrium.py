@@ -5,7 +5,7 @@ from eqtracer import CesMarket, ConvergenceError, misspending_potential, solve_e
 from eqtracer.equilibrium import _gradient_hessian
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
 from eqtracer.market import demand
-from eqtracer.perturbation import UTILITY, PerturbationEvent, apply_event
+from eqtracer.perturbation import BUDGET, SUPPLY, UTILITY, PerturbationEvent, apply_event
 
 
 def test_symmetric_market_uniform_prices():
@@ -57,9 +57,69 @@ def test_bids_row_and_column_sums():
 def test_deterministic():
     market = random_market(6, 3, 4)
     a = solve_equilibrium(market)
-    b = solve_equilibrium(market)
+    b = solve_equilibrium(market.replace())
+    assert a is not b
     assert np.array_equal(a.prices, b.prices)
+    assert np.array_equal(a.bids, b.bids)
     assert a.psi_star == b.psi_star
+
+
+class TestColdSolveMemo:
+    def test_cold_solves_of_one_market_return_one_result(self):
+        market = random_market(6, 3, 4)
+        cold = solve_equilibrium(market)
+        assert solve_equilibrium(market) is cold
+        warm = solve_equilibrium(market, initial_prices=cold.prices)
+        assert warm is not cold and warm.iterations == 0
+        assert solve_equilibrium(market) is cold
+
+    def test_tolerances_are_kept_apart(self):
+        market = random_market(6, 3, 4)
+        coarse = solve_equilibrium(market, tolerance=1e-8)
+        fine = solve_equilibrium(market, tolerance=1e-10)
+        assert fine is not coarse
+        assert fine.residual <= 1e-10 * market.total_budget
+        assert solve_equilibrium(market, tolerance=1e-8) is coarse
+        assert solve_equilibrium(market, tolerance=1e-10) is fine
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda m: m.replace(),
+            lambda m: apply_event(m, PerturbationEvent(1, SUPPLY, np.zeros(m.num_goods))),
+            lambda m: apply_event(m, PerturbationEvent(1, BUDGET, np.zeros(m.num_buyers))),
+            lambda m: apply_event(
+                m, PerturbationEvent(1, UTILITY, np.ones_like(m.coefficients))
+            ),
+        ],
+        ids=["replace", "supply", "budget", "utility"],
+    )
+    def test_derived_markets_do_not_inherit_the_solve(self, derive):
+        market = random_market(6, 3, 4)
+        parent = solve_equilibrium(market)
+        child = solve_equilibrium(derive(market))
+        # An unchanged copy solves to the same bits, but afresh.
+        assert child is not parent
+        assert child.iterations == parent.iterations > 0
+        assert np.array_equal(child.prices, parent.prices)
+
+    def test_result_arrays_reject_writes(self):
+        market = random_market(6, 3, 4)
+        cold = solve_equilibrium(market)
+        warm = solve_equilibrium(market, initial_prices=cold.prices)
+        for result in (cold, warm):
+            for array in (result.prices, result.bids):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+
+    def test_failed_solves_are_not_kept(self):
+        market = random_market(7, 3, 4)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                solve_equilibrium(market, tolerance=1e-12, max_iters=3)
+        result = solve_equilibrium(market, tolerance=1e-12)
+        assert result.iterations > 3
+        assert solve_equilibrium(market, tolerance=1e-12, max_iters=3) is result
 
 
 def test_nonconvergence_reports_residual():

@@ -6,8 +6,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqtracer"
 
 # (importing module, private name): the market's CES kernel behind Newton's
-# evaluations, and the CLI's hand-off of one cpf potential per trace.
-ALLOWED = {("equilibrium", "_ces_weights"), ("cli", "_CpfPotential")}
+# evaluations.  Exact, so an exception that is no longer used fails too.
+ALLOWED = {("equilibrium", "_ces_weights")}
 
 
 def private_imports():
@@ -23,4 +23,4 @@ def private_imports():
 
 
 def test_modules_import_no_private_names_from_one_another():
-    assert private_imports() - ALLOWED == set()
+    assert private_imports() == ALLOWED

@@ -19,6 +19,7 @@ from eqtracer import (
     run_tatonnement_trace,
     simulate_diffusion,
     simulate_shifting_quadratic,
+    solve_equilibrium,
 )
 from eqtracer.instances import (
     drifting_quadratic,
@@ -167,7 +168,7 @@ class TestRunnersFollowClosedForms:
         # anchor term q2 * KL_0 is exercised, unlike the fit's final bids.
         market = random_market(seed, 3, 4, unit_supplies=True)
         bids = proportional_bids(market)
-        bound, _, eq = fit_prd_constants(market, bids)
+        bound, _ = fit_prd_constants(market, bids)
         schedule = generate_schedule(
             ScheduleSpec(
                 channel="utility-multiplicative", magnitude=0.005, seed=seed + 5
@@ -175,8 +176,8 @@ class TestRunnersFollowClosedForms:
             market,
             100,
         )
-        trace = run_prd_trace(market, bids, schedule, bound, 100, _equilibrium=eq)
-        kl0 = kl_divergence(eq.bids, bids)
+        trace = run_prd_trace(market, bids, schedule, bound, 100)
+        kl0 = kl_divergence(solve_equilibrium(market, tolerance=1e-10).bids, bids)
         assert kl0 > 1e-3
         assert trace.delta.any()
         for T, got in enumerate(trace.bound, start=1):

@@ -148,6 +148,41 @@ class TestSchedules:
         for e in schedule.events:
             assert np.all(np.abs(np.log(e.payload)) <= 0.01 + 1e-12)
 
+    @pytest.mark.parametrize("channel", [SUPPLY, BUDGET, UTILITY])
+    def test_events_fall_on_start_round_then_every(self, channel):
+        market = random_market(7, 3, 4)
+        spec = ScheduleSpec(channel, 0.01, seed=14, start_round=3, every=4)
+        schedule = generate_schedule(spec, market, 20)
+        assert [e.round for e in schedule.events] == [3, 7, 11, 15, 19]
+
+    @pytest.mark.parametrize("channel", [SUPPLY, BUDGET, UTILITY])
+    def test_gaussian_payloads_respect_magnitude(self, channel):
+        # Draws have standard deviation magnitude/2 and are clipped at the
+        # magnitude, so over 200 events some draws reach the clip.
+        market = random_market(8, 3, 4)
+        spec = ScheduleSpec(channel, 0.05, seed=15, distribution="gaussian")
+        events = generate_schedule(spec, market, 200).events
+        if channel == UTILITY:
+            draws = np.array([np.abs(np.log(e.payload)) for e in events])
+        else:
+            # Additive components are draws over the payload size.
+            assert max(np.abs(e.payload).sum() for e in events) <= 0.05 * (1 + 1e-12)
+            draws = np.array([np.abs(e.payload) * e.payload.size for e in events])
+        assert draws.max() <= 0.05 * (1 + 1e-12)
+        assert draws.max() == pytest.approx(0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    def test_one_seed_gives_one_schedule(self, distribution):
+        market = random_market(9, 3, 4)
+
+        def payloads(seed):
+            spec = ScheduleSpec(UTILITY, 0.05, seed, distribution=distribution, every=2)
+            return [e.payload for e in generate_schedule(spec, market, 30).events]
+
+        same, again, other = payloads(16), payloads(16), payloads(17)
+        assert all(np.array_equal(x, y) for x, y in zip(same, again, strict=True))
+        assert not any(np.array_equal(x, y) for x, y in zip(same, other))
+
 
 class TestJumpCaps:
     def test_supply_cap_plugin(self):

@@ -20,8 +20,8 @@ def test_doubled_contraction_rate_fails_battery_4(monkeypatch):
     fit = verify.fit_contraction
 
     def doubled(*args, **kwargs):
-        delta, prices, phi0 = fit(*args, **kwargs)
-        return 2.0 * delta, prices, phi0
+        delta, prices = fit(*args, **kwargs)
+        return 2.0 * delta, prices
 
     monkeypatch.setattr(verify, "fit_contraction", doubled)
     result = verify.check_dynamic_tracing(traces=_TRACES)

@@ -24,7 +24,7 @@ from eqtracer import (
     run_prd_trace,
     solve_equilibrium,
 )
-from eqtracer import prd
+from eqtracer import equilibrium, prd
 from eqtracer.equilibrium import EquilibriumResult
 from eqtracer.instances import random_market
 from eqtracer.trace import Trace
@@ -162,9 +162,7 @@ class TestPotential:
 class TestReduction:
     def test_zero_change_unit_market_unchanged(self):
         market = random_market(7, 2, 3, unit_supplies=True)
-        reduced = reduce_supply_to_utility(market)
-        assert np.array_equal(reduced.coefficients, market.coefficients)
-        assert np.array_equal(reduced.supplies, np.ones(3))
+        assert reduce_supply_to_utility(market) is market
 
     def test_log_change_scales_coefficients(self):
         # Supply 2 folds in as the factor 2^rho.
@@ -187,7 +185,7 @@ class TestReduction:
 class TestFitAndTrace:
     def test_fit_produces_ordered_constants(self):
         market = random_market(9, 3, 4, unit_supplies=True)
-        bound, _, _ = fit_prd_constants(market, proportional_bids(market), rounds=100)
+        bound, _ = fit_prd_constants(market, proportional_bids(market), rounds=100)
         assert 0 < bound.q1 < bound.q2
 
     def test_bound_config_validation(self):
@@ -216,7 +214,7 @@ class TestFitAndTrace:
 
     def test_static_geometric_envelope_dominates(self):
         market = random_market(12, 3, 3, unit_supplies=True)
-        bound, bids, _ = fit_prd_constants(market, proportional_bids(market), rounds=30)
+        bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
         trace = run_prd_trace(market, bids, PerturbationSchedule(), bound, 200)
         assert (trace.potential <= trace.bound + 1e-9).all()
         assert trace.potential[-1] < trace.potential[0]
@@ -242,7 +240,7 @@ class TestFitAndTrace:
         market = random_market(14, 3, 4, unit_supplies=True)
         spec = ScheduleSpec(channel=SUPPLY, magnitude=0.01, seed=3)
         schedule = generate_schedule(spec, market, 100)
-        bound, bids, _ = fit_prd_constants(market, proportional_bids(market))
+        bound, bids = fit_prd_constants(market, proportional_bids(market))
         trace = run_prd_trace(market, bids, schedule, bound, 100)
         assert (trace.delta >= 0).all()
         assert (trace.potential <= trace.bound + 1e-9).all()
@@ -260,21 +258,26 @@ class TestFitAndTrace:
         assert (kl[1:] <= bound.ratio * kl[:-1]).all()
         assert not trace.recurrence_ok.any()
 
-    def test_fitted_equilibrium_reuse_is_bitwise(self):
+    def test_runner_after_a_fit_reuses_its_cold_solve_bitwise(self, monkeypatch):
         market = random_market(16, 3, 4, unit_supplies=True)
+        fresh = market.replace()
         schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=4), market, 30)
-        bound, bids, eq = fit_prd_constants(market, proportional_bids(market), rounds=30)
-        reused = run_prd_trace(market, bids, schedule, bound, 30, _equilibrium=eq)
-        solved = run_prd_trace(market, bids, schedule, bound, 30)
+        bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
+        evaluated = []
+        kernel = equilibrium._ces_weights
+
+        def counted(m, prices):
+            evaluated.append(m)
+            return kernel(m, prices)
+
+        monkeypatch.setattr(equilibrium, "_ces_weights", counted)
+        after_fit = run_prd_trace(market, bids, schedule, bound, 30)
+        assert evaluated and not any(m is market for m in evaluated)
+        alone = run_prd_trace(fresh, bids, schedule, bound, 30)
+        assert any(m is fresh for m in evaluated)
         for field in fields(Trace):
             name = field.name
-            assert np.array_equal(getattr(reused, name), getattr(solved, name)), name
-
-    def test_fitted_equilibrium_reuse_needs_unit_supplies(self):
-        market = random_market(17, 3, 4)
-        bound, bids, eq = fit_prd_constants(market, proportional_bids(market), rounds=30)
-        with pytest.raises(ValueError, match="unit supplies"):
-            run_prd_trace(market, bids, PerturbationSchedule(), bound, 5, _equilibrium=eq)
+            assert np.array_equal(getattr(after_fit, name), getattr(alone, name)), name
 
     def test_check_bids_validates_support_and_rows(self):
         market = random_market(15, 2, 3, unit_supplies=True)
@@ -403,10 +406,10 @@ def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
     monkeypatch.setattr(prd, "_round_kernel", counted)
     for name in ("prd_step", "prd_potential_g", "kl_divergence"):
         monkeypatch.setattr(prd, name, refused)
-    bound, bids, eq = fit_prd_constants(market, proportional_bids(market), rounds=30)
+    bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
     assert len(calls) == 1 + 1 + 30  # g*, the start, one per round
     calls.clear()
-    run_prd_trace(market, bids, schedule, bound, 12, _equilibrium=eq)
+    run_prd_trace(market, bids, schedule, bound, 12)
     resolves = sum(1 for t in range(1, 13) if schedule.events_at(t))
     assert resolves > 0
     assert len(calls) == 1 + 1 + 12 + resolves
@@ -417,11 +420,11 @@ def test_runner_charges_the_public_cap(monkeypatch):
     drift = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=3), market, 40)
     supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=4, every=3), market, 40)
     schedule = PerturbationSchedule(events=drift.events + supply.events)
-    bound, bids, eq = fit_prd_constants(market, proportional_bids(market))
-    intact = run_prd_trace(market, bids, schedule, bound, 40, _equilibrium=eq)
+    bound, bids = fit_prd_constants(market, proportional_bids(market))
+    intact = run_prd_trace(market, bids, schedule, bound, 40)
     cap = prd.delta_prd_utility
     monkeypatch.setattr(prd, "delta_prd_utility", lambda *args: 0.5 * cap(*args))
-    halved = run_prd_trace(market, bids, schedule, bound, 40, _equilibrium=eq)
+    halved = run_prd_trace(market, bids, schedule, bound, 40)
     assert (intact.delta > 0).all()
     assert np.array_equal(halved.delta, 0.5 * intact.delta)
     assert np.array_equal(halved.potential, intact.potential)
@@ -435,7 +438,7 @@ def test_runner_charges_the_public_cap(monkeypatch):
 def test_fit_is_stable_under_solver_noise(monkeypatch, seed, m, n):
     market = random_market(seed, m, n, unit_supplies=True)
     bids = proportional_bids(market)
-    exact, _, _ = fit_prd_constants(market, bids)
+    exact, _ = fit_prd_constants(market, bids)
     solve = prd.solve_equilibrium
     rng = np.random.default_rng(seed)
 
@@ -446,6 +449,6 @@ def test_fit_is_stable_under_solver_noise(monkeypatch, seed, m, n):
         return replace(eq, bids=moved)
 
     monkeypatch.setattr(prd, "solve_equilibrium", nudged)
-    noisy, _, _ = fit_prd_constants(market, bids)
+    noisy, _ = fit_prd_constants(market, bids)
     assert noisy.q1 == pytest.approx(exact.q1, rel=1e-5)
     assert noisy.q2 == pytest.approx(exact.q2, rel=1e-5)

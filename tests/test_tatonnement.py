@@ -173,7 +173,7 @@ class TestTraces:
             lam=default_step_size(market),
             price_cap=2 * market.total_budget,
         )
-        delta, prices, _ = fit_contraction(market, uniform_prices(market), config, 100)
+        delta, prices = fit_contraction(market, uniform_prices(market), config, 100)
         eps = np.full(4, 0.002)
         events = tuple(
             PerturbationEvent(t, SUPPLY, eps * (-1) ** t) for t in range(1, 301)
@@ -235,11 +235,8 @@ class TestFitContraction:
         config = TatonnementConfig(
             lam=default_step_size(market), price_cap=2 * market.total_budget
         )
-        delta_hat, prices, phi = fit_contraction(
-            market, uniform_prices(market), config, rounds=50
-        )
+        delta_hat, _ = fit_contraction(market, uniform_prices(market), config, rounds=50)
         assert 0 < delta_hat <= 1
-        assert phi == pytest.approx(misspending_potential(market, prices), rel=1e-12)
 
     def test_zero_rounds_rejected(self):
         market = random_market(11, 2, 2)
@@ -271,7 +268,7 @@ def _reference_fit(market, prices, config, step, potential, rounds):
         if phi > floor:
             rates.append(1.0 - phi_next / phi)
         phi = phi_next
-    return min(rates), p, phi
+    return min(rates), p
 
 
 def _reference_trace(market, prices, config, step, potential, schedule, delta, horizon):
@@ -310,7 +307,7 @@ class TestReferenceEquivalence:
 
         got = fit_contraction(market, prices, config, 15)
         want = _reference_fit(market, prices, config, step, potential, 15)
-        assert got[0] == want[0] and got[2] == want[2]
+        assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
 
         spec = ScheduleSpec(channel=channel, magnitude=0.01, seed=seed)
