@@ -8,15 +8,20 @@ STOC 2013) in log prices y = ln p.  The gradient is p times (supply - demand)
 and the Hessian H has a closed form; from a warm start Newton reaches the
 target in a few steps.
 
-Psi is convex in p for every CES market, but not always in y: H can be
-indefinite (often for complements far from equilibrium).  Such steps use
-H - diag(g) instead, which is diag(p) times the price-space Hessian times
-diag(p), i.e. sum_i b_i ((1 - c_i) diag(s_i) + c_i s_i s_i^T) with s_i the
-spending shares and c_i the demand exponent.  Each buyer's term is positive
-semidefinite (for c_i < 0 write it as diag(s_i) - c_i (diag(s_i) - s_i s_i^T)),
-so the sum is positive definite whenever every good carries spending and the
-step is a descent direction for Psi (damped Newton, Boyd & Vandenberghe,
-Convex Optimization, section 9.5).
+In code terms H = diag(w*p) + sum_i b_i (-c_i) (diag(s_i) - s_i s_i^T), with
+s_i buyer i's spending shares and c_i = rho_i / (rho_i - 1).  Each
+diag(s_i) - s_i s_i^T is positive semidefinite (x^T (.) x is the variance of x
+under s_i >= 0, which sums to 1), so when every c_i < 0 (every rho_i in (0, 1))
+H >= diag(w*p) > 0 and the step needs no definiteness test.
+
+Psi is convex in p for every CES market, but with a complements buyer
+(c_i > 0) not always in y: H can be indefinite, often far from equilibrium.
+Such steps use H - diag(g) instead, which is diag(p) times the price-space
+Hessian times diag(p), i.e. sum_i b_i ((1 - c_i) diag(s_i) + c_i s_i s_i^T).
+Each buyer's term is positive semidefinite (for c_i < 0 write it as
+diag(s_i) - c_i (diag(s_i) - s_i s_i^T)), so the sum is positive definite
+whenever every good carries spending and the step is a descent direction for
+Psi (damped Newton, Boyd & Vandenberghe, Convex Optimization, section 9.5).
 """
 
 from __future__ import annotations
@@ -76,17 +81,18 @@ def solve_equilibrium(
     """Find prices whose misspending is at most tolerance * total budget.
 
     Newton's method on the convex price potential in log prices y = ln p.
-    Each step factors the log-price Hessian H (Cholesky, to confirm it is
-    positive definite) and solves for the step; where H is not positive
-    definite the step uses H - diag(g), which is positive definite (see the
-    module docstring).  A step is accepted on an Armijo decrease of Psi, or
-    when the misspending sum |g| falls while Psi rises by no more than its
-    rounding noise: near the optimum Psi's decrease drops below rounding
-    while the residual still shrinks quadratically, and away from it a
-    residual-only rule lets Newton cycle.  Every point is evaluated by the
-    market's log-domain kernel `_ces_weights`, so the start stays finite as
-    rho -> 1, and residual, spending and potential are computed exactly as
-    misspending_potential, demand and cpf_potential compute them.
+    Each step solves H d = -g with the log-price Hessian H.  With every rho
+    in (0, 1), H is positive definite (see the module docstring) and is not
+    tested; with any complements buyer Cholesky tests H at every step, and
+    where it fails the step uses H - diag(g), which is positive definite.
+    A step is accepted on an Armijo decrease of Psi, or when the misspending
+    sum |g| falls while Psi rises by no more than its rounding noise: near
+    the optimum Psi's decrease drops below rounding while the residual still
+    shrinks quadratically, and away from it a residual-only rule lets Newton
+    cycle.  Every point is evaluated by the market's log-domain kernel
+    `_ces_weights`, so the start stays finite as rho -> 1, and residual,
+    spending and potential are computed exactly as misspending_potential,
+    demand and cpf_potential compute them.
 
     `initial_prices` warm-starts the solve (defaults to uniform B/n); a warm
     start that already clears is returned unchanged after 0 steps, so
@@ -139,11 +145,13 @@ def solve_equilibrium(
             "the convex potential is not finite at the starting prices", np.inf
         )
     shares, residual, psi = state
+    substitutes = (market.demand_exponent < 0).all()
     steps = 0
     while steps < max_iters and residual > target:
         g, hessian = _gradient_hessian(market, p, shares)
         try:
-            np.linalg.cholesky(hessian)
+            if not substitutes:
+                np.linalg.cholesky(hessian)
         except np.linalg.LinAlgError:
             # Far from equilibrium the spending on some goods, and with it
             # their rows of H - diag(g), can be hundreds of orders of

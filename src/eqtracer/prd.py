@@ -64,20 +64,17 @@ def check_bids(market: CesMarket, bids) -> np.ndarray:
     return bids
 
 
-def _round_kernel(market: CesMarket, bids: np.ndarray, log_a: np.ndarray):
-    """Next bids, g(market, bids), ln bids and prices, from one set of logs.
+def _logs_and_g(market: CesMarket, bids: np.ndarray, log_a: np.ndarray):
+    """The logs l, g(market, bids), ln bids and prices: the kernel's first half.
 
-    Unchecked: bids >= 0 and log_a = ln a.  With l = ln a + rho (ln w + ln b
-    - ln p) = ln(a q^rho), q = w b / p, and L_i its row maximum, next bids are
-    b_i exp(l - L_i) over the row sum and g = p.ln w - sum_{b>0} (b/rho)(l - ln b).
-    Rows are pinned to the budgets at their largest entry: no drift, zeros stay.
+    Unchecked: bids >= 0 and log_a = ln a.  l = ln a + rho (ln w + ln b - ln p)
+    = ln(a q^rho), q = w b / p, and g = p.ln w - sum_{b>0} (b/rho)(l - ln b).
     """
     prices = bids.sum(axis=0)
     dead = prices == 0
     if dead.any() and (market.coefficients[:, dead] > 0).any():
         raise ValueError("a good with zero total bids still carries positive coefficients")
     log_w = np.log(market.supplies)
-    rows = np.arange(bids.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_b = np.log(bids)
         logs = log_b - np.log(np.where(dead, 1.0, prices))
@@ -85,12 +82,24 @@ def _round_kernel(market: CesMarket, bids: np.ndarray, log_a: np.ndarray):
             logs += log_w
         logs *= market.rho[:, None]
         logs += log_a
-        top = logs.argmax(axis=1)
         terms = bids * (logs - log_b)
         if np.count_nonzero(bids) < bids.size:  # zero bids add nothing (x ln x limit)
             np.copyto(terms, 0.0, where=bids == 0)
         g = float(prices @ log_w - (terms.sum(axis=1) / market.rho).sum())
-        del terms
+    return logs, g, log_b, prices
+
+
+def _round_kernel(market: CesMarket, bids: np.ndarray, log_a: np.ndarray):
+    """Next bids, g(market, bids), ln bids and prices, from one set of logs.
+
+    With the logs l of `_logs_and_g` and L_i their row maximum, next bids are
+    b_i exp(l - L_i) over the row sum.  Rows are pinned to the budgets at
+    their largest entry: no drift, zeros stay.
+    """
+    logs, g, log_b, prices = _logs_and_g(market, bids, log_a)
+    rows = np.arange(bids.shape[0])
+    top = logs.argmax(axis=1)
+    with np.errstate(invalid="ignore"):
         logs -= logs[rows, top][:, None]
         new = np.exp(logs, out=logs)
         sums = new.sum(axis=1)
@@ -149,7 +158,7 @@ def prd_potential_g(market: CesMarket, bids) -> float:
     / p_j^rho_i); zero bids contribute nothing (x ln x limit).  Like
     `prd_step`, it rejects bids that leave a valued good without bids.
     """
-    g = _round_kernel(market, _checked_inputs(market, bids), _log_coefficients(market))[1]
+    g = _logs_and_g(market, _checked_inputs(market, bids), _log_coefficients(market))[1]
     if not np.isfinite(g):
         raise ValueError("positive bid on a zero coefficient makes g non-finite")
     return g
@@ -172,7 +181,7 @@ def _anchor(market: CesMarket, eq: EquilibriumResult):
             raise ValueError("support violation: y must be positive wherever x is")
         return max(value, 0.0)
 
-    return log_a, _round_kernel(market, eq.bids, log_a)[1], kl
+    return log_a, _logs_and_g(market, eq.bids, log_a)[1], kl
 
 
 def reduce_supply_to_utility(market: CesMarket) -> CesMarket:

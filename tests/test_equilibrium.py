@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqtracer import CesMarket, ConvergenceError, misspending_potential, solve_equilibrium
 from eqtracer.equilibrium import _gradient_hessian
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
-from eqtracer.market import demand
+from eqtracer.market import _ces_weights, demand
 from eqtracer.perturbation import BUDGET, SUPPLY, UTILITY, PerturbationEvent, apply_event
 
 
@@ -187,6 +188,73 @@ def test_hessian_matches_finite_differences(rho_range):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(hessian)
     np.linalg.cholesky(hessian - np.diag(g))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    band=st.sampled_from([(0.2, 0.8), (0.99, 0.999), (0.01, 0.05)]),
+    sparse=st.booleans(),
+    spread=st.floats(0.0, 5.0),
+)
+def test_substitutes_hessian_is_positive_definite(seed, m, n, band, sparse, spread):
+    """With every rho in (0, 1), H = diag(w*p) + a positive semidefinite sum,
+    which is why the solver takes its step without a Cholesky test."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.2, 1.5, size=(m, n))
+    if sparse:  # zero half of every row; each keeps a positive entry
+        for row in a:
+            row[rng.permutation(n)[: n // 2]] = 0.0
+    market = CesMarket(
+        budgets=rng.uniform(0.5, 2.0, size=m),
+        supplies=rng.uniform(0.5, 2.0, size=n),
+        rho=rng.uniform(*band, size=m),
+        coefficients=a,
+    )
+    p = uniform_prices(market) * np.exp(rng.uniform(-spread, spread, size=n))
+    _, hessian = _gradient_hessian(market, p, _ces_weights(market, p)[0])
+    np.linalg.cholesky(hessian)
+    rest = hessian - np.diag(market.supplies * p)
+    assert np.linalg.eigvalsh(rest).min() >= -1e-10 * np.abs(hessian).max()
+
+
+def _count_cholesky(monkeypatch):
+    """Patch np.linalg.cholesky to record each call as True (passed) or False."""
+    outcomes = []
+    cholesky = np.linalg.cholesky
+
+    def counted(matrix):
+        try:
+            factor = cholesky(matrix)
+        except np.linalg.LinAlgError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return outcomes
+
+
+def test_substitutes_solve_takes_no_cholesky_test(monkeypatch):
+    outcomes = _count_cholesky(monkeypatch)
+    result = solve_equilibrium(random_market(61, 7, 7))
+    assert result.iterations > 0
+    assert outcomes == []
+
+
+@pytest.mark.parametrize("complements", [7, 1])
+def test_a_complements_buyer_keeps_the_cholesky_test(monkeypatch, complements):
+    market = random_market(60, 7, 7, -2.0, -0.5)
+    market = market.replace(rho=np.where(np.arange(7) < complements, market.rho, 0.5))
+    outcomes = _count_cholesky(monkeypatch)
+    result = solve_equilibrium(market, max_iters=50)  # takes 4-5 steps
+    assert result.residual <= 1e-8 * market.total_budget
+    assert len(outcomes) == result.iterations > 0  # one test per Newton step
+    if complements == 7:  # indefinite at the uniform start: the fallback runs
+        assert not outcomes[0]
 
 
 @pytest.mark.parametrize("rho_range", [(0.2, 0.8), (-2.0, -0.5)])

@@ -352,7 +352,10 @@ def _kernel_case(seed, m, n, near_linear, sparse, unit):
 def test_round_kernel_matches_written_out_formulas(seed, m, n, near_linear, sparse, unit):
     market, bids, x = _kernel_case(seed, m, n, near_linear, sparse, unit)
     a, rho = market.coefficients, market.rho[:, None]
-    step, g, log_b, prices = prd._round_kernel(market, bids, prd._log_coefficients(market))
+    log_a = prd._log_coefficients(market)
+    step, g, log_b, prices = prd._round_kernel(market, bids, log_a)
+    assert prd._logs_and_g(market, bids, log_a)[1] == g  # the g-only half
+    assert prd._logs_and_g(market, x, log_a)[1] == prd._round_kernel(market, x, log_a)[1]
 
     # The step, a (w b / p)^rho with rows renormalised to the budgets.
     weights = a * (market.supplies * bids / bids.sum(axis=0)) ** rho
@@ -390,29 +393,48 @@ def test_round_kernel_kl_keeps_the_support_check():
         kl(log_b)
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_anchor_g_star_is_the_kernel_g_at_equilibrium(sparse):
+    market = random_market(23, 6, 6, unit_supplies=True, zero_fraction=0.4 if sparse else 0.0)
+    eq = solve_equilibrium(market, tolerance=1e-10)
+    log_a, g_star, _ = prd._anchor(market, eq)
+    assert g_star == prd._round_kernel(market, eq.bids, log_a)[1]
+    assert prd_potential_g(market, eq.bids) == g_star
+
+
 def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
     market = random_market(22, 3, 4, unit_supplies=True)
     schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=6), market, 12)
-    calls = []
-    kernel = prd._round_kernel
+    kernel_calls, half_calls = [], []
+    kernel, half = prd._round_kernel, prd._logs_and_g
 
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
+    def counted(calls, func):
+        def call(*args):
+            calls.append(1)
+            return func(*args)
+        return call
 
     def refused(*args, **kwargs):
         raise AssertionError("the loops call the kernel only")
 
-    monkeypatch.setattr(prd, "_round_kernel", counted)
+    monkeypatch.setattr(prd, "_round_kernel", counted(kernel_calls, kernel))
+    monkeypatch.setattr(prd, "_logs_and_g", counted(half_calls, half))
     for name in ("prd_step", "prd_potential_g", "kl_divergence"):
         monkeypatch.setattr(prd, name, refused)
+
+    def g_only_calls():  # every kernel call evaluates g through the half too
+        return len(half_calls) - len(kernel_calls)
+
     bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
-    assert len(calls) == 1 + 1 + 30  # g*, the start, one per round
-    calls.clear()
+    assert g_only_calls() == 1  # g*
+    assert len(kernel_calls) == 1 + 30  # the start, one per round
+    kernel_calls.clear()
+    half_calls.clear()
     run_prd_trace(market, bids, schedule, bound, 12)
     resolves = sum(1 for t in range(1, 13) if schedule.events_at(t))
     assert resolves > 0
-    assert len(calls) == 1 + 1 + 12 + resolves
+    assert g_only_calls() == 1 + resolves  # g* per solve
+    assert len(kernel_calls) == 1 + 12
 
 
 def test_runner_charges_the_public_cap(monkeypatch):
