@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import CesMarket, _ces_weights, check_prices
+from .market import CesMarket, ces_weights, check_prices
 
 _ARMIJO = 1e-4
 _LINE_SEARCH_HALVINGS = 40
@@ -90,7 +90,7 @@ def solve_equilibrium(
     the optimum Psi's decrease drops below rounding while the residual still
     shrinks quadratically, and away from it a residual-only rule lets Newton
     cycle.  Every point is evaluated by the market's log-domain kernel
-    `_ces_weights`, so the start stays finite as rho -> 1, and residual,
+    `ces_weights`, so the start stays finite as rho -> 1, and residual,
     spending and potential are computed exactly as misspending_potential,
     demand and cpf_potential compute them.
 
@@ -130,7 +130,7 @@ def solve_equilibrium(
     def evaluate(prices):
         # Trial points may overflow or leave the price domain; reject them.
         with np.errstate(all="ignore"):
-            shares, log_q = _ces_weights(market, prices)
+            shares, log_q = ces_weights(market, prices)
             spending = b[:, None] * shares
             excess = (spending / prices[None, :]).sum(axis=0) - w
             residual = float((prices * np.abs(excess)).sum())

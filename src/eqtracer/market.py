@@ -9,12 +9,14 @@ here are pure: they never mutate their inputs.
 Validation happens at the public boundary only: `CesMarket(...)` and
 `CesMarket.replace` check every field, and each public function checks its
 prices once.  Every demand, unit cost and potential, and every point the
-equilibrium solver evaluates, goes through one log-domain kernel; it stays
-finite as rho -> 1, where c = rho/(rho-1) -> -inf and a^(1-c) p^c overflows.
-The demand exponent c and the price-free part (1-c) ln a are cached per
-market, and the unvalidated copies that perturbation events make
-(`CesMarket._derive`) share them while they keep rho (and, for (1-c) ln a,
-the coefficients).
+equilibrium solver evaluates, goes through one log-domain kernel,
+`ces_weights`; it stays finite as rho -> 1, where c = rho/(rho-1) -> -inf
+and a^(1-c) p^c overflows.  `demand` returns a `DemandProfile`, and both
+potentials are properties of it, so a caller that holds the demand at some
+prices reads either potential without evaluating it again.  The demand
+exponent c and the price-free part (1-c) ln a are cached per market, and
+the unvalidated copies that perturbation events make (`CesMarket._derive`)
+share them while they keep rho (and, for (1-c) ln a, the coefficients).
 """
 
 from __future__ import annotations
@@ -152,19 +154,18 @@ class DemandProfile:
     Only 1-d results are held, so a profile pins no (m, n) array between
     rounds.  `spending` and `quantities` re-evaluate the kernel at `prices`
     on each access, with the operations `demand` ran in the same order, so
-    they are bit-identical to the arrays `totals` was summed from.
+    they are bit-identical to the arrays `excess` was summed from.
     """
 
     market: CesMarket
     prices: np.ndarray          # (n,) the checked prices demand ran at
-    totals: np.ndarray          # (n,) column sums of quantities
-    excess: np.ndarray          # (n,) totals - supplies
-    log_unit_costs: np.ndarray  # (m,) ln Q_i, see cpf_potential
+    excess: np.ndarray          # (n,) column sums of quantities - supplies
+    log_unit_costs: np.ndarray  # (m,) ln Q_i, see `cpf`
 
     @property
     def spending(self) -> np.ndarray:
         """(m, n) money buyer i spends on good j, prices * quantities."""
-        work = _ces_weights(self.market, self.prices)[0]
+        work = ces_weights(self.market, self.prices)[0]
         work *= self.market.budgets[:, None]
         return work
 
@@ -174,6 +175,28 @@ class DemandProfile:
         work = self.spending
         work /= self.prices[None, :]
         return work
+
+    @property
+    def misspending(self) -> float:
+        """Money misallocated relative to clearing: sum_j p_j * |x_j - w_j|.
+
+        Zero exactly at market-clearing prices, positive elsewhere.
+        """
+        return float((self.prices * np.abs(self.excess)).sum())
+
+    @property
+    def cpf(self) -> float:
+        """Convex price potential: sum_j w_j p_j - sum_i b_i ln Q_i(p).
+
+        Q_i(p) = (sum_k a[i,k]^(1-c_i) p_k^c_i)^(1/c_i) is buyer i's unit
+        cost.  Convex in prices and minimised exactly at equilibrium prices
+        (value psi_star, generally nonzero and possibly negative).
+        """
+        market = self.market
+        return float(
+            (market.supplies * self.prices).sum()
+            - (market.budgets * self.log_unit_costs).sum()
+        )
 
 
 def check_prices(market: CesMarket, prices) -> np.ndarray:
@@ -189,7 +212,7 @@ def check_prices(market: CesMarket, prices) -> np.ndarray:
     return prices
 
 
-def _ces_weights(market: CesMarket, prices: np.ndarray):
+def ces_weights(market: CesMarket, prices: np.ndarray):
     """Spending shares and ln Q_i at checked prices, from the log CES weights.
 
     With l[i, j] = (1-c_i) ln a[i, j] + c_i ln p_j and L_i = max_k l[i, k],
@@ -217,36 +240,17 @@ def demand(market: CesMarket, prices) -> DemandProfile:
     demand.  Each buyer spends the whole budget, prices . quantities[i] == b_i.
     """
     prices = check_prices(market, prices)
-    work, log_q = _ces_weights(market, prices)  # spending, then quantities, in place
+    work, log_q = ces_weights(market, prices)  # spending, then quantities, in place
     work *= market.budgets[:, None]
     work /= prices[None, :]
-    totals = work.sum(axis=0)
-    return DemandProfile(market, prices, totals, totals - market.supplies, log_q)
+    return DemandProfile(market, prices, work.sum(axis=0) - market.supplies, log_q)
 
 
-def misspending_potential(market: CesMarket, prices, _profile=None) -> float:
-    """Total money misallocated relative to clearing: sum_j p_j * |x_j - w_j|.
-
-    Zero exactly at market-clearing prices, positive elsewhere.  `_profile`
-    is a caller's `demand(market, prices)`, reused instead of evaluated again.
-    """
-    if _profile is None:
-        prices = check_prices(market, prices)
-        _profile = demand(market, prices)
-    return float((prices * np.abs(_profile.excess)).sum())
+def misspending_potential(market: CesMarket, prices) -> float:
+    """Misspending sum_j p_j * |x_j - w_j| at `prices`, see `DemandProfile`."""
+    return demand(market, prices).misspending
 
 
-def cpf_potential(market: CesMarket, prices, _profile=None) -> float:
-    """Convex price potential: sum_j w_j p_j - sum_i b_i ln Q_i(p).
-
-    Q_i(p) = (sum_k a[i,k]^(1-c_i) p_k^c_i)^(1/c_i) is buyer i's unit cost.
-    Convex in prices and minimised exactly at equilibrium prices (value
-    psi_star, generally nonzero and possibly negative).  `_profile` is a
-    caller's `demand(market, prices)`, whose ln Q is reused.
-    """
-    if _profile is None:
-        prices = check_prices(market, prices)
-        log_q = _ces_weights(market, prices)[1]
-    else:
-        log_q = _profile.log_unit_costs
-    return float((market.supplies * prices).sum() - (market.budgets * log_q).sum())
+def cpf_potential(market: CesMarket, prices) -> float:
+    """Convex price potential at `prices`, see `DemandProfile.cpf`."""
+    return demand(market, prices).cpf

@@ -6,6 +6,9 @@ prices of under-demanded ones:
 * misspending variant: relative excess demand, capped at one;
 * convex-potential variant: absolute excess demand, capped at one.
 
+Each variant's update and its potential (misspending, or the convex price
+potential less its minimum) are read off one `DemandProfile`, so a round's
+single `demand` both measures the potential and drives the next update.
 The trace runner interleaves price updates with scheduled market
 perturbations and returns a `Trace`: per round, the measured potential,
 the perturbation's worst-case jump, and the running geometric tracking bound.
@@ -15,18 +18,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .equilibrium import solve_equilibrium
 from .lyapunov import running_bound
-from .market import (
-    CesMarket,
-    check_prices,
-    cpf_potential,
-    demand,
-    misspending_potential,
-)
+from .market import CesMarket, demand
 from .perturbation import (
     BUDGET,
     SUPPLY,
@@ -78,69 +76,63 @@ def default_step_size(market: CesMarket) -> float:
     return (1.0 - rho_max) / 10.0
 
 
-def step_ms(prices, market: CesMarket, lam: float, _profile=None) -> np.ndarray:
-    """One price update from relative excess demand, capped at one.
-
-    p'_j = p_j * (1 + lam * min((x_j - w_j) / w_j, 1)); the multiplier always
-    stays within [1 - lam, 1 + lam] because demand is non-negative.
-    `_profile` is a caller's `demand(market, prices)`, reused instead of
-    evaluated again.
-    """
-    if not 0 < lam < 1:
-        raise ValueError("step size must lie in (0, 1)")
-    if _profile is None:
-        prices = check_prices(market, prices)
-        _profile = demand(market, prices)
-    relative = _profile.excess / market.supplies
-    return prices * (1.0 + lam * np.minimum(relative, 1.0))
+def _update_ms(profile, lam):
+    relative = profile.excess / profile.market.supplies
+    return profile.prices * (1.0 + lam * np.minimum(relative, 1.0))
 
 
-def step_cpf(prices, market: CesMarket, lam: float, _profile=None) -> np.ndarray:
-    """One price update from absolute excess demand, capped at one.
-
-    p'_j = p_j * (1 + lam * min(1, z_j)).  Raises if some z_j <= -1/lam would
-    drive the price non-positive (the step size is too large for the market's
-    supply scale).  `_profile` is as for `step_ms`.
-    """
-    if not 0 < lam < 1.0 / 6.0:
-        raise ValueError("step size must lie in (0, 1/6)")
-    if _profile is None:
-        prices = check_prices(market, prices)
-        _profile = demand(market, prices)
-    factors = 1.0 + lam * np.minimum(_profile.excess, 1.0)
+def _update_cpf(profile, lam):
+    factors = 1.0 + lam * np.minimum(profile.excess, 1.0)
     if (factors <= 0).any():
         raise ValueError(
             "price update would drive a price non-positive; "
             "reduce the step size for this supply scale"
         )
-    return prices * factors
+    return profile.prices * factors
 
 
-def _step(prices, market, config, profile):
-    step = step_ms if config.variant == MISSPENDING else step_cpf
-    return step(prices, market, config.lam, _profile=profile)
+def step_ms(prices, market: CesMarket, lam: float) -> np.ndarray:
+    """One price update from relative excess demand, capped at one.
+
+    p'_j = p_j * (1 + lam * min((x_j - w_j) / w_j, 1)); the multiplier always
+    stays within [1 - lam, 1 + lam] because demand is non-negative.
+    """
+    if not 0 < lam < 1:
+        raise ValueError("step size must lie in (0, 1)")
+    return _update_ms(demand(market, prices), lam)
 
 
-class _CpfPotential:
-    """Convex potential normalised by a cached, warm-started minimum value."""
+def step_cpf(prices, market: CesMarket, lam: float) -> np.ndarray:
+    """One price update from absolute excess demand, capped at one.
 
-    def __init__(self, market: CesMarket):
-        self._solve(market)  # a cold solve, made once per market object
-
-    def _solve(self, market):
-        result = solve_equilibrium(market, initial_prices=getattr(self, "_warm", None))
-        self._warm = result.prices
-        self._psi_star = result.psi_star
-        self._market = market
-
-    def __call__(self, market: CesMarket, prices, _profile=None) -> float:
-        if market is not self._market:
-            self._solve(market)
-        return cpf_potential(market, prices, _profile=_profile) - self._psi_star
+    p'_j = p_j * (1 + lam * min(1, z_j)).  Raises if some z_j <= -1/lam would
+    drive the price non-positive (the step size is too large for the market's
+    supply scale).
+    """
+    if not 0 < lam < 1.0 / 6.0:
+        raise ValueError("step size must lie in (0, 1/6)")
+    return _update_cpf(demand(market, prices), lam)
 
 
-def _make_potential(market, config):
-    return misspending_potential if config.variant == MISSPENDING else _CpfPotential(market)
+def _dynamics(market, config):
+    """The variant's (update, potential), both read off one DemandProfile.
+
+    The cpf potential subtracts psi_star: first the market's kept cold
+    solve, then a warm re-solve each time the profile's market object
+    changes.
+    """
+    if config.variant == MISSPENDING:
+        return _update_ms, attrgetter("misspending")
+    solved, eq = market, solve_equilibrium(market)
+
+    def cpf(profile):
+        nonlocal solved, eq
+        if profile.market is not solved:
+            solved = profile.market
+            eq = solve_equilibrium(solved, initial_prices=eq.prices)
+        return profile.cpf - eq.psi_star
+
+    return _update_cpf, cpf
 
 
 def jump_cap(event, market, variant, price_cap, c_prime) -> float:
@@ -206,16 +198,14 @@ def fit_contraction(
     """
     if rounds < 1:
         raise ValueError("need at least one warm-up round")
-    potential = _make_potential(market, config)
-    p = check_prices(market, prices)
-    profile = demand(market, p)
-    phi = potential(market, p, _profile=profile)
+    update, potential = _dynamics(market, config)
+    profile = demand(market, prices)
+    phi = potential(profile)
     floor = max(phi * 1e-12, 1e-300)
     rates = []
     for _ in range(rounds):
-        p = _step(p, market, config, profile)
-        profile = demand(market, p)
-        phi_next = potential(market, p, _profile=profile)
+        profile = demand(market, update(profile, config.lam))
+        phi_next = potential(profile)
         if phi > floor:
             rates.append(1.0 - phi_next / phi)
         phi = phi_next
@@ -227,7 +217,7 @@ def fit_contraction(
             f"no contraction observed during warm-up (worst rate {delta_hat:.3e}); "
             "the step size is outside the contracting regime"
         )
-    return delta_hat, p
+    return delta_hat, profile.prices
 
 
 def run_tatonnement_trace(
@@ -264,21 +254,20 @@ def run_tatonnement_trace(
         raise ValueError("horizon must be non-negative")
     if schedule.max_round > horizon:
         raise ValueError("schedule contains events beyond the horizon")
-    prices = check_prices(market0, prices0)
-    if float(prices.max()) > config.price_cap:
+    profile = demand(market0, prices0)
+    if float(profile.prices.max()) > config.price_cap:
         raise ValueError("price cap must be at least the largest initial price")
 
     market = market0
-    potential = _make_potential(market0, config)
-    profile = demand(market0, prices)
-    initial = potential(market0, prices, _profile=profile)
+    update, potential = _dynamics(market0, config)
+    initial = potential(profile)
 
     phis, jumps, highs, lows = (np.empty(horizon) for _ in range(4))
     for t in range(horizon):
-        prices = _step(prices, market, config, profile)
+        prices = update(profile, config.lam)
         market, jumps[t] = apply_round_events(market, schedule.events_at(t + 1), config)
         profile = demand(market, prices)
-        phis[t] = potential(market, prices, _profile=profile)
+        phis[t] = potential(profile)
         highs[t] = prices.max()
         lows[t] = prices.min()
     return Trace(

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from eqtracer import CesMarket, ConvergenceError, misspending_potential, solve_equilibrium
 from eqtracer.equilibrium import _gradient_hessian
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
-from eqtracer.market import _ces_weights, demand
+from eqtracer.market import ces_weights, demand
 from eqtracer.perturbation import BUDGET, SUPPLY, UTILITY, PerturbationEvent, apply_event
 
 
@@ -214,7 +214,7 @@ def test_substitutes_hessian_is_positive_definite(seed, m, n, band, sparse, spre
         coefficients=a,
     )
     p = uniform_prices(market) * np.exp(rng.uniform(-spread, spread, size=n))
-    _, hessian = _gradient_hessian(market, p, _ces_weights(market, p)[0])
+    _, hessian = _gradient_hessian(market, p, ces_weights(market, p)[0])
     np.linalg.cholesky(hessian)
     rest = hessian - np.diag(market.supplies * p)
     assert np.linalg.eigvalsh(rest).min() >= -1e-10 * np.abs(hessian).max()

@@ -5,22 +5,45 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqtracer"
 
-# (importing module, private name): the market's CES kernel behind Newton's
-# evaluations.  Exact, so an exception that is no longer used fails too.
-ALLOWED = {("equilibrium", "_ces_weights")}
+
+def _trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
 def private_imports():
     found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for module, tree in _trees():
+        for node in ast.walk(tree):
             internal = isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").startswith("eqtracer")
             )
             if internal:
-                found.update((path.stem, a.name) for a in node.names if a.name.startswith("_"))
+                found.update((module, a.name) for a in node.names if a.name.startswith("_"))
+    return found
+
+
+def private_parameters_and_keywords():
+    """(module, line, name) of every underscore parameter or keyword argument."""
+    found = set()
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                found.update(
+                    (module, node.lineno, p.arg)
+                    for p in params if p is not None and p.arg.startswith("_")
+                )
+            elif isinstance(node, ast.keyword) and (node.arg or "").startswith("_"):
+                found.add((module, node.lineno, node.arg))
     return found
 
 
 def test_modules_import_no_private_names_from_one_another():
-    assert private_imports() == ALLOWED
+    assert private_imports() == set()
+
+
+def test_no_function_takes_or_passes_an_underscore_argument():
+    # A private keyword is a hand-off that import checks do not see.
+    assert private_parameters_and_keywords() == set()

@@ -14,7 +14,7 @@ from eqtracer import (
     solve_equilibrium,
 )
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
-from eqtracer.market import _ces_weights
+from eqtracer.market import ces_weights
 
 
 def single_good(budget=1.0, supply=1.0, rho=0.5, a=1.0):
@@ -317,14 +317,13 @@ def test_log_kernel_matches_written_out_weights(seed, rho_range, spread):
 
 
 def assert_demand_bit_equal_to_written_out(market, prices):
-    shares, log_q = _ces_weights(market, prices)
+    shares, log_q = ces_weights(market, prices)
     spending = market.budgets[:, None] * shares
     quantities = spending / prices[None, :]
-    totals = quantities.sum(axis=0)
+    excess = quantities.sum(axis=0) - market.supplies
     profile = demand(market, prices)
     expected = {
-        "totals": totals,
-        "excess": totals - market.supplies,
+        "excess": excess,
         "log_unit_costs": log_q,
         "spending": spending,
         "quantities": quantities,
@@ -332,6 +331,10 @@ def assert_demand_bit_equal_to_written_out(market, prices):
     for name, want in expected.items():
         got = getattr(profile, name)
         assert got.shape == want.shape and (got == want).all(), name
+    assert profile.misspending == float((prices * np.abs(excess)).sum())
+    assert profile.cpf == float(
+        (market.supplies * prices).sum() - (market.budgets * log_q).sum()
+    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -374,4 +377,4 @@ def test_demand_keeps_no_matrix_alive():
     matrix = m * n * 8
     assert peak < 2 * matrix, peak / matrix
     assert held < 0.1 * matrix, held / matrix
-    assert profile.totals.shape == (n,)
+    assert profile.excess.shape == (n,)

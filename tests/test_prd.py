@@ -264,13 +264,13 @@ class TestFitAndTrace:
         schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=4), market, 30)
         bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
         evaluated = []
-        kernel = equilibrium._ces_weights
+        kernel = equilibrium.ces_weights
 
         def counted(m, prices):
             evaluated.append(m)
             return kernel(m, prices)
 
-        monkeypatch.setattr(equilibrium, "_ces_weights", counted)
+        monkeypatch.setattr(equilibrium, "ces_weights", counted)
         after_fit = run_prd_trace(market, bids, schedule, bound, 30)
         assert evaluated and not any(m is market for m in evaluated)
         alone = run_prd_trace(fresh, bids, schedule, bound, 30)

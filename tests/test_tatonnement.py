@@ -15,6 +15,7 @@ from eqtracer import (
     TatonnementConfig,
     Trace,
     apply_event,
+    cpf_potential,
     default_step_size,
     delta_ms_supply,
     generate_schedule,
@@ -28,7 +29,6 @@ import eqtracer.market
 import eqtracer.tatonnement
 from eqtracer.tatonnement import (
     MISSPENDING,
-    _CpfPotential,
     apply_round_events,
     fit_contraction,
     jump_cap,
@@ -253,7 +253,21 @@ def _reference_setup(variant, seed):
     )
     if variant == MISSPENDING:
         return market, config, step_ms, misspending_potential
-    return market, config, step_cpf, _CpfPotential(market)
+    return market, config, step_cpf, _reference_cpf(market)
+
+
+def _reference_cpf(market):
+    """cpf_potential - psi_star after a cold solve, re-solved warm on each new market."""
+    solved = {"market": market, "eq": solve_equilibrium(market)}
+
+    def potential(market, prices):
+        if market is not solved["market"]:
+            warm = solved["eq"].prices
+            solved["eq"] = solve_equilibrium(market, initial_prices=warm)
+            solved["market"] = market
+        return cpf_potential(market, prices) - solved["eq"].psi_star
+
+    return potential
 
 
 def _reference_fit(market, prices, config, step, potential, rounds):
@@ -352,3 +366,34 @@ class TestDemandCalls:
         )
         fit_contraction(market, uniform_prices(market), config, 25)
         assert len(calls) == 25 + 1
+
+
+class TestWarmSolves:
+    """A cpf run re-solves warm once per round whose events changed the market."""
+
+    @pytest.fixture
+    def warm_solves(self, monkeypatch):
+        warm = []
+        original = eqtracer.tatonnement.solve_equilibrium
+
+        def counting(market, *args, **kwargs):
+            if kwargs.get("initial_prices") is not None:
+                warm.append(market)
+            return original(market, *args, **kwargs)
+
+        monkeypatch.setattr(eqtracer.tatonnement, "solve_equilibrium", counting)
+        return warm
+
+    def test_fit_and_trace_count_warm_solves(self, warm_solves):
+        market = random_market(32, 3, 4)
+        config = TatonnementConfig(
+            lam=0.05, variant="cpf", price_cap=2 * market.total_budget
+        )
+        delta, prices = fit_contraction(market, uniform_prices(market), config, 20)
+        assert warm_solves == []
+        spec = ScheduleSpec(SUPPLY, 0.01, seed=2, every=5)
+        schedule = generate_schedule(spec, market, 40)
+        assert {event.round for event in schedule.events} == set(range(1, 41, 5))
+        run_tatonnement_trace(market, prices, config, schedule, delta, 40)
+        assert len(warm_solves) == 40 // 5
+        assert len(set(map(id, warm_solves))) == len(warm_solves)
