@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import CesMarket, ces_weights, check_prices
+from .market import CesMarket, ces_weights, check_prices, excess_demand
 
 _ARMIJO = 1e-4
 _LINE_SEARCH_HALVINGS = 40
@@ -60,9 +60,9 @@ class EquilibriumResult:
 def _gradient_hessian(market: CesMarket, prices: np.ndarray, shares: np.ndarray):
     """Gradient and Hessian of the convex price potential in log prices.
 
-    With S the (m, n) spending shares at `prices` and c the demand exponents:
-    g = w*p - sum_i b_i s_i, which is p times (supply - demand), and
-    H = diag(w*p - sum_i b_i c_i s_i) + S^T diag(b*c) S.
+    With s the (m, n) spending shares E / S at `prices` (rows s_i) and c the
+    demand exponents: g = w*p - sum_i b_i s_i, which is p times (supply -
+    demand), and H = diag(w*p - sum_i b_i c_i s_i) + s^T diag(b*c) s.
     """
     wp = market.supplies * prices
     bc = market.budgets * market.demand_exponent
@@ -90,9 +90,11 @@ def solve_equilibrium(
     the optimum Psi's decrease drops below rounding while the residual still
     shrinks quadratically, and away from it a residual-only rule lets Newton
     cycle.  Every point is evaluated by the market's log-domain kernel
-    `ces_weights`, so the start stays finite as rho -> 1, and residual,
-    spending and potential are computed exactly as misspending_potential,
-    demand and cpf_potential compute them.
+    `ces_weights`, so the start stays finite as rho -> 1, and residual and
+    potential are computed exactly as misspending_potential and
+    cpf_potential compute them, from the kernel's unnormalised weights E
+    and row sums S.  Shares E / S are formed, in place, only at a point
+    that takes another Newton step, and the returned bids are E * (b / S).
 
     `initial_prices` warm-starts the solve (defaults to uniform B/n); a warm
     start that already clears is returned unchanged after 0 steps, so
@@ -130,25 +132,25 @@ def solve_equilibrium(
     def evaluate(prices):
         # Trial points may overflow or leave the price domain; reject them.
         with np.errstate(all="ignore"):
-            shares, log_q = ces_weights(market, prices)
-            spending = b[:, None] * shares
-            excess = (spending / prices[None, :]).sum(axis=0) - w
+            weights, sums, log_q = ces_weights(market, prices)
+            excess = excess_demand(market, prices, weights, sums)
             residual = float((prices * np.abs(excess)).sum())
             psi = float((w * prices).sum() - (b * log_q).sum())
         if not (np.isfinite(residual) and np.isfinite(psi) and (prices > 0).all()):
             return None
-        return shares, residual, psi
+        return weights, sums, residual, psi
 
     state = evaluate(p)
     if state is None:
         raise ConvergenceError(
             "the convex potential is not finite at the starting prices", np.inf
         )
-    shares, residual, psi = state
+    weights, sums, residual, psi = state
     substitutes = (market.demand_exponent < 0).all()
     steps = 0
     while steps < max_iters and residual > target:
-        g, hessian = _gradient_hessian(market, p, shares)
+        weights /= sums[:, None]  # the shares, in place
+        g, hessian = _gradient_hessian(market, p, weights)
         try:
             if not substitutes:
                 np.linalg.cholesky(hessian)
@@ -172,7 +174,7 @@ def solve_equilibrium(
                 trial = p * np.exp(t * direction)
             trial_state = evaluate(trial)
             if trial_state is not None:
-                _, trial_residual, trial_psi = trial_state
+                trial_residual, trial_psi = trial_state[2:]
                 if trial_psi <= psi + _ARMIJO * t * slope or (
                     trial_residual < residual and trial_psi <= psi + psi_noise
                 ):
@@ -181,7 +183,7 @@ def solve_equilibrium(
         else:
             break
         p = trial
-        shares, residual, psi = trial_state
+        weights, sums, residual, psi = trial_state
         steps += 1
     if residual > target:
         raise ConvergenceError(
@@ -189,7 +191,7 @@ def solve_equilibrium(
             f"(target {target:.3e}) after {steps} iterations",
             residual,
         )
-    bids = b[:, None] * shares
+    bids = np.multiply(weights, (b / sums)[:, None], out=weights)
     p.setflags(write=False)
     bids.setflags(write=False)
     result = EquilibriumResult(p, bids, psi, residual, steps)

@@ -11,7 +11,9 @@ Validation happens at the public boundary only: `CesMarket(...)` and
 prices once.  Every demand, unit cost and potential, and every point the
 equilibrium solver evaluates, goes through one log-domain kernel,
 `ces_weights`; it stays finite as rho -> 1, where c = rho/(rho-1) -> -inf
-and a^(1-c) p^c overflows.  `demand` returns a `DemandProfile`, and both
+and a^(1-c) p^c overflows.  The kernel leaves its weights unnormalised, so
+excess demand is one matrix-vector product, `excess_demand`, which the
+demand and the solver share.  `demand` returns a `DemandProfile`, and both
 potentials are properties of it, so a caller that holds the demand at some
 prices reads either potential without evaluating it again.  The demand
 exponent c and the price-free part (1-c) ln a are cached per market, and
@@ -153,20 +155,20 @@ class DemandProfile:
 
     Only 1-d results are held, so a profile pins no (m, n) array between
     rounds.  `spending` and `quantities` re-evaluate the kernel at `prices`
-    on each access, with the operations `demand` ran in the same order, so
-    they are bit-identical to the arrays `excess` was summed from.
+    on each access; `excess` is not summed from them but is one product of
+    the kernel's weights, equal to their column sums up to rounding.
     """
 
     market: CesMarket
     prices: np.ndarray          # (n,) the checked prices demand ran at
-    excess: np.ndarray          # (n,) column sums of quantities - supplies
+    excess: np.ndarray          # (n,) demand - supplies, see `excess_demand`
     log_unit_costs: np.ndarray  # (m,) ln Q_i, see `cpf`
 
     @property
     def spending(self) -> np.ndarray:
-        """(m, n) money buyer i spends on good j, prices * quantities."""
-        work = ces_weights(self.market, self.prices)[0]
-        work *= self.market.budgets[:, None]
+        """(m, n) money buyer i spends on good j, E * (b / S) by rows."""
+        work, sums, _ = ces_weights(self.market, self.prices)
+        work *= (self.market.budgets / sums)[:, None]
         return work
 
     @property
@@ -213,12 +215,12 @@ def check_prices(market: CesMarket, prices) -> np.ndarray:
 
 
 def ces_weights(market: CesMarket, prices: np.ndarray):
-    """Spending shares and ln Q_i at checked prices, from the log CES weights.
+    """Shifted CES weights E, their row sums S and ln Q_i at checked prices.
 
     With l[i, j] = (1-c_i) ln a[i, j] + c_i ln p_j and L_i = max_k l[i, k],
-    the shares are exp(l - L) over their row sums S, and ln Q_i =
-    (L_i + ln S_i) / c_i.  The largest shifted weight is exactly 1, so
-    nothing overflows; zero coefficients get exactly zero share.
+    E = exp(l - L), buyer i's spending shares are E_i / S_i, and ln Q_i =
+    (L_i + ln S_i) / c_i.  The largest entry of each row of E is exactly 1,
+    so nothing overflows; zero coefficients get exactly zero weight.
     """
     base = market._weight_base  # first: it refuses rho == 1
     c = market.demand_exponent
@@ -226,10 +228,14 @@ def ces_weights(market: CesMarket, prices: np.ndarray):
     logs += base
     top = logs.max(axis=1)
     logs -= top[:, None]
-    shares = np.exp(logs, out=logs)
-    sums = shares.sum(axis=1)
-    shares /= sums[:, None]
-    return shares, (top + np.log(sums)) / c
+    weights = np.exp(logs, out=logs)
+    sums = weights.sum(axis=1)
+    return weights, sums, (top + np.log(sums)) / c
+
+
+def excess_demand(market: CesMarket, prices: np.ndarray, weights, sums) -> np.ndarray:
+    """Demand minus supply, (b / S) @ E / p - w, from `ces_weights`' E and S."""
+    return (market.budgets / sums) @ weights / prices - market.supplies
 
 
 def demand(market: CesMarket, prices) -> DemandProfile:
@@ -240,10 +246,9 @@ def demand(market: CesMarket, prices) -> DemandProfile:
     demand.  Each buyer spends the whole budget, prices . quantities[i] == b_i.
     """
     prices = check_prices(market, prices)
-    work, log_q = ces_weights(market, prices)  # spending, then quantities, in place
-    work *= market.budgets[:, None]
-    work /= prices[None, :]
-    return DemandProfile(market, prices, work.sum(axis=0) - market.supplies, log_q)
+    weights, sums, log_q = ces_weights(market, prices)
+    excess = excess_demand(market, prices, weights, sums)
+    return DemandProfile(market, prices, excess, log_q)
 
 
 def misspending_potential(market: CesMarket, prices) -> float:

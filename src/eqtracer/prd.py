@@ -171,9 +171,10 @@ def _anchor(market: CesMarket, eq: EquilibriumResult):
     entry, and the kernel keeps them non-negative with rows at the budgets.
     """
     log_a = _log_coefficients(market)
+    _, g_star, log_x, _ = _logs_and_g(market, eq.bids, log_a)
     x = eq.bids.ravel()
     support = slice(None) if x.all() else np.flatnonzero(x)
-    x, log_x = x[support], np.log(x[support])
+    x, log_x = x[support], log_x.ravel()[support]
 
     def kl(log_b: np.ndarray) -> float:
         value = float((x * (log_x - log_b.ravel()[support])).sum())
@@ -181,7 +182,7 @@ def _anchor(market: CesMarket, eq: EquilibriumResult):
             raise ValueError("support violation: y must be positive wherever x is")
         return max(value, 0.0)
 
-    return log_a, _logs_and_g(market, eq.bids, log_a)[1], kl
+    return log_a, g_star, kl
 
 
 def reduce_supply_to_utility(market: CesMarket) -> CesMarket:

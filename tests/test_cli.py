@@ -517,28 +517,28 @@ _HEADER_ONLY = "b073bcd32f4daf7e70bd68c40a639e3f77293a38b2602265b65f878ffeaa6d4e
 # so and update these digests.
 GOLDEN_DIGESTS = {
     ("tatonnement-ms", None): (
-        "56e73d6da8e56635d70d23f027384dc736c92bcee4f890276e222408dbe35ab4",
-        "a2201e0d87e064d7ad9ccac1077aefb96e14b52be50894d168952ea2d2f1b550",
+        "dd13ba7b3e43aed453c0a9a0c4ac9b301ab217bfc8e8c8cd5ed43fe3fe5edfca",
+        "7a66fde5700996afc9ee334ac842ab788534b5e09ef806ae23ea800d0cad8797",
     ),
     ("tatonnement-ms", 0): (
         _HEADER_ONLY,
-        "fe9ecbd9cca5380b7b4392af6f829d6acc9fe095a8d5d257bde2c5e97792a58c",
+        "511da0d5f0764609657e7a7aad9db93cad3fe100cd8e2fb26e3e489e513f35f9",
     ),
     ("tatonnement-cpf", None): (
-        "6ca657c2953da7a064d14b9247a118a9159fe0ad7ec59cdc01d561a31613355e",
-        "892241ea2fe2e7ca306d574e9920c89d9bcc25641d5cfa3549e179492bff3682",
+        "8df70b2116a1673cb7e54468f42b205c0987fb0675faa45daded6c505ba07627",
+        "5c9f6e5db90483fe5de0afee95a0707bab691cf75beef63769465c06a6e5b309",
     ),
     ("tatonnement-cpf", 0): (
         _HEADER_ONLY,
-        "380b412ab247c77d79a3d0b82af3d25a9109f5f3c1ee2df3f0d286465097730f",
+        "931a4f31f40e86672f2185f5dfcba5a5e583f7b25fe933bdf492dd247376d93c",
     ),
     ("prd", None): (
-        "f282ba77aad4aebcac8cffe23147ecd5455c5a22987b0200f114c395a0655103",
-        "0eb2a63f5ea050f395948d6a29b21e8f15842e0f16d811fba8ae69d53a3302c0",
+        "756918f9b9dc9e1e07512fe13d1ef781b3d75cc0fde2bfeb67b9e5044cc1d2d9",
+        "1b83fff9ca25855fe8480fb914c9e88d2550effec19292dffde418d4703c2799",
     ),
     ("prd", 0): (
         _HEADER_ONLY,
-        "23ba7e9c01cc7a4472b403d4685d85b429df4bc6d46a892e645068c0bbfd1271",
+        "f7aaf63fb1de2b2a1039162b26c054ba2849b8e944926e94e7a1f17c2592b63b",
     ),
     ("gd-shifting", None): (
         "282d76bc878b976300711d7ba45e6dd06b77af2a03d3d5ed65da79e16744304b",
@@ -565,11 +565,11 @@ GOLDEN_DIGESTS = {
 SUPPLIED_BOUNDS = {"prd": {"q1": 0.5, "q2": 1.0}, "tatonnement-cpf": {"delta": 0.01}}
 SUPPLIED_DIGESTS = {
     "prd": (
-        "de6f3c30df226b8dc1e65277f5b7056c4ec46b89004f00dd216f8df35e89b61d",
-        "ae68824b806982ebcb5ec29084410a42b705a0a602107928e3c1e2ca5a7efb86",
+        "5ac7d2af4d9b37c533829053adf27aef8d56d1c5a73020b7781bb0be01b73ff9",
+        "3c13d069cf344101e890b8e814515022544c25317abef743ef37d9f09baf0ac8",
     ),
     "tatonnement-cpf": (
-        "78eec8f5acfea4a32718d06e84493d9228f9ef4a8ad665acf4b930c7772b588b",
+        "ddf3be1c83b1b21e3e50c62d2ab75baf7254808cc8ed06bb61e10157b1c7208c",
         "be9dd8b46d7e20a434c1135122ece6e722a21940b1defe4d99220c4068167388",
     ),
 }
@@ -589,6 +589,34 @@ def test_determinism_configs_match_golden_digests(tmp_path, capsys, kind, horizo
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     got = (file_sha256(out / "trace.csv"), file_sha256(out / "report.json"))
     assert got == GOLDEN_DIGESTS[kind, horizon]
+
+
+def test_tatonnement_trace_is_independent_of_blas_threads(tmp_path):
+    # Excess demand is a BLAS matrix-vector product; at 200x200 OpenBLAS
+    # splits it across threads, and the trace must not depend on how.
+    config = {
+        "kind": "tatonnement-ms",
+        "horizon": 30,
+        "market": {"random": {"m": 200, "n": 200, "seed": 7}},
+        "schedule": {"generator": {"channel": "supply-additive", "magnitude": 0.01, "seed": 8}},
+        "bounds": {"warmup_rounds": 20},
+    }
+    cfg = write_config(tmp_path, "c.json", config)
+    unset = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    traces = []
+    for name, env in (("one", {**unset, "OPENBLAS_NUM_THREADS": "1"}), ("default", unset)):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "eqtracer.cli", "simulate", "--config", str(cfg),
+             "--out", str(out)],
+            env={**env, "PYTHONPATH": str(ROOT / "src")},
+            cwd=ROOT, capture_output=True, check=True, timeout=120,
+        )
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 @pytest.mark.parametrize("kind", SUPPLIED_DIGESTS)

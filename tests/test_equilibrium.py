@@ -214,7 +214,8 @@ def test_substitutes_hessian_is_positive_definite(seed, m, n, band, sparse, spre
         coefficients=a,
     )
     p = uniform_prices(market) * np.exp(rng.uniform(-spread, spread, size=n))
-    _, hessian = _gradient_hessian(market, p, ces_weights(market, p)[0])
+    weights, sums, _ = ces_weights(market, p)
+    _, hessian = _gradient_hessian(market, p, weights / sums[:, None])
     np.linalg.cholesky(hessian)
     rest = hessian - np.diag(market.supplies * p)
     assert np.linalg.eigvalsh(rest).min() >= -1e-10 * np.abs(hessian).max()

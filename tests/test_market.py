@@ -317,10 +317,11 @@ def test_log_kernel_matches_written_out_weights(seed, rho_range, spread):
 
 
 def assert_demand_bit_equal_to_written_out(market, prices):
-    shares, log_q = ces_weights(market, prices)
-    spending = market.budgets[:, None] * shares
+    weights, sums, log_q = ces_weights(market, prices)
+    per_weight = market.budgets / sums
+    excess = per_weight @ weights / prices - market.supplies
+    spending = weights * per_weight[:, None]
     quantities = spending / prices[None, :]
-    excess = quantities.sum(axis=0) - market.supplies
     profile = demand(market, prices)
     expected = {
         "excess": excess,
@@ -359,6 +360,41 @@ def test_demand_bit_equal_to_written_out_arithmetic_at_200x200():
     market = random_market(7, 200, 200, -50.0, 0.999, zero_fraction=0.5)
     prices = uniform_prices(market) * np.random.default_rng(7).uniform(0.5, 2.0, 200)
     assert_demand_bit_equal_to_written_out(market, prices)
+
+
+def assert_excess_matches_three_pass_arithmetic(market, prices):
+    # The arithmetic `demand` ran before excess became one matrix-vector
+    # product: shares, spending and quantities as (m, n) passes, then the
+    # column sums.
+    weights, sums, _ = ces_weights(market, prices)
+    quantities = market.budgets[:, None] * (weights / sums[:, None]) / prices[None, :]
+    reference = quantities.sum(axis=0) - market.supplies
+    got = demand(market, prices).excess
+    assert np.all(np.abs(got - reference) <= 1e-13 * quantities.sum(axis=0)), (
+        got - reference
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    rho_range=st.sampled_from([(0.2, 0.8), (0.99, 0.999), (-50.0, -0.5)]),
+    zero_fraction=st.sampled_from([0.0, 0.5]),
+    spread=st.floats(0.0, 3.0),
+)
+def test_excess_matches_three_pass_arithmetic(seed, m, n, rho_range, zero_fraction, spread):
+    market = random_market(seed, m, n, *rho_range, zero_fraction=zero_fraction)
+    rng = np.random.default_rng(seed)
+    prices = uniform_prices(market) * 10.0 ** rng.uniform(-spread, spread, n)
+    assert_excess_matches_three_pass_arithmetic(market, prices)
+
+
+def test_excess_matches_three_pass_arithmetic_at_200x200():
+    market = random_market(7, 200, 200, -50.0, 0.999, zero_fraction=0.5)
+    prices = uniform_prices(market) * np.random.default_rng(7).uniform(0.5, 2.0, 200)
+    assert_excess_matches_three_pass_arithmetic(market, prices)
 
 
 def test_demand_keeps_no_matrix_alive():
