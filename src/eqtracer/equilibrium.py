@@ -57,17 +57,24 @@ class EquilibriumResult:
     iterations: int
 
 
-def _gradient_hessian(market: CesMarket, prices: np.ndarray, shares: np.ndarray):
+def _gradient_hessian(
+    market: CesMarket, prices: np.ndarray, shares: np.ndarray, scaled=None, hessian=None
+):
     """Gradient and Hessian of the convex price potential in log prices.
 
     With s the (m, n) spending shares E / S at `prices` (rows s_i) and c the
     demand exponents: g = w*p - sum_i b_i s_i, which is p times (supply -
     demand), and H = diag(w*p - sum_i b_i c_i s_i) + s^T diag(b*c) s.
+    s^T diag(b*c) is written into `scaled` and H into `hessian` when they
+    are given, and allocated otherwise.  `scaled` must be the transpose of a
+    C-ordered (m, n) array: that is the layout `shares.T * bc` gets, so the
+    matrix product sees the same operands and H keeps every bit.
     """
     wp = market.supplies * prices
     bc = market.budgets * market.demand_exponent
     gradient = wp - market.budgets @ shares
-    hessian = (shares.T * bc) @ shares
+    scaled = np.multiply(shares.T, bc, out=scaled)
+    hessian = np.matmul(scaled, shares, out=hessian)
     hessian.flat[:: prices.size + 1] += wp - bc @ shares
     return gradient, hessian
 
@@ -129,10 +136,10 @@ def solve_equilibrium(
         cold = None
         p = check_prices(market, initial_prices)
 
-    def evaluate(prices):
+    def evaluate(prices, out=None):
         # Trial points may overflow or leave the price domain; reject them.
         with np.errstate(all="ignore"):
-            weights, sums, log_q = ces_weights(market, prices)
+            weights, sums, log_q = ces_weights(market, prices, out)
             excess = excess_demand(market, prices, weights, sums)
             residual = float((prices * np.abs(excess)).sum())
             psi = float((w * prices).sum() - (b * log_q).sum())
@@ -147,10 +154,18 @@ def solve_equilibrium(
         )
     weights, sums, residual, psi = state
     substitutes = (market.demand_exponent < 0).all()
+    # Per-solve buffers: the Hessian, and a spare (m, n) array that holds
+    # s^T diag(b*c) and then the trial weights, swapped with `weights` on
+    # acceptance.  `weights` becomes the returned bids, so no later solve
+    # writes into a result.
+    spare = hessian = None
     steps = 0
     while steps < max_iters and residual > target:
         weights /= sums[:, None]  # the shares, in place
-        g, hessian = _gradient_hessian(market, p, weights)
+        if spare is None:
+            spare = np.empty_like(weights)
+            hessian = np.empty((p.size, p.size))
+        g, hessian = _gradient_hessian(market, p, weights, spare.T, hessian)
         try:
             if not substitutes:
                 np.linalg.cholesky(hessian)
@@ -172,7 +187,7 @@ def solve_equilibrium(
         for _ in range(_LINE_SEARCH_HALVINGS):
             with np.errstate(over="ignore"):
                 trial = p * np.exp(t * direction)
-            trial_state = evaluate(trial)
+            trial_state = evaluate(trial, spare)
             if trial_state is not None:
                 trial_residual, trial_psi = trial_state[2:]
                 if trial_psi <= psi + _ARMIJO * t * slope or (
@@ -183,6 +198,7 @@ def solve_equilibrium(
         else:
             break
         p = trial
+        spare = weights
         weights, sums, residual, psi = trial_state
         steps += 1
     if residual > target:

@@ -114,7 +114,8 @@ class CesMarket:
                 "a buyer with rho == 1 has no unique demand bundle"
             )
         with np.errstate(divide="ignore"):
-            base = (1.0 - self.demand_exponent[:, None]) * np.log(self.coefficients)
+            base = np.log(self.coefficients)
+        np.multiply(1.0 - self.demand_exponent[:, None], base, out=base)  # no (m, n) temporary
         base.setflags(write=False)
         return base
 
@@ -214,17 +215,19 @@ def check_prices(market: CesMarket, prices) -> np.ndarray:
     return prices
 
 
-def ces_weights(market: CesMarket, prices: np.ndarray):
+def ces_weights(market: CesMarket, prices: np.ndarray, out=None):
     """Shifted CES weights E, their row sums S and ln Q_i at checked prices.
 
     With l[i, j] = (1-c_i) ln a[i, j] + c_i ln p_j and L_i = max_k l[i, k],
     E = exp(l - L), buyer i's spending shares are E_i / S_i, and ln Q_i =
     (L_i + ln S_i) / c_i.  The largest entry of each row of E is exactly 1,
-    so nothing overflows; zero coefficients get exactly zero weight.
+    so nothing overflows; zero coefficients get exactly zero weight.  E is
+    built in `out`, a C-ordered float (m, n) array, when one is given, and
+    in a fresh array otherwise; the arithmetic is the same.
     """
     base = market._weight_base  # first: it refuses rho == 1
     c = market.demand_exponent
-    logs = np.log(prices) * c[:, None]
+    logs = np.multiply(np.log(prices), c[:, None], out=out)
     logs += base
     top = logs.max(axis=1)
     logs -= top[:, None]

@@ -281,10 +281,14 @@ def calibrate_c_prime(
 
 
 def coefficient_share_floor(market: CesMarket) -> np.ndarray:
-    """Per-buyer minimum of a_ij / sum_k a_ik over the goods the buyer values."""
+    """Per-buyer minimum of a_ij / sum_k a_ik over the goods the buyer values.
+
+    Taken as the smallest positive a_ij over the row sum: division by a
+    positive number is monotone under rounding, so this is the smallest
+    share, bit for bit, without an (m, n) array of shares.
+    """
     a = market.coefficients
-    shares = a / a.sum(axis=1, keepdims=True)
-    return np.where(a > 0, shares, np.inf).min(axis=1)
+    return np.min(a, axis=1, where=a > 0, initial=np.inf) / a.sum(axis=1)
 
 
 def delta_prd_utility(market: CesMarket, min_share: np.ndarray, epsilon: float) -> float:

@@ -7,7 +7,9 @@ progress per round is measured by KL divergence to the equilibrium spending
 matrix; the trace runner unrolls the per-round recurrence on the gap and KL
 into the running tracking envelope under drifting utility coefficients and
 supplies.  Each round is one `_round_kernel` call: one set of logs gives the
-next bids, the potential and ln b, from which the KL distance follows.
+next bids, the potential and ln b, from which the KL distance follows.  The
+fit and the runner keep the kernel's (m, n) work arrays for the whole run,
+so a round allocates no matrix.
 """
 
 from __future__ import annotations
@@ -64,39 +66,45 @@ def check_bids(market: CesMarket, bids) -> np.ndarray:
     return bids
 
 
-def _logs_and_g(market: CesMarket, bids: np.ndarray, log_a: np.ndarray):
+def _logs_and_g(market: CesMarket, bids: np.ndarray, log_a: np.ndarray, work=(None, None, None)):
     """The logs l, g(market, bids), ln bids and prices: the kernel's first half.
 
     Unchecked: bids >= 0 and log_a = ln a.  l = ln a + rho (ln w + ln b - ln p)
     = ln(a q^rho), q = w b / p, and g = p.ln w - sum_{b>0} (b/rho)(l - ln b).
+    `work` holds three C-ordered (m, n) arrays for l, ln b and the terms of g,
+    none of them `bids`; a None entry is allocated.  The arithmetic is the
+    same either way, so buffers change no bit of the results.
     """
+    out_logs, out_log_b, out_terms = work
     prices = bids.sum(axis=0)
     dead = prices == 0
     if dead.any() and (market.coefficients[:, dead] > 0).any():
         raise ValueError("a good with zero total bids still carries positive coefficients")
     log_w = np.log(market.supplies)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_b = np.log(bids)
-        logs = log_b - np.log(np.where(dead, 1.0, prices))
+        log_b = np.log(bids, out=out_log_b)
+        logs = np.subtract(log_b, np.log(np.where(dead, 1.0, prices)), out=out_logs)
         if log_w.any():
             logs += log_w
         logs *= market.rho[:, None]
         logs += log_a
-        terms = bids * (logs - log_b)
+        terms = np.subtract(logs, log_b, out=out_terms)
+        np.multiply(bids, terms, out=terms)
         if np.count_nonzero(bids) < bids.size:  # zero bids add nothing (x ln x limit)
             np.copyto(terms, 0.0, where=bids == 0)
         g = float(prices @ log_w - (terms.sum(axis=1) / market.rho).sum())
     return logs, g, log_b, prices
 
 
-def _round_kernel(market: CesMarket, bids: np.ndarray, log_a: np.ndarray):
+def _round_kernel(market: CesMarket, bids: np.ndarray, log_a: np.ndarray, work=(None, None, None)):
     """Next bids, g(market, bids), ln bids and prices, from one set of logs.
 
     With the logs l of `_logs_and_g` and L_i their row maximum, next bids are
     b_i exp(l - L_i) over the row sum.  Rows are pinned to the budgets at
-    their largest entry: no drift, zeros stay.
+    their largest entry: no drift, zeros stay.  The next bids overwrite the
+    logs in place, so they come back in `work[0]` and ln b in `work[1]`.
     """
-    logs, g, log_b, prices = _logs_and_g(market, bids, log_a)
+    logs, g, log_b, prices = _logs_and_g(market, bids, log_a, work)
     rows = np.arange(bids.shape[0])
     top = logs.argmax(axis=1)
     with np.errstate(invalid="ignore"):
@@ -164,20 +172,27 @@ def prd_potential_g(market: CesMarket, bids) -> float:
     return g
 
 
-def _anchor(market: CesMarket, eq: EquilibriumResult):
+def _anchor(market: CesMarket, eq: EquilibriumResult, work=(None, None, None)):
     """ln a, g* and `kl_divergence(eq.bids, b)` as a function of ln b, for every solve.
 
     The KL's mass and sign checks hold by construction: bids are checked on
     entry, and the kernel keeps them non-negative with rows at the budgets.
+    `work` is the kernel's: g*'s logs go into the free bid array work[0] and
+    its terms into work[2], and the KL writes x (ln x - ln b) into work[2]
+    too, which is free again once a kernel call has summed its g.  ln x is
+    kept with the KL, so it is always allocated.
     """
     log_a = _log_coefficients(market)
-    _, g_star, log_x, _ = _logs_and_g(market, eq.bids, log_a)
+    out_logs, _, out_terms = work
+    _, g_star, log_x, _ = _logs_and_g(market, eq.bids, log_a, (out_logs, None, out_terms))
     x = eq.bids.ravel()
     support = slice(None) if x.all() else np.flatnonzero(x)
     x, log_x = x[support], log_x.ravel()[support]
+    scratch = None if out_terms is None else out_terms.ravel()[: x.size]
 
     def kl(log_b: np.ndarray) -> float:
-        value = float((x * (log_x - log_b.ravel()[support])).sum())
+        diff = np.subtract(log_x, log_b.ravel()[support], out=scratch)
+        value = float(np.multiply(x, diff, out=diff).sum())
         if not np.isfinite(value):  # ln b = -inf where x > 0
             raise ValueError("support violation: y must be positive wherever x is")
         return max(value, 0.0)
@@ -231,8 +246,12 @@ def fit_prd_constants(
         raise ValueError("need at least two warm-up rounds to fit constants")
     bids = check_bids(market, bids)
     eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
-    log_a, g_star, kl_to = _anchor(market, eq)
-    step, _, log_b, _ = _round_kernel(market, bids, log_a)
+    # Kept work arrays, so that rounds allocate no (m, n) array: each round
+    # writes its next bids over the bids the round before it read (never the
+    # caller's), and ln b and the terms of g into their own arrays.
+    spare, free, log_b, terms = (np.empty(bids.shape) for _ in range(4))
+    log_a, g_star, kl_to = _anchor(market, eq, (free, None, terms))
+    step, _, log_b, _ = _round_kernel(market, bids, log_a, (free, log_b, terms))
     kl = kl_to(log_b)
     # The solve stops at a misspending of _SOLVER_TOLERANCE * B, so g* and every
     # KL carry an error of that order.  Rounds whose KL is within a hundred times
@@ -241,7 +260,8 @@ def fit_prd_constants(
     triples = []
     for _ in range(rounds):
         bids = step
-        step, g, log_b, _ = _round_kernel(market, bids, log_a)
+        step, g, log_b, _ = _round_kernel(market, bids, log_a, (spare, log_b, terms))
+        spare = bids
         kl_next = kl_to(log_b)
         if kl > floor:
             triples.append((kl, kl_next, g - g_star))
@@ -295,10 +315,12 @@ def run_prd_trace(
     market = reduce_supply_to_utility(market0)
     bids = check_bids(market, bids0)
     eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
-    log_a, g_star, kl_to = _anchor(market, eq)
+    # Kept work arrays, as in `fit_prd_constants`; bids0 is never one.
+    spare, free, log_b, terms = (np.empty(bids.shape) for _ in range(4))
+    log_a, g_star, kl_to = _anchor(market, eq, (free, None, terms))
     min_share = coefficient_share_floor(market)
     recurrence_slack = 1e-12 * max(market.total_budget, 1.0)
-    step, g, log_b, _ = _round_kernel(market, bids, log_a)
+    step, g, log_b, _ = _round_kernel(market, bids, log_a, (free, log_b, terms))
     initial = g - g_star
     kl_anchor = kl_prev = kl_to(log_b)
     gaps, deltas, highs, lows, kls = (np.empty(horizon) for _ in range(5))
@@ -308,25 +330,26 @@ def run_prd_trace(
         events = schedule.events_at(t + 1)
         eps_t = 0.0
         if events:
-            logs = np.zeros_like(market.coefficients)
+            logs = None  # ln of the round's coefficient factors, summed over its events
             for event in events:
                 if event.channel == SUPPLY:
                     perturbed = apply_event(market, event)
-                    logs += market.rho[:, None] * np.log(perturbed.supplies)[None, :]
+                    factor_logs = market.rho[:, None] * np.log(perturbed.supplies)[None, :]
                     market = reduce_supply_to_utility(perturbed)
                 else:
-                    logs += np.log(event.payload)
+                    factor_logs = np.log(event.payload)
                     market = apply_event(market, event)
-            eps_t = float(np.abs(logs).max())
+                logs = factor_logs if logs is None else logs + factor_logs
+            eps_t = max(float(logs.max()), float(-logs.min()))
             min_share = np.minimum(min_share, coefficient_share_floor(market))
             eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE, initial_prices=eq.prices)
-            log_a, g_star, kl_to = _anchor(market, eq)
+            log_a, g_star, kl_to = _anchor(market, eq, (spare, None, terms))
         delta_t = delta_prd_utility(market, min_share, eps_t)
         # One call gives this round's gap and KL and next round's bids.
-        step, g, log_b, prices = _round_kernel(market, bids, log_a)
+        step, g, log_b, prices = _round_kernel(market, bids, log_a, (spare, log_b, terms))
+        spare = bids
         gap = g - g_star
         kl = kl_to(log_b)
-        del log_b  # not needed during the next round's re-solve
         gaps[t], deltas[t], kls[t] = gap, delta_t, kl
         recurrence[t] = gap <= bound.q1 * kl_prev - bound.q2 * kl + delta_t + recurrence_slack
         highs[t], lows[t] = prices.max(), prices.min()

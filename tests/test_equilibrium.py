@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,3 +336,60 @@ def test_cold_and_warm_solves_take_few_newton_steps():
             warm = solve_equilibrium(perturbed, initial_prices=cold.prices)
             assert warm.iterations <= warm_steps, args
             assert misspending_potential(perturbed, warm.prices) == warm.residual
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (40, 30), (200, 200)])
+def test_hessian_into_buffers_matches_fresh_arrays(m, n):
+    # The solver hands s^T diag(b*c) a spare (m, n) array through its
+    # transpose, the layout the product takes on its own, so BLAS sees the
+    # same operands and the Hessian keeps every bit.
+    market = random_market(m + n, m, n)
+    p = uniform_prices(market) * np.random.default_rng(m).uniform(0.5, 2.0, n)
+    weights, sums, _ = ces_weights(market, p)
+    shares = weights / sums[:, None]
+    g, hessian = _gradient_hessian(market, p, shares)
+    spare, out = np.full((m, n), np.nan), np.full((n, n), np.nan)
+    g_kept, kept = _gradient_hessian(market, p, shares, spare.T, out)
+    assert kept is out
+    assert kept.tobytes() == hessian.tobytes() and g_kept.tobytes() == g.tobytes()
+
+
+def test_warm_resolve_keeps_its_buffers():
+    # Per solve: the weights (returned as the bids), one spare (m, n) array for
+    # s^T diag(b*c) and the trial weights, and one (n, n) Hessian.
+    m = n = 200
+    market = random_market(5, m, n, unit_supplies=True)
+    cold = solve_equilibrium(market, tolerance=1e-10)
+    factors = np.exp(np.random.default_rng(3).uniform(-0.005, 0.005, (m, n)))
+    moved = apply_event(market, PerturbationEvent(1, UTILITY, factors))
+    ces_weights(moved, cold.prices)  # warm: caches (1-c) ln a on the market
+    tracemalloc.start()
+    try:
+        warm = solve_equilibrium(moved, tolerance=1e-10, initial_prices=cold.prices)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = m * n * 8
+    assert warm.iterations >= 2
+    assert peak < 4 * matrix, peak / matrix
+    assert held < 1.1 * matrix, held / matrix  # the result's bids
+
+
+def test_later_solves_never_write_into_earlier_results():
+    market = random_market(31, 40, 30)
+    results = [solve_equilibrium(market, tolerance=1e-10)]
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        factors = np.exp(rng.uniform(-0.01, 0.01, market.coefficients.shape))
+        market = apply_event(market, PerturbationEvent(1, UTILITY, factors))
+        results.append(
+            solve_equilibrium(market, tolerance=1e-10, initial_prices=results[-1].prices)
+        )
+    kept = [(r.prices.copy(), r.bids.copy()) for r in results]
+    results.append(solve_equilibrium(market, tolerance=1e-12, initial_prices=results[-1].prices))
+    assert all(r.iterations > 0 for r in results[1:])
+    for r, (prices, bids) in zip(results, kept):
+        assert np.array_equal(r.prices, prices) and np.array_equal(r.bids, bids)
+    for one, other in combinations(results, 2):
+        assert not np.shares_memory(one.bids, other.bids)
+        assert not np.shares_memory(one.prices, other.prices)

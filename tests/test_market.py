@@ -397,6 +397,18 @@ def test_excess_matches_three_pass_arithmetic_at_200x200():
     assert_excess_matches_three_pass_arithmetic(market, prices)
 
 
+@pytest.mark.parametrize("zero_fraction", [0.0, 0.5])
+def test_ces_weights_into_out_matches_fresh_array(zero_fraction):
+    market = random_market(9, 30, 20, -2.0, 0.9, zero_fraction=zero_fraction)
+    prices = uniform_prices(market) * np.random.default_rng(9).uniform(0.5, 2.0, 20)
+    fresh = ces_weights(market, prices)
+    out = np.full((30, 20), np.nan)
+    kept = ces_weights(market, prices, out)
+    assert kept[0] is out
+    for want, got in zip(fresh, kept):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_demand_keeps_no_matrix_alive():
     # A profile holds vectors only; the kernel's one (m, n) buffer is the
     # whole working set, so tatonnement rounds do not re-fault fresh pages.

@@ -258,6 +258,17 @@ class TestBidPotentialCap:
         values = [prd_cap(market, eps) for eps in (0.0, 0.005, 0.01, 0.05)]
         assert all(b > a or (a == b == 0) for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("zero_fraction", [0.0, 0.3, 0.7])
+    def test_share_floor_is_the_smallest_share_bit_for_bit(self, zero_fraction):
+        # Dividing by a positive row sum is monotone under rounding, so the
+        # smallest coefficient over the sum is the smallest rounded share.
+        for seed in range(100):
+            m, n = np.random.default_rng(seed).integers(1, 12, size=2)
+            market = random_market(seed, m, n, zero_fraction=zero_fraction)
+            a = market.coefficients
+            shares = np.where(a > 0, a / a.sum(axis=1, keepdims=True), np.inf)
+            assert coefficient_share_floor(market).tobytes() == shares.min(axis=1).tobytes()
+
     def test_min_share_taken_over_history(self):
         market = random_market(11, 2, 3, unit_supplies=True)
         shrunk = market.replace(coefficients=market.coefficients * np.array([[1.0, 1.0, 0.1]]))

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -266,9 +267,9 @@ class TestFitAndTrace:
         evaluated = []
         kernel = equilibrium.ces_weights
 
-        def counted(m, prices):
+        def counted(m, prices, *out):
             evaluated.append(m)
-            return kernel(m, prices)
+            return kernel(m, prices, *out)
 
         monkeypatch.setattr(equilibrium, "ces_weights", counted)
         after_fit = run_prd_trace(market, bids, schedule, bound, 30)
@@ -379,6 +380,18 @@ def test_round_kernel_matches_written_out_formulas(seed, m, n, near_linear, spar
     total = market.total_budget
     assert abs(kl(log_b) - kl_divergence(x, bids)) <= 1e-12 * kl_divergence(x, bids) + 1e-15 * total
 
+    # Kept work arrays run the same arithmetic: bit for bit, in place, whatever
+    # the arrays held before.
+    work = tuple(np.full((m, n), np.nan) for _ in range(3))
+    kept = prd._round_kernel(market, bids, log_a, work)
+    assert kept[0] is work[0] and kept[2] is work[1]
+    for fresh, reused in zip((step, g, log_b, prices), kept):
+        assert np.asarray(reused).tobytes() == np.asarray(fresh).tobytes()
+    assert prd._logs_and_g(market, bids, log_a, work)[1] == g
+    _, g_star, kl_kept = prd._anchor(market, spending, work)
+    assert g_star == prd._anchor(market, spending)[1]
+    assert kl_kept(log_b) == kl(log_b)
+
 
 def test_round_kernel_kl_keeps_the_support_check():
     market = random_market(21, 3, 4, unit_supplies=True)
@@ -435,6 +448,50 @@ def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
     assert resolves > 0
     assert g_only_calls() == 1 + resolves  # g* per solve
     assert len(kernel_calls) == 1 + 12
+
+
+def test_fit_rounds_allocate_no_matrix(monkeypatch):
+    # Rounds rotate two bid arrays and keep ln b and the terms of g, so after
+    # the first rounds no (m, n) array is allocated: a PRD pass does not
+    # re-fault fresh pages every round.
+    m = n = 200
+    market = random_market(5, m, n, unit_supplies=True)
+    bids = proportional_bids(market)
+    solve_equilibrium(market, tolerance=prd._SOLVER_TOLERANCE)  # kept on the market
+    kernel = prd._round_kernel
+    marks = []  # traced (held, peak since the previous call) at each kernel call
+
+    def traced(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return kernel(*args)
+
+    monkeypatch.setattr(prd, "_round_kernel", traced)
+    tracemalloc.start()
+    try:
+        fit_prd_constants(market, bids, rounds=8)
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == 1 + 8
+    matrix = m * n * 8
+    for (held, _), (held_next, peak) in zip(marks[2:], marks[3:]):  # one round each
+        assert peak - held < 0.5 * matrix, (peak - held) / matrix
+        assert abs(held_next - held) < 0.1 * matrix, (held_next - held) / matrix
+
+
+def test_work_arrays_never_alias_callers_arrays():
+    market = random_market(23, 6, 7, unit_supplies=True)
+    schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=8), market, 10)
+    bids0 = proportional_bids(market)
+    bids0.setflags(write=False)  # a write into it raises
+    bound, bids = fit_prd_constants(market, bids0, rounds=5)
+    assert not np.shares_memory(bids, bids0)
+    fitted = bids.copy()
+    for start in (bids, bids0):
+        trace = run_prd_trace(market, start, schedule, bound, 10)
+        assert len(trace.potential) == 10
+    assert np.array_equal(bids, fitted)  # the fit's bids, after a runner started from them
+    assert np.array_equal(bids0, proportional_bids(market))
 
 
 def test_runner_charges_the_public_cap(monkeypatch):
