@@ -53,7 +53,6 @@ from .perturbation import (
 from .prd import (
     PrdBoundConfig,
     check_bids,
-    fit_prd_constants,
     kl_divergence,
     prd_potential_g,
     prd_step,

@@ -41,7 +41,7 @@ from .perturbation import (
 )
 from .prd import (
     PrdBoundConfig,
-    fit_prd_constants,
+    prd_step,
     proportional_bids,
     reduce_supply_to_utility,
     run_prd_trace,
@@ -352,13 +352,10 @@ def _run_prd(config: dict):
     reduced = reduce_supply_to_utility(market)
     bids = proportional_bids(reduced)
     if "q1" in bounds:  # the schema requires q1 and q2 together
-        bound = PrdBoundConfig(q1=bounds["q1"], q2=bounds["q2"])
-        source = "supplied"
-    else:
-        bound, bids = fit_prd_constants(
-            reduced, bids, rounds=bounds.get("fit_rounds", 200)
-        )
-        source = "fitted-from-warmup"
+        bound, source = PrdBoundConfig(q1=bounds["q1"], q2=bounds["q2"]), "supplied"
+    else:  # static warm-up rounds, then the closed-form constants
+        bids = prd_step(bids, reduced, rounds=bounds.get("fit_rounds", 200))
+        bound, source = PrdBoundConfig.closed_form(reduced), "closed-form"
     schedule = _build_schedule(config.get("schedule"), reduced, horizon)
     trace = run_prd_trace(reduced, bids, schedule, bound, horizon)
     recurrence = float(trace.recurrence_ok.mean()) if len(trace) else 1.0

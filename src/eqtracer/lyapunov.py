@@ -37,7 +37,8 @@ def meta_bound(anchor: float, rate: float, jumps: Sequence[float]) -> float:
     tatonnement (delta the fitted per-round contraction), sqrt(1 - delta)
     for descent (the contraction acts on squared distances), |lambda2| for
     diffusion, and q1/q2 for bid dynamics, whose anchor is q2 KL_0 (the
-    fitted recurrence constants and the initial KL distance).
+    recurrence constants, closed-form rho_max and 1 by default, and the
+    initial KL distance).
     """
     if not 0 <= rate < 1:
         raise ValueError("rate must lie in [0, 1)")

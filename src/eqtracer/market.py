@@ -16,9 +16,9 @@ excess demand is one matrix-vector product, `excess_demand`, which the
 demand and the solver share.  `demand` returns a `DemandProfile`, and both
 potentials are properties of it, so a caller that holds the demand at some
 prices reads either potential without evaluating it again.  The demand
-exponent c and the price-free part (1-c) ln a are cached per market, and
-the unvalidated copies that perturbation events make (`CesMarket._derive`)
-share them while they keep rho (and, for (1-c) ln a, the coefficients).
+exponent c, ln a and the price-free part (1-c) ln a are cached per market,
+and the unvalidated copies that perturbation events make
+(`CesMarket._derive`) share each while they keep the fields it reads.
 """
 
 from __future__ import annotations
@@ -106,6 +106,14 @@ class CesMarket:
         return c
 
     @cached_property
+    def log_coefficients(self) -> np.ndarray:
+        """ln a (-inf where a = 0), cached, read-only."""
+        with np.errstate(divide="ignore"):
+            log_a = np.log(self.coefficients)
+        log_a.setflags(write=False)
+        return log_a
+
+    @cached_property
     def _weight_base(self) -> np.ndarray:
         """(1-c) ln a, the price-free log CES weight (-inf where a = 0), cached."""
         if (self.rho == 1.0).any():
@@ -113,9 +121,7 @@ class CesMarket:
                 "demand requires strictly concave utilities (rho < 1); "
                 "a buyer with rho == 1 has no unique demand bundle"
             )
-        with np.errstate(divide="ignore"):
-            base = np.log(self.coefficients)
-        np.multiply(1.0 - self.demand_exponent[:, None], base, out=base)  # no (m, n) temporary
+        base = np.multiply(1.0 - self.demand_exponent[:, None], self.log_coefficients)
         base.setflags(write=False)
         return base
 
@@ -135,11 +141,13 @@ class CesMarket:
 
         The new arrays must be float, read-only, of the right shapes and keep
         every invariant `__post_init__` checks.  Unchanged arrays are shared,
-        and so are the cached exponent while rho is kept and the cached
-        (1-c) ln a while coefficients and rho are kept; nothing else carries
-        over.
+        and so are the cached exponent while rho is kept, the cached ln a
+        while the coefficients are kept, and the cached (1-c) ln a while both
+        are; nothing else carries over.
         """
         keep = {"budgets", "supplies", "rho", "coefficients"}
+        if "coefficients" not in kwargs:
+            keep.add("log_coefficients")
         if "rho" not in kwargs:
             keep.add("demand_exponent")
             if "coefficients" not in kwargs:

@@ -8,8 +8,8 @@ matrix; the trace runner unrolls the per-round recurrence on the gap and KL
 into the running tracking envelope under drifting utility coefficients and
 supplies.  Each round is one `_round_kernel` call: one set of logs gives the
 next bids, the potential and ln b, from which the KL distance follows.  The
-fit and the runner keep the kernel's (m, n) work arrays for the whole run,
-so a round allocates no matrix.
+warm-up (`prd_step` over several rounds) and the runner keep the kernel's
+(m, n) work arrays for the whole run, so a round allocates no matrix.
 """
 
 from __future__ import annotations
@@ -66,11 +66,12 @@ def check_bids(market: CesMarket, bids) -> np.ndarray:
     return bids
 
 
-def _logs_and_g(market: CesMarket, bids: np.ndarray, log_a: np.ndarray, work=(None, None, None)):
+def _logs_and_g(market: CesMarket, bids: np.ndarray, work=(None, None, None)):
     """The logs l, g(market, bids), ln bids and prices: the kernel's first half.
 
-    Unchecked: bids >= 0 and log_a = ln a.  l = ln a + rho (ln w + ln b - ln p)
-    = ln(a q^rho), q = w b / p, and g = p.ln w - sum_{b>0} (b/rho)(l - ln b).
+    Unchecked: bids >= 0.  l = ln a + rho (ln w + ln b - ln p) = ln(a q^rho),
+    q = w b / p, with the market's cached ln a, and g = p.ln w -
+    sum_{b>0} (b/rho)(l - ln b).
     `work` holds three C-ordered (m, n) arrays for l, ln b and the terms of g,
     none of them `bids`; a None entry is allocated.  The arithmetic is the
     same either way, so buffers change no bit of the results.
@@ -87,7 +88,7 @@ def _logs_and_g(market: CesMarket, bids: np.ndarray, log_a: np.ndarray, work=(No
         if log_w.any():
             logs += log_w
         logs *= market.rho[:, None]
-        logs += log_a
+        logs += market.log_coefficients
         terms = np.subtract(logs, log_b, out=out_terms)
         np.multiply(bids, terms, out=terms)
         if np.count_nonzero(bids) < bids.size:  # zero bids add nothing (x ln x limit)
@@ -96,7 +97,7 @@ def _logs_and_g(market: CesMarket, bids: np.ndarray, log_a: np.ndarray, work=(No
     return logs, g, log_b, prices
 
 
-def _round_kernel(market: CesMarket, bids: np.ndarray, log_a: np.ndarray, work=(None, None, None)):
+def _round_kernel(market: CesMarket, bids: np.ndarray, work=(None, None, None)):
     """Next bids, g(market, bids), ln bids and prices, from one set of logs.
 
     With the logs l of `_logs_and_g` and L_i their row maximum, next bids are
@@ -104,7 +105,7 @@ def _round_kernel(market: CesMarket, bids: np.ndarray, log_a: np.ndarray, work=(
     their largest entry: no drift, zeros stay.  The next bids overwrite the
     logs in place, so they come back in `work[0]` and ln b in `work[1]`.
     """
-    logs, g, log_b, prices = _logs_and_g(market, bids, log_a, work)
+    logs, g, log_b, prices = _logs_and_g(market, bids, work)
     rows = np.arange(bids.shape[0])
     top = logs.argmax(axis=1)
     with np.errstate(invalid="ignore"):
@@ -122,19 +123,23 @@ def _round_kernel(market: CesMarket, bids: np.ndarray, log_a: np.ndarray, work=(
     return new, g, log_b, prices
 
 
-def _log_coefficients(market: CesMarket) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(market.coefficients)
-
-
-def prd_step(bids, market: CesMarket) -> np.ndarray:
-    """One bid update: allocate goods pro rata, re-split budgets by utility.
+def prd_step(bids, market: CesMarket, rounds: int = 1) -> np.ndarray:
+    """`rounds` bid updates: allocate goods pro rata, re-split budgets by utility.
 
     Buyer i receives supplies_j * b_ij / p_j of good j, p_j the money on it;
     new bids are proportional to a_ij * quantity^rho_i, with each row
-    renormalised to the buyer's budget exactly.
+    renormalised to the buyer's budget exactly.  Two bid arrays take turns
+    as the kernel's output, so a round allocates no (m, n) array and the
+    caller's `bids` are never written.
     """
-    return _round_kernel(market, _checked_inputs(market, bids), _log_coefficients(market))[0]
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
+    bids = _checked_inputs(market, bids)
+    out, spare, log_b, terms = (np.empty(bids.shape) for _ in range(4))
+    for _ in range(rounds):
+        bids = _round_kernel(market, bids, (out, log_b, terms))[0]
+        out, spare = spare, out
+    return bids
 
 
 def kl_divergence(x, y) -> float:
@@ -166,14 +171,14 @@ def prd_potential_g(market: CesMarket, bids) -> float:
     / p_j^rho_i); zero bids contribute nothing (x ln x limit).  Like
     `prd_step`, it rejects bids that leave a valued good without bids.
     """
-    g = _logs_and_g(market, _checked_inputs(market, bids), _log_coefficients(market))[1]
+    g = _logs_and_g(market, _checked_inputs(market, bids))[1]
     if not np.isfinite(g):
         raise ValueError("positive bid on a zero coefficient makes g non-finite")
     return g
 
 
 def _anchor(market: CesMarket, eq: EquilibriumResult, work=(None, None, None)):
-    """ln a, g* and `kl_divergence(eq.bids, b)` as a function of ln b, for every solve.
+    """g* and `kl_divergence(eq.bids, b)` as a function of ln b, for every solve.
 
     The KL's mass and sign checks hold by construction: bids are checked on
     entry, and the kernel keeps them non-negative with rows at the budgets.
@@ -182,9 +187,8 @@ def _anchor(market: CesMarket, eq: EquilibriumResult, work=(None, None, None)):
     too, which is free again once a kernel call has summed its g.  ln x is
     kept with the KL, so it is always allocated.
     """
-    log_a = _log_coefficients(market)
     out_logs, _, out_terms = work
-    _, g_star, log_x, _ = _logs_and_g(market, eq.bids, log_a, (out_logs, None, out_terms))
+    _, g_star, log_x, _ = _logs_and_g(market, eq.bids, (out_logs, None, out_terms))
     x = eq.bids.ravel()
     support = slice(None) if x.all() else np.flatnonzero(x)
     x, log_x = x[support], log_x.ravel()[support]
@@ -197,7 +201,7 @@ def _anchor(market: CesMarket, eq: EquilibriumResult, work=(None, None, None)):
             raise ValueError("support violation: y must be positive wherever x is")
         return max(value, 0.0)
 
-    return log_a, g_star, kl
+    return g_star, kl
 
 
 def reduce_supply_to_utility(market: CesMarket) -> CesMarket:
@@ -227,55 +231,26 @@ class PrdBoundConfig:
         if not 0 < self.q1 < self.q2:
             raise ValueError("constants must satisfy 0 < q1 < q2")
 
-    @property
-    def ratio(self) -> float:
-        return self.q1 / self.q2
+    @classmethod
+    def closed_form(cls, market: CesMarket) -> "PrdBoundConfig":
+        """(q1, q2) = (rho_max, 1): gap_t <= rho_max KL_{t-1} - KL_t on static rounds.
 
-
-def fit_prd_constants(
-    market: CesMarket, bids, rounds: int = 200
-) -> tuple[PrdBoundConfig, np.ndarray]:
-    """Fit (q1, q2) from a static run; return them and the final bids.
-
-    The ratio q1/q2 is set halfway between the worst observed per-round KL
-    ratio and 1; the scale is the smallest q2 for which
-    potential gap_{t+1} <= q1 KL_t - q2 KL_{t+1} holds at every observed
-    round.  Callers should report the constants as fitted, not derived.
-    """
-    if rounds < 2:
-        raise ValueError("need at least two warm-up rounds to fit constants")
-    bids = check_bids(market, bids)
-    eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
-    # Kept work arrays, so that rounds allocate no (m, n) array: each round
-    # writes its next bids over the bids the round before it read (never the
-    # caller's), and ln b and the terms of g into their own arrays.
-    spare, free, log_b, terms = (np.empty(bids.shape) for _ in range(4))
-    log_a, g_star, kl_to = _anchor(market, eq, (free, None, terms))
-    step, _, log_b, _ = _round_kernel(market, bids, log_a, (free, log_b, terms))
-    kl = kl_to(log_b)
-    # The solve stops at a misspending of _SOLVER_TOLERANCE * B, so g* and every
-    # KL carry an error of that order.  Rounds whose KL is within a hundred times
-    # that are not fitted: their ratios and gaps are mostly the solve's error.
-    floor = max(kl * 1e-12, 100 * _SOLVER_TOLERANCE * market.total_budget)
-    triples = []
-    for _ in range(rounds):
-        bids = step
-        step, g, log_b, _ = _round_kernel(market, bids, log_a, (spare, log_b, terms))
-        spare = bids
-        kl_next = kl_to(log_b)
-        if kl > floor:
-            triples.append((kl, kl_next, g - g_star))
-        kl = kl_next
-    if not triples:
-        raise ValueError("warm-up started at a converged state; nothing to fit")
-    worst_ratio = max(nxt / cur for cur, nxt, _ in triples)
-    if worst_ratio >= 1:
-        raise ValueError(
-            f"KL distance failed to contract during warm-up (ratio {worst_ratio:.6f})"
-        )
-    ratio = (1.0 + worst_ratio) / 2.0
-    q2 = max(max(gap / (ratio * cur - nxt) for cur, nxt, gap in triples), 1e-9)
-    return PrdBoundConfig(q1=ratio * q2, q2=q2), bids
+        A bid update is mirror descent with step 1 on g in the distance
+        D(x, b) = sum_i KL(x_i || b_i) / rho_i (Birnbaum, Devanur & Xiao, EC
+        2011); D_t = D(x*, b_t), with x* and p* the equilibrium spending and
+        prices, b_t and p_t round t's.  g's Bregman divergence KL(p_x || p_b) +
+        sum_i (1/rho_i - 1) KL(x_i || b_i) lies between (1 - rho_max) D and D
+        (log-sum inequality): g is 1-smooth and (1 - rho_max)-strongly convex
+        relative to D, so gap_t <= rho_max D_{t-1} - D_t (Lu, Freund &
+        Nesterov, SIAM J. Optim. 2018).  In plain KL the three-point identity is exactly
+        gap_t = KL_{t-1} - D_t - E_t, E_t = KL(b_t || b_{t-1}) - KL(p_t ||
+        p_{t-1}) + KL(p* || p_{t-1}) >= 0, which proves the rate: gap_t <=
+        KL_{t-1} - KL_t / rho_max.  The scale q2 = 1 holds iff (1 - rho_max)
+        KL_{t-1} <= D_t - KL_t + E_t: measured, not proven, and asserted on
+        every static round of battery 6.  Events keep rho, so one pair serves
+        a whole trace; as rho_max -> 1 the envelope stops contracting.
+        """
+        return cls(q1=float(market.rho.max()), q2=1.0)
 
 
 def run_prd_trace(
@@ -302,8 +277,8 @@ def run_prd_trace(
       then gap_T <= q1 KL_{T-1} + jump_T;
       together gap_T <= running_bound(q2 KL_0, q1/q2, jumps)_T.
 
-    `bound` is supplied or fitted beforehand with `fit_prd_constants`, whose
-    final bids are then the natural `bids0`; market0's cold solve is the fit's.
+    `bound` is supplied or `PrdBoundConfig.closed_form(market0)`, with the
+    argument for its constants; `bids0` is typically warmed up by `prd_step`.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -315,12 +290,12 @@ def run_prd_trace(
     market = reduce_supply_to_utility(market0)
     bids = check_bids(market, bids0)
     eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
-    # Kept work arrays, as in `fit_prd_constants`; bids0 is never one.
+    # Kept work arrays, as in `prd_step`; bids0 is never one.
     spare, free, log_b, terms = (np.empty(bids.shape) for _ in range(4))
-    log_a, g_star, kl_to = _anchor(market, eq, (free, None, terms))
+    g_star, kl_to = _anchor(market, eq, (free, None, terms))
     min_share = coefficient_share_floor(market)
     recurrence_slack = 1e-12 * max(market.total_budget, 1.0)
-    step, g, log_b, _ = _round_kernel(market, bids, log_a, (free, log_b, terms))
+    step, g, log_b, _ = _round_kernel(market, bids, (free, log_b, terms))
     initial = g - g_star
     kl_anchor = kl_prev = kl_to(log_b)
     gaps, deltas, highs, lows, kls = (np.empty(horizon) for _ in range(5))
@@ -343,10 +318,10 @@ def run_prd_trace(
             eps_t = max(float(logs.max()), float(-logs.min()))
             min_share = np.minimum(min_share, coefficient_share_floor(market))
             eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE, initial_prices=eq.prices)
-            log_a, g_star, kl_to = _anchor(market, eq, (spare, None, terms))
+            g_star, kl_to = _anchor(market, eq, (spare, None, terms))
         delta_t = delta_prd_utility(market, min_share, eps_t)
         # One call gives this round's gap and KL and next round's bids.
-        step, g, log_b, prices = _round_kernel(market, bids, log_a, (spare, log_b, terms))
+        step, g, log_b, prices = _round_kernel(market, bids, (spare, log_b, terms))
         spare = bids
         gap = g - g_star
         kl = kl_to(log_b)
@@ -358,7 +333,7 @@ def run_prd_trace(
         initial=initial,
         potential=gaps,
         delta=deltas,
-        bound=running_bound(bound.q2 * kl_anchor, bound.ratio, deltas),
+        bound=running_bound(bound.q2 * kl_anchor, bound.q1 / bound.q2, deltas),
         max_price=highs,
         min_price=lows,
         kl_to_equilibrium=kls,

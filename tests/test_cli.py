@@ -234,8 +234,12 @@ def test_prd_and_diffusion_reports(tmp_path):
     out = tmp_path / "prd-out"
     assert main(["simulate", "--config", str(prd_cfg), "--out", str(out), "--strict"]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert 0 < report["constants"]["q1"]["value"] < report["constants"]["q2"]["value"]
-    assert report["recurrence_fraction"] >= 0.95
+    market = random_market(5, 3, 4, unit_supplies=True)
+    assert report["constants"] == {
+        "q1": {"value": market.rho.max(), "source": "closed-form"},
+        "q2": {"value": 1.0, "source": "closed-form"},
+    }
+    assert report["recurrence_fraction"] == 1.0
 
     diff_cfg = write_config(
         tmp_path,
@@ -533,12 +537,12 @@ GOLDEN_DIGESTS = {
         "931a4f31f40e86672f2185f5dfcba5a5e583f7b25fe933bdf492dd247376d93c",
     ),
     ("prd", None): (
-        "756918f9b9dc9e1e07512fe13d1ef781b3d75cc0fde2bfeb67b9e5044cc1d2d9",
-        "1b83fff9ca25855fe8480fb914c9e88d2550effec19292dffde418d4703c2799",
+        "e05ca6850cd53eb219b3d9af0d27506a3fc293a6633e9586ff53bb898e0e3ba2",
+        "423de74f58f34fef99cade9b92c25ce82eb46a651237a3772098a017d926b23e",
     ),
     ("prd", 0): (
         _HEADER_ONLY,
-        "f7aaf63fb1de2b2a1039162b26c054ba2849b8e944926e94e7a1f17c2592b63b",
+        "a748fb0890a9f3402e6f66e2283f7108231db1a9da59dc02bd56209020db89c5",
     ),
     ("gd-shifting", None): (
         "282d76bc878b976300711d7ba45e6dd06b77af2a03d3d5ed65da79e16744304b",
@@ -627,6 +631,26 @@ def test_supplied_constants_match_golden_digests(tmp_path, capsys, kind):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     got = (file_sha256(out / "trace.csv"), file_sha256(out / "report.json"))
     assert got == SUPPLIED_DIGESTS[kind]
+
+
+@pytest.mark.parametrize(
+    "bounds, warm_up", [({}, [200]), ({"fit_rounds": 7}, [7]), (SUPPLIED_BOUNDS["prd"], [])]
+)
+def test_prd_warm_up_runs_fit_rounds_unless_constants_are_supplied(
+    tmp_path, monkeypatch, capsys, bounds, warm_up
+):
+    step = eqtracer.cli.prd_step
+    seen = []
+
+    def recorded(bids, market, rounds=1):
+        seen.append(rounds)
+        return step(bids, market, rounds=rounds)
+
+    monkeypatch.setattr(eqtracer.cli, "prd_step", recorded)
+    config = {"kind": "prd", **verify._DETERMINISM_CONFIGS["prd"], "bounds": bounds}
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert seen == warm_up
 
 
 @pytest.mark.parametrize("kind", SUPPLIED_DIGESTS)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqtracer import (
+    PrdBoundConfig,
     ScheduleSpec,
     TatonnementConfig,
     default_step_size,
-    fit_prd_constants,
     generate_schedule,
     kl_divergence,
     meta_bound,
@@ -165,10 +165,10 @@ class TestRunnersFollowClosedForms:
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_prd_bound_is_meta_bound(self, seed):
         # Proportional bids sit away from equilibrium (KL_0 > 0), so the
-        # anchor term q2 * KL_0 is exercised, unlike the fit's final bids.
+        # anchor term q2 * KL_0 is exercised, unlike warmed-up bids.
         market = random_market(seed, 3, 4, unit_supplies=True)
         bids = proportional_bids(market)
-        bound, _ = fit_prd_constants(market, bids)
+        bound = PrdBoundConfig.closed_form(market)
         schedule = generate_schedule(
             ScheduleSpec(
                 channel="utility-multiplicative", magnitude=0.005, seed=seed + 5

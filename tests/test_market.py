@@ -95,15 +95,26 @@ class TestCachedExponent:
             c[0] = 1.0
         assert np.array_equal(c, market.rho / (market.rho - 1.0))
 
+    def test_log_coefficients_cached_read_only(self):
+        market = random_market(6, 3, 4, zero_fraction=0.3)
+        log_a = market.log_coefficients
+        assert log_a is market.log_coefficients
+        assert not log_a.flags.writeable
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(log_a, np.log(market.coefficients))
+        assert np.isneginf(log_a[market.coefficients == 0]).all()
+
     def test_derive_with_new_rho_drops_stale_caches(self):
         market = random_market(4, 3, 4)
         old_c, old_base = market.demand_exponent, market._weight_base
+        log_a = market.log_coefficients
         rho = np.array([0.2, -0.5, 0.7])
         rho.setflags(write=False)
         derived = market._derive(rho=rho)
         fresh = market.replace(rho=rho)
         assert derived.demand_exponent is not old_c
         assert derived._weight_base is not old_base
+        assert derived.log_coefficients is log_a  # ln a reads no rho
         assert np.array_equal(derived.demand_exponent, fresh.demand_exponent)
         assert np.array_equal(derived._weight_base, fresh._weight_base)
         # The parent keeps its own caches.
@@ -112,10 +123,13 @@ class TestCachedExponent:
     def test_derive_keeping_rho_shares_the_exponent(self):
         market = random_market(5, 3, 4)
         c = market.demand_exponent
+        log_a = market.log_coefficients
         coefficients = market.coefficients * 2.0
         coefficients.setflags(write=False)
         derived = market._derive(coefficients=coefficients)
         assert derived.demand_exponent is c
+        assert derived.log_coefficients is not log_a
+        assert np.array_equal(derived.log_coefficients, np.log(coefficients))
         fresh = (1.0 - c[:, None]) * np.log(coefficients)
         assert np.array_equal(derived._weight_base, fresh)
         assert np.array_equal(

@@ -106,11 +106,14 @@ class TestEvents:
 
     def test_weight_base_cache_tracks_coefficients(self):
         market = random_market(8, 3, 4)
-        cached = market._weight_base
+        cached, log_a = market._weight_base, market.log_coefficients
         shifted = apply_event(market, event(SUPPLY, np.full(4, 0.01)))
         assert shifted._weight_base is cached
+        assert shifted.log_coefficients is log_a
         factors = np.exp(np.linspace(-0.05, 0.05, 12)).reshape(3, 4)
         out = apply_event(market, event(UTILITY, factors))
+        assert np.array_equal(out.log_coefficients, np.log(out.coefficients))
+        assert not np.array_equal(out.log_coefficients, log_a)
         fresh = (1.0 - out.demand_exponent[:, None]) * np.log(out.coefficients)
         assert np.array_equal(out._weight_base, fresh)
         assert not np.array_equal(out._weight_base, cached)

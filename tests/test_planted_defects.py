@@ -9,7 +9,7 @@ intact batteries pass in tests/test_acceptance.py.
 import numpy as np
 import pytest
 
-from eqtracer import applications, tatonnement, verify
+from eqtracer import applications, prd, tatonnement, verify
 
 # Battery 4 size that reaches trace 13, a budget trace that each defect below
 # pushes over the runner's bound.
@@ -73,3 +73,17 @@ def test_squared_second_eigenvalue_fails_battery_9(monkeypatch):
     result = verify.check_diffusion()
     assert not result.passed
     assert "FAILURES" in result.detail
+
+
+def test_squared_prd_rate_fails_battery_6(monkeypatch):
+    # q1 = rho_max^2 claims a faster rate than bid dynamics have.  Drifting
+    # traces cannot show it (their jumps dwarf q1 KL); the static premise
+    # fails on every market.
+    monkeypatch.setattr(
+        prd.PrdBoundConfig,
+        "closed_form",
+        classmethod(lambda cls, market: cls(q1=float(market.rho.max()) ** 2, q2=1.0)),
+    )
+    result = verify.check_prd_convergence(markets=3, horizon=50)
+    assert not result.passed
+    assert "static recurrence" in result.detail

@@ -15,7 +15,6 @@ from eqtracer import (
     PrdBoundConfig,
     ScheduleSpec,
     check_bids,
-    fit_prd_constants,
     generate_schedule,
     kl_divergence,
     prd_potential_g,
@@ -87,6 +86,17 @@ class TestStep:
         market = single_buyer()
         with pytest.raises(ValueError, match="zero total bids"):
             prd_step(np.array([[1.0, 0.0]]), market)
+
+    def test_rounds_equal_repeated_single_steps_bitwise(self):
+        market = random_market(24, 5, 6, unit_supplies=True, zero_fraction=0.3)
+        bids = proportional_bids(market)
+        for rounds in (1, 2, 3, 17):
+            one_at_a_time = bids
+            for _ in range(rounds):
+                one_at_a_time = prd_step(one_at_a_time, market)
+            assert prd_step(bids, market, rounds=rounds).tobytes() == one_at_a_time.tobytes()
+        with pytest.raises(ValueError, match="rounds"):
+            prd_step(bids, market, rounds=0)
 
 
 class TestKl:
@@ -186,12 +196,20 @@ class TestReduction:
 class TestFitAndTrace:
     def test_fit_produces_ordered_constants(self):
         market = random_market(9, 3, 4, unit_supplies=True)
-        bound, _ = fit_prd_constants(market, proportional_bids(market), rounds=100)
+        prd_step(proportional_bids(market), market, rounds=100)  # the warm-up sets no constant
+        bound = PrdBoundConfig.closed_form(market)
         assert 0 < bound.q1 < bound.q2
 
     def test_bound_config_validation(self):
         with pytest.raises(ValueError):
             PrdBoundConfig(q1=2.0, q2=1.0)
+
+    def test_closed_form_constants_are_rho_max_and_one(self):
+        market = random_market(9, 3, 4, 0.2, 0.8, unit_supplies=True)
+        bound = PrdBoundConfig.closed_form(market)
+        assert (bound.q1, bound.q2) == (market.rho.max(), 1.0)
+        with pytest.raises(ValueError):  # the rate reaches 1: no contraction
+            PrdBoundConfig.closed_form(market.replace(rho=[0.5, 1.0, 0.3]))
 
     def test_zero_horizon_empty(self):
         market = random_market(10, 2, 3, unit_supplies=True)
@@ -215,7 +233,8 @@ class TestFitAndTrace:
 
     def test_static_geometric_envelope_dominates(self):
         market = random_market(12, 3, 3, unit_supplies=True)
-        bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
+        bound = PrdBoundConfig.closed_form(market)
+        bids = prd_step(proportional_bids(market), market, rounds=30)
         trace = run_prd_trace(market, bids, PerturbationSchedule(), bound, 200)
         assert (trace.potential <= trace.bound + 1e-9).all()
         assert trace.potential[-1] < trace.potential[0]
@@ -241,7 +260,8 @@ class TestFitAndTrace:
         market = random_market(14, 3, 4, unit_supplies=True)
         spec = ScheduleSpec(channel=SUPPLY, magnitude=0.01, seed=3)
         schedule = generate_schedule(spec, market, 100)
-        bound, bids = fit_prd_constants(market, proportional_bids(market))
+        bound = PrdBoundConfig.closed_form(market)
+        bids = prd_step(proportional_bids(market), market, rounds=200)
         trace = run_prd_trace(market, bids, schedule, bound, 100)
         assert (trace.delta >= 0).all()
         assert (trace.potential <= trace.bound + 1e-9).all()
@@ -256,14 +276,18 @@ class TestFitAndTrace:
         trace = run_prd_trace(market, bids, PerturbationSchedule(), bound, 30)
         kl0 = kl_divergence(solve_equilibrium(market, tolerance=1e-10).bids, bids)
         kl = np.concatenate([[kl0], trace.kl_to_equilibrium])
-        assert (kl[1:] <= bound.ratio * kl[:-1]).all()
+        assert (kl[1:] <= bound.q1 / bound.q2 * kl[:-1]).all()
         assert not trace.recurrence_ok.any()
 
     def test_runner_after_a_fit_reuses_its_cold_solve_bitwise(self, monkeypatch):
+        # A cold solve that a caller made first (battery 6 makes one) is kept
+        # on the market, and the runner starts from it without a Newton step.
         market = random_market(16, 3, 4, unit_supplies=True)
         fresh = market.replace()
         schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=4), market, 30)
-        bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
+        bound = PrdBoundConfig.closed_form(market)
+        bids = prd_step(proportional_bids(market), market, rounds=30)
+        solve_equilibrium(market, tolerance=prd._SOLVER_TOLERANCE)
         evaluated = []
         kernel = equilibrium.ces_weights
 
@@ -353,10 +377,9 @@ def _kernel_case(seed, m, n, near_linear, sparse, unit):
 def test_round_kernel_matches_written_out_formulas(seed, m, n, near_linear, sparse, unit):
     market, bids, x = _kernel_case(seed, m, n, near_linear, sparse, unit)
     a, rho = market.coefficients, market.rho[:, None]
-    log_a = prd._log_coefficients(market)
-    step, g, log_b, prices = prd._round_kernel(market, bids, log_a)
-    assert prd._logs_and_g(market, bids, log_a)[1] == g  # the g-only half
-    assert prd._logs_and_g(market, x, log_a)[1] == prd._round_kernel(market, x, log_a)[1]
+    step, g, log_b, prices = prd._round_kernel(market, bids)
+    assert prd._logs_and_g(market, bids)[1] == g  # the g-only half
+    assert prd._logs_and_g(market, x)[1] == prd._round_kernel(market, x)[1]
 
     # The step, a (w b / p)^rho with rows renormalised to the budgets.
     weights = a * (market.supplies * bids / bids.sum(axis=0)) ** rho
@@ -376,20 +399,20 @@ def test_round_kernel_matches_written_out_formulas(seed, m, n, near_linear, spar
     assert np.array_equal(prices, bids.sum(axis=0))
 
     spending = EquilibriumResult(x.sum(axis=0), x, psi_star=0.0, residual=0.0, iterations=0)
-    kl = prd._anchor(market, spending)[2]
+    kl = prd._anchor(market, spending)[1]
     total = market.total_budget
     assert abs(kl(log_b) - kl_divergence(x, bids)) <= 1e-12 * kl_divergence(x, bids) + 1e-15 * total
 
     # Kept work arrays run the same arithmetic: bit for bit, in place, whatever
     # the arrays held before.
     work = tuple(np.full((m, n), np.nan) for _ in range(3))
-    kept = prd._round_kernel(market, bids, log_a, work)
+    kept = prd._round_kernel(market, bids, work)
     assert kept[0] is work[0] and kept[2] is work[1]
     for fresh, reused in zip((step, g, log_b, prices), kept):
         assert np.asarray(reused).tobytes() == np.asarray(fresh).tobytes()
-    assert prd._logs_and_g(market, bids, log_a, work)[1] == g
-    _, g_star, kl_kept = prd._anchor(market, spending, work)
-    assert g_star == prd._anchor(market, spending)[1]
+    assert prd._logs_and_g(market, bids, work)[1] == g
+    g_star, kl_kept = prd._anchor(market, spending, work)
+    assert g_star == prd._anchor(market, spending)[0]
     assert kl_kept(log_b) == kl(log_b)
 
 
@@ -400,8 +423,8 @@ def test_round_kernel_kl_keeps_the_support_check():
     bids[0, 1] = 0.0  # good 1 still carries the other buyers' bids
     bids[0] *= market.budgets[0] / bids[0].sum()
     assert eq.bids[0, 1] > 0
-    log_a, _, kl = prd._anchor(market, eq)
-    log_b = prd._round_kernel(market, bids, log_a)[2]
+    kl = prd._anchor(market, eq)[1]
+    log_b = prd._round_kernel(market, bids)[2]
     with pytest.raises(ValueError, match="support violation"):
         kl(log_b)
 
@@ -410,8 +433,8 @@ def test_round_kernel_kl_keeps_the_support_check():
 def test_anchor_g_star_is_the_kernel_g_at_equilibrium(sparse):
     market = random_market(23, 6, 6, unit_supplies=True, zero_fraction=0.4 if sparse else 0.0)
     eq = solve_equilibrium(market, tolerance=1e-10)
-    log_a, g_star, _ = prd._anchor(market, eq)
-    assert g_star == prd._round_kernel(market, eq.bids, log_a)[1]
+    g_star = prd._anchor(market, eq)[0]
+    assert g_star == prd._round_kernel(market, eq.bids)[1]
     assert prd_potential_g(market, eq.bids) == g_star
 
 
@@ -432,15 +455,16 @@ def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
 
     monkeypatch.setattr(prd, "_round_kernel", counted(kernel_calls, kernel))
     monkeypatch.setattr(prd, "_logs_and_g", counted(half_calls, half))
-    for name in ("prd_step", "prd_potential_g", "kl_divergence"):
-        monkeypatch.setattr(prd, name, refused)
 
     def g_only_calls():  # every kernel call evaluates g through the half too
         return len(half_calls) - len(kernel_calls)
 
-    bound, bids = fit_prd_constants(market, proportional_bids(market), rounds=30)
-    assert g_only_calls() == 1  # g*
-    assert len(kernel_calls) == 1 + 30  # the start, one per round
+    bids = prd_step(proportional_bids(market), market, rounds=30)  # the warm-up
+    assert g_only_calls() == 0  # no g*: the warm-up solves nothing
+    assert len(kernel_calls) == 30
+    bound = PrdBoundConfig.closed_form(market)
+    for name in ("prd_step", "prd_potential_g", "kl_divergence"):
+        monkeypatch.setattr(prd, name, refused)
     kernel_calls.clear()
     half_calls.clear()
     run_prd_trace(market, bids, schedule, bound, 12)
@@ -451,13 +475,13 @@ def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
 
 
 def test_fit_rounds_allocate_no_matrix(monkeypatch):
-    # Rounds rotate two bid arrays and keep ln b and the terms of g, so after
-    # the first rounds no (m, n) array is allocated: a PRD pass does not
-    # re-fault fresh pages every round.
+    # The warm-up's rounds (`bounds.fit_rounds` in a config) rotate two bid
+    # arrays and keep ln b and the terms of g, so after the first rounds no
+    # (m, n) array is allocated: a PRD pass does not re-fault fresh pages
+    # every round.
     m = n = 200
     market = random_market(5, m, n, unit_supplies=True)
     bids = proportional_bids(market)
-    solve_equilibrium(market, tolerance=prd._SOLVER_TOLERANCE)  # kept on the market
     kernel = prd._round_kernel
     marks = []  # traced (held, peak since the previous call) at each kernel call
 
@@ -469,10 +493,10 @@ def test_fit_rounds_allocate_no_matrix(monkeypatch):
     monkeypatch.setattr(prd, "_round_kernel", traced)
     tracemalloc.start()
     try:
-        fit_prd_constants(market, bids, rounds=8)
+        prd_step(bids, market, rounds=8)
     finally:
         tracemalloc.stop()
-    assert len(marks) == 1 + 8
+    assert len(marks) == 8
     matrix = m * n * 8
     for (held, _), (held_next, peak) in zip(marks[2:], marks[3:]):  # one round each
         assert peak - held < 0.5 * matrix, (peak - held) / matrix
@@ -484,13 +508,14 @@ def test_work_arrays_never_alias_callers_arrays():
     schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=8), market, 10)
     bids0 = proportional_bids(market)
     bids0.setflags(write=False)  # a write into it raises
-    bound, bids = fit_prd_constants(market, bids0, rounds=5)
+    bids = prd_step(bids0, market, rounds=5)
     assert not np.shares_memory(bids, bids0)
-    fitted = bids.copy()
+    warmed = bids.copy()
+    bound = PrdBoundConfig.closed_form(market)
     for start in (bids, bids0):
         trace = run_prd_trace(market, start, schedule, bound, 10)
         assert len(trace.potential) == 10
-    assert np.array_equal(bids, fitted)  # the fit's bids, after a runner started from them
+    assert np.array_equal(bids, warmed)  # the warm-up's bids, after a runner started from them
     assert np.array_equal(bids0, proportional_bids(market))
 
 
@@ -499,7 +524,8 @@ def test_runner_charges_the_public_cap(monkeypatch):
     drift = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=3), market, 40)
     supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=4, every=3), market, 40)
     schedule = PerturbationSchedule(events=drift.events + supply.events)
-    bound, bids = fit_prd_constants(market, proportional_bids(market))
+    bound = PrdBoundConfig.closed_form(market)
+    bids = prd_step(proportional_bids(market), market, rounds=200)
     intact = run_prd_trace(market, bids, schedule, bound, 40)
     cap = prd.delta_prd_utility
     monkeypatch.setattr(prd, "delta_prd_utility", lambda *args: 0.5 * cap(*args))
@@ -509,15 +535,17 @@ def test_runner_charges_the_public_cap(monkeypatch):
     assert np.array_equal(halved.potential, intact.potential)
 
 
-# The fit floor sits a hundred times above the solver's residual target, so a
-# nudge of the equilibrium far below that target barely moves q1 and q2.
+# The warm-up and the closed-form constants read no solve, so a nudge of the
+# equilibrium far below the solver's residual target moves neither; the
+# runner's envelope, anchored at KL_0, barely moves.
 @pytest.mark.parametrize(
     "seed, m, n", [(1, 3, 5), (2, 6, 6), (3, 10, 8), (4, 30, 30), (5, 80, 60), (6, 200, 200)]
 )
 def test_fit_is_stable_under_solver_noise(monkeypatch, seed, m, n):
     market = random_market(seed, m, n, unit_supplies=True)
-    bids = proportional_bids(market)
-    exact, _ = fit_prd_constants(market, bids)
+    exact = PrdBoundConfig.closed_form(market)
+    warmed = prd_step(proportional_bids(market), market, rounds=30)
+    clean = run_prd_trace(market, warmed, PerturbationSchedule(), exact, 30)
     solve = prd.solve_equilibrium
     rng = np.random.default_rng(seed)
 
@@ -528,6 +556,71 @@ def test_fit_is_stable_under_solver_noise(monkeypatch, seed, m, n):
         return replace(eq, bids=moved)
 
     monkeypatch.setattr(prd, "solve_equilibrium", nudged)
-    noisy, _ = fit_prd_constants(market, bids)
-    assert noisy.q1 == pytest.approx(exact.q1, rel=1e-5)
-    assert noisy.q2 == pytest.approx(exact.q2, rel=1e-5)
+    assert PrdBoundConfig.closed_form(market) == exact
+    assert np.array_equal(prd_step(proportional_bids(market), market, rounds=30), warmed)
+    noisy = run_prd_trace(market, warmed, PerturbationSchedule(), exact, 30)
+    assert noisy.bound == pytest.approx(clean.bound, rel=1e-5)
+    assert noisy.potential == pytest.approx(clean.potential, rel=1e-5, abs=1e-9)
+    assert (noisy.potential <= noisy.bound + 1e-9).all()
+
+
+def _identity_residual(market, eq, before, after):
+    """gap_t - (KL_{t-1} - D_t - E_t), zero by `PrdBoundConfig.closed_form`'s
+    three-point identity: D_t = sum_i KL(x*_i || b_{t,i}) / rho_i and
+    E_t = KL(b_t || b_{t-1}) - KL(p_t || p_{t-1}) + KL(p* || p_{t-1})."""
+    prices, before_prices = after.sum(axis=0), before.sum(axis=0)
+    weighted = sum(kl_divergence(x, b) / r for x, b, r in zip(eq.bids, after, market.rho))
+    extra = (
+        kl_divergence(after, before)
+        - kl_divergence(prices, before_prices)
+        + kl_divergence(eq.bids.sum(axis=0), before_prices)
+    )
+    gap = prd_potential_g(market, after) - prd_potential_g(market, eq.bids)
+    return gap - (kl_divergence(eq.bids, before) - weighted - extra)
+
+
+def _static_rounds(seed, m, n, rho_range):
+    """(market, eq, bids before, bids after) for each static round from
+    proportional bids whose KL_{t-1} is above a hundred times the solve's
+    error, at most 300 rounds."""
+    market = random_market(seed, m, n, *rho_range, unit_supplies=True)
+    eq = solve_equilibrium(market, tolerance=prd._SOLVER_TOLERANCE)
+    floor = 100 * prd._SOLVER_TOLERANCE * market.total_budget
+    bids = proportional_bids(market)
+    for _ in range(300):
+        if kl_divergence(eq.bids, bids) <= floor:
+            return
+        step = prd_step(bids, market)
+        yield market, eq, bids, step
+        bids = step
+
+
+# Markets with m, n <= 8 and rho from three ranges.  The premise's least
+# slack, about -1e-5 to -2e-5 KL, is at rho in [0.9, 0.99], where the KL
+# ratio nears rho_max.
+_STATIC_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    rho_range=st.sampled_from([(0.05, 0.3), (0.2, 0.8), (0.9, 0.99)]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_STATIC_CASES)
+def test_closed_form_premise_holds_on_static_rounds(seed, m, n, rho_range):
+    # gap_t <= rho_max KL_{t-1} - KL_t, the premise of `PrdBoundConfig.closed_form`.
+    for market, eq, before, after in _static_rounds(seed, m, n, rho_range):
+        bound = PrdBoundConfig.closed_form(market)
+        gap = prd_potential_g(market, after) - prd_potential_g(market, eq.bids)
+        kl_prev, kl = kl_divergence(eq.bids, before), kl_divergence(eq.bids, after)
+        assert gap <= bound.q1 * kl_prev - bound.q2 * kl + 1e-12 * max(market.total_budget, 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_STATIC_CASES)
+def test_three_point_identity_holds_on_static_rounds(seed, m, n, rho_range):
+    # gap_t = KL_{t-1} - D_t - E_t with E_t >= 0, which proves the rate rho_max.
+    for market, eq, before, after in _static_rounds(seed, m, n, rho_range):
+        residual = _identity_residual(market, eq, before, after)
+        assert abs(residual) <= 1e-6 * kl_divergence(eq.bids, before)
