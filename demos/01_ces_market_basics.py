@@ -10,9 +10,7 @@ import numpy as np
 
 from eqtracer import (
     CesMarket,
-    cpf_potential,
     demand,
-    misspending_potential,
     solve_equilibrium,
 )
 
@@ -34,21 +32,22 @@ profile = demand(market, prices)
 print("\nAt uniform prices:")
 print("  per-buyer spending rows:", np.round(profile.spending, 3).tolist())
 print("  excess demand:          ", np.round(profile.excess, 3))
-print("  misspending:            ", round(misspending_potential(market, prices), 4))
-print("  convex potential:       ", round(cpf_potential(market, prices), 4))
+print("  misspending:            ", round(profile.misspending, 4))
+print("  convex potential:       ", round(profile.cpf, 4))
 
 result = solve_equilibrium(market)
 print(f"\nEquilibrium found in {result.iterations} iterations, "
       f"residual {result.residual:.2e}")
 print("  clearing prices:", np.round(result.prices, 5))
-print("  misspending at clearing:", f"{misspending_potential(market, result.prices):.2e}")
+at_clearing = demand(market, result.prices)
+print("  misspending at clearing:", f"{at_clearing.misspending:.2e}")
 print("  normalized convex potential at clearing:",
-      f"{cpf_potential(market, result.prices) - result.psi_star:.2e}")
+      f"{at_clearing.cpf - result.psi_star:.2e}")
 
 # The convex potential is minimised exactly at the clearing prices.
 rng = np.random.default_rng(0)
 worst = min(
-    cpf_potential(market, result.prices * rng.uniform(0.5, 2.0, 4)) - result.psi_star
+    demand(market, result.prices * rng.uniform(0.5, 2.0, 4)).cpf - result.psi_star
     for _ in range(1000)
 )
 print(f"  smallest potential gap over 1000 random price probes: {worst:.3e} (never below zero)")

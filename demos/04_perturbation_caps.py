@@ -13,11 +13,11 @@ import numpy as np
 from eqtracer import (
     PerturbationEvent,
     apply_event,
+    demand,
     delta_ms_budget,
     delta_ms_supply,
     delta_ms_utility,
     extremize_shares,
-    misspending_potential,
     share_deviation,
 )
 from eqtracer.instances import random_market, uniform_prices
@@ -26,6 +26,7 @@ rng = np.random.default_rng(3)
 market = random_market(rng, 4, 5)
 prices = uniform_prices(market) * rng.uniform(0.5, 2.0, 5)
 cap_price = float(prices.max())
+before = demand(market, prices).misspending
 
 print("measured potential jump vs closed-form cap (100 random events/channel):")
 for channel, make_payload, cap_fn in (
@@ -39,8 +40,7 @@ for channel, make_payload, cap_fn in (
     worst_ratio = 0.0
     for _ in range(100):
         event = PerturbationEvent(1, channel, make_payload())
-        measured = misspending_potential(apply_event(market, event), prices) - \
-            misspending_potential(market, prices)
+        measured = demand(apply_event(market, event), prices).misspending - before
         cap = cap_fn(event)
         if cap > 0:
             worst_ratio = max(worst_ratio, measured / cap)

@@ -24,9 +24,7 @@ from .market import (
     CesMarket,
     DemandProfile,
     LinearUtilityError,
-    cpf_potential,
     demand,
-    misspending_potential,
 )
 from .perturbation import (
     BUDGET,

@@ -23,7 +23,7 @@ from .applications import (
     simulate_diffusion,
     simulate_shifting_quadratic,
 )
-from .equilibrium import ConvergenceError, solve_equilibrium
+from .equilibrium import solve_equilibrium
 from .instances import (
     drifting_quadratic,
     drifting_speeds,
@@ -48,6 +48,7 @@ from .prd import (
 )
 from .tatonnement import (
     CPF,
+    CPF_STEP_SIZE,
     MISSPENDING,
     TatonnementConfig,
     default_step_size,
@@ -300,7 +301,7 @@ def _run_tatonnement(config: dict):
     variant = MISSPENDING if config["kind"] == "tatonnement-ms" else CPF
     step_size = dynamics.get("step_size", "auto")
     if step_size == "auto":
-        step_size = default_step_size(market) if variant == MISSPENDING else 0.05
+        step_size = default_step_size(market) if variant == MISSPENDING else CPF_STEP_SIZE
     price_cap = dynamics.get("price_cap", "2B")
     if price_cap == "2B":
         price_cap = 2.0 * total
@@ -521,18 +522,21 @@ def run_batch(batch_dir: Path, out_dir: Path, strict: bool) -> int:
     if not configs:
         print(f"no *.json configs under {batch_dir}", file=sys.stderr)
         return EXIT_CONFIG
-    worst = EXIT_OK
-    for cfg in configs:
-        try:
-            code = run_experiment(cfg, out_dir / cfg.stem, strict)
-        except ConfigError as exc:
-            print(f"{cfg.name}: {exc}", file=sys.stderr)
-            code = EXIT_CONFIG
-        except Exception as exc:
-            print(f"{cfg.name}: simulation error: {exc}", file=sys.stderr)
-            code = EXIT_SIMULATION
-        worst = max(worst, code)
-    return worst
+    return max(
+        _exit_code(cfg, out_dir / cfg.stem, strict, f"{cfg.name}: ") for cfg in configs
+    )
+
+
+def _exit_code(config_path: Path, out_dir: Path, strict: bool, label: str = "") -> int:
+    """`run_experiment`'s code; a failure prints one line: 2 for the config, else 3."""
+    try:
+        return run_experiment(config_path, out_dir, strict)
+    except ConfigError as exc:
+        print(f"{label}config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except Exception as exc:
+        print(f"{label}simulation error: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
 
 
 def run_verify(suite: str) -> int:
@@ -592,16 +596,9 @@ def main(argv=None) -> int:
         print(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True))
         return EXIT_OK
     if args.command == "simulate":
-        try:
-            if args.batch:
-                return run_batch(args.batch, args.out, args.strict)
-            return run_experiment(args.config, args.out, args.strict)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except (ValueError, ConvergenceError, KeyError) as exc:
-            print(f"simulation error: {exc}", file=sys.stderr)
-            return EXIT_SIMULATION
+        if args.batch:
+            return run_batch(args.batch, args.out, args.strict)
+        return _exit_code(args.config, args.out, args.strict)
     if args.command == "verify":
         return run_verify(args.suite)
     parser.print_help()

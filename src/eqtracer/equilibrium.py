@@ -98,8 +98,8 @@ def solve_equilibrium(
     shrinks quadratically, and away from it a residual-only rule lets Newton
     cycle.  Every point is evaluated by the market's log-domain kernel
     `ces_weights`, so the start stays finite as rho -> 1, and residual and
-    potential are computed exactly as misspending_potential and
-    cpf_potential compute them, from the kernel's unnormalised weights E
+    potential are computed exactly as `DemandProfile.misspending` and
+    `DemandProfile.cpf` compute them, from the kernel's unnormalised weights E
     and row sums S.  Shares E / S are formed, in place, only at a point
     that takes another Newton step, and the returned bids are E * (b / S).
 
@@ -212,6 +212,5 @@ def solve_equilibrium(
     bids.setflags(write=False)
     result = EquilibriumResult(p, bids, psi, residual, steps)
     if cold is not None:
-        # The first result stored wins, so racing cold solves return one object.
-        result = cold.setdefault(tolerance, result)
+        cold[tolerance] = result
     return result

@@ -79,7 +79,8 @@ class CesMarket:
             raise ValueError("every buyer needs at least one positive coefficient")
         if (r == 0).any() or (r > 1).any() or not np.isfinite(r).all():
             raise ValueError("each rho must be finite, nonzero and at most 1")
-        # Reject infinities, then freeze the arrays so shared markets are thread-safe.
+        # Reject infinities, then freeze the arrays: read-only fields keep the
+        # per-market caches valid.
         for name, arr in (("budgets", b), ("supplies", w), ("rho", r), ("coefficients", a)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
@@ -261,12 +262,3 @@ def demand(market: CesMarket, prices) -> DemandProfile:
     excess = excess_demand(market, prices, weights, sums)
     return DemandProfile(market, prices, excess, log_q)
 
-
-def misspending_potential(market: CesMarket, prices) -> float:
-    """Misspending sum_j p_j * |x_j - w_j| at `prices`, see `DemandProfile`."""
-    return demand(market, prices).misspending
-
-
-def cpf_potential(market: CesMarket, prices) -> float:
-    """Convex price potential at `prices`, see `DemandProfile.cpf`."""
-    return demand(market, prices).cpf

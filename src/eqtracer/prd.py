@@ -33,7 +33,7 @@ from .trace import Trace
 
 # Residual target for the equilibrium solves behind the potential gap and
 # the KL distance.
-_SOLVER_TOLERANCE = 1e-10
+SOLVER_TOLERANCE = 1e-10
 
 
 def proportional_bids(market: CesMarket) -> np.ndarray:
@@ -289,7 +289,7 @@ def run_prd_trace(
     # Checked once: events keep rho; the kernel keeps bids on the support, rows at the budgets.
     market = reduce_supply_to_utility(market0)
     bids = check_bids(market, bids0)
-    eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE)
+    eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE)
     # Kept work arrays, as in `prd_step`; bids0 is never one.
     spare, free, log_b, terms = (np.empty(bids.shape) for _ in range(4))
     g_star, kl_to = _anchor(market, eq, (free, None, terms))
@@ -317,7 +317,7 @@ def run_prd_trace(
                 logs = factor_logs if logs is None else logs + factor_logs
             eps_t = max(float(logs.max()), float(-logs.min()))
             min_share = np.minimum(min_share, coefficient_share_floor(market))
-            eq = solve_equilibrium(market, tolerance=_SOLVER_TOLERANCE, initial_prices=eq.prices)
+            eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE, initial_prices=eq.prices)
             g_star, kl_to = _anchor(market, eq, (spare, None, terms))
         delta_t = delta_prd_utility(market, min_share, eps_t)
         # One call gives this round's gap and KL and next round's bids.

@@ -42,6 +42,9 @@ from .trace import Trace
 MISSPENDING = "misspending"
 CPF = "cpf"
 
+# The cpf rule's default step size, below its 1/6 ceiling.
+CPF_STEP_SIZE = 0.05
+
 
 @dataclass(frozen=True)
 class TatonnementConfig:
@@ -114,9 +117,11 @@ def step_cpf(prices, market: CesMarket, lam: float) -> np.ndarray:
     return _update_cpf(demand(market, prices), lam)
 
 
-def _dynamics(market, config):
+def dynamics(market, config):
     """The variant's (update, potential), both read off one DemandProfile.
 
+    update(profile, lam) returns the next prices and potential(profile) the
+    potential at the profile's prices; runners and batteries share the pair.
     The cpf potential subtracts psi_star: first the market's kept cold
     solve, then a warm re-solve each time the profile's market object
     changes.
@@ -198,7 +203,7 @@ def fit_contraction(
     """
     if rounds < 1:
         raise ValueError("need at least one warm-up round")
-    update, potential = _dynamics(market, config)
+    update, potential = dynamics(market, config)
     profile = demand(market, prices)
     phi = potential(profile)
     floor = max(phi * 1e-12, 1e-300)
@@ -259,7 +264,7 @@ def run_tatonnement_trace(
         raise ValueError("price cap must be at least the largest initial price")
 
     market = market0
-    update, potential = _dynamics(market0, config)
+    update, potential = dynamics(market0, config)
     initial = potential(profile)
 
     phis, jumps, highs, lows = (np.empty(horizon) for _ in range(4))

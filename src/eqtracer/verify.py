@@ -30,7 +30,7 @@ from .instances import (
     uniform_prices,
 )
 from .lyapunov import meta_bound
-from .market import cpf_potential, misspending_potential
+from .market import demand
 from .perturbation import (
     BUDGET,
     SUPPLY,
@@ -45,6 +45,7 @@ from .perturbation import (
     share_deviation,
 )
 from .prd import (
+    SOLVER_TOLERANCE,
     PrdBoundConfig,
     kl_divergence,
     prd_potential_g,
@@ -55,14 +56,14 @@ from .prd import (
 )
 from .tatonnement import (
     CPF,
+    CPF_STEP_SIZE,
     MISSPENDING,
     TatonnementConfig,
     default_step_size,
+    dynamics,
     fit_contraction,
     jump_cap,
     run_tatonnement_trace,
-    step_cpf,
-    step_ms,
 )
 
 
@@ -105,6 +106,15 @@ def _descend(step, potential, state, target: float, limit: int, scale=None):
     return True, False, limit, phi
 
 
+def _descend_prices(market, config, target: float, limit: int, scale=None):
+    """`_descend` from uniform prices, one `demand` per round, through `dynamics`."""
+    update, potential = dynamics(market, config)
+    return _descend(
+        lambda profile: demand(market, update(profile, config.lam)), potential,
+        demand(market, uniform_prices(market)), target, limit, scale,
+    )
+
+
 def check_static_misspending(markets: int = 50) -> CheckResult:
     """Misspending falls monotonically to 1e-6 of the budget within 5000 rounds."""
     t0 = time.perf_counter()
@@ -114,11 +124,10 @@ def check_static_misspending(markets: int = 50) -> CheckResult:
         rng = np.random.default_rng(seed)
         m, n = _sizes(rng)
         market = random_market(rng, m, n, 0.2, 0.8)
-        lam = default_step_size(market)
+        config = TatonnementConfig(lam=default_step_size(market))
         total = market.total_budget
-        monotone, reached, rounds, phi = _descend(
-            lambda p: step_ms(p, market, lam), lambda p: misspending_potential(market, p),
-            uniform_prices(market), 1e-6 * total, 5000, scale=total,
+        monotone, reached, rounds, phi = _descend_prices(
+            market, config, 1e-6 * total, 5000, scale=total
         )
         worst_rounds = max(worst_rounds, rounds)
         if not (monotone and reached):
@@ -137,16 +146,13 @@ def check_static_cpf(markets: int = 50) -> CheckResult:
     t0 = time.perf_counter()
     failures = []
     worst_rounds = 0
+    config = TatonnementConfig(lam=CPF_STEP_SIZE, variant=CPF)
     for seed in range(markets):
         rng = np.random.default_rng(1000 + seed)
         m, n = _sizes(rng)
         lo, hi = (0.2, 0.8) if seed % 2 == 0 else (-2.0, -0.5)
         market = random_market(rng, m, n, lo, hi)
-        psi_star = solve_equilibrium(market).psi_star
-        monotone, reached, rounds, phi = _descend(
-            lambda p: step_cpf(p, market, 0.05), lambda p: cpf_potential(market, p) - psi_star,
-            uniform_prices(market), 1e-6, 20_000,
-        )
+        monotone, reached, rounds, phi = _descend_prices(market, config, 1e-6, 20_000)
         worst_rounds = max(worst_rounds, rounds)
         if not (monotone and reached):
             failures.append(
@@ -175,8 +181,11 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
 
     Six (potential, channel) pairs; supply events for the convex potential
     run on supplies at least one so equilibrium prices stay under the total
-    budget, its validity domain.  The budget pair calibrates the unit-cost
-    log-ratio constant per trial and reports the largest value used.
+    budget, its validity domain.  Each jump is the runners' own potential,
+    from `dynamics`, read on the market and then on the perturbed market, so
+    the cpf potential's warm re-solve supplies the new psi_star.  The budget
+    pair calibrates the unit-cost log-ratio constant per trial and reports
+    the largest value used.
     """
     t0 = time.perf_counter()
     failures = []
@@ -184,6 +193,7 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
     c_prime_max = 0.0
     cases = list(product((MISSPENDING, CPF), (SUPPLY, BUDGET, UTILITY)))
     for case, (potential_kind, channel) in enumerate(cases):
+        config = TatonnementConfig(lam=CPF_STEP_SIZE, variant=potential_kind)
         for trial in range(trials):
             # Integer entropy only: hash() of strings is salted per process.
             rng = np.random.default_rng(np.random.SeedSequence((case, trial)))
@@ -196,22 +206,15 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
             prices = uniform_prices(market) * rng.uniform(0.3, 3.0, n)
             event = _random_event(rng, market, channel)
             perturbed = apply_event(market, event)
+            _, potential = dynamics(market, config)
+            phi = potential(demand(market, prices))  # market first: it anchors psi_star
+            measured = potential(demand(perturbed, prices)) - phi
             c_prime = None
-            if potential_kind == MISSPENDING:
-                measured = misspending_potential(perturbed, prices) - misspending_potential(
-                    market, prices
-                )
-            else:
+            if potential_kind == CPF and channel == BUDGET:
                 before = solve_equilibrium(market)
                 after = solve_equilibrium(perturbed, initial_prices=before.prices)
-                measured = (cpf_potential(perturbed, prices) - after.psi_star) - (
-                    cpf_potential(market, prices) - before.psi_star
-                )
-                if channel == BUDGET:
-                    c_prime = calibrate_c_prime(
-                        market, [before.prices, after.prices], [prices]
-                    )
-                    c_prime_max = max(c_prime_max, c_prime)
+                c_prime = calibrate_c_prime(market, [before.prices, after.prices], [prices])
+                c_prime_max = max(c_prime_max, c_prime)
             # The same cap dispatch the trace runners use.
             cap = jump_cap(event, market, potential_kind, float(prices.max()), c_prime)
             margin = measured - cap
@@ -312,7 +315,7 @@ def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
         rng = np.random.default_rng(4000 + seed)
         m, n = _sizes(rng)
         market = random_market(rng, m, n, 0.2, 0.8, unit_supplies=True)
-        eq = solve_equilibrium(market, tolerance=1e-10)
+        eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE)
         g_star = prd_potential_g(market, eq.bids)
         bound = PrdBoundConfig.closed_form(market)
         path = []  # (gap, KL) of every bid matrix the descent visits
@@ -330,7 +333,7 @@ def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
         slack = [  # (gap_t - (q1 KL_{t-1} - q2 KL_t)) / KL_{t-1}, above the floor
             (gap - bound.q1 * kl_prev + bound.q2 * kl) / kl_prev
             for (_, kl_prev), (gap, kl) in zip(path, path[1:])
-            if kl_prev > 100 * 1e-10 * market.total_budget
+            if kl_prev > 100 * SOLVER_TOLERANCE * market.total_budget
         ]
         checked += len(slack)
         worst_slack = max([worst_slack, *slack])
@@ -454,12 +457,8 @@ def check_diffusion(horizon: int = 400) -> CheckResult:
                 f"{graph}-{n}: contraction={contraction_ok} conserved={conserved} "
                 f"loads>=0={non_negative} fixed={fixed_ok} dominated={slacked}"
             )
-    detail = "; ".join(reports)
-    if failures:
-        detail += "; FAILURES: " + "; ".join(failures)
-    return CheckResult(
-        "diffusion contracts, conserves, and is dominated", not failures, detail,
-        time.perf_counter() - t0,
+    return _result(
+        "diffusion contracts, conserves, and is dominated", "; ".join(reports), failures, t0
     )
 
 

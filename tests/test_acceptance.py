@@ -64,3 +64,30 @@ def test_determinism_battery_prints_nothing(capsys):
     result = verify.check_determinism()
     assert result.passed, result.detail
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("check", [verify.check_static_misspending, verify.check_static_cpf])
+def test_static_batteries_evaluate_demand_once_per_round(monkeypatch, check):
+    # One demand at each starting point, then one per round: the profile that
+    # measures the potential also drives the next update.
+    demands, updates = [], []
+    real_demand, real_dynamics = verify.demand, verify.dynamics
+
+    def counted_demand(*args):
+        demands.append(1)
+        return real_demand(*args)
+
+    def counted_dynamics(market, config):
+        update, potential = real_dynamics(market, config)
+
+        def counted_update(profile, lam):
+            updates.append(1)
+            return update(profile, lam)
+
+        return counted_update, potential
+
+    monkeypatch.setattr(verify, "demand", counted_demand)
+    monkeypatch.setattr(verify, "dynamics", counted_dynamics)
+    assert check(markets=2).passed
+    assert updates
+    assert len(demands) == 2 + len(updates)

@@ -113,6 +113,27 @@ def test_simulation_error_exits_3(tmp_path, capsys):
     assert "simulation error" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_3_for_one_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", BASE)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["simulate", "--config", str(cfg), "--out", str(blocker / "x")]) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert "simulation error" in err and "Not a directory" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_exits_3_for_a_batch(tmp_path, capsys):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    write_config(configs, "c.json", BASE)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["simulate", "--batch", str(configs), "--out", str(blocker / "x")]) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert "c.json: simulation error" in err and "Not a directory" in err
+
+
 def test_strict_mode_flags_bound_violation(tmp_path):
     # A deliberately overstated contraction rate makes the envelope decay
     # faster than the measured potential, tripping the strict gate.

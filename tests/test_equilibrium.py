@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqtracer import CesMarket, ConvergenceError, misspending_potential, solve_equilibrium
+from eqtracer import CesMarket, ConvergenceError, solve_equilibrium
 from eqtracer.equilibrium import _gradient_hessian
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
 from eqtracer.market import ces_weights, demand
@@ -37,7 +37,7 @@ def test_residual_meets_target_both_regimes():
         market = random_market(seed, 3, 4, lo, hi)
         result = solve_equilibrium(market)
         assert result.residual <= 1e-8 * market.total_budget
-        assert misspending_potential(market, result.prices) == pytest.approx(
+        assert demand(market, result.prices).misspending == pytest.approx(
             result.residual, rel=1e-9, abs=1e-18
         )
 
@@ -329,13 +329,13 @@ def test_cold_and_warm_solves_take_few_newton_steps():
             market = random_market(*args)
             cold = solve_equilibrium(market)
             assert cold.iterations <= cold_steps, args
-            assert misspending_potential(market, cold.prices) == cold.residual
+            assert demand(market, cold.prices).misspending == cold.residual
             rng = np.random.default_rng(args[0])
             factors = np.exp(rng.uniform(-0.005, 0.005, market.coefficients.shape))
             perturbed = apply_event(market, PerturbationEvent(1, UTILITY, factors))
             warm = solve_equilibrium(perturbed, initial_prices=cold.prices)
             assert warm.iterations <= warm_steps, args
-            assert misspending_potential(perturbed, warm.prices) == warm.residual
+            assert demand(perturbed, warm.prices).misspending == warm.residual
 
 
 @pytest.mark.parametrize("m, n", [(3, 4), (40, 30), (200, 200)])

@@ -1,6 +1,8 @@
 """Modules of the package call one another only through public names."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eqtracer"
@@ -47,3 +49,24 @@ def test_modules_import_no_private_names_from_one_another():
 def test_no_function_takes_or_passes_an_underscore_argument():
     # A private keyword is a hand-off that import checks do not see.
     assert private_parameters_and_keywords() == set()
+
+
+def test_names_the_benchmark_tracer_binds_resolve():
+    # perfbench/tracer.py looks these up by name when it installs its shims;
+    # a deleted one breaks `perfbench/run.py --trace 1` but no other test.
+    path = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in tracer.INTERNAL.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"eqtracer.{layer}"), name, None))
+    ]
+    missing += [
+        f"{layer}.{cls}.{method}"
+        for layer, cls, method in tracer.METHODS
+        if method not in vars(getattr(importlib.import_module(f"eqtracer.{layer}"), cls))
+    ]
+    assert missing == []

@@ -9,10 +9,10 @@ from eqtracer import (
     ScheduleSpec,
     TatonnementConfig,
     default_step_size,
+    demand,
     generate_schedule,
     kl_divergence,
     meta_bound,
-    misspending_potential,
     proportional_bids,
     run_prd_trace,
     running_bound,
@@ -146,7 +146,7 @@ class TestRunnersFollowClosedForms:
         )
         prices = uniform_prices(market)
         trace = run_tatonnement_trace(market, prices, config, schedule, 0.01, 150)
-        assert trace.initial == misspending_potential(market, prices)
+        assert trace.initial == demand(market, prices).misspending
         _assert_bound_column_is_meta_bound(trace, 1.0 - 0.01)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from eqtracer import (
     CesMarket,
     LinearUtilityError,
-    cpf_potential,
     demand,
-    misspending_potential,
     solve_equilibrium,
 )
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
@@ -209,12 +207,12 @@ class TestDemand:
 
 class TestMisspending:
     def test_single_good_overpriced(self):
-        assert misspending_potential(single_good(), [2.0]) == pytest.approx(1.0, abs=1e-15)
+        assert demand(single_good(), [2.0]).misspending == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_at_equilibrium(self):
         market = random_market(1, 3, 3)
         result = solve_equilibrium(market)
-        assert misspending_potential(market, result.prices) <= 1e-8 * market.total_budget
+        assert demand(market, result.prices).misspending <= 1e-8 * market.total_budget
 
     def test_doubled_equilibrium_prices(self):
         # At 2 p* demand halves, so the shortfall is w/2 per good.
@@ -222,25 +220,25 @@ class TestMisspending:
         star = solve_equilibrium(market).prices
         doubled = 2.0 * star
         expected = float(np.sum(doubled * market.supplies) / 2.0)
-        assert misspending_potential(market, doubled) == pytest.approx(expected, rel=1e-9)
+        assert demand(market, doubled).misspending == pytest.approx(expected, rel=1e-9)
 
     def test_non_negative(self):
         for seed in range(20):
             market = random_market(seed, 3, 3, rho_low=-2.0, rho_high=0.8)
             prices = uniform_prices(market) * np.random.default_rng(seed).uniform(0.3, 3, 3)
-            assert misspending_potential(market, prices) >= 0.0
+            assert demand(market, prices).misspending >= 0.0
 
 
 class TestConvexPotential:
     def test_single_good_closed_form(self):
         market = single_good()
         for p in (0.5, 1.0, 2.0, math.e):
-            assert cpf_potential(market, [p]) == pytest.approx(p - math.log(p), rel=1e-14)
+            assert demand(market, [p]).cpf == pytest.approx(p - math.log(p), rel=1e-14)
 
     def test_minimum_at_one(self):
         market = single_good()
-        assert cpf_potential(market, [1.0]) == pytest.approx(1.0, abs=1e-14)
-        assert cpf_potential(market, [math.e]) - 1.0 == pytest.approx(
+        assert demand(market, [1.0]).cpf == pytest.approx(1.0, abs=1e-14)
+        assert demand(market, [math.e]).cpf - 1.0 == pytest.approx(
             math.e - 2.0, rel=1e-12
         )
 
@@ -254,8 +252,8 @@ class TestConvexPotential:
         doubled = market.replace(coefficients=2.0 * market.coefficients)
         prices = np.array([0.7, 1.9])
         shift = float(np.sum(market.budgets)) * math.log(4.0)
-        assert cpf_potential(doubled, prices) == pytest.approx(
-            cpf_potential(market, prices) + shift, rel=1e-12
+        assert demand(doubled, prices).cpf == pytest.approx(
+            demand(market, prices).cpf + shift, rel=1e-12
         )
 
     def test_equilibrium_minimises_over_random_prices(self):
@@ -264,7 +262,7 @@ class TestConvexPotential:
         rng = np.random.default_rng(0)
         for _ in range(100):
             p = uniform_prices(market) * rng.uniform(0.2, 4.0, 3)
-            assert result.psi_star <= cpf_potential(market, p) + 1e-9
+            assert result.psi_star <= demand(market, p).cpf + 1e-9
 
     def test_normalized_non_negative(self):
         market = random_market(6, 4, 4, rho_low=-1.0, rho_high=0.7)
@@ -272,7 +270,7 @@ class TestConvexPotential:
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = uniform_prices(market) * rng.uniform(0.3, 3.0, 4)
-            assert cpf_potential(market, p) - result.psi_star >= -1e-9
+            assert demand(market, p).cpf - result.psi_star >= -1e-9
 
     def test_convexity_spot_check(self):
         market = random_market(7, 3, 4, rho_low=-1.5, rho_high=0.8)
@@ -281,10 +279,10 @@ class TestConvexPotential:
             p = uniform_prices(market) * rng.uniform(0.3, 3.0, 4)
             q = uniform_prices(market) * rng.uniform(0.3, 3.0, 4)
             t = rng.uniform(0.05, 0.95)
-            mid = cpf_potential(market, t * p + (1 - t) * q)
-            assert mid <= t * cpf_potential(market, p) + (1 - t) * cpf_potential(
+            mid = demand(market, t * p + (1 - t) * q).cpf
+            assert mid <= t * demand(market, p).cpf + (1 - t) * demand(
                 market, q
-            ) + 1e-9
+            ).cpf + 1e-9
 
 
 @settings(max_examples=50, deadline=None)

@@ -23,6 +23,7 @@ from eqtracer import (
     delta_ms_supply,
     delta_ms_utility,
     delta_prd_utility,
+    demand,
     extremize_shares,
     generate_schedule,
     share_deviation,
@@ -357,7 +358,6 @@ def test_extremal_value_never_exceeds_closed_cap(weights, mu):
 
 class TestMeasuredJumps:
     def test_supply_jump_dominated_at_fixed_prices(self):
-        from eqtracer import misspending_potential
 
         rng = np.random.default_rng(5)
         for seed in range(30):
@@ -365,12 +365,11 @@ class TestMeasuredJumps:
             prices = uniform_prices(market) * rng.uniform(0.3, 3.0, 4)
             eps = rng.uniform(-0.02, 0.02, 4)
             ev = event(SUPPLY, eps)
-            measured = misspending_potential(apply_event(market, ev), prices) - \
-                misspending_potential(market, prices)
+            measured = demand(apply_event(market, ev), prices).misspending - \
+                demand(market, prices).misspending
             assert measured <= delta_ms_supply(ev, float(prices.max())) + 1e-9
 
     def test_calibrated_budget_constant_bounds_jump(self):
-        from eqtracer import cpf_potential
 
         market = random_market(21, 3, 3)
         prices = uniform_prices(market) * 1.7
@@ -379,7 +378,7 @@ class TestMeasuredJumps:
         before = solve_equilibrium(market)
         after = solve_equilibrium(perturbed, initial_prices=before.prices)
         c_prime = calibrate_c_prime(market, [before.prices, after.prices], [prices])
-        measured = (cpf_potential(perturbed, prices) - after.psi_star) - (
-            cpf_potential(market, prices) - before.psi_star
+        measured = (demand(perturbed, prices).cpf - after.psi_star) - (
+            demand(market, prices).cpf - before.psi_star
         )
         assert measured <= delta_cpf_budget(ev, c_prime) + 1e-9

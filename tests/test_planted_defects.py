@@ -9,7 +9,7 @@ intact batteries pass in tests/test_acceptance.py.
 import numpy as np
 import pytest
 
-from eqtracer import applications, prd, tatonnement, verify
+from eqtracer import applications, prd, solve_equilibrium, tatonnement, verify
 
 # Battery 4 size that reaches trace 13, a budget trace that each defect below
 # pushes over the runner's bound.
@@ -67,12 +67,32 @@ def test_halved_market_cap_fails_battery_3(monkeypatch, cap_name):
     assert "> cap" in result.detail
 
 
+def test_stale_cpf_equilibrium_fails_battery_3(monkeypatch):
+    # A cpf potential that keeps the first market's psi_star and never
+    # re-solves: budget events move psi_star, so measured jumps overshoot
+    # their caps (40 of the default 200 cpf/budget trials, from trial 2).
+    dynamics = tatonnement.dynamics
+
+    def stale(market, config):
+        update, potential = dynamics(market, config)
+        if config.variant != tatonnement.CPF:
+            return update, potential
+        psi_star = solve_equilibrium(market).psi_star
+        return update, lambda profile: profile.cpf - psi_star
+
+    for module in (tatonnement, verify):
+        monkeypatch.setattr(module, "dynamics", stale)
+    result = verify.check_delta_domination(trials=10)
+    assert not result.passed
+    assert "cpf/budget-additive trial" in result.detail
+
+
 def test_squared_second_eigenvalue_fails_battery_9(monkeypatch):
     lam2 = applications.second_eigenvalue
     monkeypatch.setattr(applications, "second_eigenvalue", lambda P: lam2(P) ** 2)
     result = verify.check_diffusion()
     assert not result.passed
-    assert "FAILURES" in result.detail
+    assert "contraction=False" in result.detail
 
 
 def test_squared_prd_rate_fails_battery_6(monkeypatch):

@@ -287,7 +287,7 @@ class TestFitAndTrace:
         schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=4), market, 30)
         bound = PrdBoundConfig.closed_form(market)
         bids = prd_step(proportional_bids(market), market, rounds=30)
-        solve_equilibrium(market, tolerance=prd._SOLVER_TOLERANCE)
+        solve_equilibrium(market, tolerance=prd.SOLVER_TOLERANCE)
         evaluated = []
         kernel = equilibrium.ces_weights
 
@@ -584,8 +584,8 @@ def _static_rounds(seed, m, n, rho_range):
     proportional bids whose KL_{t-1} is above a hundred times the solve's
     error, at most 300 rounds."""
     market = random_market(seed, m, n, *rho_range, unit_supplies=True)
-    eq = solve_equilibrium(market, tolerance=prd._SOLVER_TOLERANCE)
-    floor = 100 * prd._SOLVER_TOLERANCE * market.total_budget
+    eq = solve_equilibrium(market, tolerance=prd.SOLVER_TOLERANCE)
+    floor = 100 * prd.SOLVER_TOLERANCE * market.total_budget
     bids = proportional_bids(market)
     for _ in range(300):
         if kl_divergence(eq.bids, bids) <= floor:

@@ -15,11 +15,10 @@ from eqtracer import (
     TatonnementConfig,
     Trace,
     apply_event,
-    cpf_potential,
     default_step_size,
+    demand,
     delta_ms_supply,
     generate_schedule,
-    misspending_potential,
     run_tatonnement_trace,
     solve_equilibrium,
     step_cpf,
@@ -69,7 +68,7 @@ class TestSteps:
         market = random_market(1, 3, 4, unit_supplies=True)
         prices = uniform_prices(market) * 1.1
         profile_excess = np.abs(
-            misspending_potential(market, prices)
+            demand(market, prices).misspending
         )  # sanity the market is off-equilibrium
         assert profile_excess > 0
         assert np.allclose(
@@ -137,7 +136,7 @@ class TestTraces:
             market, prices, config, PerturbationSchedule(), 0.05, 0
         )
         assert len(trace) == 0
-        assert trace.initial == misspending_potential(market, prices)
+        assert trace.initial == demand(market, prices).misspending
 
     def test_static_convergence_and_monotone_tail(self):
         market = random_market(4, 4, 4)
@@ -252,12 +251,12 @@ def _reference_setup(variant, seed):
         lam=lam, variant=variant, price_cap=2 * market.total_budget, c_prime=1.0
     )
     if variant == MISSPENDING:
-        return market, config, step_ms, misspending_potential
+        return market, config, step_ms, lambda m, p: demand(m, p).misspending
     return market, config, step_cpf, _reference_cpf(market)
 
 
 def _reference_cpf(market):
-    """cpf_potential - psi_star after a cold solve, re-solved warm on each new market."""
+    """DemandProfile.cpf - psi_star after a cold solve, re-solved warm on each new market."""
     solved = {"market": market, "eq": solve_equilibrium(market)}
 
     def potential(market, prices):
@@ -265,7 +264,7 @@ def _reference_cpf(market):
             warm = solved["eq"].prices
             solved["eq"] = solve_equilibrium(market, initial_prices=warm)
             solved["market"] = market
-        return cpf_potential(market, prices) - solved["eq"].psi_star
+        return demand(market, prices).cpf - solved["eq"].psi_star
 
     return potential
 
