@@ -8,6 +8,17 @@ STOC 2013) in log prices y = ln p.  The gradient is p times (supply - demand)
 and the Hessian H has a closed form; from a warm start Newton reaches the
 target in a few steps.
 
+A warm solve of a substitutes market (every rho in (0, 1)) goes further and
+takes chord steps (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, section 5.4; Ortega & Rheinboldt, Iterative Solution
+of Nonlinear Equations in Several Variables, 1970): it keeps H^-1 from its
+last full Newton step, carried from solve to solve in `EquilibriumResult`,
+and steps by -H^-1 g, one kernel evaluation and one matrix-vector product.
+After a small market change H barely moves, so the kept inverse still cuts
+the residual by orders of magnitude per step; it is refreshed only when a
+step fails the line search's acceptance test or cuts the residual less than
+`_REFRESH_CUT`-fold.
+
 In code terms H = diag(w*p) + sum_i b_i (-c_i) (diag(s_i) - s_i s_i^T), with
 s_i buyer i's spending shares and c_i = rho_i / (rho_i - 1).  Each
 diag(s_i) - s_i s_i^T is positive semidefinite (x^T (.) x is the variance of x
@@ -36,6 +47,8 @@ _ARMIJO = 1e-4
 _LINE_SEARCH_HALVINGS = 40
 # Relative rounding noise of Psi, scaled by |Psi| + total budget.
 _PSI_NOISE = 1e-12
+# A chord step must cut the residual this many times, or H^-1 is refreshed.
+_REFRESH_CUT = 20.0
 
 
 class ConvergenceError(RuntimeError):
@@ -48,13 +61,21 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Equilibrium prices, spending matrix, potential minimum and residual."""
+    """Equilibrium prices, spending matrix, potential minimum and residual.
+
+    `iterations` counts full Newton steps (Hessian builds) and `chord_steps`
+    the steps that reused a kept H^-1.  `hessian_inverse` is the read-only
+    log-price H^-1 of a warm substitutes solve's last full step, which the
+    next warm solve passed this result reuses; it is None otherwise.
+    """
 
     prices: np.ndarray      # (n,) market-clearing prices
     bids: np.ndarray        # (m, n) equilibrium spending, rows sum to budgets
     psi_star: float         # minimum of the convex price potential
     residual: float         # misspending at the returned prices
     iterations: int
+    chord_steps: int = 0
+    hessian_inverse: np.ndarray | None = None
 
 
 def _gradient_hessian(
@@ -83,7 +104,7 @@ def solve_equilibrium(
     market: CesMarket,
     tolerance: float = 1e-8,
     max_iters: int = 200_000,
-    initial_prices=None,
+    previous: EquilibriumResult | None = None,
 ) -> EquilibriumResult:
     """Find prices whose misspending is at most tolerance * total budget.
 
@@ -101,17 +122,27 @@ def solve_equilibrium(
     potential are computed exactly as `DemandProfile.misspending` and
     `DemandProfile.cpf` compute them, from the kernel's unnormalised weights E
     and row sums S.  Shares E / S are formed, in place, only at a point
-    that takes another Newton step, and the returned bids are E * (b / S).
+    that takes a Newton step, and the returned bids are E * (b / S).
 
-    `initial_prices` warm-starts the solve (defaults to uniform B/n); a warm
-    start that already clears is returned unchanged after 0 steps, so
-    re-solves on an unchanged market reproduce the previous result bit for
-    bit.  A cold solve (no `initial_prices`) runs once per market object and
-    tolerance; later cold calls return that same read-only result.
-    `max_iters` bounds the Newton steps and `iterations` counts them.
-    Raises ConvergenceError, reporting the final residual, if the target is
-    not met: the potential is not finite at the start, the steps ran out, or
-    the line search found no acceptable step.
+    `previous`, the result of an earlier solve on a market of the same
+    shape, warm-starts the solve at its prices (a cold solve starts at
+    uniform B/n); a warm start that already clears is returned unchanged
+    after 0 steps, so re-solves on an unchanged market reproduce the
+    previous result bit for bit.  A warm substitutes solve takes chord
+    steps: d = -H^-1 g with the previous result's H^-1, where g = -p *
+    excess comes with the evaluation.  A chord step is tried at full
+    length only; if it fails the acceptance test, a full Newton step is
+    taken from the same point, and after one that cuts the residual less
+    than `_REFRESH_CUT`-fold the next step is a full one.  Its full steps
+    form H^-1 with `np.linalg.inv` and keep it for the steps and solves
+    that follow.  Cold solves and markets with a complements buyer solve
+    H d = -g at every step and keep no inverse.  A cold solve runs once
+    per market object and tolerance; later cold calls return that same
+    read-only result.  `max_iters` bounds the steps of both kinds.
+    Raises ValueError if `previous` does not fit the market, and
+    ConvergenceError, reporting the final residual, if the target is
+    not met: the potential is not finite at the start, the steps ran
+    out, or the line search found no acceptable step.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -126,7 +157,7 @@ def solve_equilibrium(
             "invalid market: some good carries no positive coefficient, "
             "so its clearing price is zero and outside the price domain"
         )
-    if initial_prices is None:
+    if previous is None:
         # Kept in the market's __dict__, next to its cached CES weights.
         cold = market.__dict__.setdefault("_cold_solves", {})
         if tolerance in cold:
@@ -134,83 +165,116 @@ def solve_equilibrium(
         p = np.full(market.num_goods, total / market.num_goods)
     else:
         cold = None
-        p = check_prices(market, initial_prices)
+        p = check_prices(market, previous.prices)
 
     def evaluate(prices, out=None):
         # Trial points may overflow or leave the price domain; reject them.
         with np.errstate(all="ignore"):
             weights, sums, log_q = ces_weights(market, prices, out)
-            excess = excess_demand(market, prices, weights, sums)
-            residual = float((prices * np.abs(excess)).sum())
+            # p * excess = -g: the money spent on each good beyond its supply.
+            overspend = prices * excess_demand(market, prices, weights, sums)
+            residual = float(np.abs(overspend).sum())
             psi = float((w * prices).sum() - (b * log_q).sum())
         if not (np.isfinite(residual) and np.isfinite(psi) and (prices > 0).all()):
             return None
-        return weights, sums, residual, psi
+        return weights, sums, overspend, residual, psi
+
+    def search(direction, slope, halvings):
+        # The first point on the halving path from p that passes the
+        # acceptance test, with its state, or None.
+        psi_noise = _PSI_NOISE * (abs(psi) + total)
+        t = 1.0
+        for _ in range(halvings):
+            with np.errstate(over="ignore"):
+                trial = p * np.exp(t * direction)
+            trial_state = evaluate(trial, spare)
+            if trial_state is not None:
+                trial_residual, trial_psi = trial_state[3:]
+                if trial_psi <= psi + _ARMIJO * t * slope or (
+                    trial_residual < residual and trial_psi <= psi + psi_noise
+                ):
+                    return trial, trial_state
+            t *= 0.5
+        return None
 
     state = evaluate(p)
     if state is None:
         raise ConvergenceError(
             "the convex potential is not finite at the starting prices", np.inf
         )
-    weights, sums, residual, psi = state
+    weights, sums, overspend, residual, psi = state
     substitutes = (market.demand_exponent < 0).all()
+    chord = previous is not None and substitutes
+    inverse = previous.hessian_inverse if chord else None
     # Per-solve buffers: the Hessian, and a spare (m, n) array that holds
     # s^T diag(b*c) and then the trial weights, swapped with `weights` on
-    # acceptance.  `weights` becomes the returned bids, so no later solve
+    # acceptance (while `spare` is None, `ces_weights` allocates the trial
+    # weights).  `weights` becomes the returned bids, so no later solve
     # writes into a result.
     spare = hessian = None
-    steps = 0
-    while steps < max_iters and residual > target:
-        weights /= sums[:, None]  # the shares, in place
-        if spare is None:
-            spare = np.empty_like(weights)
-            hessian = np.empty((p.size, p.size))
-        g, hessian = _gradient_hessian(market, p, weights, spare.T, hessian)
-        try:
-            if not substitutes:
-                np.linalg.cholesky(hessian)
-        except np.linalg.LinAlgError:
-            # Far from equilibrium the spending on some goods, and with it
-            # their rows of H - diag(g), can be hundreds of orders of
-            # magnitude below the rest; a pivoted solve of the unscaled
-            # matrix drowns those rows in rounding, so scale it to unit
-            # diagonal first.
-            hessian.flat[:: p.size + 1] -= g
-            scale = 1.0 / np.sqrt(np.diag(hessian))
-            scaled = hessian * np.outer(scale, scale)
-            direction = -scale * np.linalg.solve(scaled, scale * g)
+    newton_steps = chord_steps = 0
+    refresh = inverse is None
+    while newton_steps + chord_steps < max_iters and residual > target:
+        step = None
+        if not refresh:
+            direction = inverse @ overspend  # -H^-1 g
+            step = search(direction, -float(overspend @ direction), 1)
+        if step is not None:
+            chord_steps += 1
+            # The new residual, step[1][3], fell less than _REFRESH_CUT-fold.
+            refresh = step[1][3] * _REFRESH_CUT > residual
         else:
-            direction = np.linalg.solve(hessian, -g)
-        slope = float(g @ direction)
-        psi_noise = _PSI_NOISE * (abs(psi) + total)
-        t = 1.0
-        for _ in range(_LINE_SEARCH_HALVINGS):
-            with np.errstate(over="ignore"):
-                trial = p * np.exp(t * direction)
-            trial_state = evaluate(trial, spare)
-            if trial_state is not None:
-                trial_residual, trial_psi = trial_state[2:]
-                if trial_psi <= psi + _ARMIJO * t * slope or (
-                    trial_residual < residual and trial_psi <= psi + psi_noise
-                ):
-                    break
-            t *= 0.5
-        else:
-            break
-        p = trial
+            weights /= sums[:, None]  # the shares, in place
+            if chord:
+                # s^T diag(b*c) and H are temporaries, H is let go as soon as
+                # it is inverted and the spare array is let go before, so the
+                # inversion runs beside the weights alone.
+                spare = None
+                _, inverse = _gradient_hessian(market, p, weights)
+                inverse = np.linalg.inv(inverse)
+                refresh = False
+                g = -overspend
+                direction = inverse @ overspend
+            else:
+                if spare is None:
+                    spare = np.empty_like(weights)
+                    hessian = np.empty((p.size, p.size))
+                g, hessian = _gradient_hessian(market, p, weights, spare.T, hessian)
+                try:
+                    if not substitutes:
+                        np.linalg.cholesky(hessian)
+                except np.linalg.LinAlgError:
+                    # Far from equilibrium the spending on some goods, and
+                    # with it their rows of H - diag(g), can be hundreds of
+                    # orders of magnitude below the rest; a pivoted solve of
+                    # the unscaled matrix drowns those rows in rounding, so
+                    # scale it to unit diagonal first.
+                    hessian.flat[:: p.size + 1] -= g
+                    scale = 1.0 / np.sqrt(np.diag(hessian))
+                    scaled = hessian * np.outer(scale, scale)
+                    direction = -scale * np.linalg.solve(scaled, scale * g)
+                else:
+                    direction = np.linalg.solve(hessian, -g)
+            step = search(direction, float(g @ direction), _LINE_SEARCH_HALVINGS)
+            if step is None:
+                break
+            newton_steps += 1
+        p, trial_state = step
         spare = weights
-        weights, sums, residual, psi = trial_state
-        steps += 1
+        weights, sums, overspend, residual, psi = trial_state
     if residual > target:
         raise ConvergenceError(
             f"equilibrium solve stopped at residual {residual:.3e} "
-            f"(target {target:.3e}) after {steps} iterations",
+            f"(target {target:.3e}) after {newton_steps} Newton and "
+            f"{chord_steps} chord steps",
             residual,
         )
     bids = np.multiply(weights, (b / sums)[:, None], out=weights)
     p.setflags(write=False)
     bids.setflags(write=False)
-    result = EquilibriumResult(p, bids, psi, residual, steps)
+    if inverse is not None:
+        inverse.setflags(write=False)
+    result = EquilibriumResult(p, bids, psi, residual, newton_steps, chord_steps, inverse)
     if cold is not None:
         cold[tolerance] = result
     return result

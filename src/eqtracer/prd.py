@@ -317,7 +317,7 @@ def run_prd_trace(
                 logs = factor_logs if logs is None else logs + factor_logs
             eps_t = max(float(logs.max()), float(-logs.min()))
             min_share = np.minimum(min_share, coefficient_share_floor(market))
-            eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE, initial_prices=eq.prices)
+            eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE, previous=eq)
             g_star, kl_to = _anchor(market, eq, (spare, None, terms))
         delta_t = delta_prd_utility(market, min_share, eps_t)
         # One call gives this round's gap and KL and next round's bids.

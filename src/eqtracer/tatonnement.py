@@ -123,8 +123,9 @@ def dynamics(market, config):
     update(profile, lam) returns the next prices and potential(profile) the
     potential at the profile's prices; runners and batteries share the pair.
     The cpf potential subtracts psi_star: first the market's kept cold
-    solve, then a warm re-solve each time the profile's market object
-    changes.
+    solve, then a re-solve warm-started from the last result (and, in the
+    substitutes regime, its kept H^-1) each time the profile's market
+    object changes.
     """
     if config.variant == MISSPENDING:
         return _update_ms, attrgetter("misspending")
@@ -134,7 +135,7 @@ def dynamics(market, config):
         nonlocal solved, eq
         if profile.market is not solved:
             solved = profile.market
-            eq = solve_equilibrium(solved, initial_prices=eq.prices)
+            eq = solve_equilibrium(solved, previous=eq)
         return profile.cpf - eq.psi_star
 
     return _update_cpf, cpf

@@ -212,7 +212,7 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
             c_prime = None
             if potential_kind == CPF and channel == BUDGET:
                 before = solve_equilibrium(market)
-                after = solve_equilibrium(perturbed, initial_prices=before.prices)
+                after = solve_equilibrium(perturbed, previous=before)
                 c_prime = calibrate_c_prime(market, [before.prices, after.prices], [prices])
                 c_prime_max = max(c_prime_max, c_prime)
             # The same cap dispatch the trace runners use.

@@ -550,16 +550,16 @@ GOLDEN_DIGESTS = {
         "511da0d5f0764609657e7a7aad9db93cad3fe100cd8e2fb26e3e489e513f35f9",
     ),
     ("tatonnement-cpf", None): (
-        "8df70b2116a1673cb7e54468f42b205c0987fb0675faa45daded6c505ba07627",
-        "5c9f6e5db90483fe5de0afee95a0707bab691cf75beef63769465c06a6e5b309",
+        "007e5fa70ea5e4b3cdb22eaf7fcbc82c708c56fededc7052119da50d71813bbf",
+        "b07628c4f776a0e14acd4e8e8cc76b83694e8ee78259b47859842af47845797d",
     ),
     ("tatonnement-cpf", 0): (
         _HEADER_ONLY,
         "931a4f31f40e86672f2185f5dfcba5a5e583f7b25fe933bdf492dd247376d93c",
     ),
     ("prd", None): (
-        "e05ca6850cd53eb219b3d9af0d27506a3fc293a6633e9586ff53bb898e0e3ba2",
-        "423de74f58f34fef99cade9b92c25ce82eb46a651237a3772098a017d926b23e",
+        "bd59ad6ad7676f8f21bbd1daebe29cb14898b0c3a4ccbcadf06b691b91660854",
+        "bc14594292c6d04ccd34356b9e991b617a13b2e41c1f153ec41d8ab26644bb35",
     ),
     ("prd", 0): (
         _HEADER_ONLY,
@@ -590,12 +590,12 @@ GOLDEN_DIGESTS = {
 SUPPLIED_BOUNDS = {"prd": {"q1": 0.5, "q2": 1.0}, "tatonnement-cpf": {"delta": 0.01}}
 SUPPLIED_DIGESTS = {
     "prd": (
-        "5ac7d2af4d9b37c533829053adf27aef8d56d1c5a73020b7781bb0be01b73ff9",
-        "3c13d069cf344101e890b8e814515022544c25317abef743ef37d9f09baf0ac8",
+        "aa624b515c2195436d8745eb7164674e94a15d4f1ed97b5fc3dd5ca5c3b7184a",
+        "70002d6a097c2112f01b83e39b172eb4398313704996e933c04c436cb4a0c790",
     ),
     "tatonnement-cpf": (
-        "ddf3be1c83b1b21e3e50c62d2ab75baf7254808cc8ed06bb61e10157b1c7208c",
-        "be9dd8b46d7e20a434c1135122ece6e722a21940b1defe4d99220c4068167388",
+        "dc8e54f2b2a4c16c8ec1955333fff2f9459f41ca6b2dd12ecbfcbe3b51fed95d",
+        "131da711139436d8240d18763f5d30d470991df01ea499844c2e36f63d7e38ae",
     ),
 }
 
@@ -687,7 +687,7 @@ def test_newton_cold_solves_each_starting_market_once(
 
     def recorded(*args, **kwargs):
         result = solve(*args, **kwargs)
-        if kwargs.get("initial_prices") is None:
+        if kwargs.get("previous") is None:
             cold.append(result)
         return result
 

@@ -1,11 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqtracer import CesMarket, ConvergenceError, solve_equilibrium
+from eqtracer import CesMarket, ConvergenceError, EquilibriumResult, solve_equilibrium
 from eqtracer.equilibrium import _gradient_hessian
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
 from eqtracer.market import ces_weights, demand
@@ -27,7 +28,7 @@ def test_self_consistency_tighter_tolerance():
     for seed in range(5):
         market = random_market(seed, 3, 4)
         coarse = solve_equilibrium(market, tolerance=1e-8)
-        fine = solve_equilibrium(market, tolerance=1e-9, initial_prices=coarse.prices)
+        fine = solve_equilibrium(market, tolerance=1e-9, previous=coarse)
         assert np.allclose(coarse.prices, fine.prices, rtol=1e-6)
         assert fine.residual <= 1e-9 * market.total_budget
 
@@ -73,8 +74,8 @@ class TestColdSolveMemo:
         market = random_market(6, 3, 4)
         cold = solve_equilibrium(market)
         assert solve_equilibrium(market) is cold
-        warm = solve_equilibrium(market, initial_prices=cold.prices)
-        assert warm is not cold and warm.iterations == 0
+        warm = solve_equilibrium(market, previous=cold)
+        assert warm is not cold and warm.iterations == warm.chord_steps == 0
         assert solve_equilibrium(market) is cold
 
     def test_tolerances_are_kept_apart(self):
@@ -101,7 +102,11 @@ class TestColdSolveMemo:
     def test_derived_markets_do_not_inherit_the_solve(self, derive):
         market = random_market(6, 3, 4)
         parent = solve_equilibrium(market)
-        child = solve_equilibrium(derive(market))
+        derived = derive(market)
+        # No solve result, cold store or kept inverse rides along.
+        kept = derived.__dict__.values()
+        assert not any(isinstance(v, (dict, EquilibriumResult)) for v in kept)
+        child = solve_equilibrium(derived)
         # An unchanged copy solves to the same bits, but afresh.
         assert child is not parent
         assert child.iterations == parent.iterations > 0
@@ -110,7 +115,7 @@ class TestColdSolveMemo:
     def test_result_arrays_reject_writes(self):
         market = random_market(6, 3, 4)
         cold = solve_equilibrium(market)
-        warm = solve_equilibrium(market, initial_prices=cold.prices)
+        warm = solve_equilibrium(market, previous=cold)
         for result in (cold, warm):
             for array in (result.prices, result.bids):
                 with pytest.raises(ValueError, match="read-only"):
@@ -268,7 +273,7 @@ def test_warm_resolve_takes_few_newton_steps(rho_range):
     rng = np.random.default_rng(4)
     factors = np.exp(rng.uniform(-0.005, 0.005, market.coefficients.shape))
     perturbed = apply_event(market, PerturbationEvent(1, UTILITY, factors))
-    after = solve_equilibrium(perturbed, tolerance=1e-10, initial_prices=before.prices)
+    after = solve_equilibrium(perturbed, tolerance=1e-10, previous=before)
     assert 1 <= after.iterations <= 3
     assert after.residual <= 1e-10 * perturbed.total_budget
 
@@ -323,8 +328,13 @@ _NEAR_LINEAR = [
 
 def test_cold_and_warm_solves_take_few_newton_steps():
     # Complements markets included: there the log-price Hessian is often
-    # indefinite at the start, and Newton must still take few steps.
-    for sweep, cold_steps, warm_steps in ((_SWEEP, 30, 4), (_NEAR_LINEAR, 40, 14)):
+    # indefinite at the start, and Newton must still take few steps.  A warm
+    # substitutes solve from a cold result takes one full step, which forms
+    # H^-1, and then chord steps; `warm_total` bounds both kinds together.
+    for sweep, cold_steps, warm_steps, warm_total in (
+        (_SWEEP, 30, 4, 5),
+        (_NEAR_LINEAR, 40, 14, 10),
+    ):
         for args in sweep:
             market = random_market(*args)
             cold = solve_equilibrium(market)
@@ -333,8 +343,9 @@ def test_cold_and_warm_solves_take_few_newton_steps():
             rng = np.random.default_rng(args[0])
             factors = np.exp(rng.uniform(-0.005, 0.005, market.coefficients.shape))
             perturbed = apply_event(market, PerturbationEvent(1, UTILITY, factors))
-            warm = solve_equilibrium(perturbed, initial_prices=cold.prices)
+            warm = solve_equilibrium(perturbed, previous=cold)
             assert warm.iterations <= warm_steps, args
+            assert warm.iterations + warm.chord_steps <= warm_total, args
             assert demand(perturbed, warm.prices).misspending == warm.residual
 
 
@@ -355,8 +366,9 @@ def test_hessian_into_buffers_matches_fresh_arrays(m, n):
 
 
 def test_warm_resolve_keeps_its_buffers():
-    # Per solve: the weights (returned as the bids), one spare (m, n) array for
-    # s^T diag(b*c) and the trial weights, and one (n, n) Hessian.
+    # Per solve: the weights (returned as the bids), one spare (m, n) array
+    # for the trial weights, and, for a full step, one (n, n) Hessian and its
+    # inverse, which the result keeps.
     m = n = 200
     market = random_market(5, m, n, unit_supplies=True)
     cold = solve_equilibrium(market, tolerance=1e-10)
@@ -365,14 +377,21 @@ def test_warm_resolve_keeps_its_buffers():
     ces_weights(moved, cold.prices)  # warm: caches (1-c) ln a on the market
     tracemalloc.start()
     try:
-        warm = solve_equilibrium(moved, tolerance=1e-10, initial_prices=cold.prices)
+        warm = solve_equilibrium(moved, tolerance=1e-10, previous=cold)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     matrix = m * n * 8
-    assert warm.iterations >= 2
+    # One full step forms H^-1; the steps after it reuse the buffers.
+    assert warm.iterations == 1 and warm.chord_steps >= 1
     assert peak < 4 * matrix, peak / matrix
-    assert held < 1.1 * matrix, held / matrix  # the result's bids
+    factor = warm.hessian_inverse.nbytes  # n * n * 8
+    assert held < 1.1 * matrix + factor, held / matrix  # the bids and H^-1
+
+
+def _drifted(market, rng, eps):
+    factors = np.exp(rng.uniform(-eps, eps, market.coefficients.shape))
+    return apply_event(market, PerturbationEvent(1, UTILITY, factors))
 
 
 def test_later_solves_never_write_into_earlier_results():
@@ -380,16 +399,85 @@ def test_later_solves_never_write_into_earlier_results():
     results = [solve_equilibrium(market, tolerance=1e-10)]
     rng = np.random.default_rng(31)
     for _ in range(4):
-        factors = np.exp(rng.uniform(-0.01, 0.01, market.coefficients.shape))
-        market = apply_event(market, PerturbationEvent(1, UTILITY, factors))
-        results.append(
-            solve_equilibrium(market, tolerance=1e-10, initial_prices=results[-1].prices)
-        )
+        market = _drifted(market, rng, 0.01)
+        results.append(solve_equilibrium(market, tolerance=1e-10, previous=results[-1]))
     kept = [(r.prices.copy(), r.bids.copy()) for r in results]
-    results.append(solve_equilibrium(market, tolerance=1e-12, initial_prices=results[-1].prices))
-    assert all(r.iterations > 0 for r in results[1:])
+    factors = [r.hessian_inverse.copy() for r in results[1:]]
+    results.append(solve_equilibrium(market, tolerance=1e-12, previous=results[-1]))
+    assert all(r.iterations + r.chord_steps > 0 for r in results[1:])
+    assert results[0].hessian_inverse is None  # cold solves keep no factor
     for r, (prices, bids) in zip(results, kept):
         assert np.array_equal(r.prices, prices) and np.array_equal(r.bids, bids)
+    for r, factor in zip(results[1:], factors):
+        assert not r.hessian_inverse.flags.writeable
+        assert np.array_equal(r.hessian_inverse, factor)
     for one, other in combinations(results, 2):
         assert not np.shares_memory(one.bids, other.bids)
         assert not np.shares_memory(one.prices, other.prices)
+    for r in results[1:]:
+        assert not np.shares_memory(r.hessian_inverse, r.bids)
+        assert not np.shares_memory(r.hessian_inverse, r.prices)
+
+
+def test_warm_solves_reuse_the_kept_inverse():
+    # A chain of 20 warm solves at prd's drift: the first one forms H^-1,
+    # and the rest take chord steps with it, each to the full target.
+    market = random_market(8, 30, 30, unit_supplies=True)
+    rng = np.random.default_rng(8)
+    results = [solve_equilibrium(market, tolerance=1e-10)]
+    for _ in range(20):
+        market = _drifted(market, rng, 0.005)
+        results.append(solve_equilibrium(market, tolerance=1e-10, previous=results[-1]))
+        assert results[-1].residual <= 1e-10 * market.total_budget
+        assert demand(market, results[-1].prices).misspending == results[-1].residual
+    warm = results[1:]
+    assert warm[0].iterations >= 1 and warm[0].hessian_inverse is not None
+    assert sum(r.iterations for r in warm[1:]) <= 2
+    assert all(r.chord_steps >= 1 for r in warm[1:])
+    # A result that took no full step hands on the inverse it was given.
+    for before, after in zip(warm, warm[1:]):
+        if after.iterations == 0:
+            assert after.hessian_inverse is before.hessian_inverse
+
+
+def test_result_from_a_far_market_still_converges():
+    # H^-1 kept from a market 30% away in every coefficient: its chord steps
+    # fail or stall, and the solve refreshes H^-1 and still meets the target.
+    market = random_market(9, 20, 20, unit_supplies=True)
+    rng = np.random.default_rng(9)
+    cold = solve_equilibrium(market, tolerance=1e-10)
+    near = solve_equilibrium(_drifted(market, rng, 0.005), tolerance=1e-10, previous=cold)
+    assert near.hessian_inverse is not None
+    far = _drifted(market, rng, 0.3)
+    result = solve_equilibrium(far, tolerance=1e-10, previous=near)
+    assert result.residual <= 1e-10 * far.total_budget
+    assert demand(far, result.prices).misspending == result.residual
+    assert result.iterations >= 1 and result.hessian_inverse is not near.hessian_inverse
+
+
+def test_a_failed_chord_step_is_retried_as_a_newton_step():
+    # A kept H^-1 four times too large overshoots: Psi rises and the
+    # residual grows, so the chord step fails the acceptance test, and the
+    # solve goes on, bit for bit, as one that kept no inverse.
+    market = random_market(9, 20, 20, unit_supplies=True)
+    rng = np.random.default_rng(9)
+    cold = solve_equilibrium(market, tolerance=1e-10)
+    moved = _drifted(market, rng, 0.005)
+    near = solve_equilibrium(moved, tolerance=1e-10, previous=cold)
+    moved = _drifted(moved, rng, 0.005)
+    results = [
+        solve_equilibrium(moved, tolerance=1e-10, previous=replace(near, hessian_inverse=h))
+        for h in (4.0 * near.hessian_inverse, None)
+    ]
+    overshot, plain = results
+    assert (overshot.iterations, overshot.chord_steps) == (plain.iterations, plain.chord_steps)
+    assert overshot.iterations == 1
+    assert overshot.prices.tobytes() == plain.prices.tobytes()
+    assert overshot.hessian_inverse.tobytes() == plain.hessian_inverse.tobytes()
+
+
+def test_previous_result_of_another_shape_is_refused():
+    small = solve_equilibrium(random_market(3, 4, 5), tolerance=1e-10)
+    with pytest.raises(ValueError, match="shape"):
+        solve_equilibrium(random_market(3, 4, 6), previous=small)
+

@@ -376,7 +376,7 @@ class TestMeasuredJumps:
         ev = event(BUDGET, [0.05, -0.03, 0.02])
         perturbed = apply_event(market, ev)
         before = solve_equilibrium(market)
-        after = solve_equilibrium(perturbed, initial_prices=before.prices)
+        after = solve_equilibrium(perturbed, previous=before)
         c_prime = calibrate_c_prime(market, [before.prices, after.prices], [prices])
         measured = (demand(perturbed, prices).cpf - after.psi_star) - (
             demand(market, prices).cpf - before.psi_star

@@ -1,15 +1,20 @@
-"""Planted defects: each one must make a named battery fail.
+"""Planted defects: each one must make a named battery or test fail.
 
 A battery that still passes with a deliberately broken rate or cap would not
 notice the same fault in the code.  Each defect is applied with monkeypatch
-on a reduced battery, so the real code is untouched between tests; the
-intact batteries pass in tests/test_acceptance.py.
+on a reduced battery, or on the solver a named test calls, so the real code
+is untouched between tests; the intact batteries pass in
+tests/test_acceptance.py and the intact tests in their own files.
 """
+
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
+import test_equilibrium
 
-from eqtracer import applications, prd, solve_equilibrium, tatonnement, verify
+from eqtracer import applications, equilibrium, prd, solve_equilibrium, tatonnement, verify
 
 # Battery 4 size that reaches trace 13, a budget trace that each defect below
 # pushes over the runner's bound.
@@ -107,3 +112,38 @@ def test_squared_prd_rate_fails_battery_6(monkeypatch):
     result = verify.check_prd_convergence(markets=3, horizon=50)
     assert not result.passed
     assert "static recurrence" in result.detail
+
+
+def _solver_with(monkeypatch, module, original, mutated):
+    """Bind `module.solve_equilibrium` to a copy of the solver whose source
+    has `original` replaced by `mutated` (each must occur exactly once)."""
+    source = inspect.getsource(equilibrium)
+    assert source.count(original) == 1
+    namespace = {"__name__": equilibrium.__name__, "__package__": "eqtracer"}
+    exec(compile(source.replace(original, mutated), equilibrium.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, "solve_equilibrium", namespace["solve_equilibrium"])
+
+
+_FULL_STEP = """\
+                _, inverse = _gradient_hessian(market, p, weights)
+                inverse = np.linalg.inv(inverse)
+"""
+
+
+@pytest.mark.parametrize(
+    "original, mutated",
+    [
+        # Never refreshes: a full step keeps stepping with the kept inverse.
+        (_FULL_STEP, "                if inverse is None:\n" + textwrap.indent(_FULL_STEP, "    ")),
+        # Takes every chord step, without the acceptance test.
+        (
+            "step = search(direction, -float(overspend @ direction), 1)",
+            "step = p * np.exp(direction), evaluate(p * np.exp(direction), spare)",
+        ),
+    ],
+    ids=["never-refreshes", "unchecked-chord-step"],
+)
+def test_chord_step_defects_fail_the_retry_test(monkeypatch, original, mutated):
+    _solver_with(monkeypatch, test_equilibrium, original, mutated)
+    with pytest.raises(AssertionError):
+        test_equilibrium.test_a_failed_chord_step_is_retried_as_a_newton_step()

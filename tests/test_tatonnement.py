@@ -261,8 +261,7 @@ def _reference_cpf(market):
 
     def potential(market, prices):
         if market is not solved["market"]:
-            warm = solved["eq"].prices
-            solved["eq"] = solve_equilibrium(market, initial_prices=warm)
+            solved["eq"] = solve_equilibrium(market, previous=solved["eq"])
             solved["market"] = market
         return demand(market, prices).cpf - solved["eq"].psi_star
 
@@ -376,7 +375,7 @@ class TestWarmSolves:
         original = eqtracer.tatonnement.solve_equilibrium
 
         def counting(market, *args, **kwargs):
-            if kwargs.get("initial_prices") is not None:
+            if kwargs.get("previous") is not None:
                 warm.append(market)
             return original(market, *args, **kwargs)
 
