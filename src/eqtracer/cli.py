@@ -97,6 +97,10 @@ CONFIG_SCHEMA = {
                 },
                 "initial_prices": {"type": "array", "items": {"type": "number"}},
             },
+            # A generated market has no explicit arrays beside it.
+            "dependentSchemas": {"random": {"properties": {
+                key: {"not": {}} for key in ("budgets", "supplies", "rho", "coefficients")
+            }}},
         },
         "dynamics": {
             "type": "object",
@@ -139,6 +143,8 @@ CONFIG_SCHEMA = {
                     },
                 },
             },
+            # A generated schedule has no explicit events beside it.
+            "dependentSchemas": {"generator": {"properties": {"events": {"not": {}}}}},
         },
         "bounds": {
             "type": "object",
@@ -472,6 +478,9 @@ def load_config(path: Path) -> dict:
         if "propertyNames" in error.schema_path:  # a KIND_READS rule
             path.append(error.instance)
             message = f"not read by kind {config['kind']}"
+        elif "dependentSchemas" in error.schema_path:  # two sources, one section
+            # schema_path: properties, <section>, dependentSchemas, <source>, …
+            message = f"cannot be set with {path[0]}/{error.schema_path[3]}"
         field = "/".join(str(p) for p in path) or "<root>"
         raise ConfigError(f"config field {field}: {message}")
     return config

@@ -2,37 +2,40 @@
 
 Used to normalise potentials (the convex potential's minimum value) and to
 seed bid-space dynamics with equilibrium spending matrices.  Every solve runs
-Newton's method on the convex price potential
+damped Newton's method on the convex price potential
 Psi(p) = sum_j w_j p_j - sum_i b_i ln Q_i(p) (Cheung, Cole & Devanur,
-STOC 2013) in log prices y = ln p.  The gradient is p times (supply - demand)
-and the Hessian H has a closed form; from a warm start Newton reaches the
-target in a few steps.
-
-A warm solve of a substitutes market (every rho in (0, 1)) goes further and
-takes chord steps (Kelley, Iterative Methods for Linear and Nonlinear
-Equations, SIAM 1995, section 5.4; Ortega & Rheinboldt, Iterative Solution
-of Nonlinear Equations in Several Variables, 1970): it keeps H^-1 from its
-last full Newton step, carried from solve to solve in `EquilibriumResult`,
-and steps by -H^-1 g, one kernel evaluation and one matrix-vector product.
-After a small market change H barely moves, so the kept inverse still cuts
-the residual by orders of magnitude per step; it is refreshed only when a
-step fails the line search's acceptance test or cuts the residual less than
-`_REFRESH_CUT`-fold.
+STOC 2013) in log prices y = ln p.  The gradient g is p times (supply -
+demand) and the Hessian H has a closed form; from a warm start Newton
+reaches the target in a few steps.
 
 In code terms H = diag(w*p) + sum_i b_i (-c_i) (diag(s_i) - s_i s_i^T), with
 s_i buyer i's spending shares and c_i = rho_i / (rho_i - 1).  Each
 diag(s_i) - s_i s_i^T is positive semidefinite (x^T (.) x is the variance of x
 under s_i >= 0, which sums to 1), so when every c_i < 0 (every rho_i in (0, 1))
-H >= diag(w*p) > 0 and the step needs no definiteness test.
+H >= diag(w*p) > 0.
 
 Psi is convex in p for every CES market, but with a complements buyer
 (c_i > 0) not always in y: H can be indefinite, often far from equilibrium.
-Such steps use H - diag(g) instead, which is diag(p) times the price-space
-Hessian times diag(p), i.e. sum_i b_i ((1 - c_i) diag(s_i) + c_i s_i s_i^T).
-Each buyer's term is positive semidefinite (for c_i < 0 write it as
-diag(s_i) - c_i (diag(s_i) - s_i s_i^T)), so the sum is positive definite
-whenever every good carries spending and the step is a descent direction for
-Psi (damped Newton, Boyd & Vandenberghe, Convex Optimization, section 9.5).
+Such markets step with H - diag(g) instead, which is diag(p) times the
+price-space Hessian times diag(p), i.e. sum_i b_i ((1 - c_i) diag(s_i) +
+c_i s_i s_i^T).  Each buyer's term is positive semidefinite (for c_i < 0
+write it as diag(s_i) - c_i (diag(s_i) - s_i s_i^T)), so the sum is positive
+definite whenever every good carries spending and the step is a descent
+direction for Psi (damped Newton, Boyd & Vandenberghe, Convex Optimization,
+section 9.5).  Either curvature matrix K is scaled to unit diagonal before it
+is inverted: far from equilibrium the spending on some goods, and with it
+their rows of K, can be hundreds of orders of magnitude below the rest, and
+an unscaled factorization drowns those rows in rounding.
+
+A warm solve goes further and takes chord steps (Kelley, Iterative Methods
+for Linear and Nonlinear Equations, SIAM 1995, section 5.4; Ortega &
+Rheinboldt, Iterative Solution of Nonlinear Equations in Several Variables,
+1970): it keeps K^-1 from its last full step, carried from solve to solve in
+`EquilibriumResult`, and steps by -K^-1 g, one kernel evaluation and one
+matrix-vector product.  After a small market change K barely moves, so the
+kept inverse still cuts the residual by orders of magnitude per step; it is
+refreshed only when a step fails the line search's acceptance test or cuts
+the residual less than `_REFRESH_CUT`-fold.
 """
 
 from __future__ import annotations
@@ -63,10 +66,11 @@ class ConvergenceError(RuntimeError):
 class EquilibriumResult:
     """Equilibrium prices, spending matrix, potential minimum and residual.
 
-    `iterations` counts full Newton steps (Hessian builds) and `chord_steps`
-    the steps that reused a kept H^-1.  `hessian_inverse` is the read-only
-    log-price H^-1 of a warm substitutes solve's last full step, which the
-    next warm solve passed this result reuses; it is None otherwise.
+    `iterations` counts full Newton steps (inversions) and `chord_steps`
+    the steps that reused a kept inverse.  `hessian_inverse` is the
+    read-only K^-1 (see the module docstring) of a warm solve's last full
+    step, which the next warm solve passed this result reuses; it is None
+    otherwise.
     """
 
     prices: np.ndarray      # (n,) market-clearing prices
@@ -78,24 +82,17 @@ class EquilibriumResult:
     hessian_inverse: np.ndarray | None = None
 
 
-def _gradient_hessian(
-    market: CesMarket, prices: np.ndarray, shares: np.ndarray, scaled=None, hessian=None
-):
+def _gradient_hessian(market: CesMarket, prices: np.ndarray, shares: np.ndarray):
     """Gradient and Hessian of the convex price potential in log prices.
 
     With s the (m, n) spending shares E / S at `prices` (rows s_i) and c the
     demand exponents: g = w*p - sum_i b_i s_i, which is p times (supply -
     demand), and H = diag(w*p - sum_i b_i c_i s_i) + s^T diag(b*c) s.
-    s^T diag(b*c) is written into `scaled` and H into `hessian` when they
-    are given, and allocated otherwise.  `scaled` must be the transpose of a
-    C-ordered (m, n) array: that is the layout `shares.T * bc` gets, so the
-    matrix product sees the same operands and H keeps every bit.
     """
     wp = market.supplies * prices
     bc = market.budgets * market.demand_exponent
     gradient = wp - market.budgets @ shares
-    scaled = np.multiply(shares.T, bc, out=scaled)
-    hessian = np.matmul(scaled, shares, out=hessian)
+    hessian = (shares.T * bc) @ shares
     hessian.flat[:: prices.size + 1] += wp - bc @ shares
     return gradient, hessian
 
@@ -108,36 +105,36 @@ def solve_equilibrium(
 ) -> EquilibriumResult:
     """Find prices whose misspending is at most tolerance * total budget.
 
-    Newton's method on the convex price potential in log prices y = ln p.
-    Each step solves H d = -g with the log-price Hessian H.  With every rho
-    in (0, 1), H is positive definite (see the module docstring) and is not
-    tested; with any complements buyer Cholesky tests H at every step, and
-    where it fails the step uses H - diag(g), which is positive definite.
-    A step is accepted on an Armijo decrease of Psi, or when the misspending
-    sum |g| falls while Psi rises by no more than its rounding noise: near
-    the optimum Psi's decrease drops below rounding while the residual still
-    shrinks quadratically, and away from it a residual-only rule lets Newton
-    cycle.  Every point is evaluated by the market's log-domain kernel
-    `ces_weights`, so the start stays finite as rho -> 1, and residual and
-    potential are computed exactly as `DemandProfile.misspending` and
-    `DemandProfile.cpf` compute them, from the kernel's unnormalised weights E
-    and row sums S.  Shares E / S are formed, in place, only at a point
-    that takes a Newton step, and the returned bids are E * (b / S).
+    Damped Newton's method on the convex price potential in log prices
+    y = ln p.  A full step is d = -K^-1 g, where K is the log-price Hessian
+    H, or H - diag(g) with any complements buyer.  Both are positive
+    definite (see the module docstring), so no step tests definiteness:
+    every one scales K to unit diagonal, inverts it and unscales the
+    inverse.  A step is accepted on an Armijo decrease of Psi, or when the
+    misspending sum |g| falls while Psi rises by no more than its rounding
+    noise: near the optimum Psi's decrease drops below rounding while the
+    residual still shrinks quadratically, and away from it a residual-only
+    rule lets Newton cycle.  Every point is evaluated by the market's
+    log-domain kernel `ces_weights`, so the start stays finite as rho -> 1,
+    and residual and potential are computed exactly as
+    `DemandProfile.misspending` and `DemandProfile.cpf` compute them, from
+    the kernel's unnormalised weights E and row sums S.  Shares E / S are
+    formed, in place, only at a point that takes a full step, and the
+    returned bids are E * (b / S).
 
     `previous`, the result of an earlier solve on a market of the same
     shape, warm-starts the solve at its prices (a cold solve starts at
     uniform B/n); a warm start that already clears is returned unchanged
     after 0 steps, so re-solves on an unchanged market reproduce the
-    previous result bit for bit.  A warm substitutes solve takes chord
-    steps: d = -H^-1 g with the previous result's H^-1, where g = -p *
-    excess comes with the evaluation.  A chord step is tried at full
-    length only; if it fails the acceptance test, a full Newton step is
-    taken from the same point, and after one that cuts the residual less
-    than `_REFRESH_CUT`-fold the next step is a full one.  Its full steps
-    form H^-1 with `np.linalg.inv` and keep it for the steps and solves
-    that follow.  Cold solves and markets with a complements buyer solve
-    H d = -g at every step and keep no inverse.  A cold solve runs once
-    per market object and tolerance; later cold calls return that same
+    previous result bit for bit.  A warm solve takes chord steps:
+    d = -K^-1 g with the previous result's K^-1, where g = -p * excess
+    comes with the evaluation.  A chord step is tried at full length only;
+    if it fails the acceptance test, a full step is taken from the same
+    point, and after one that cuts the residual less than
+    `_REFRESH_CUT`-fold the next step is a full one.  A warm solve keeps
+    the K^-1 of its last full step for the steps and solves that follow.
+    A cold solve takes full steps only and keeps no inverse; it runs once
+    per market object and tolerance, and later cold calls return that same
     read-only result.  `max_iters` bounds the steps of both kinds.
     Raises ValueError if `previous` does not fit the market, and
     ConvergenceError, reporting the final residual, if the target is
@@ -179,9 +176,11 @@ def solve_equilibrium(
             return None
         return weights, sums, overspend, residual, psi
 
-    def search(direction, slope, halvings):
-        # The first point on the halving path from p that passes the
-        # acceptance test, with its state, or None.
+    def search(direction, halvings):
+        # The first point on the halving path from p along the log-price
+        # direction K^-1 (p * excess) that passes the acceptance test, with
+        # its state, or None.
+        slope = -float(overspend @ direction)
         psi_noise = _PSI_NOISE * (abs(psi) + total)
         t = 1.0
         for _ in range(halvings):
@@ -203,62 +202,38 @@ def solve_equilibrium(
             "the convex potential is not finite at the starting prices", np.inf
         )
     weights, sums, overspend, residual, psi = state
-    substitutes = (market.demand_exponent < 0).all()
-    chord = previous is not None and substitutes
-    inverse = previous.hessian_inverse if chord else None
-    # Per-solve buffers: the Hessian, and a spare (m, n) array that holds
-    # s^T diag(b*c) and then the trial weights, swapped with `weights` on
-    # acceptance (while `spare` is None, `ces_weights` allocates the trial
-    # weights).  `weights` becomes the returned bids, so no later solve
-    # writes into a result.
-    spare = hessian = None
+    del state  # else the start's weights outlive its first step
+    complements = (market.demand_exponent > 0).any()
+    inverse = None if previous is None else previous.hessian_inverse
+    # `spare` holds the trial weights and is swapped with `weights` on
+    # acceptance (while it is None, `ces_weights` allocates them); `weights`
+    # becomes the returned bids, so no later solve writes into a result.
+    spare = None
     newton_steps = chord_steps = 0
     refresh = inverse is None
     while newton_steps + chord_steps < max_iters and residual > target:
         step = None
         if not refresh:
-            direction = inverse @ overspend  # -H^-1 g
-            step = search(direction, -float(overspend @ direction), 1)
+            step = search(inverse @ overspend, 1)
         if step is not None:
             chord_steps += 1
             # The new residual, step[1][3], fell less than _REFRESH_CUT-fold.
             refresh = step[1][3] * _REFRESH_CUT > residual
         else:
             weights /= sums[:, None]  # the shares, in place
-            if chord:
-                # s^T diag(b*c) and H are temporaries, H is let go as soon as
-                # it is inverted and the spare array is let go before, so the
-                # inversion runs beside the weights alone.
-                spare = None
-                _, inverse = _gradient_hessian(market, p, weights)
-                inverse = np.linalg.inv(inverse)
-                refresh = False
-                g = -overspend
-                direction = inverse @ overspend
-            else:
-                if spare is None:
-                    spare = np.empty_like(weights)
-                    hessian = np.empty((p.size, p.size))
-                g, hessian = _gradient_hessian(market, p, weights, spare.T, hessian)
-                try:
-                    if not substitutes:
-                        np.linalg.cholesky(hessian)
-                except np.linalg.LinAlgError:
-                    # Far from equilibrium the spending on some goods, and
-                    # with it their rows of H - diag(g), can be hundreds of
-                    # orders of magnitude below the rest; a pivoted solve of
-                    # the unscaled matrix drowns those rows in rounding, so
-                    # scale it to unit diagonal first.
-                    hessian.flat[:: p.size + 1] -= g
-                    scale = 1.0 / np.sqrt(np.diag(hessian))
-                    scaled = hessian * np.outer(scale, scale)
-                    direction = -scale * np.linalg.solve(scaled, scale * g)
-                else:
-                    direction = np.linalg.solve(hessian, -g)
-            step = search(direction, float(g @ direction), _LINE_SEARCH_HALVINGS)
+            spare = inverse = None  # H is built and inverted beside the weights alone
+            g, inverse = _gradient_hessian(market, p, weights)
+            if complements:  # K = H - diag(g)
+                inverse.flat[:: p.size + 1] -= g
+            scale = 1.0 / np.sqrt(inverse.diagonal())
+            inverse *= np.outer(scale, scale)
+            inverse = np.linalg.inv(inverse)
+            inverse *= np.outer(scale, scale)
+            step = search(inverse @ overspend, _LINE_SEARCH_HALVINGS)
             if step is None:
                 break
             newton_steps += 1
+            refresh = previous is None  # cold solves take full steps only
         p, trial_state = step
         spare = weights
         weights, sums, overspend, residual, psi = trial_state
@@ -272,7 +247,9 @@ def solve_equilibrium(
     bids = np.multiply(weights, (b / sums)[:, None], out=weights)
     p.setflags(write=False)
     bids.setflags(write=False)
-    if inverse is not None:
+    if previous is None:
+        inverse = None  # cold results keep no inverse
+    elif inverse is not None:
         inverse.setflags(write=False)
     result = EquilibriumResult(p, bids, psi, residual, newton_steps, chord_steps, inverse)
     if cold is not None:

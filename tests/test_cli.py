@@ -416,6 +416,28 @@ def test_lone_prd_constant_is_a_config_error(tmp_path, capsys, bounds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["budgets", "supplies", "rho", "coefficients"])
+def test_random_market_with_explicit_arrays_is_a_config_error(tmp_path, capsys, field):
+    market = {**BASE["market"], field: [1.0, 1.0]}
+    cfg = write_config(tmp_path, "c.json", {"kind": "prd", "horizon": 5, "market": market})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config field market/{field}: cannot be set with market/random" in err
+    assert not out.exists()
+
+
+def test_generated_schedule_with_explicit_events_is_a_config_error(tmp_path, capsys):
+    event = {"round": 1, "channel": "budget-additive", "payload": [0.1, 0.0, 0.0]}
+    schedule = {**BASE["schedule"], "events": [event]}
+    cfg = write_config(tmp_path, "c.json", {**BASE, "horizon": 5, "schedule": schedule})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config field schedule/events: cannot be set with schedule/generator" in err
+    assert not out.exists()
+
+
 # One config per kind that sets sections the kind does not read.
 @pytest.mark.parametrize(
     "config, fields",
@@ -558,7 +580,7 @@ GOLDEN_DIGESTS = {
         "931a4f31f40e86672f2185f5dfcba5a5e583f7b25fe933bdf492dd247376d93c",
     ),
     ("prd", None): (
-        "bd59ad6ad7676f8f21bbd1daebe29cb14898b0c3a4ccbcadf06b691b91660854",
+        "1591701cbbb8bdcd6dcfbdc13c0702ba06d37e47083daa7e0025b55f0465d829",
         "bc14594292c6d04ccd34356b9e991b617a13b2e41c1f153ec41d8ab26644bb35",
     ),
     ("prd", 0): (
@@ -590,7 +612,7 @@ GOLDEN_DIGESTS = {
 SUPPLIED_BOUNDS = {"prd": {"q1": 0.5, "q2": 1.0}, "tatonnement-cpf": {"delta": 0.01}}
 SUPPLIED_DIGESTS = {
     "prd": (
-        "aa624b515c2195436d8745eb7164674e94a15d4f1ed97b5fc3dd5ca5c3b7184a",
+        "c9b1a9b484a34f7a17874b9ad553a730643cc418ada64bbb810b8573507ee7fc",
         "70002d6a097c2112f01b83e39b172eb4398313704996e933c04c436cb4a0c790",
     ),
     "tatonnement-cpf": (

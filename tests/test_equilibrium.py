@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqtracer import CesMarket, ConvergenceError, EquilibriumResult, solve_equilibrium
+from eqtracer import (
+    CesMarket,
+    ConvergenceError,
+    EquilibriumResult,
+    equilibrium,
+    solve_equilibrium,
+)
 from eqtracer.equilibrium import _gradient_hessian
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
 from eqtracer.market import ces_weights, demand
@@ -176,7 +182,7 @@ def test_hessian_matches_finite_differences(rho_range):
     # price-space gradient of Psi is g / p (supply minus demand).
     p = np.exp(y)
     g, _ = _log_price_gradient_hessian(market, y)
-    fallback = hessian - np.diag(g)
+    curvature = hessian - np.diag(g)
     price_hessian = np.empty_like(hessian)
     for k in range(6):
         step = np.zeros(6)
@@ -185,11 +191,11 @@ def test_hessian_matches_finite_differences(rho_range):
         down, _ = _log_price_gradient_hessian(market, np.log(p - step))
         price_hessian[:, k] = (up / (p + step) - down / (p - step)) / (2 * step[k])
     numeric = p[:, None] * price_hessian * p[None, :]
-    assert np.max(np.abs(fallback - numeric)) <= 1e-6 * np.max(np.abs(fallback))
-    np.linalg.cholesky(fallback)
+    assert np.max(np.abs(curvature - numeric)) <= 1e-6 * np.max(np.abs(curvature))
+    np.linalg.cholesky(curvature)
 
     # At uniform prices this complements market's log-price Hessian is
-    # indefinite, and the fallback matrix is not.
+    # indefinite, and H - diag(g), which its steps invert, is not.
     market = random_market(60, 7, 7, -2.0, -0.5)
     p = uniform_prices(market)
     g, hessian = _log_price_gradient_hessian(market, np.log(p))
@@ -209,7 +215,7 @@ def test_hessian_matches_finite_differences(rho_range):
 )
 def test_substitutes_hessian_is_positive_definite(seed, m, n, band, sparse, spread):
     """With every rho in (0, 1), H = diag(w*p) + a positive semidefinite sum,
-    which is why the solver takes its step without a Cholesky test."""
+    which is why a substitutes market's steps invert H itself."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.2, 1.5, size=(m, n))
     if sparse:  # zero half of every row; each keeps a positive entry
@@ -229,41 +235,54 @@ def test_substitutes_hessian_is_positive_definite(seed, m, n, band, sparse, spre
     assert np.linalg.eigvalsh(rest).min() >= -1e-10 * np.abs(hessian).max()
 
 
-def _count_cholesky(monkeypatch):
-    """Patch np.linalg.cholesky to record each call as True (passed) or False."""
-    outcomes = []
-    cholesky = np.linalg.cholesky
+def _count_inversions(monkeypatch):
+    """Count np.linalg.inv calls; cholesky and solve must not be called."""
+    calls = []
+    inv = np.linalg.inv
 
     def counted(matrix):
-        try:
-            factor = cholesky(matrix)
-        except np.linalg.LinAlgError:
-            outcomes.append(False)
-            raise
-        outcomes.append(True)
-        return factor
+        calls.append(matrix.shape)
+        return inv(matrix)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
-    return outcomes
+    def refused(*args, **kwargs):
+        raise AssertionError("the solver factors only through np.linalg.inv")
 
-
-def test_substitutes_solve_takes_no_cholesky_test(monkeypatch):
-    outcomes = _count_cholesky(monkeypatch)
-    result = solve_equilibrium(random_market(61, 7, 7))
-    assert result.iterations > 0
-    assert outcomes == []
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    return calls
 
 
-@pytest.mark.parametrize("complements", [7, 1])
-def test_a_complements_buyer_keeps_the_cholesky_test(monkeypatch, complements):
+@pytest.mark.parametrize("complements", [0, 1, 7])
+def test_every_newton_step_inverts_once(monkeypatch, complements):
+    # With 7 complements buyers the log-price Hessian is indefinite at the
+    # uniform start; every step inverts the scaled H - diag(g) all the same.
     market = random_market(60, 7, 7, -2.0, -0.5)
     market = market.replace(rho=np.where(np.arange(7) < complements, market.rho, 0.5))
-    outcomes = _count_cholesky(monkeypatch)
+    calls = _count_inversions(monkeypatch)
     result = solve_equilibrium(market, max_iters=50)  # takes 4-5 steps
     assert result.residual <= 1e-8 * market.total_budget
-    assert len(outcomes) == result.iterations > 0  # one test per Newton step
-    if complements == 7:  # indefinite at the uniform start: the fallback runs
-        assert not outcomes[0]
+    assert len(calls) == result.iterations > 0
+    assert result.chord_steps == 0 and result.hessian_inverse is None
+
+
+def test_badly_scaled_cold_solve_keeps_every_price_positive(monkeypatch):
+    # Near-Leontief buyers and sparse coefficients: some clearing prices are
+    # below 1e-12, and far from equilibrium the rows of the Newton matrix
+    # for those goods are hundreds of orders of magnitude below the rest.
+    # Scaled to unit diagonal, the step never drives a price to 0.
+    lowest = []
+    kernel = equilibrium.ces_weights
+
+    def recorded(market, prices, out=None):
+        lowest.append(prices.min())
+        return kernel(market, prices, out)
+
+    monkeypatch.setattr(equilibrium, "ces_weights", recorded)
+    market = random_market(5123, 7, 18, -50.0, -10.0, True, 0.5)
+    result = solve_equilibrium(market)
+    assert result.residual <= 1e-8 * market.total_budget
+    assert min(lowest) > 0.0
 
 
 @pytest.mark.parametrize("rho_range", [(0.2, 0.8), (-2.0, -0.5)])
@@ -349,22 +368,6 @@ def test_cold_and_warm_solves_take_few_newton_steps():
             assert demand(perturbed, warm.prices).misspending == warm.residual
 
 
-@pytest.mark.parametrize("m, n", [(3, 4), (40, 30), (200, 200)])
-def test_hessian_into_buffers_matches_fresh_arrays(m, n):
-    # The solver hands s^T diag(b*c) a spare (m, n) array through its
-    # transpose, the layout the product takes on its own, so BLAS sees the
-    # same operands and the Hessian keeps every bit.
-    market = random_market(m + n, m, n)
-    p = uniform_prices(market) * np.random.default_rng(m).uniform(0.5, 2.0, n)
-    weights, sums, _ = ces_weights(market, p)
-    shares = weights / sums[:, None]
-    g, hessian = _gradient_hessian(market, p, shares)
-    spare, out = np.full((m, n), np.nan), np.full((n, n), np.nan)
-    g_kept, kept = _gradient_hessian(market, p, shares, spare.T, out)
-    assert kept is out
-    assert kept.tobytes() == hessian.tobytes() and g_kept.tobytes() == g.tobytes()
-
-
 def test_warm_resolve_keeps_its_buffers():
     # Per solve: the weights (returned as the bids), one spare (m, n) array
     # for the trial weights, and, for a full step, one (n, n) Hessian and its
@@ -438,6 +441,24 @@ def test_warm_solves_reuse_the_kept_inverse():
     for before, after in zip(warm, warm[1:]):
         if after.iterations == 0:
             assert after.hessian_inverse is before.hessian_inverse
+
+
+def test_complements_warm_solves_reuse_the_kept_inverse():
+    # The same chain on a complements market: H^-1 there inverts the
+    # price-space curvature H - diag(g), and chord steps reuse it alike.
+    market = random_market(4, 8, 8, -2.0, -0.5)
+    rng = np.random.default_rng(4)
+    results = [solve_equilibrium(market, tolerance=1e-10)]
+    for _ in range(20):
+        market = _drifted(market, rng, 0.002)
+        results.append(solve_equilibrium(market, tolerance=1e-10, previous=results[-1]))
+        assert results[-1].residual <= 1e-10 * market.total_budget
+        assert demand(market, results[-1].prices).misspending == results[-1].residual
+        assert not results[-1].hessian_inverse.flags.writeable
+    warm = results[1:]
+    assert warm[0].iterations == 1
+    assert sum(r.iterations for r in warm[1:]) <= 2
+    assert all(r.chord_steps >= 1 for r in warm[1:])
 
 
 def test_result_from_a_far_market_still_converges():

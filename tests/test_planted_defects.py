@@ -125,8 +125,14 @@ def _solver_with(monkeypatch, module, original, mutated):
 
 
 _FULL_STEP = """\
-                _, inverse = _gradient_hessian(market, p, weights)
-                inverse = np.linalg.inv(inverse)
+            spare = inverse = None  # H is built and inverted beside the weights alone
+            g, inverse = _gradient_hessian(market, p, weights)
+            if complements:  # K = H - diag(g)
+                inverse.flat[:: p.size + 1] -= g
+            scale = 1.0 / np.sqrt(inverse.diagonal())
+            inverse *= np.outer(scale, scale)
+            inverse = np.linalg.inv(inverse)
+            inverse *= np.outer(scale, scale)
 """
 
 
@@ -134,11 +140,11 @@ _FULL_STEP = """\
     "original, mutated",
     [
         # Never refreshes: a full step keeps stepping with the kept inverse.
-        (_FULL_STEP, "                if inverse is None:\n" + textwrap.indent(_FULL_STEP, "    ")),
+        (_FULL_STEP, "            if inverse is None:\n" + textwrap.indent(_FULL_STEP, "    ")),
         # Takes every chord step, without the acceptance test.
         (
-            "step = search(direction, -float(overspend @ direction), 1)",
-            "step = p * np.exp(direction), evaluate(p * np.exp(direction), spare)",
+            "step = search(inverse @ overspend, 1)",
+            "step = p * np.exp(inverse @ overspend), evaluate(p * np.exp(inverse @ overspend), spare)",
         ),
     ],
     ids=["never-refreshes", "unchecked-chord-step"],
@@ -147,3 +153,14 @@ def test_chord_step_defects_fail_the_retry_test(monkeypatch, original, mutated):
     _solver_with(monkeypatch, test_equilibrium, original, mutated)
     with pytest.raises(AssertionError):
         test_equilibrium.test_a_failed_chord_step_is_retried_as_a_newton_step()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_complements_step_without_the_gradient_term_fails(monkeypatch):
+    # Without -diag(g) a complements step inverts the log-price Hessian,
+    # which is indefinite at this market's uniform start: its unit-diagonal
+    # scale is not real, and no step is found.  (The mutated copy defines
+    # its own ConvergenceError, a RuntimeError.)
+    _solver_with(monkeypatch, test_equilibrium, "inverse.flat[:: p.size + 1] -= g", "pass")
+    with pytest.raises(RuntimeError, match="after 0 Newton and 0 chord steps"):
+        test_equilibrium.test_every_newton_step_inverts_once(monkeypatch, 7)
