@@ -6,10 +6,17 @@ good contributed.  The dynamics minimise a convex bid-space potential whose
 progress per round is measured by KL divergence to the equilibrium spending
 matrix; the trace runner unrolls the per-round recurrence on the gap and KL
 into the running tracking envelope under drifting utility coefficients and
-supplies.  Each round is one `_round_kernel` call: one set of logs gives the
-next bids, the potential and ln b, from which the KL distance follows.  The
-warm-up (`prd_step` over several rounds) and the runner keep the kernel's
-(m, n) work arrays for the whole run, so a round allocates no matrix.
+supplies.  A round is a multiplicative-weights (mirror-descent) step on the
+bids (Birnbaum, Devanur & Xiao, EC 2011), so the rounds carry the shifted
+log-weights u = ln b - beta, beta_i = ln(B_i / S_i), with bids exp(u) B / S
+by rows and S the row sums of exp(u).  A round (`_round`) reads prices as one
+matrix-vector product, (B / S) @ exp(u), forms v = ln a + rho (u + ln w -
+ln p), and keeps v minus its row maximum, which absorbs rho_i beta_i, as the
+next state: one exp, and no log of the bids, no bids matrix, no row pinning.
+The runner reads the potential from v, u and beta (`_g`) and the KL distance
+from ln b = u + beta; `prd_step` builds and pins the bids once, after its
+last round.  Both keep their (m, n) work arrays for the whole run, so a
+round allocates no matrix.
 """
 
 from __future__ import annotations
@@ -66,80 +73,96 @@ def check_bids(market: CesMarket, bids) -> np.ndarray:
     return bids
 
 
-def _logs_and_g(market: CesMarket, bids: np.ndarray, work=(None, None, None)):
-    """The logs l, g(market, bids), ln bids and prices: the kernel's first half.
+def _logits(market: CesMarket, log_b: np.ndarray, prices: np.ndarray, out=None) -> np.ndarray:
+    """v = ln a + rho (ln b + ln w - ln p) = ln(a q^rho), q = w b / p, into `out`.
 
-    Unchecked: bids >= 0.  l = ln a + rho (ln w + ln b - ln p) = ln(a q^rho),
-    q = w b / p, with the market's cached ln a, and g = p.ln w -
-    sum_{b>0} (b/rho)(l - ln b).
-    `work` holds three C-ordered (m, n) arrays for l, ln b and the terms of g,
-    none of them `bids`; a None entry is allocated.  The arithmetic is the
-    same either way, so buffers change no bit of the results.
+    Unchecked: bids >= 0, with the market's cached ln a.  Any row shift of
+    ln b may be passed; v then moves by rho_i times it.  Rejects a good with
+    zero total bids that still carries a positive coefficient.
     """
-    out_logs, out_log_b, out_terms = work
-    prices = bids.sum(axis=0)
     dead = prices == 0
     if dead.any() and (market.coefficients[:, dead] > 0).any():
         raise ValueError("a good with zero total bids still carries positive coefficients")
     log_w = np.log(market.supplies)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_b = np.log(bids, out=out_log_b)
-        logs = np.subtract(log_b, np.log(np.where(dead, 1.0, prices)), out=out_logs)
-        if log_w.any():
-            logs += log_w
-        logs *= market.rho[:, None]
-        logs += market.log_coefficients
-        terms = np.subtract(logs, log_b, out=out_terms)
-        np.multiply(bids, terms, out=terms)
-        if np.count_nonzero(bids) < bids.size:  # zero bids add nothing (x ln x limit)
-            np.copyto(terms, 0.0, where=bids == 0)
-        g = float(prices @ log_w - (terms.sum(axis=1) / market.rho).sum())
-    return logs, g, log_b, prices
-
-
-def _round_kernel(market: CesMarket, bids: np.ndarray, work=(None, None, None)):
-    """Next bids, g(market, bids), ln bids and prices, from one set of logs.
-
-    With the logs l of `_logs_and_g` and L_i their row maximum, next bids are
-    b_i exp(l - L_i) over the row sum.  Rows are pinned to the budgets at
-    their largest entry: no drift, zeros stay.  The next bids overwrite the
-    logs in place, so they come back in `work[0]` and ln b in `work[1]`.
-    """
-    logs, g, log_b, prices = _logs_and_g(market, bids, work)
-    rows = np.arange(bids.shape[0])
-    top = logs.argmax(axis=1)
     with np.errstate(invalid="ignore"):
-        logs -= logs[rows, top][:, None]
-        new = np.exp(logs, out=logs)
-        sums = new.sum(axis=1)
+        logits = np.subtract(log_b, np.log(np.where(dead, 1.0, prices)), out=out)
+        if log_w.any():
+            logits += log_w
+        logits *= market.rho[:, None]
+        logits += market.log_coefficients
+    return logits
+
+
+def _g(market: CesMarket, weights, scale, logits, shifted, prices, terms=None) -> float:
+    """g(market, bids) from the log-weight state of bids = weights * scale by rows.
+
+    `shifted` is u = ln b - beta, beta = ln scale, so weights = exp(u), and
+    `logits` is v = `_logits(market, u, prices)`.  The logs of ln b are
+    l = v + rho beta, so l - ln b = v - u + (rho - 1) beta and, each row of
+    bids summing to its budget B,
+    g = p.ln w - sum_i (scale_i sum_j e_ij (v_ij - u_ij) + (rho_i - 1) beta_i B_i) / rho_i.
+    Plain bids are weights at unit scale (beta = 0), for which this is
+    p.ln w - sum_{b>0} (b/rho)(l - ln b).  Zero weights add nothing (x ln x
+    limit).  `terms`, an (m, n) array for e (v - u), may be None.
+    """
+    with np.errstate(invalid="ignore"):
+        terms = np.subtract(logits, shifted, out=terms)
+        np.multiply(weights, terms, out=terms)
+        if not weights.all():
+            np.copyto(terms, 0.0, where=weights == 0)
+        rho = market.rho
+        rows = terms.sum(axis=1) * scale + (rho - 1) * np.log(scale) * market.budgets
+        return float(prices @ np.log(market.supplies) - (rows / rho).sum())
+
+
+def _round(market: CesMarket, shifted, weights, scale, out, terms=None):
+    """One bid update on the log-weight state: g, prices and the next scale.
+
+    The bids are weights * scale by rows, weights = exp(shifted).  Next bids
+    are proportional to exp(v) by rows, and the row maximum of v absorbs
+    rho_i ln scale_i, so v minus it is the next state: it goes into `out`,
+    its exp into `weights`, and B / (row sums) is the next scale.  No log
+    of the bids is taken and no bids matrix is built.  g (`_g`) is
+    evaluated only when `terms` is given; otherwise `out` may be `shifted`.
+    """
+    prices = scale @ weights
+    logits = _logits(market, shifted, prices, out)
+    g = None if terms is None else _g(market, weights, scale, logits, shifted, prices, terms)
+    with np.errstate(invalid="ignore"):
+        logits -= logits.max(axis=1, keepdims=True)
+        sums = np.exp(logits, out=weights).sum(axis=1)
     if not np.isfinite(sums).all():
         raise ValueError("a buyer's bid normaliser is zero or non-finite")
-    new *= (market.budgets / sums)[:, None]
-    for _ in range(4):
-        residue = market.budgets - new.sum(axis=1)
-        if not np.count_nonzero(residue):
-            break
-        new[rows, top] += residue
-    return new, g, log_b, prices
+    return g, prices, market.budgets / sums
 
 
 def prd_step(bids, market: CesMarket, rounds: int = 1) -> np.ndarray:
     """`rounds` bid updates: allocate goods pro rata, re-split budgets by utility.
 
     Buyer i receives supplies_j * b_ij / p_j of good j, p_j the money on it;
-    new bids are proportional to a_ij * quantity^rho_i, with each row
-    renormalised to the buyer's budget exactly.  Two bid arrays take turns
-    as the kernel's output, so a round allocates no (m, n) array and the
-    caller's `bids` are never written.
+    new bids are proportional to a_ij * quantity^rho_i.  The rounds carry
+    the shifted log-weights of `_round` in two (m, n) arrays; the bids are
+    built once, at the end, and each row is pinned to the buyer's budget at
+    its largest entry (no drift, zeros stay).  The caller's `bids` are never
+    written.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     bids = _checked_inputs(market, bids)
-    out, spare, log_b, terms = (np.empty(bids.shape) for _ in range(4))
+    with np.errstate(divide="ignore"):
+        shifted = np.log(bids)  # plain bids are weights at unit scale
+    weights, scale = bids.copy(), np.ones(len(bids))
     for _ in range(rounds):
-        bids = _round_kernel(market, bids, (out, log_b, terms))[0]
-        out, spare = spare, out
-    return bids
+        scale = _round(market, shifted, weights, scale, shifted)[2]
+    new = weights
+    new *= scale[:, None]
+    rows, top = np.arange(len(new)), new.argmax(axis=1)
+    for _ in range(4):
+        residue = market.budgets - new.sum(axis=1)
+        if not residue.any():
+            break
+        new[rows, top] += residue
+    return new
 
 
 def kl_divergence(x, y) -> float:
@@ -171,30 +194,42 @@ def prd_potential_g(market: CesMarket, bids) -> float:
     / p_j^rho_i); zero bids contribute nothing (x ln x limit).  Like
     `prd_step`, it rejects bids that leave a valued good without bids.
     """
-    g = _logs_and_g(market, _checked_inputs(market, bids))[1]
+    g = _plain_g(market, _checked_inputs(market, bids))[0]
     if not np.isfinite(g):
         raise ValueError("positive bid on a zero coefficient makes g non-finite")
     return g
 
 
-def _anchor(market: CesMarket, eq: EquilibriumResult, work=(None, None, None)):
-    """g* and `kl_divergence(eq.bids, b)` as a function of ln b, for every solve.
+def _plain_g(market: CesMarket, bids: np.ndarray, out=None, terms=None):
+    """g of plain bids (weights at unit scale) and their ln b; `out` takes the logits."""
+    with np.errstate(divide="ignore"):
+        log_b = np.log(bids)
+    unit = np.ones(len(bids))
+    prices = unit @ bids
+    return _g(market, bids, unit, _logits(market, log_b, prices, out), log_b, prices, terms), log_b
 
-    The KL's mass and sign checks hold by construction: bids are checked on
-    entry, and the kernel keeps them non-negative with rows at the budgets.
-    `work` is the kernel's: g*'s logs go into the free bid array work[0] and
-    its terms into work[2], and the KL writes x (ln x - ln b) into work[2]
-    too, which is free again once a kernel call has summed its g.  ln x is
-    kept with the KL, so it is always allocated.
+
+def _anchor(market: CesMarket, eq: EquilibriumResult, work=(None, None)):
+    """g* and `kl_divergence(eq.bids, b)` as a function of the state, for every solve.
+
+    The KL reads ln b = u + beta element by element from the shifted
+    log-weights u and beta = ln scale.  Its mass and sign checks hold by
+    construction: bids are checked on entry, and a round keeps them
+    non-negative with rows at the budgets.  `work` is the runner's free
+    logits array, for g*'s logits, and its terms array, for g*'s terms and
+    then for each KL's ln b and x (ln x - ln b): both are free again once a
+    round has summed its g.  ln x is kept with the KL, so it is always
+    allocated.
     """
-    out_logs, _, out_terms = work
-    _, g_star, log_x, _ = _logs_and_g(market, eq.bids, (out_logs, None, out_terms))
+    out_logits, out_terms = work
+    g_star, log_x = _plain_g(market, eq.bids, out_logits, out_terms)
     x = eq.bids.ravel()
     support = slice(None) if x.all() else np.flatnonzero(x)
     x, log_x = x[support], log_x.ravel()[support]
     scratch = None if out_terms is None else out_terms.ravel()[: x.size]
 
-    def kl(log_b: np.ndarray) -> float:
+    def kl(shifted: np.ndarray, beta: np.ndarray) -> float:
+        log_b = np.add(shifted, beta[:, None], out=out_terms)
         diff = np.subtract(log_x, log_b.ravel()[support], out=scratch)
         value = float(np.multiply(x, diff, out=diff).sum())
         if not np.isfinite(value):  # ln b = -inf where x > 0
@@ -286,22 +321,26 @@ def run_prd_trace(
         raise ValueError("schedule contains events beyond the horizon")
     if BUDGET in schedule.channels():
         raise ValueError("budget events are unsupported: the bid domain itself would move")
-    # Checked once: events keep rho; the kernel keeps bids on the support, rows at the budgets.
+    # Checked once: events keep rho; a round keeps bids on the support, rows at the budgets.
     market = reduce_supply_to_utility(market0)
     bids = check_bids(market, bids0)
     eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE)
-    # Kept work arrays, as in `prd_step`; bids0 is never one.
-    spare, free, log_b, terms = (np.empty(bids.shape) for _ in range(4))
-    g_star, kl_to = _anchor(market, eq, (free, None, terms))
+    # The state (`_round`) and kept work arrays; bids0 is never one.
+    shifted, logits, weights, terms = (np.empty(bids.shape) for _ in range(4))
+    g_star, kl_to = _anchor(market, eq, (logits, terms))
     min_share = coefficient_share_floor(market)
     recurrence_slack = 1e-12 * max(market.total_budget, 1.0)
-    step, g, log_b, _ = _round_kernel(market, bids, (free, log_b, terms))
+    with np.errstate(divide="ignore"):
+        np.log(bids, out=shifted)  # plain bids are weights at unit scale
+    np.copyto(weights, bids)
+    scale = np.ones(len(bids))
+    g, _, next_scale = _round(market, shifted, weights, scale, logits, terms)
     initial = g - g_star
-    kl_anchor = kl_prev = kl_to(log_b)
+    kl_anchor = kl_prev = kl_to(shifted, np.log(scale))
     gaps, deltas, highs, lows, kls = (np.empty(horizon) for _ in range(5))
     recurrence = np.empty(horizon, dtype=bool)
     for t in range(horizon):
-        bids = step
+        shifted, logits, scale = logits, shifted, next_scale
         events = schedule.events_at(t + 1)
         eps_t = 0.0
         if events:
@@ -318,13 +357,12 @@ def run_prd_trace(
             eps_t = max(float(logs.max()), float(-logs.min()))
             min_share = np.minimum(min_share, coefficient_share_floor(market))
             eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE, previous=eq)
-            g_star, kl_to = _anchor(market, eq, (spare, None, terms))
+            g_star, kl_to = _anchor(market, eq, (logits, terms))
         delta_t = delta_prd_utility(market, min_share, eps_t)
-        # One call gives this round's gap and KL and next round's bids.
-        step, g, log_b, prices = _round_kernel(market, bids, (spare, log_b, terms))
-        spare = bids
+        # One round gives this round's gap and prices and next round's state.
+        g, prices, next_scale = _round(market, shifted, weights, scale, logits, terms)
         gap = g - g_star
-        kl = kl_to(log_b)
+        kl = kl_to(shifted, np.log(scale))
         gaps[t], deltas[t], kls[t] = gap, delta_t, kl
         recurrence[t] = gap <= bound.q1 * kl_prev - bound.q2 * kl + delta_t + recurrence_slack
         highs[t], lows[t] = prices.max(), prices.min()

@@ -580,8 +580,8 @@ GOLDEN_DIGESTS = {
         "931a4f31f40e86672f2185f5dfcba5a5e583f7b25fe933bdf492dd247376d93c",
     ),
     ("prd", None): (
-        "1591701cbbb8bdcd6dcfbdc13c0702ba06d37e47083daa7e0025b55f0465d829",
-        "bc14594292c6d04ccd34356b9e991b617a13b2e41c1f153ec41d8ab26644bb35",
+        "0e9ffc8956a1f50a7410816bfcf9c051ce37b87fc5e5423a7133271761ccdf5e",
+        "c6ce0ddc254da6710ce1809245e7a170f6da23647b0146738e1ff377a556196a",
     ),
     ("prd", 0): (
         _HEADER_ONLY,
@@ -612,8 +612,8 @@ GOLDEN_DIGESTS = {
 SUPPLIED_BOUNDS = {"prd": {"q1": 0.5, "q2": 1.0}, "tatonnement-cpf": {"delta": 0.01}}
 SUPPLIED_DIGESTS = {
     "prd": (
-        "c9b1a9b484a34f7a17874b9ad553a730643cc418ada64bbb810b8573507ee7fc",
-        "70002d6a097c2112f01b83e39b172eb4398313704996e933c04c436cb4a0c790",
+        "2d0ed5fc466a729a4ce1163e665d72ce1d959054426f72c4f46a1638262bf09f",
+        "64370747de6fde5b16a7c16c202b2f2d06dd7dc8bd156251d227e8e0d4a59c64",
     ),
     "tatonnement-cpf": (
         "dc8e54f2b2a4c16c8ec1955333fff2f9459f41ca6b2dd12ecbfcbe3b51fed95d",

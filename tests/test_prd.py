@@ -14,6 +14,7 @@ from eqtracer import (
     PerturbationSchedule,
     PrdBoundConfig,
     ScheduleSpec,
+    apply_event,
     check_bids,
     generate_schedule,
     kl_divergence,
@@ -34,6 +35,68 @@ def single_buyer(a=(1.0, 1.0), rho=0.5):
     return CesMarket(
         budgets=[1.0], supplies=[1.0, 1.0], rho=[rho], coefficients=[list(a)]
     )
+
+
+# A test-only oracle: the bid round written out on the bids themselves.  It takes
+# ln b, the logs l = ln a + rho (ln b + ln w - ln p) and next bids b exp(l - L)
+# over their row sum, and pins rows to the budgets at their largest entry, every
+# round.  `prd_step` and `run_prd_trace` carry log-weights instead and never take
+# ln b of a round's bids, so they match it to rounding.
+# Tolerances, times the buyer's or the total budget, are about 10x the worst
+# difference measured: 5.6e-16 on bids, 1.8e-15 on the gap, 1.4e-16 on the KL.
+ORACLE_STEP_TOL = 5e-15
+ORACLE_GAP_TOL = 1.5e-14
+ORACLE_KL_TOL = 1e-15
+
+
+def oracle_logs_and_g(market, bids):
+    prices = bids.sum(axis=0)
+    log_w = np.log(market.supplies)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = np.log(bids)
+        logs = log_b - np.log(np.where(prices == 0, 1.0, prices)) + log_w
+        logs = market.rho[:, None] * logs + np.log(market.coefficients)
+        terms = np.where(bids == 0, 0.0, bids * (logs - log_b))
+    return logs, float(prices @ log_w - (terms.sum(axis=1) / market.rho).sum()), prices
+
+
+def oracle_round(market, bids):
+    """Next bids, g(market, bids) and prices."""
+    logs, g, prices = oracle_logs_and_g(market, bids)
+    rows, top = np.arange(len(bids)), logs.argmax(axis=1)
+    with np.errstate(invalid="ignore"):
+        new = np.exp(logs - logs[rows, top][:, None])
+    new *= (market.budgets / new.sum(axis=1))[:, None]
+    for _ in range(4):
+        residue = market.budgets - new.sum(axis=1)
+        if not residue.any():
+            break
+        new[rows, top] += residue
+    return new, g, prices
+
+
+def oracle_step(bids, market, rounds):
+    for _ in range(rounds):
+        bids = oracle_round(market, bids)[0]
+    return bids
+
+
+def oracle_trace(market, bids, schedule, horizon):
+    """Gap, KL and price columns of `run_prd_trace` under utility events."""
+    eq = solve_equilibrium(market, tolerance=prd.SOLVER_TOLERANCE)
+    g_star = oracle_logs_and_g(market, eq.bids)[1]
+    step = oracle_round(market, bids)[0]
+    columns = []
+    for t in range(1, horizon + 1):
+        bids = step
+        if schedule.events_at(t):
+            for event in schedule.events_at(t):
+                market = apply_event(market, event)
+            eq = solve_equilibrium(market, tolerance=prd.SOLVER_TOLERANCE, previous=eq)
+            g_star = oracle_logs_and_g(market, eq.bids)[1]
+        step, g, prices = oracle_round(market, bids)
+        columns.append((g - g_star, kl_divergence(eq.bids, bids), prices.max(), prices.min()))
+    return np.array(columns).T
 
 
 class TestStep:
@@ -87,14 +150,19 @@ class TestStep:
         with pytest.raises(ValueError, match="zero total bids"):
             prd_step(np.array([[1.0, 0.0]]), market)
 
-    def test_rounds_equal_repeated_single_steps_bitwise(self):
-        market = random_market(24, 5, 6, unit_supplies=True, zero_fraction=0.3)
+    @pytest.mark.parametrize("shape", [(5, 6), (200, 200)], ids=["5x6", "200x200"])
+    def test_rounds_are_reproducible_and_match_single_steps(self, shape):
+        # A single step pins its bids and the next step takes their log, while
+        # `rounds` carry the log-weights: the two agree to rounding, not bit for bit.
+        market = random_market(24, *shape, unit_supplies=True, zero_fraction=0.3)
         bids = proportional_bids(market)
         for rounds in (1, 2, 3, 17):
             one_at_a_time = bids
             for _ in range(rounds):
                 one_at_a_time = prd_step(one_at_a_time, market)
-            assert prd_step(bids, market, rounds=rounds).tobytes() == one_at_a_time.tobytes()
+            together = prd_step(bids, market, rounds=rounds)
+            assert together.tobytes() == prd_step(bids, market, rounds=rounds).tobytes()
+            assert (np.abs(together - one_at_a_time) <= ORACLE_STEP_TOL * market.budgets[:, None]).all()
         with pytest.raises(ValueError, match="rounds"):
             prd_step(bids, market, rounds=0)
 
@@ -234,7 +302,9 @@ class TestFitAndTrace:
     def test_static_geometric_envelope_dominates(self):
         market = random_market(12, 3, 3, unit_supplies=True)
         bound = PrdBoundConfig.closed_form(market)
-        bids = prd_step(proportional_bids(market), market, rounds=30)
+        # One warm-up round leaves a gap of about 1.4e-3 to fall; after 30 it
+        # is rounding noise (about 1e-15) and the decrease below compares noise.
+        bids = prd_step(proportional_bids(market), market, rounds=1)
         trace = run_prd_trace(market, bids, PerturbationSchedule(), bound, 200)
         assert (trace.potential <= trace.bound + 1e-9).all()
         assert trace.potential[-1] < trace.potential[0]
@@ -377,43 +447,58 @@ def _kernel_case(seed, m, n, near_linear, sparse, unit):
 def test_round_kernel_matches_written_out_formulas(seed, m, n, near_linear, sparse, unit):
     market, bids, x = _kernel_case(seed, m, n, near_linear, sparse, unit)
     a, rho = market.coefficients, market.rho[:, None]
-    step, g, log_b, prices = prd._round_kernel(market, bids)
-    assert prd._logs_and_g(market, bids)[1] == g  # the g-only half
-    assert prd._logs_and_g(market, x)[1] == prd._round_kernel(market, x)[1]
+    with np.errstate(divide="ignore"):
+        shifted = np.log(bids)  # plain bids: weights at unit scale
+    weights, logits, terms = bids.copy(), np.empty((m, n)), np.empty((m, n))
+    g, prices, scale = prd._round(market, shifted, weights, np.ones(m), logits, terms)
+    assert prd._plain_g(market, bids)[0] == g == prd_potential_g(market, bids)
+    assert prd._plain_g(market, x)[0] == prd_potential_g(market, x)
 
-    # The step, a (w b / p)^rho with rows renormalised to the budgets.
-    weights = a * (market.supplies * bids / bids.sum(axis=0)) ** rho
-    want = market.budgets[:, None] * weights / weights.sum(axis=1, keepdims=True)
+    # The step, a (w b / p)^rho with rows renormalised to the budgets; the state
+    # is its shifted log-weights, and `prd_step` pins its rows.
+    want_weights = a * (market.supplies * bids / bids.sum(axis=0)) ** rho
+    want = market.budgets[:, None] * want_weights / want_weights.sum(axis=1, keepdims=True)
     assert np.isfinite(want).all()
+    step = weights * scale[:, None]
     assert np.allclose(step, want, rtol=1e-12, atol=0)
     assert np.array_equal(step > 0, a > 0)
-    assert (np.abs(step.sum(axis=1) - market.budgets) <= 2 * np.spacing(market.budgets)).all()
+    assert np.array_equal(weights, np.exp(logits)) and (logits.max(axis=1) == 0).all()
+    pinned = prd_step(bids, market)
+    assert np.allclose(pinned, want, rtol=1e-12, atol=0)
+    assert (np.abs(pinned.sum(axis=1) - market.budgets) <= 2 * np.spacing(market.budgets)).all()
 
     # g = -sum over b > 0 of (b / rho) ln(a b^(rho - 1) / p^rho), supplies aside.  Its
     # terms have mixed signs, so rounding scales with their absolute sum, not with g.
-    active = bids > 0
-    terms = np.zeros_like(bids)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero bids are masked out
-        terms[active] = (bids / rho * np.log(a * bids ** (rho - 1) / prices ** rho))[active]
-    assert abs(g + terms.sum()) <= 1e-12 * np.abs(terms).sum()
-    assert np.array_equal(prices, bids.sum(axis=0))
+    def written_out_g(b):
+        active = b > 0
+        parts = np.zeros_like(b)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero bids are masked out
+            parts[active] = (b / rho * np.log(a * b ** (rho - 1) / b.sum(axis=0) ** rho))[active]
+        return -parts.sum(), np.abs(parts).sum()
 
+    want_g, scale_g = written_out_g(bids)
+    assert abs(g - want_g) <= 1e-12 * scale_g
+    assert np.allclose(prices, bids.sum(axis=0), rtol=1e-15, atol=0)
+
+    # The next round reads g, prices and ln b = u + beta from the state, beta = ln scale.
+    shifted, logits = logits, shifted
+    g_next, prices_next, _ = prd._round(market, shifted, weights.copy(), scale, logits, terms)
+    want_g, scale_g = written_out_g(step)
+    assert abs(g_next - want_g) <= 1e-12 * scale_g
+    assert np.allclose(prices_next, step.sum(axis=0), rtol=1e-14, atol=0)
     spending = EquilibriumResult(x.sum(axis=0), x, psi_star=0.0, residual=0.0, iterations=0)
     kl = prd._anchor(market, spending)[1]
     total = market.total_budget
-    assert abs(kl(log_b) - kl_divergence(x, bids)) <= 1e-12 * kl_divergence(x, bids) + 1e-15 * total
+    for b, state in ((bids, (np.log(bids, where=bids > 0, out=np.full((m, n), -np.inf)), np.zeros(m))),
+                     (step, (shifted, np.log(scale)))):
+        assert abs(kl(*state) - kl_divergence(x, b)) <= 1e-12 * kl_divergence(x, b) + 1e-15 * total
 
-    # Kept work arrays run the same arithmetic: bit for bit, in place, whatever
-    # the arrays held before.
-    work = tuple(np.full((m, n), np.nan) for _ in range(3))
-    kept = prd._round_kernel(market, bids, work)
-    assert kept[0] is work[0] and kept[2] is work[1]
-    for fresh, reused in zip((step, g, log_b, prices), kept):
-        assert np.asarray(reused).tobytes() == np.asarray(fresh).tobytes()
-    assert prd._logs_and_g(market, bids, work)[1] == g
+    # Kept work arrays run the same arithmetic: bit for bit, whatever they held before.
+    work = tuple(np.full((m, n), np.nan) for _ in range(2))
+    assert prd._plain_g(market, bids, *work)[0] == g
     g_star, kl_kept = prd._anchor(market, spending, work)
     assert g_star == prd._anchor(market, spending)[0]
-    assert kl_kept(log_b) == kl(log_b)
+    assert kl_kept(shifted, np.log(scale)) == kl(shifted, np.log(scale))
 
 
 def test_round_kernel_kl_keeps_the_support_check():
@@ -424,9 +509,10 @@ def test_round_kernel_kl_keeps_the_support_check():
     bids[0] *= market.budgets[0] / bids[0].sum()
     assert eq.bids[0, 1] > 0
     kl = prd._anchor(market, eq)[1]
-    log_b = prd._round_kernel(market, bids)[2]
+    with np.errstate(divide="ignore"):
+        shifted = np.log(bids)
     with pytest.raises(ValueError, match="support violation"):
-        kl(log_b)
+        kl(shifted, np.zeros(3))
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -434,15 +520,18 @@ def test_anchor_g_star_is_the_kernel_g_at_equilibrium(sparse):
     market = random_market(23, 6, 6, unit_supplies=True, zero_fraction=0.4 if sparse else 0.0)
     eq = solve_equilibrium(market, tolerance=1e-10)
     g_star = prd._anchor(market, eq)[0]
-    assert g_star == prd._round_kernel(market, eq.bids)[1]
+    with np.errstate(divide="ignore"):
+        shifted = np.log(eq.bids)
+    work = np.empty((6, 6)), np.empty((6, 6))
+    assert g_star == prd._round(market, shifted, eq.bids.copy(), np.ones(6), *work)[0]
     assert prd_potential_g(market, eq.bids) == g_star
 
 
 def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
     market = random_market(22, 3, 4, unit_supplies=True)
     schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=6), market, 12)
-    kernel_calls, half_calls = [], []
-    kernel, half = prd._round_kernel, prd._logs_and_g
+    round_calls, g_calls = [], []
+    round_, g_ = prd._round, prd._g
 
     def counted(calls, func):
         def call(*args):
@@ -451,46 +540,44 @@ def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
         return call
 
     def refused(*args, **kwargs):
-        raise AssertionError("the loops call the kernel only")
+        raise AssertionError("the loops call the round only")
 
-    monkeypatch.setattr(prd, "_round_kernel", counted(kernel_calls, kernel))
-    monkeypatch.setattr(prd, "_logs_and_g", counted(half_calls, half))
+    monkeypatch.setattr(prd, "_round", counted(round_calls, round_))
+    monkeypatch.setattr(prd, "_g", counted(g_calls, g_))
 
-    def g_only_calls():  # every kernel call evaluates g through the half too
-        return len(half_calls) - len(kernel_calls)
+    def g_only_calls():  # every runner round evaluates its g too
+        return len(g_calls) - len(round_calls)
 
     bids = prd_step(proportional_bids(market), market, rounds=30)  # the warm-up
-    assert g_only_calls() == 0  # no g*: the warm-up solves nothing
-    assert len(kernel_calls) == 30
+    assert len(g_calls) == 0  # no g and no g*: the warm-up solves nothing
+    assert len(round_calls) == 30
     bound = PrdBoundConfig.closed_form(market)
     for name in ("prd_step", "prd_potential_g", "kl_divergence"):
         monkeypatch.setattr(prd, name, refused)
-    kernel_calls.clear()
-    half_calls.clear()
+    round_calls.clear()
     run_prd_trace(market, bids, schedule, bound, 12)
     resolves = sum(1 for t in range(1, 13) if schedule.events_at(t))
     assert resolves > 0
     assert g_only_calls() == 1 + resolves  # g* per solve
-    assert len(kernel_calls) == 1 + 12
+    assert len(round_calls) == 1 + 12
 
 
 def test_fit_rounds_allocate_no_matrix(monkeypatch):
-    # The warm-up's rounds (`bounds.fit_rounds` in a config) rotate two bid
-    # arrays and keep ln b and the terms of g, so after the first rounds no
-    # (m, n) array is allocated: a PRD pass does not re-fault fresh pages
-    # every round.
+    # The warm-up's rounds (`bounds.fit_rounds` in a config) carry the
+    # log-weight state in two kept arrays, so after the first rounds no (m, n)
+    # array is allocated: a PRD pass does not re-fault fresh pages every round.
     m = n = 200
     market = random_market(5, m, n, unit_supplies=True)
     bids = proportional_bids(market)
-    kernel = prd._round_kernel
-    marks = []  # traced (held, peak since the previous call) at each kernel call
+    round_ = prd._round
+    marks = []  # traced (held, peak since the previous call) at each round call
 
     def traced(*args):
         marks.append(tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
-        return kernel(*args)
+        return round_(*args)
 
-    monkeypatch.setattr(prd, "_round_kernel", traced)
+    monkeypatch.setattr(prd, "_round", traced)
     tracemalloc.start()
     try:
         prd_step(bids, market, rounds=8)
@@ -501,6 +588,40 @@ def test_fit_rounds_allocate_no_matrix(monkeypatch):
     for (held, _), (held_next, peak) in zip(marks[2:], marks[3:]):  # one round each
         assert peak - held < 0.5 * matrix, (peak - held) / matrix
         assert abs(held_next - held) < 0.1 * matrix, (held_next - held) / matrix
+
+
+# Seeded markets: zero coefficients, non-unit supplies (through `prd_step` only:
+# the runner folds supplies into coefficients) and one 200x200.
+ORACLE_MARKETS = {
+    "zeros": (31, 6, 7, 0.2, 0.8, True, 0.3),
+    "supplies": (32, 5, 6, 0.2, 0.8, False, 0.0),
+    "large": (33, 200, 200, 0.2, 0.8, True, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_MARKETS)
+def test_prd_step_matches_the_kernel_oracle(name):
+    market = random_market(*ORACLE_MARKETS[name])
+    bids = proportional_bids(market)
+    for rounds in (1, 5, 60):
+        got = prd_step(bids, market, rounds=rounds)
+        want = oracle_step(bids, market, rounds)
+        assert np.array_equal(got > 0, want > 0)
+        assert (np.abs(got - want) <= ORACLE_STEP_TOL * market.budgets[:, None]).all()
+
+
+@pytest.mark.parametrize("name", ["zeros", "large"])
+def test_trace_matches_the_kernel_oracle(name):
+    market = random_market(*ORACLE_MARKETS[name])
+    schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=9, every=2), market, 20)
+    bids = prd_step(proportional_bids(market), market, rounds=10)
+    trace = run_prd_trace(market, bids, schedule, PrdBoundConfig.closed_form(market), 20)
+    gaps, kls, highs, lows = oracle_trace(market, bids, schedule, 20)
+    total = market.total_budget
+    assert np.abs(trace.potential - gaps).max() <= ORACLE_GAP_TOL * total
+    assert np.abs(trace.kl_to_equilibrium - kls).max() <= ORACLE_KL_TOL * total
+    assert np.allclose(trace.max_price, highs, rtol=1e-14, atol=0)  # worst 1.3e-15
+    assert np.allclose(trace.min_price, lows, rtol=1e-14, atol=0)
 
 
 def test_work_arrays_never_alias_callers_arrays():
