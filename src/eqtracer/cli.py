@@ -1,7 +1,8 @@
 """Experiment runner: JSON configs in, CSV traces and JSON reports out.
 
 `simulate` executes one seeded trace (or a directory of them with --batch),
-`verify` runs the acceptance batteries.  All randomness flows from config
+`verify` runs the acceptance batteries and prints a table, or with --json one
+JSON object, of their verdicts.  All randomness flows from config
 seeds through numpy's default generator, so identical configs reproduce
 their trace files byte for byte.
 """
@@ -548,20 +549,26 @@ def _exit_code(config_path: Path, out_dir: Path, strict: bool, label: str = "") 
         return EXIT_SIMULATION
 
 
-def run_verify(suite: str) -> int:
+def run_verify(suite: str, as_json: bool = False) -> int:
     try:
         results = verify_mod.run_suite(suite)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_CONFIG
-    width = max(len(r.name) for r in results)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  [{r.seconds:7.2f}s]  {r.detail}")
-        failures += not r.passed
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return EXIT_OK if failures == 0 else 1
+    passed = sum(r.passed for r in results)
+    if as_json:
+        batteries = [
+            {"name": r.name, "passed": r.passed, "seconds": r.seconds, "detail": r.detail}
+            for r in results
+        ]
+        print(json.dumps({"suite": suite, "batteries": batteries, "passed": passed}))
+    else:
+        width = max(len(r.name) for r in results)
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{status}  {r.name:<{width}}  [{r.seconds:7.2f}s]  {r.detail}")
+        print(f"{passed}/{len(results)} checks passed")
+    return EXIT_OK if passed == len(results) else 1
 
 
 @functools.cache
@@ -595,6 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"one of {sorted(verify_mod.SUITES)}",
     )
+    ver.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON object: the suite, each battery's name, verdict, "
+        "seconds and detail, and the pass count",
+    )
     return parser
 
 
@@ -609,7 +622,7 @@ def main(argv=None) -> int:
             return run_batch(args.batch, args.out, args.strict)
         return _exit_code(args.config, args.out, args.strict)
     if args.command == "verify":
-        return run_verify(args.suite)
+        return run_verify(args.suite, args.json)
     parser.print_help()
     return EXIT_CONFIG
 

@@ -11,14 +11,18 @@ Validation happens at the public boundary only: `CesMarket(...)` and
 prices once.  Every demand, unit cost and potential, and every point the
 equilibrium solver evaluates, goes through one log-domain kernel,
 `ces_weights`; it stays finite as rho -> 1, where c = rho/(rho-1) -> -inf
-and a^(1-c) p^c overflows.  The kernel leaves its weights unnormalised, so
-excess demand is one matrix-vector product, `excess_demand`, which the
-demand and the solver share.  `demand` returns a `DemandProfile`, and both
-potentials are properties of it, so a caller that holds the demand at some
-prices reads either potential without evaluating it again.  The demand
-exponent c, ln a and the price-free part (1-c) ln a are cached per market,
-and the unvalidated copies that perturbation events make
-(`CesMarket._derive`) share each while they keep the fields it reads.
+and a^(1-c) p^c overflows.  In a market of `CLOSED_FORM_MIN_SIZE` or more
+coefficients the kernel shifts each row of log weights by a closed-form
+bound, not by its row maximum, while the log prices span little enough
+(see `SHIFT_SPAN`); otherwise it subtracts the row maximum.  It leaves
+its weights unnormalised, so excess demand is one matrix-vector product,
+`excess_demand`, which the demand and the solver share.  `demand` returns
+a `DemandProfile`, and both potentials are properties of it, so a caller
+that holds the demand at some prices reads either potential without
+evaluating it again.  The demand exponent c, ln a and the price-free
+terms of the log weight are cached per market, and the unvalidated copies
+that perturbation events make (`CesMarket._derive`) share each while they
+keep the fields it reads.
 """
 
 from __future__ import annotations
@@ -27,6 +31,21 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+# The kernel's closed-form row shift keeps the largest weight of each row in
+# [e^-K, e^K] for K = SHIFT_SPAN (see `ces_weights`).  At 40 a row of n
+# weights sums to at most n e^40, far from overflow for any n, and the
+# shift moves each weight by at most e^40 towards underflow, so a weight it
+# flushes to zero was below e^-705 of its row's largest: as negligible as
+# the ones the row-max shift flushes.  Tatonnement prices stay inside it:
+# for rho in (0.2, 0.8), |c| <= 4 and prices may spread by a factor e^10.
+SHIFT_SPAN = 40.0
+# Markets with fewer weights than this keep the row-max shift: there the two
+# reductions over ln p cost more than the row max and the subtraction they
+# save (per-call demand on a 2-vCPU host with numpy 2.4 broke even between
+# 14x14 and 20x20 and won from 24x24 on), and small markets' weights stay
+# exactly the row-max ones.
+CLOSED_FORM_MIN_SIZE = 400
 
 
 class LinearUtilityError(ValueError):
@@ -115,16 +134,32 @@ class CesMarket:
         return log_a
 
     @cached_property
-    def _weight_base(self) -> np.ndarray:
-        """(1-c) ln a, the price-free log CES weight (-inf where a = 0), cached."""
+    def _weight_base(self) -> tuple[np.ndarray, np.ndarray | None, float | None]:
+        """The price-free terms of the log CES weight, cached, read-only.
+
+        In a market of at least `CLOSED_FORM_MIN_SIZE` coefficients: the
+        base (1-c) ln a - B with B_i = max_j (1-c_i) ln a[i, j], so each
+        row's largest entry is 0; B; and the widest ln p spread that the
+        closed-form shift of `ces_weights` accepts, K / max(1, max_i -c_i),
+        where max(1, max_i -c_i) bounds every |c_i| because c_i < 1.  A
+        smaller market keeps (1-c) ln a, None, None.  The base is -inf
+        where a = 0.
+        """
         if (self.rho == 1.0).any():
             raise LinearUtilityError(
                 "demand requires strictly concave utilities (rho < 1); "
                 "a buyer with rho == 1 has no unique demand bundle"
             )
-        base = np.multiply(1.0 - self.demand_exponent[:, None], self.log_coefficients)
+        c = self.demand_exponent
+        base = np.multiply(1.0 - c[:, None], self.log_coefficients)
+        if base.size < CLOSED_FORM_MIN_SIZE:
+            base.setflags(write=False)
+            return base, None, None
+        bound = base.max(axis=1)
+        base -= bound[:, None]
         base.setflags(write=False)
-        return base
+        bound.setflags(write=False)
+        return base, bound, SHIFT_SPAN / max(1.0, float(-c.min()))
 
     def replace(self, **kwargs) -> "CesMarket":
         """Return a copy with some fields replaced."""
@@ -143,8 +178,8 @@ class CesMarket:
         The new arrays must be float, read-only, of the right shapes and keep
         every invariant `__post_init__` checks.  Unchanged arrays are shared,
         and so are the cached exponent while rho is kept, the cached ln a
-        while the coefficients are kept, and the cached (1-c) ln a while both
-        are; nothing else carries over.
+        while the coefficients are kept, and the cached price-free weight
+        terms while both are; nothing else carries over.
         """
         keep = {"budgets", "supplies", "rho", "coefficients"}
         if "coefficients" not in kwargs:
@@ -227,19 +262,39 @@ def check_prices(market: CesMarket, prices) -> np.ndarray:
 def ces_weights(market: CesMarket, prices: np.ndarray, out=None):
     """Shifted CES weights E, their row sums S and ln Q_i at checked prices.
 
-    With l[i, j] = (1-c_i) ln a[i, j] + c_i ln p_j and L_i = max_k l[i, k],
+    With l[i, j] = (1-c_i) ln a[i, j] + c_i ln p_j and any row shift L_i,
     E = exp(l - L), buyer i's spending shares are E_i / S_i, and ln Q_i =
-    (L_i + ln S_i) / c_i.  The largest entry of each row of E is exactly 1,
-    so nothing overflows; zero coefficients get exactly zero weight.  E is
-    built in `out`, a C-ordered float (m, n) array, when one is given, and
-    in a fresh array otherwise; the arithmetic is the same.
+    (L_i + ln S_i) / c_i.  In a market of at least `CLOSED_FORM_MIN_SIZE`
+    coefficients the shift is L_i = B_i + c_i min ln p, with B_i = max_j
+    (1-c_i) ln a[i, j] cached on the market, when s (max ln p - min ln p)
+    <= K = `SHIFT_SPAN`, where s = max(1, max_i -c_i) bounds every |c_i|.
+    Then the largest entry of each row of E lies in [e^-K, 1] for a
+    substitutes buyer (c_i < 0) and in [1, e^K] for a complements buyer
+    (0 < c_i < 1), so nothing overflows and no row underflows, and the row
+    maximum is never taken.  Otherwise (a small market, rho near 1,
+    far-apart prices, a solver's trial points) L_i is the row maximum, so
+    the largest entry of each row is exactly 1.  Zero coefficients get
+    exactly zero weight.  E is built in `out`, a C-ordered float (m, n)
+    array, when one is given, and in a fresh array otherwise; the
+    arithmetic is the same.
     """
-    base = market._weight_base  # first: it refuses rho == 1
+    base, bound, max_spread = market._weight_base  # first: it refuses rho == 1
     c = market.demand_exponent
-    logs = np.multiply(np.log(prices), c[:, None], out=out)
+    log_p = np.log(prices)
+    if bound is not None:
+        low = log_p.min()
+        if log_p.max() - low <= max_spread:
+            logs = np.multiply(log_p - low, c[:, None], out=out)
+            logs += base
+            weights = np.exp(logs, out=logs)
+            sums = weights.sum(axis=1)
+            return weights, sums, low + (bound + np.log(sums)) / c
+    logs = np.multiply(log_p, c[:, None], out=out)
     logs += base
     top = logs.max(axis=1)
     logs -= top[:, None]
+    if bound is not None:
+        top += bound  # the base is (1-c) ln a - B
     weights = np.exp(logs, out=logs)
     sums = weights.sum(axis=1)
     return weights, sums, (top + np.log(sums)) / c

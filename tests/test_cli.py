@@ -235,6 +235,23 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_verify_json_prints_one_object_per_suite(capsys):
+    assert main(["verify", "--suite", "oracles", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["suite", "batteries", "passed"]
+    assert report["suite"] == "oracles"
+    batteries = report["batteries"]
+    assert [b["name"] for b in batteries] == [
+        "extremal shares match exhaustive search",
+        "supply perturbations reduce to utility ones",
+    ]
+    for battery in batteries:
+        assert list(battery) == ["name", "passed", "seconds", "detail"]
+        assert battery["passed"] is True and battery["seconds"] > 0
+        assert isinstance(battery["detail"], str) and battery["detail"]
+    assert report["passed"] == len(batteries) == 2
+
+
 def test_prd_and_diffusion_reports(tmp_path):
     prd_cfg = write_config(
         tmp_path,

@@ -12,7 +12,7 @@ from eqtracer import (
     solve_equilibrium,
 )
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
-from eqtracer.market import ces_weights
+from eqtracer.market import CLOSED_FORM_MIN_SIZE, SHIFT_SPAN, ces_weights
 
 
 def single_good(budget=1.0, supply=1.0, rho=0.5, a=1.0):
@@ -83,6 +83,26 @@ class TestValidation:
             single_good(a=math.nan)
 
 
+def written_out_weight_base(c, coefficients):
+    # (1-c) ln a less its row maximum B, then B and K / max(1, max -c); a
+    # small market keeps (1-c) ln a alone.
+    with np.errstate(divide="ignore"):
+        full = (1.0 - c[:, None]) * np.log(coefficients)
+    if full.size < CLOSED_FORM_MIN_SIZE:
+        return full, None, None
+    bound = full.max(axis=1)
+    return full - bound[:, None], bound, SHIFT_SPAN / max(1.0, float(-c.min()))
+
+
+def assert_weight_base_equal(got, want):
+    assert len(got) == len(want) == 3
+    assert np.array_equal(got[0], want[0]), (got[0], want[0])
+    if want[1] is None:
+        assert got[1] is None and got[2] is None
+    else:
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2], (got, want)
+
+
 class TestCachedExponent:
     def test_read_only_and_bit_equal_to_formula(self):
         market = random_market(3, 4, 5, rho_low=-2.0, rho_high=0.9)
@@ -103,10 +123,10 @@ class TestCachedExponent:
         assert np.isneginf(log_a[market.coefficients == 0]).all()
 
     def test_derive_with_new_rho_drops_stale_caches(self):
-        market = random_market(4, 3, 4)
+        market = random_market(4, 20, 20)
         old_c, old_base = market.demand_exponent, market._weight_base
         log_a = market.log_coefficients
-        rho = np.array([0.2, -0.5, 0.7])
+        rho = np.linspace(-0.5, 0.7, 20)
         rho.setflags(write=False)
         derived = market._derive(rho=rho)
         fresh = market.replace(rho=rho)
@@ -114,12 +134,12 @@ class TestCachedExponent:
         assert derived._weight_base is not old_base
         assert derived.log_coefficients is log_a  # ln a reads no rho
         assert np.array_equal(derived.demand_exponent, fresh.demand_exponent)
-        assert np.array_equal(derived._weight_base, fresh._weight_base)
+        assert_weight_base_equal(derived._weight_base, fresh._weight_base)
         # The parent keeps its own caches.
         assert market.demand_exponent is old_c and market._weight_base is old_base
 
     def test_derive_keeping_rho_shares_the_exponent(self):
-        market = random_market(5, 3, 4)
+        market = random_market(5, 20, 20)
         c = market.demand_exponent
         log_a = market.log_coefficients
         coefficients = market.coefficients * 2.0
@@ -128,11 +148,27 @@ class TestCachedExponent:
         assert derived.demand_exponent is c
         assert derived.log_coefficients is not log_a
         assert np.array_equal(derived.log_coefficients, np.log(coefficients))
-        fresh = (1.0 - c[:, None]) * np.log(coefficients)
-        assert np.array_equal(derived._weight_base, fresh)
-        assert np.array_equal(
+        fresh = written_out_weight_base(c, coefficients)
+        assert_weight_base_equal(derived._weight_base, fresh)
+        assert_weight_base_equal(
             derived._weight_base, market.replace(coefficients=coefficients)._weight_base
         )
+
+    @pytest.mark.parametrize("m, n", [(5, 7), (20, 20)])
+    @pytest.mark.parametrize("zero_fraction", [0.0, 0.5])
+    def test_weight_base_bit_equal_to_formula_and_read_only(self, m, n, zero_fraction):
+        market = random_market(6, m, n, -3.0, 0.95, zero_fraction=zero_fraction)
+        cached = market._weight_base
+        assert cached is market._weight_base
+        want = written_out_weight_base(market.demand_exponent, market.coefficients)
+        assert_weight_base_equal(cached, want)
+        base, bound, _ = cached
+        assert not base.flags.writeable
+        assert np.isneginf(base[market.coefficients == 0]).all()
+        assert (bound is None) == (m * n < CLOSED_FORM_MIN_SIZE)
+        if bound is not None:
+            assert not bound.flags.writeable
+            assert (base.max(axis=1) == 0.0).all()
 
 
 class TestDemand:
@@ -328,6 +364,107 @@ def test_log_kernel_matches_written_out_weights(seed, rho_range, spread):
     assert np.all(np.abs(spent - market.budgets) <= 1e-12 * market.budgets)
 
 
+def row_max_weights(market, prices):
+    # The row-max shift, written out: every row of log weights
+    # l = (1-c) ln a + c ln p loses its own maximum L, and ln Q = (L + ln S) / c.
+    # Small markets run exactly this.
+    c = market.demand_exponent
+    logs = np.multiply(np.log(prices), c[:, None])
+    with np.errstate(divide="ignore"):
+        logs += (1.0 - c[:, None]) * np.log(market.coefficients)
+    top = logs.max(axis=1)
+    logs -= top[:, None]
+    weights = np.exp(logs)
+    sums = weights.sum(axis=1)
+    return weights, sums, (top + np.log(sums)) / c
+
+
+def takes_closed_form_shift(market, prices):
+    if market.coefficients.size < CLOSED_FORM_MIN_SIZE:
+        return False
+    log_p = np.log(prices)
+    scale = max(1.0, float(-market.demand_exponent.min()))
+    return scale * (log_p.max() - log_p.min()) <= SHIFT_SPAN
+
+
+def assert_kernel_matches_row_max_oracle(market, prices):
+    weights, sums, log_q = ces_weights(market, prices)
+    ref_weights, ref_sums, ref_log_q = row_max_weights(market, prices)
+    if market.coefficients.size < CLOSED_FORM_MIN_SIZE:
+        # Small markets keep the row-max arithmetic byte for byte.
+        for got, want in ((weights, ref_weights), (sums, ref_sums), (log_q, ref_log_q)):
+            assert got.tobytes() == want.tobytes()
+    shares = weights / sums[:, None]
+    reference = ref_weights / ref_sums[:, None]
+    # Shares are compared where the reference keeps them as normal floats
+    # with room for the shift: below tiny * e^K a weight may lose precision
+    # to underflow in either kernel.
+    usable = reference >= np.finfo(float).tiny * math.exp(SHIFT_SPAN)
+    # exp turns the absolute rounding of a log weight into the same relative
+    # error of the weight.  Both kernels round log terms up to |c| (max |ln p|
+    # + the ln p spread) and |(1-c) ln a|, which reach thousands as rho -> 1,
+    # so the 1e-12 bound grows by that size per thousand.
+    c = market.demand_exponent
+    log_p = np.log(prices)
+    reach = np.abs(log_p).max() + (log_p.max() - log_p.min())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base_terms = np.abs((1.0 - c[:, None]) * np.log(market.coefficients))
+    size = np.abs(c) * reach + np.where(market.coefficients > 0, base_terms, 0.0).max(axis=1)
+    tolerance = 1e-12 * np.maximum(1.0, size / 1000.0)[:, None] * reference
+    assert np.all((np.abs(shares - reference) <= tolerance)[usable]), np.max(
+        (np.abs(shares - reference) / tolerance)[usable]
+    )
+    assert (shares[market.coefficients == 0] == 0).all()
+    assert np.all(np.abs(log_q - ref_log_q) <= 1e-12 * (1.0 + np.abs(ref_log_q)))
+    if takes_closed_form_shift(market, prices):
+        top = weights.max(axis=1)
+        substitutes = market.demand_exponent < 0
+        assert (top[substitutes] >= math.exp(-SHIFT_SPAN)).all()
+        assert (top[substitutes] <= 1.0).all()
+        assert (top[~substitutes] >= 1.0).all()
+        assert (top[~substitutes] <= math.exp(SHIFT_SPAN)).all()
+        # No positive coefficient that the row-max kernel keeps clear of
+        # underflow gets zero weight.
+        kept = (market.coefficients > 0) & usable
+        assert (weights[kept] > 0).all()
+    else:
+        assert (weights.max(axis=1) == 1.0).all()
+    return weights
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    grow=st.sampled_from([0, 20]),
+    rho_range=st.sampled_from(
+        [(0.2, 0.8), (0.99, 0.999), (-50.0, -0.5), (-2.0, 0.8), (-50.0, 0.999)]
+    ),
+    zero_fraction=st.sampled_from([0.0, 0.5]),
+    spread=st.floats(0.0, 3.0),
+)
+def test_kernel_matches_row_max_oracle(seed, m, n, grow, rho_range, zero_fraction, spread):
+    # Shapes up to 8x8 keep the row max; grown by 20 a side they reach the
+    # closed-form shift whenever the prices allow it.
+    m, n = m + grow, n + grow
+    market = random_market(seed, m, n, *rho_range, zero_fraction=zero_fraction)
+    rng = np.random.default_rng(seed)
+    prices = uniform_prices(market) * 10.0 ** rng.uniform(-spread, spread, n)
+    assert_kernel_matches_row_max_oracle(market, prices)
+
+
+@pytest.mark.parametrize("spread, closed_form", [(0.3, True), (3.0, False)])
+def test_kernel_matches_row_max_oracle_at_200x200(spread, closed_form):
+    market = random_market(7, 200, 200, -2.0, 0.8, zero_fraction=0.5)
+    rng = np.random.default_rng(7)
+    prices = uniform_prices(market) * 10.0 ** rng.uniform(-spread, spread, 200)
+    assert takes_closed_form_shift(market, prices) == closed_form
+    weights = assert_kernel_matches_row_max_oracle(market, prices)
+    if closed_form:
+        assert (weights[market.coefficients > 0] > 0).all()
+
+
 def assert_demand_bit_equal_to_written_out(market, prices):
     weights, sums, log_q = ces_weights(market, prices)
     per_weight = market.budgets / sums
@@ -424,17 +561,21 @@ def test_ces_weights_into_out_matches_fresh_array(zero_fraction):
 def test_demand_keeps_no_matrix_alive():
     # A profile holds vectors only; the kernel's one (m, n) buffer is the
     # whole working set, so tatonnement rounds do not re-fault fresh pages.
+    # Both row shifts keep it so.
     m = n = 200
     market = random_market(5, m, n)
-    prices = uniform_prices(market)
-    demand(market, prices)  # warm: caches (1-c) ln a on the market
-    tracemalloc.start()
-    try:
-        profile = demand(market, prices)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    matrix = m * n * 8
-    assert peak < 2 * matrix, peak / matrix
-    assert held < 0.1 * matrix, held / matrix
-    assert profile.excess.shape == (n,)
+    rng = np.random.default_rng(5)
+    for spread, closed_form in ((0.0, True), (3.0, False)):
+        prices = uniform_prices(market) * 10.0 ** rng.uniform(-spread, spread, n)
+        assert takes_closed_form_shift(market, prices) == closed_form
+        demand(market, prices)  # warm: caches the weight base on the market
+        tracemalloc.start()
+        try:
+            profile = demand(market, prices)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = m * n * 8
+        assert peak < 2 * matrix, (closed_form, peak / matrix)
+        assert held < 0.1 * matrix, (closed_form, held / matrix)
+        assert profile.excess.shape == (n,)

@@ -106,18 +106,25 @@ class TestEvents:
             out.coefficients[0, 0] = 2.0
 
     def test_weight_base_cache_tracks_coefficients(self):
-        market = random_market(8, 3, 4)
+        # 20x20 takes the closed-form row shift, whose cache holds B as well.
+        market = random_market(8, 20, 20)
         cached, log_a = market._weight_base, market.log_coefficients
-        shifted = apply_event(market, event(SUPPLY, np.full(4, 0.01)))
+        shifted = apply_event(market, event(SUPPLY, np.full(20, 0.01)))
         assert shifted._weight_base is cached
         assert shifted.log_coefficients is log_a
-        factors = np.exp(np.linspace(-0.05, 0.05, 12)).reshape(3, 4)
+        factors = np.exp(np.linspace(-0.05, 0.05, 400)).reshape(20, 20)
         out = apply_event(market, event(UTILITY, factors))
         assert np.array_equal(out.log_coefficients, np.log(out.coefficients))
         assert not np.array_equal(out.log_coefficients, log_a)
-        fresh = (1.0 - out.demand_exponent[:, None]) * np.log(out.coefficients)
-        assert np.array_equal(out._weight_base, fresh)
-        assert not np.array_equal(out._weight_base, cached)
+        c = out.demand_exponent
+        full = (1.0 - c[:, None]) * np.log(out.coefficients)
+        bound = full.max(axis=1)
+        base, got_bound, max_spread = out._weight_base
+        assert np.array_equal(base, full - bound[:, None])
+        assert np.array_equal(got_bound, bound)
+        assert max_spread == cached[2]  # rho is kept
+        assert not np.array_equal(base, cached[0])
+        assert not np.array_equal(got_bound, cached[1])
 
 
 class TestSchedules:
