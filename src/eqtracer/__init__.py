@@ -33,6 +33,7 @@ from .perturbation import (
     UTILITY,
     PerturbationEvent,
     PerturbationSchedule,
+    ScheduleColumn,
     ScheduleSpec,
     apply_event,
     calibrate_c_prime,

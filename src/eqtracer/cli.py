@@ -276,17 +276,11 @@ def _build_market(section: dict) -> CesMarket:
         raise ValueError(f"market section needs {missing} or a 'random' block")
 
 
-def _build_schedule(section: dict | None, market, horizon: int) -> PerturbationSchedule:
-    if not section:
-        return PerturbationSchedule()
+def _build_schedule(section: dict, market, horizon: int) -> PerturbationSchedule:
     if "generator" in section:
-        spec = ScheduleSpec(**section["generator"])
-        return generate_schedule(spec, market, horizon)
-    events = tuple(
-        PerturbationEvent(e["round"], e["channel"], np.asarray(e["payload"], dtype=float))
-        for e in section.get("events", ())
-    )
-    return PerturbationSchedule(events=events)
+        return generate_schedule(ScheduleSpec(**section["generator"]), market, horizon)
+    events = section.get("events", ())
+    return PerturbationSchedule.from_events(PerturbationEvent(**e) for e in events)
 
 
 def _domination(trace) -> dict:
@@ -331,7 +325,7 @@ def _run_tatonnement(config: dict):
     else:
         delta = float(delta)
         delta_source = "supplied"
-    schedule = _build_schedule(config.get("schedule"), market, horizon)
+    schedule = _build_schedule(config.get("schedule", {}), market, horizon)
     trace = run_tatonnement_trace(market, prices0, tat_config, schedule, delta, horizon)
 
     constants = {
@@ -364,7 +358,7 @@ def _run_prd(config: dict):
     else:  # static warm-up rounds, then the closed-form constants
         bids = prd_step(bids, reduced, rounds=bounds.get("fit_rounds", 200))
         bound, source = PrdBoundConfig.closed_form(reduced), "closed-form"
-    schedule = _build_schedule(config.get("schedule"), reduced, horizon)
+    schedule = _build_schedule(config.get("schedule", {}), reduced, horizon)
     trace = run_prd_trace(reduced, bids, schedule, bound, horizon)
     recurrence = float(trace.recurrence_ok.mean()) if len(trace) else 1.0
     report = {

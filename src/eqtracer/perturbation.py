@@ -1,14 +1,18 @@
 """Market perturbations and their worst-case potential jumps.
 
 Events mutate supplies (additively), budgets (additively) or utility
-coefficients (multiplicatively).  For each (potential, channel) pair there is
-a closed-form cap on how much the event can raise the potential at fixed
-prices; trace runners accumulate these caps into cumulative tracking bounds.
+coefficients (multiplicatively); a schedule holds one checked, read-only
+payload array per channel (`ScheduleColumn`).  For each (potential,
+channel) pair there is a closed-form cap, per payload row, on how much an
+event can raise the potential at fixed prices; trace runners accumulate
+these caps into cumulative tracking bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -19,68 +23,143 @@ SUPPLY = "supply-additive"
 BUDGET = "budget-additive"
 UTILITY = "utility-multiplicative"
 CHANNELS = (SUPPLY, BUDGET, UTILITY)
+# The market field, its singular noun and its count noun, per additive channel.
+_ADDITIVE = {SUPPLY: ("supplies", "supply", "goods"), BUDGET: ("budgets", "budget", "buyers")}
+
+
+@dataclass(frozen=True)
+class ScheduleColumn:
+    """One channel's events: increasing 1-based rounds and one payload row each.
+
+    `payload` stacks (T, n) supply steps, (T, m) budget steps or (T, m, n)
+    utility factors; it is checked once and frozen in place, not copied.
+    """
+
+    channel: str
+    rounds: np.ndarray
+    payload: np.ndarray
+
+    def __post_init__(self):
+        rounds = np.array(self.rounds, dtype=np.int64)
+        payload = np.asarray(self.payload, dtype=float)
+        if self.channel not in CHANNELS:
+            raise ValueError(f"unknown channel {self.channel!r}; expected one of {CHANNELS}")
+        if not np.isfinite(payload).all():
+            raise ValueError("event payload must be finite")
+        row_ndim = 2 if self.channel == UTILITY else 1
+        if payload.ndim != row_ndim + 1 or rounds.shape != payload.shape[:1]:
+            raise ValueError(f"{self.channel} payload needs a {row_ndim}-d row per round")
+        if self.channel == UTILITY and not (payload > 0).all():
+            raise ValueError("utility factors must be strictly positive")
+        gaps = np.diff(rounds, prepend=0)
+        if (gaps <= 0).any():
+            k = int(np.argmax(gaps <= 0))
+            raise ValueError(
+                f"duplicate event for round {rounds[k]}, channel {self.channel}"
+                if k and gaps[k] == 0 else "event rounds are 1-based and increase"
+            )
+        for name, value in (("rounds", rounds), ("payload", payload)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def rows(self, market: CesMarket, cumulative: bool = True) -> np.ndarray:
+        """The rows a runner reads on `market`, checked once.
+
+        Utility rows are the factors.  Supply and budget rows are read-only
+        levels: row k is the market's field plus steps 0..k added in turn, or
+        plus step k alone if not `cumulative`.  The first row with a level
+        that is not positive and finite raises its event's error.
+        """
+        if self.channel == UTILITY:
+            if self.payload.shape[1:] != market.coefficients.shape:
+                raise ValueError("utility payload must match the coefficient matrix shape")
+            return self.payload
+        field, name, noun = _ADDITIVE[self.channel]
+        start, steps = getattr(market, field), self.payload
+        if steps.shape[1:] != start.shape:
+            raise ValueError(f"{name} payload length must equal the number of {noun}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cumulative:  # in place: the field, then each step added in turn
+                levels = np.vstack([start, steps])
+                levels = np.cumsum(levels, 0, out=levels)[1:]
+            else:
+                levels = start + steps
+        bad = np.flatnonzero(~((levels > 0) & (levels < np.inf)).all(axis=1))
+        if bad.size:
+            kind = "non-positive" if (levels[bad[0]] <= 0).any() else "to infinity"
+            raise ValueError(f"{name} event would drive a {name} {kind}")
+        levels.setflags(write=False)
+        return levels
 
 
 @dataclass(frozen=True)
 class PerturbationEvent:
-    """One scheduled change: additive vector or multiplicative factor matrix."""
+    """One change, checked as a one-row `ScheduleColumn`; `payload` is a read-only copy."""
 
     round: int
     channel: str
     payload: np.ndarray
 
     def __post_init__(self):
-        if self.round < 1:
-            raise ValueError("event rounds are 1-based")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}; expected one of {CHANNELS}")
-        payload = np.array(self.payload, dtype=float)
-        if not np.isfinite(payload).all():
-            raise ValueError("event payload must be finite")
-        expected_ndim = 2 if self.channel == UTILITY else 1
-        if payload.ndim != expected_ndim:
-            raise ValueError(
-                f"{self.channel} payload must be {expected_ndim}-d, got shape {payload.shape}"
-            )
-        if self.channel == UTILITY and not (payload > 0).all():
-            raise ValueError("utility factors must be strictly positive")
-        payload.setflags(write=False)
-        object.__setattr__(self, "payload", payload)
+        column = ScheduleColumn(self.channel, [self.round], np.array([self.payload], dtype=float))
+        object.__setattr__(self, "payload", column.payload[0])
+
+
+@dataclass(frozen=True)
+class PerturbationSchedule:
+    """At most one non-empty `ScheduleColumn` per channel, in channel order."""
+
+    columns: tuple = ()
+
+    def __post_init__(self):
+        columns = sorted((c for c in self.columns if c.rounds.size), key=attrgetter("channel"))
+        if len({c.channel for c in columns}) < len(columns):
+            raise ValueError("a schedule takes one column per channel")
+        object.__setattr__(self, "columns", tuple(columns))
+
+    @classmethod
+    def from_events(cls, events) -> "PerturbationSchedule":
+        """Stack `PerturbationEvent`s into one column per channel."""
+        ordered = sorted(events, key=attrgetter("channel", "round"))
+        return cls(tuple(
+            ScheduleColumn(channel, *zip(*((e.round, e.payload) for e in group)))
+            for channel, group in groupby(ordered, key=attrgetter("channel"))
+        ))
+
+    @property
+    def max_round(self) -> int:
+        return max((int(c.rounds[-1]) for c in self.columns), default=0)
+
+    def channels(self) -> set:
+        return {c.channel for c in self.columns}
+
+
+def apply_row(market: CesMarket, channel: str, row: np.ndarray) -> CesMarket:
+    """`market` moved by one row of `ScheduleColumn.rows`, sharing the other fields.
+
+    A level row replaces its field; coefficients times a factor row must stay
+    finite, with a positive entry in every row.
+    """
+    if channel != UTILITY:
+        return market._derive(**{_ADDITIVE[channel][0]: row})
+    with np.errstate(over="ignore"):
+        new = market.coefficients * row
+    if not np.isfinite(new).all():
+        raise ValueError("utility event would drive a coefficient to infinity")
+    if not (new.max(axis=1) > 0).all():
+        raise ValueError("utility event would leave a buyer no positive coefficient")
+    new.setflags(write=False)
+    return market._derive(coefficients=new)
 
 
 def apply_event(market: CesMarket, event: PerturbationEvent) -> CesMarket:
     """Return the perturbed market; the original is untouched.
 
-    Only the field the event changes is built and checked: supplies and
-    budgets must stay positive and finite, coefficients finite with a
-    positive entry in every row.  The other fields, and for supply and budget
-    events the cached (1-c) ln a, are shared with `market`.
+    Only the field the event changes is built and checked; the others, and
+    for supply and budget events the cached (1-c) ln a, are shared.
     """
-    if event.channel == UTILITY:
-        if event.payload.shape != market.coefficients.shape:
-            raise ValueError("utility payload must match the coefficient matrix shape")
-        with np.errstate(over="ignore"):
-            new = market.coefficients * event.payload
-        if not np.isfinite(new).all():
-            raise ValueError("utility event would drive a coefficient to infinity")
-        if not (new.max(axis=1) > 0).all():
-            raise ValueError("utility event would leave a buyer no positive coefficient")
-        new.setflags(write=False)
-        return market._derive(coefficients=new)
-    if event.channel == SUPPLY:
-        field, name, size, noun = "supplies", "supply", market.num_goods, "goods"
-    else:
-        field, name, size, noun = "budgets", "budget", market.num_buyers, "buyers"
-    if event.payload.shape != (size,):
-        raise ValueError(f"{name} payload length must equal the number of {noun}")
-    with np.errstate(over="ignore"):
-        new = getattr(market, field) + event.payload
-    if (new <= 0).any():
-        raise ValueError(f"{name} event would drive a {name} non-positive")
-    if not np.isfinite(new).all():
-        raise ValueError(f"{name} event would drive a {name} to infinity")
-    new.setflags(write=False)
-    return market._derive(**{field: new})
+    row = ScheduleColumn(event.channel, [event.round], event.payload[None]).rows(market)[0]
+    return apply_row(market, event.channel, row)
 
 
 @dataclass(frozen=True)
@@ -110,108 +189,73 @@ class ScheduleSpec:
             raise ValueError("start_round and every must be at least 1")
 
 
-@dataclass(frozen=True)
-class PerturbationSchedule:
-    """Ordered event list; at most one event per (round, channel)."""
-
-    events: tuple = ()
-
-    def __post_init__(self):
-        events = tuple(sorted(self.events, key=lambda e: (e.round, e.channel)))
-        by_round: dict = {}
-        seen = set()
-        for e in events:
-            key = (e.round, e.channel)
-            if key in seen:
-                raise ValueError(f"duplicate event for round {e.round}, channel {e.channel}")
-            seen.add(key)
-            by_round.setdefault(e.round, []).append(e)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "_by_round", by_round)
-
-    @property
-    def max_round(self) -> int:
-        return max((e.round for e in self.events), default=0)
-
-    def events_at(self, round_: int) -> list:
-        return self._by_round.get(round_, [])
-
-    def channels(self) -> set:
-        return {e.channel for e in self.events}
-
-
 def generate_schedule(
     spec: ScheduleSpec, market: CesMarket, horizon: int
 ) -> PerturbationSchedule:
-    """Build a schedule from a generator spec, bit-reproducible per seed.
+    """A one-column schedule from one (T, ...) draw, bit-reproducible per seed.
 
-    Additive payload components are drawn with per-component scale
-    magnitude / size so the event's L1 norm stays at or below magnitude;
-    sign flips keep supplies and budgets inside [0.5, 2] x initial value.
+    Utility rows are exponentiated in place.  Additive components are scaled
+    to magnitude / size so an event's L1 norm stays at most magnitude, and
+    in-place sign flips keep supplies and budgets in [0.5, 2] x initial value.
     """
     rng = np.random.default_rng(spec.seed)
-    events = []
-    if spec.channel == SUPPLY:
-        size, low, high = market.num_goods, 0.5 * market.supplies, 2.0 * market.supplies
-        level = market.supplies.copy()
-    elif spec.channel == BUDGET:
-        size, low, high = market.num_buyers, 0.5 * market.budgets, 2.0 * market.budgets
-        level = market.budgets.copy()
+    rounds = np.arange(spec.start_round, horizon + 1, spec.every)
+    if spec.channel == UTILITY:
+        payload = _draw(rng, spec, (rounds.size, *market.coefficients.shape))
+        np.exp(payload, out=payload)
     else:
-        size = market.coefficients.shape
-
-    for t in range(spec.start_round, horizon + 1, spec.every):
-        if spec.channel == UTILITY:
-            logs = _draw(rng, spec, size)
-            events.append(PerturbationEvent(t, UTILITY, np.exp(logs)))
-            continue
-        step = _draw(rng, spec, size) / size
-        # Reflect any component that would leave the validity band.
-        outside = (level + step < low) | (level + step > high)
-        step = np.where(outside, -step, step)
-        level = level + step
-        events.append(PerturbationEvent(t, spec.channel, step))
-    return PerturbationSchedule(events=tuple(events))
+        initial = getattr(market, _ADDITIVE[spec.channel][0])
+        payload = _draw(rng, spec, (rounds.size, initial.size))
+        payload /= initial.size
+        low, high, level = 0.5 * initial, 2.0 * initial, initial.copy()
+        for step in payload:
+            # Reflect any component that would leave the validity band.
+            moved = level + step
+            np.negative(step, out=step, where=(moved < low) | (moved > high))
+            level += step
+    return PerturbationSchedule((ScheduleColumn(spec.channel, rounds, payload),))
 
 
 def _draw(rng: np.random.Generator, spec: ScheduleSpec, size) -> np.ndarray:
     if spec.distribution == "uniform":
         return rng.uniform(-spec.magnitude, spec.magnitude, size=size)
     draws = rng.normal(0.0, spec.magnitude / 2.0, size=size)
-    return np.clip(draws, -spec.magnitude, spec.magnitude)
+    return np.clip(draws, -spec.magnitude, spec.magnitude, out=draws)
 
 
 # ---------------------------------------------------------------------------
-# Worst-case potential jumps at fixed prices, per (potential, channel) pair.
+# Worst-case potential jumps at fixed prices, per (potential, channel) pair,
+# of a `PerturbationEvent` or, row by row and bit for bit, a `ScheduleColumn`.
 # ---------------------------------------------------------------------------
 
 
-def _require(event: PerturbationEvent, channel: str):
+def _require(event, channel: str):
     if event.channel != channel:
         raise ValueError(f"expected a {channel} event, got {event.channel}")
 
 
-def delta_ms_supply(event: PerturbationEvent, price_cap: float) -> float:
+def delta_ms_supply(event, price_cap: float):
     """Misspending jump cap under a supply change: price_cap * l1(payload)."""
     _require(event, SUPPLY)
     if price_cap <= 0:
         raise ValueError("price_cap must be positive")
-    return float(price_cap * np.abs(event.payload).sum())
+    return price_cap * np.abs(event.payload).sum(axis=-1)
 
 
-def delta_ms_budget(event: PerturbationEvent) -> float:
+def delta_ms_budget(event):
     """Misspending jump cap under a budget change: l1(payload)."""
     _require(event, BUDGET)
-    return float(np.abs(event.payload).sum())
+    return np.abs(event.payload).sum(axis=-1)
 
 
-def _worst_factor(event: PerturbationEvent, exponents: np.ndarray) -> float:
+def _worst_factor(event, exponents: np.ndarray):
     """max over entries of factor^(+/- exponent_i), always at least 1."""
-    logs = np.abs(np.log(event.payload)) * exponents[:, None]
-    return float(np.exp(logs.max()))
+    logs = np.abs(np.log(event.payload))
+    logs *= exponents[:, None]
+    return np.exp(logs.max(axis=(-2, -1)))
 
 
-def delta_ms_utility(event: PerturbationEvent, market: CesMarket) -> float:
+def delta_ms_utility(event, market: CesMarket):
     """Misspending jump cap under coefficient rescaling.
 
     The worst single-buyer spending reshuffle from factors within
@@ -222,10 +266,10 @@ def delta_ms_utility(event: PerturbationEvent, market: CesMarket) -> float:
     if (market.rho >= 1).any():
         raise ValueError("utility jump caps need rho < 1 for every buyer")
     gamma = _worst_factor(event, 1.0 / (1.0 - market.rho))
-    return float(market.total_budget * 2.0 * (gamma - 1.0) / (gamma + 1.0))
+    return market.total_budget * 2.0 * (gamma - 1.0) / (gamma + 1.0)
 
 
-def delta_cpf_supply(event: PerturbationEvent, price_cap: float, market: CesMarket) -> float:
+def delta_cpf_supply(event, price_cap: float, market: CesMarket):
     """Convex-potential jump cap under a supply change: (P + B) * l1(payload).
 
     The extra B term covers the shift of the potential's minimum value.
@@ -233,10 +277,10 @@ def delta_cpf_supply(event: PerturbationEvent, price_cap: float, market: CesMark
     _require(event, SUPPLY)
     if price_cap <= 0:
         raise ValueError("price_cap must be positive")
-    return float((price_cap + market.total_budget) * np.abs(event.payload).sum())
+    return (price_cap + market.total_budget) * np.abs(event.payload).sum(axis=-1)
 
 
-def delta_cpf_budget(event: PerturbationEvent, c_prime: float) -> float:
+def delta_cpf_budget(event, c_prime: float):
     """Convex-potential jump cap under a budget change: C' * l1(payload).
 
     C' bounds |ln(Q_i at equilibrium / Q_i at current prices)| over the run;
@@ -245,10 +289,10 @@ def delta_cpf_budget(event: PerturbationEvent, c_prime: float) -> float:
     _require(event, BUDGET)
     if c_prime <= 0:
         raise ValueError("c_prime must be positive")
-    return float(c_prime * np.abs(event.payload).sum())
+    return c_prime * np.abs(event.payload).sum(axis=-1)
 
 
-def delta_cpf_utility(event: PerturbationEvent, market: CesMarket) -> float:
+def delta_cpf_utility(event, market: CesMarket):
     """Convex-potential jump cap under coefficient rescaling: 2B ln(chi).
 
     chi is the worst unit-cost ratio, measured with the per-buyer exponent
@@ -256,7 +300,7 @@ def delta_cpf_utility(event: PerturbationEvent, market: CesMarket) -> float:
     """
     _require(event, UTILITY)
     chi = _worst_factor(event, 1.0 / np.abs(market.rho))
-    return float(2.0 * market.total_budget * np.log(chi))
+    return 2.0 * market.total_budget * np.log(chi)
 
 
 def calibrate_c_prime(

@@ -31,8 +31,9 @@ from .market import CesMarket
 from .perturbation import (
     BUDGET,
     SUPPLY,
+    UTILITY,
     PerturbationSchedule,
-    apply_event,
+    apply_row,
     coefficient_share_floor,
     delta_prd_utility,
 )
@@ -298,8 +299,10 @@ def run_prd_trace(
     """Simulate bid dynamics while supplies and utility coefficients drift.
 
     Supply events are first folded into utility coefficients (unit-supply
-    normalisation), budget events are rejected.  Round t: update bids against
-    the previous market, apply events, re-solve the per-round equilibrium
+    normalisation), budget events are rejected; each column's rows
+    (`ScheduleColumn.rows`) are checked once, before round 1.  Round t:
+    update bids against the previous market, apply the round's rows,
+    re-solve the per-round equilibrium
     (warm-started; cached on static rounds), then record the potential gap,
     the KL distance to equilibrium, the per-round jump cap `delta_prd_utility`
     (its `coefficient_share_floor` taken over rounds seen so far), the cumulative
@@ -324,6 +327,10 @@ def run_prd_trace(
     # Checked once: events keep rho; a round keeps bids on the support, rows at the budgets.
     market = reduce_supply_to_utility(market0)
     bids = check_bids(market, bids0)
+    due = [[] for _ in range(horizon + 1)]  # per round, its (channel, row) pairs in order
+    for column in schedule.columns:  # a supply row is one step on unit supplies
+        for t, row in zip(column.rounds.tolist(), column.rows(market, cumulative=False)):
+            due[t].append((column.channel, row))
     eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE)
     # The state (`_round`) and kept work arrays; bids0 is never one.
     shifted, logits, weights, terms = (np.empty(bids.shape) for _ in range(4))
@@ -341,19 +348,16 @@ def run_prd_trace(
     recurrence = np.empty(horizon, dtype=bool)
     for t in range(horizon):
         shifted, logits, scale = logits, shifted, next_scale
-        events = schedule.events_at(t + 1)
+        logs = None  # ln of the round's coefficient factors, summed over its columns
+        for channel, row in due[t + 1]:
+            factor_logs = np.log(row)
+            if channel == SUPPLY:  # supplies w fold into the coefficients as w^rho
+                factor_logs = market.rho[:, None] * factor_logs
+                row = np.exp(factor_logs)
+            market = apply_row(market, UTILITY, row)
+            logs = factor_logs if logs is None else logs + factor_logs
         eps_t = 0.0
-        if events:
-            logs = None  # ln of the round's coefficient factors, summed over its events
-            for event in events:
-                if event.channel == SUPPLY:
-                    perturbed = apply_event(market, event)
-                    factor_logs = market.rho[:, None] * np.log(perturbed.supplies)[None, :]
-                    market = reduce_supply_to_utility(perturbed)
-                else:
-                    factor_logs = np.log(event.payload)
-                    market = apply_event(market, event)
-                logs = factor_logs if logs is None else logs + factor_logs
+        if logs is not None:
             eps_t = max(float(logs.max()), float(-logs.min()))
             min_share = np.minimum(min_share, coefficient_share_floor(market))
             eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE, previous=eq)

@@ -29,7 +29,8 @@ from .perturbation import (
     BUDGET,
     SUPPLY,
     PerturbationSchedule,
-    apply_event,
+    ScheduleColumn,
+    apply_row,
     delta_cpf_budget,
     delta_cpf_supply,
     delta_cpf_utility,
@@ -141,8 +142,8 @@ def dynamics(market, config):
     return _update_cpf, cpf
 
 
-def jump_cap(event, market, variant, price_cap, c_prime) -> float:
-    """Closed-form cap on the potential jump `event` causes on `market`."""
+def jump_cap(event, market, variant, price_cap, c_prime):
+    """Closed-form cap on the jump `event` (or each row of a column) causes on `market`."""
     if variant == MISSPENDING:
         if event.channel == SUPPLY:
             return delta_ms_supply(event, price_cap)
@@ -158,38 +159,6 @@ def jump_cap(event, market, variant, price_cap, c_prime) -> float:
             )
         return delta_cpf_budget(event, c_prime)
     return delta_cpf_utility(event, market)
-
-
-def apply_round_events(
-    market: CesMarket, events, config: TatonnementConfig
-) -> tuple[CesMarket, float]:
-    """Apply one round's events in order and total their jump caps."""
-    total = 0.0
-    for event in events:
-        total += jump_cap(
-            event, market, config.variant, config.price_cap, config.c_prime
-        )
-        _warn_if_untraceable(market, event, config.lam)
-        market = apply_event(market, event)
-    return market, total
-
-
-def _warn_if_untraceable(market, event, lam):
-    # A uniform multiplicative supply shrink moves clearing prices up faster
-    # than the capped update can follow unless (1 + lam) * factor > 1.
-    if event.channel != SUPPLY:
-        return
-    factors = (market.supplies + event.payload) / market.supplies
-    first = factors[0]
-    if first < 1.0 and (1.0 + lam) * first <= 1.0:
-        # np.allclose(factors, first, rtol=1e-12) written out; atol is 1e-8.
-        if (np.abs(factors - first) <= 1e-8 + 1e-12 * abs(first)).all():
-            warnings.warn(
-                "uniform supply shrink outpaces the capped price update; "
-                "equilibrium tracing is implausible at this step size",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
 
 def fit_contraction(
@@ -247,9 +216,10 @@ def run_tatonnement_trace(
 
     Each round evaluates demand once, through `demand`, which is also the
     round's only price validation: the demand that measures the potential at
-    (market_t, p_t) drives the update of round t+1.  Events build the next
-    market without re-validating the fields they leave alone (see
-    `apply_event`), and each market's (1-c) ln a is computed at most once.
+    (market_t, p_t) drives the update of round t+1.  Schedule work is done
+    once, before round 1: each column's rows (`ScheduleColumn.rows`, levels
+    cumulative from market0), every round's jump cap and the uniform-shrink
+    warning; a round applies its rows (`apply_row`).
 
     `delta` is supplied or fitted beforehand with `fit_contraction`, whose
     final prices are then the natural `prices0`.
@@ -264,14 +234,47 @@ def run_tatonnement_trace(
     if float(profile.prices.max()) > config.price_cap:
         raise ValueError("price cap must be at least the largest initial price")
 
+    rows = {c.channel: c.rows(market0) for c in schedule.columns}
+    # Every round's summed jump caps, one `jump_cap` call per column: a cap may
+    # read the total budget, so rows after the k-th budget event see its budgets.
+    jumps = np.zeros(horizon)
+    budget_rounds = schedule.columns[0].rounds if BUDGET in rows else []  # channel order
+    for column in schedule.columns:
+        cuts = [] if column.channel == BUDGET else np.searchsorted(column.rounds, budget_rounds)
+        for k, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(column.rounds)])):
+            part = column if hi - lo == len(column.rounds) else ScheduleColumn(
+                column.channel, column.rounds[lo:hi], column.payload[lo:hi]
+            )
+            market = market0 if k == 0 else apply_row(market0, BUDGET, rows[BUDGET][k - 1])
+            caps = jump_cap(part, market, config.variant, config.price_cap, config.c_prime)
+            jumps[part.rounds - 1] += caps
+    if SUPPLY in rows:
+        # A uniform multiplicative supply shrink outpaces the capped update unless
+        # (1 + lam) * factor > 1.  Uniform: np.allclose(rtol=1e-12, atol=1e-8).
+        levels = rows[SUPPLY]
+        first = levels[:, 0] / np.append(market0.supplies[0], levels[:-1, 0])
+        for k in np.flatnonzero((first < 1.0) & ((1.0 + config.lam) * first <= 1.0)):
+            factors = levels[k] / (levels[k - 1] if k else market0.supplies)
+            if (np.abs(factors - first[k]) <= 1e-8 + 1e-12 * abs(first[k])).all():
+                warnings.warn(
+                    "uniform supply shrink outpaces the capped price update; equilibrium "
+                    "tracing is implausible at this step size", RuntimeWarning
+                )
+                break
+    due = [[] for _ in range(horizon + 1)]  # per round, its (channel, row) pairs in order
+    for column in schedule.columns:
+        for t, row in zip(column.rounds.tolist(), rows[column.channel]):
+            due[t].append((column.channel, row))
+
     market = market0
     update, potential = dynamics(market0, config)
     initial = potential(profile)
 
-    phis, jumps, highs, lows = (np.empty(horizon) for _ in range(4))
+    phis, highs, lows = (np.empty(horizon) for _ in range(3))
     for t in range(horizon):
         prices = update(profile, config.lam)
-        market, jumps[t] = apply_round_events(market, schedule.events_at(t + 1), config)
+        for channel, row in due[t + 1]:
+            market = apply_row(market, channel, row)
         profile = demand(market, prices)
         phis[t] = potential(profile)
         highs[t] = prices.max()

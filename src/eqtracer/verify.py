@@ -36,9 +36,10 @@ from .perturbation import (
     SUPPLY,
     UTILITY,
     PerturbationEvent,
-    PerturbationSchedule,
+    ScheduleColumn,
     ScheduleSpec,
     apply_event,
+    apply_row,
     calibrate_c_prime,
     extremize_shares,
     generate_schedule,
@@ -163,17 +164,14 @@ def check_static_cpf(markets: int = 50) -> CheckResult:
 
 
 def _random_event(rng, market, channel):
-    if channel == SUPPLY:
-        eps = rng.uniform(-1.0, 1.0, market.num_goods)
-        eps *= 0.1 / max(np.abs(eps).sum(), 1.0)
-        return PerturbationEvent(1, SUPPLY, eps)
+    if channel == UTILITY:
+        logs = rng.uniform(-0.1, 0.1, market.coefficients.shape)
+        return PerturbationEvent(1, UTILITY, np.exp(logs))
+    eps = rng.uniform(-1.0, 1.0, market.num_goods if channel == SUPPLY else market.num_buyers)
+    eps *= 0.1 / max(np.abs(eps).sum(), 1.0)
     if channel == BUDGET:
-        eps = rng.uniform(-1.0, 1.0, market.num_buyers)
-        eps *= 0.1 / max(np.abs(eps).sum(), 1.0)
         eps = np.maximum(eps, -0.4 * market.budgets)
-        return PerturbationEvent(1, BUDGET, eps)
-    logs = rng.uniform(-0.1, 0.1, market.coefficients.shape)
-    return PerturbationEvent(1, UTILITY, np.exp(logs))
+    return PerturbationEvent(1, channel, eps)
 
 
 def check_delta_domination(trials: int = 200) -> CheckResult:
@@ -368,6 +366,7 @@ def check_supply_reduction(instances: int = 20, rounds: int = 500) -> CheckResul
         m, n = _sizes(rng)
         market = random_market(rng, m, n, 0.2, 0.8)
         drift = rng.uniform(-0.002, 0.002, size=(rounds, n))
+        supplies = ScheduleColumn(SUPPLY, np.arange(1, rounds + 1), drift).rows(market)
         bids_a = proportional_bids(market)
         bids_b = bids_a.copy()
         market_a = market
@@ -377,8 +376,7 @@ def check_supply_reduction(instances: int = 20, rounds: int = 500) -> CheckResul
             bids_a = prd_step(bids_a, market_a)
             bids_b = prd_step(bids_b, market_b)
             err = max(err, float(np.abs(bids_a - bids_b).max()))
-            event = PerturbationEvent(1, SUPPLY, drift[t])
-            market_a = apply_event(market_a, event)
+            market_a = apply_row(market, SUPPLY, supplies[t])
             market_b = reduce_supply_to_utility(market_a)
         worst = max(worst, err)
         if err > 1e-9:

@@ -113,6 +113,21 @@ def test_simulation_error_exits_3(tmp_path, capsys):
     assert "simulation error" in capsys.readouterr().err
 
 
+def test_schedule_leaving_valid_supplies_exits_3_before_any_output(tmp_path, capsys):
+    # The cumulative supply of good 0 (at most 2) turns negative by round 5; levels
+    # are checked before round 1, with the single-event message.
+    events = [
+        {"round": t, "channel": "supply-additive", "payload": [-0.4, 0.0, 0.0, 0.0]}
+        for t in range(1, 6)
+    ]
+    config = {**BASE, "horizon": 10, "schedule": {"events": events}}
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_SIMULATION
+    assert "supply event would drive a supply non-positive" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_unwritable_output_exits_3_for_one_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", BASE)
     blocker = tmp_path / "file"
@@ -681,6 +696,44 @@ def test_tatonnement_trace_is_independent_of_blas_threads(tmp_path):
         )
         traces.append((out / "trace.csv").read_bytes())
     assert traces[0] == traces[1]
+
+
+# sha256 of (trace.csv, report.json) of two large configs, where schedule
+# handling acts per payload row.  The PRD market stays at 80 goods: from
+# about 100 goods its trace depends on the BLAS thread count (ROADMAP item 1).
+LARGE_CONFIGS = {
+    "tatonnement-ms": {
+        "horizon": 40,
+        "market": {"random": {"m": 200, "n": 200, "seed": 11}},
+        "schedule": {"generator": {"channel": "supply-additive", "magnitude": 0.01, "seed": 12}},
+        "bounds": {"warmup_rounds": 20},
+    },
+    "prd": {
+        "horizon": 20,
+        "market": {"random": {"m": 80, "n": 80, "seed": 13, "unit_supplies": True}},
+        "schedule": {"generator": {**verify._UTILITY_DRIFT, "seed": 14}},
+        "bounds": {"fit_rounds": 20},
+    },
+}
+LARGE_DIGESTS = {
+    "tatonnement-ms": (
+        "e5a2557e68b2b657cd26ff1c298ba8ee89e243fe76dd7158946a623ea25d0b31",
+        "bf71fd10e1fc36ce0f8185ac1438481c740b2dd046d3cc6ebc801e381f3e8a12",
+    ),
+    "prd": (
+        "c431e6eaee1e5e7f421f662da2d7711f32276eaf7a32a970bf77a7d2818c3bca",
+        "b77f6f6503172aeee3f373ec236071affb6770829ef336bdd22d451060a55190",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", LARGE_DIGESTS)
+def test_large_configs_match_golden_digests(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, "c.json", {"kind": kind, **LARGE_CONFIGS[kind]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    got = (file_sha256(out / "trace.csv"), file_sha256(out / "report.json"))
+    assert got == LARGE_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", SUPPLIED_DIGESTS)

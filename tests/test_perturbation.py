@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from itertools import product
 
 import numpy as np
@@ -7,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from eqtracer import (
     BUDGET,
+    CHANNELS,
     SUPPLY,
     UTILITY,
     CesMarket,
     PerturbationEvent,
     PerturbationSchedule,
+    ScheduleColumn,
     ScheduleSpec,
     apply_event,
     calibrate_c_prime,
@@ -27,9 +31,12 @@ from eqtracer import (
     extremize_shares,
     generate_schedule,
     share_deviation,
+    run_tatonnement_trace,
     solve_equilibrium,
 )
+from eqtracer import tatonnement
 from eqtracer.instances import random_market, uniform_prices
+from eqtracer.tatonnement import TatonnementConfig, default_step_size, jump_cap
 
 
 FIELDS = ("budgets", "supplies", "rho", "coefficients")
@@ -127,44 +134,76 @@ class TestEvents:
         assert not np.array_equal(got_bound, cached[1])
 
 
+def rows_of(schedule):
+    """(round, payload row) of a one-column schedule, in round order."""
+    (column,) = schedule.columns
+    return list(zip(column.rounds.tolist(), column.payload))
+
+
 class TestSchedules:
     def test_duplicate_round_channel_rejected(self):
         events = (event(SUPPLY, [0.1, 0.0]), event(SUPPLY, [0.0, 0.1]))
-        with pytest.raises(ValueError, match="duplicate"):
-            PerturbationSchedule(events=events)
+        message = "duplicate event for round 1, channel supply-additive"
+        with pytest.raises(ValueError, match=message):
+            PerturbationSchedule.from_events(events)
+
+    def test_column_rounds_must_increase_and_start_at_one(self):
+        with pytest.raises(ValueError, match="1-based and increase"):
+            ScheduleColumn(SUPPLY, [3, 2], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="1-based"):
+            ScheduleColumn(SUPPLY, [0, 2], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="row per round"):
+            ScheduleColumn(SUPPLY, [1, 2, 3], np.zeros((2, 2)))
+
+    def test_column_payload_checked_once_and_frozen_in_place(self):
+        payload = np.full((3, 2, 2), 1.01)
+        column = ScheduleColumn(UTILITY, [1, 2, 3], payload)
+        assert column.payload is payload and not payload.flags.writeable
+        for bad, message in (
+            (np.full((3, 2), 1.0), "2-d"),
+            (np.full((3, 2, 2), -1.0), "positive"),
+            (np.full((3, 2, 2), np.inf), "finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ScheduleColumn(UTILITY, [1, 2, 3], bad)
 
     def test_generator_reproducible(self):
         market = random_market(4, 3, 4)
         spec = ScheduleSpec(channel=SUPPLY, magnitude=0.05, seed=11)
         a = generate_schedule(spec, market, 50)
         b = generate_schedule(spec, market, 50)
-        assert len(a.events) == len(b.events) == 50
-        for ea, eb in zip(a.events, b.events):
-            assert np.array_equal(ea.payload, eb.payload)
+        assert len(rows_of(a)) == len(rows_of(b)) == 50
+        for (ra, pa), (rb, pb) in zip(rows_of(a), rows_of(b)):
+            assert ra == rb and np.array_equal(pa, pb)
 
     def test_generator_respects_magnitude_and_validity(self):
         market = random_market(5, 3, 4)
         spec = ScheduleSpec(channel=SUPPLY, magnitude=0.05, seed=12)
         schedule = generate_schedule(spec, market, 500)
         supplies = market.supplies.copy()
-        for e in schedule.events:
-            assert np.abs(e.payload).sum() <= 0.05 + 1e-12
-            supplies = supplies + e.payload
+        for _, payload in rows_of(schedule):
+            assert np.abs(payload).sum() <= 0.05 + 1e-12
+            supplies = supplies + payload
             assert np.all(supplies > 0)
 
     def test_utility_generator_bounds_log_factors(self):
         market = random_market(6, 2, 3)
         spec = ScheduleSpec(channel=UTILITY, magnitude=0.01, seed=13)
         schedule = generate_schedule(spec, market, 100)
-        for e in schedule.events:
-            assert np.all(np.abs(np.log(e.payload)) <= 0.01 + 1e-12)
+        assert np.all(np.abs(np.log(schedule.columns[0].payload)) <= 0.01 + 1e-12)
 
     @pytest.mark.parametrize("channel", [SUPPLY, BUDGET, UTILITY])
     def test_events_fall_on_start_round_then_every(self, channel):
         market = random_market(7, 3, 4)
         spec = ScheduleSpec(channel, 0.01, seed=14, start_round=3, every=4)
         schedule = generate_schedule(spec, market, 20)
-        assert [e.round for e in schedule.events] == [3, 7, 11, 15, 19]
+        assert [r for r, _ in rows_of(schedule)] == [3, 7, 11, 15, 19]
+
+    def test_schedule_without_rounds_has_no_channels(self):
+        market = random_market(7, 3, 4)
+        schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=14, start_round=9), market, 8)
+        assert schedule.columns == () and schedule.channels() == set()
+        assert schedule.max_round == 0
 
     @pytest.mark.parametrize("channel", [SUPPLY, BUDGET, UTILITY])
     def test_gaussian_payloads_respect_magnitude(self, channel):
@@ -172,13 +211,13 @@ class TestSchedules:
         # magnitude, so over 200 events some draws reach the clip.
         market = random_market(8, 3, 4)
         spec = ScheduleSpec(channel, 0.05, seed=15, distribution="gaussian")
-        events = generate_schedule(spec, market, 200).events
+        payload = generate_schedule(spec, market, 200).columns[0].payload
         if channel == UTILITY:
-            draws = np.array([np.abs(np.log(e.payload)) for e in events])
+            draws = np.abs(np.log(payload))
         else:
             # Additive components are draws over the payload size.
-            assert max(np.abs(e.payload).sum() for e in events) <= 0.05 * (1 + 1e-12)
-            draws = np.array([np.abs(e.payload) * e.payload.size for e in events])
+            assert np.abs(payload).sum(axis=1).max() <= 0.05 * (1 + 1e-12)
+            draws = np.abs(payload) * payload.shape[1]
         assert draws.max() <= 0.05 * (1 + 1e-12)
         assert draws.max() == pytest.approx(0.05, rel=1e-12)
 
@@ -188,7 +227,7 @@ class TestSchedules:
 
         def payloads(seed):
             spec = ScheduleSpec(UTILITY, 0.05, seed, distribution=distribution, every=2)
-            return [e.payload for e in generate_schedule(spec, market, 30).events]
+            return [payload for _, payload in rows_of(generate_schedule(spec, market, 30))]
 
         same, again, other = payloads(16), payloads(16), payloads(17)
         assert all(np.array_equal(x, y) for x, y in zip(same, again, strict=True))
@@ -389,3 +428,195 @@ class TestMeasuredJumps:
             demand(market, prices).cpf - before.psi_star
         )
         assert measured <= delta_cpf_budget(ev, c_prime) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-round schedule path, one PerturbationEvent per round, as
+# generate_schedule and the tatonnement runner's apply_round_events had it.
+# Columnar schedules must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_schedule(spec, market, horizon):
+    """One draw and one validated PerturbationEvent per event round."""
+    rng = np.random.default_rng(spec.seed)
+
+    def draw(size):
+        if spec.distribution == "uniform":
+            return rng.uniform(-spec.magnitude, spec.magnitude, size=size)
+        draws = rng.normal(0.0, spec.magnitude / 2.0, size=size)
+        return np.clip(draws, -spec.magnitude, spec.magnitude)
+
+    events = []
+    if spec.channel == SUPPLY:
+        size, low, high = market.num_goods, 0.5 * market.supplies, 2.0 * market.supplies
+        level = market.supplies.copy()
+    elif spec.channel == BUDGET:
+        size, low, high = market.num_buyers, 0.5 * market.budgets, 2.0 * market.budgets
+        level = market.budgets.copy()
+    else:
+        size = market.coefficients.shape
+    for t in range(spec.start_round, horizon + 1, spec.every):
+        if spec.channel == UTILITY:
+            events.append(PerturbationEvent(t, UTILITY, np.exp(draw(size))))
+            continue
+        step = draw(size) / size
+        outside = (level + step < low) | (level + step > high)
+        step = np.where(outside, -step, step)
+        level = level + step
+        events.append(PerturbationEvent(t, spec.channel, step))
+    return events
+
+
+def reference_round_events(market, events, config):
+    """One round's events in (channel) order: cap, shrink test, apply_event."""
+    total, shrinks = 0.0, False
+    for ev in events:
+        total += jump_cap(ev, market, config.variant, config.price_cap, config.c_prime)
+        if ev.channel == SUPPLY:
+            factors = (market.supplies + ev.payload) / market.supplies
+            first = factors[0]
+            shrinks |= bool(
+                first < 1.0 and (1.0 + config.lam) * first <= 1.0
+                and (np.abs(factors - first) <= 1e-8 + 1e-12 * abs(first)).all()
+            )
+        market = apply_event(market, ev)
+    return market, total, shrinks
+
+
+def reference_run(market, events, config, horizon):
+    """Per round: the market after its events, and its summed jump cap."""
+    by_round = {}
+    for ev in sorted(events, key=lambda e: (e.round, e.channel)):
+        by_round.setdefault(ev.round, []).append(ev)
+    markets, jumps, shrinks = [], [], False
+    for t in range(1, horizon + 1):
+        market, jump, shrink = reference_round_events(market, by_round.get(t, []), config)
+        markets.append(market)
+        jumps.append(jump)
+        shrinks |= shrink
+    return markets, np.array(jumps), shrinks
+
+
+def columnar_run(market, schedule, config, horizon, monkeypatch):
+    """The runner's per-round markets (read at each demand call) and jump caps."""
+    seen = []
+
+    def recording(m, prices):
+        seen.append(m)
+        return demand(m, prices)
+
+    monkeypatch.setattr(tatonnement, "demand", recording)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run_tatonnement_trace(
+            market, uniform_prices(market), config, schedule, 0.5, horizon
+        )
+    monkeypatch.undo()
+    shrinks = any("uniform supply shrink" in str(w.message) for w in caught)
+    return seen[1:], trace.delta, shrinks
+
+
+def assert_runs_match(market, events, schedule, config, horizon, monkeypatch):
+    try:
+        want = reference_run(market, events, config, horizon)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            columnar_run(market, schedule, config, horizon, monkeypatch)
+        return
+    got = columnar_run(market, schedule, config, horizon, monkeypatch)
+    assert len(got[0]) == len(want[0]) == horizon
+    for a, b in zip(got[0], want[0]):
+        for f in ("supplies", "budgets", "coefficients"):
+            assert np.array_equal(getattr(a, f), getattr(b, f)), f
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+def _config(market, variant):
+    if variant == "misspending":
+        return TatonnementConfig(
+            lam=default_step_size(market), price_cap=2 * market.total_budget
+        )
+    return TatonnementConfig(
+        lam=0.05, variant="cpf", price_cap=2 * market.total_budget, c_prime=1.5
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    channel=st.sampled_from(CHANNELS),
+    distribution=st.sampled_from(["uniform", "gaussian"]),
+    variant=st.sampled_from(["misspending", "cpf"]),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    magnitude=st.sampled_from([0.0, 0.01, 0.3, 4.0]),
+    start_round=st.integers(1, 4),
+    every=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_columnar_schedule_matches_per_event_oracle(
+    channel, distribution, variant, m, n, magnitude, start_round, every, seed
+):
+    market = random_market(seed, m, n, unit_supplies=variant == "cpf")
+    horizon = 10
+    spec = ScheduleSpec(channel, magnitude, seed, distribution, start_round, every)
+    schedule = generate_schedule(spec, market, horizon)
+    events = reference_schedule(spec, market, horizon)
+    got = rows_of(schedule) if events else []
+    assert [r for r, _ in got] == [e.round for e in events]
+    for (_, row), ev in zip(got, events):
+        assert np.array_equal(row, ev.payload)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_runs_match(market, events, schedule, _config(market, variant), horizon, monkeypatch)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    variant=st.sampled_from(["misspending", "cpf"]),
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    draws=st.lists(
+        st.tuples(st.integers(1, 8), st.sampled_from(CHANNELS), st.integers(0, 2**16)),
+        max_size=12,
+    ),
+)
+def test_explicit_events_match_per_event_oracle(variant, m, n, draws):
+    # Several channels per round, budget events among them: the caps that
+    # read the total budget see the budgets of their own round.
+    market = random_market(m + 10 * n, m, n, unit_supplies=variant == "cpf")
+    triples, seen = [], set()
+    for round_, channel, seed in draws:
+        if (round_, channel) in seen:
+            continue
+        seen.add((round_, channel))
+        rng = np.random.default_rng(seed)
+        if channel == UTILITY:
+            payload = np.exp(rng.uniform(-0.05, 0.05, (m, n)))
+        else:
+            payload = rng.uniform(-0.05, 0.05, n if channel == SUPPLY else m)
+        triples.append((round_, channel, payload))
+    events = [PerturbationEvent(*triple) for triple in triples]
+    schedule = PerturbationSchedule.from_events(events)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_runs_match(market, events, schedule, _config(market, variant), 8, monkeypatch)
+
+
+@pytest.mark.parametrize("magnitude", [0.01, 100.0, 150.0])
+def test_large_supply_schedule_matches_per_event_oracle(monkeypatch, magnitude):
+    # 200 goods.  At magnitude 100 a step component is up to 0.5 against
+    # supplies in [0.5, 2], so over a hundred components reflect; at 150 a
+    # reflected walk still drives a supply negative, which both paths reject
+    # with the same message.
+    market = random_market(17, 200, 200)
+    spec = ScheduleSpec(SUPPLY, magnitude, seed=18)
+    schedule = generate_schedule(spec, market, 6)
+    events = reference_schedule(spec, market, 6)
+    for (_, row), ev in zip(rows_of(schedule), events, strict=True):
+        assert np.array_equal(row, ev.payload)
+    raw = np.random.default_rng(18).uniform(-magnitude, magnitude, (6, 200))
+    reflected = sum(
+        int(np.count_nonzero(np.sign(ev.payload) != np.sign(r))) for ev, r in zip(events, raw)
+    )
+    assert (reflected > 100) == (magnitude > 1)
+    assert_runs_match(market, events, schedule, _config(market, "misspending"), 6, monkeypatch)

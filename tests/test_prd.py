@@ -13,6 +13,7 @@ from eqtracer import (
     PerturbationEvent,
     PerturbationSchedule,
     PrdBoundConfig,
+    ScheduleColumn,
     ScheduleSpec,
     apply_event,
     check_bids,
@@ -81,6 +82,15 @@ def oracle_step(bids, market, rounds):
     return bids
 
 
+def events_at(schedule, t):
+    """Round t's rows of a columnar schedule as single events, in channel order."""
+    return [
+        PerturbationEvent(t, c.channel, c.payload[k])
+        for c in schedule.columns
+        for k in np.flatnonzero(c.rounds == t)
+    ]
+
+
 def oracle_trace(market, bids, schedule, horizon):
     """Gap, KL and price columns of `run_prd_trace` under utility events."""
     eq = solve_equilibrium(market, tolerance=prd.SOLVER_TOLERANCE)
@@ -89,8 +99,8 @@ def oracle_trace(market, bids, schedule, horizon):
     columns = []
     for t in range(1, horizon + 1):
         bids = step
-        if schedule.events_at(t):
-            for event in schedule.events_at(t):
+        if events_at(schedule, t):
+            for event in events_at(schedule, t):
                 market = apply_event(market, event)
             eq = solve_equilibrium(market, tolerance=prd.SOLVER_TOLERANCE, previous=eq)
             g_star = oracle_logs_and_g(market, eq.bids)[1]
@@ -291,9 +301,7 @@ class TestFitAndTrace:
 
     def test_budget_events_rejected(self):
         market = random_market(11, 2, 3, unit_supplies=True)
-        schedule = PerturbationSchedule(
-            events=(PerturbationEvent(1, BUDGET, np.zeros(2)),)
-        )
+        schedule = PerturbationSchedule.from_events([PerturbationEvent(1, BUDGET, np.zeros(2))])
         with pytest.raises(ValueError, match="budget"):
             run_prd_trace(
                 market, proportional_bids(market), schedule, PrdBoundConfig(0.5, 1.0), 2
@@ -315,13 +323,10 @@ class TestFitAndTrace:
         static = run_prd_trace(
             market, proportional_bids(market), PerturbationSchedule(), bound, 50
         )
-        zero_events = tuple(
-            PerturbationEvent(t, UTILITY, np.ones_like(market.coefficients))
-            for t in range(1, 51)
-        )
+        zero_events = ScheduleColumn(UTILITY, np.arange(1, 51), np.ones((50, 3, 3)))
         nulled = run_prd_trace(
             market, proportional_bids(market),
-            PerturbationSchedule(events=zero_events), bound, 50,
+            PerturbationSchedule((zero_events,)), bound, 50,
         )
         for name in ("potential", "kl_to_equilibrium", "bound"):
             assert np.array_equal(getattr(static, name), getattr(nulled, name)), name
@@ -556,7 +561,7 @@ def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
         monkeypatch.setattr(prd, name, refused)
     round_calls.clear()
     run_prd_trace(market, bids, schedule, bound, 12)
-    resolves = sum(1 for t in range(1, 13) if schedule.events_at(t))
+    resolves = sum(1 for t in range(1, 13) if events_at(schedule, t))
     assert resolves > 0
     assert g_only_calls() == 1 + resolves  # g* per solve
     assert len(round_calls) == 1 + 12
@@ -644,7 +649,7 @@ def test_runner_charges_the_public_cap(monkeypatch):
     market = random_market(14, 3, 4, unit_supplies=True)
     drift = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=3), market, 40)
     supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=4, every=3), market, 40)
-    schedule = PerturbationSchedule(events=drift.events + supply.events)
+    schedule = PerturbationSchedule(drift.columns + supply.columns)
     bound = PrdBoundConfig.closed_form(market)
     bids = prd_step(proportional_bids(market), market, rounds=200)
     intact = run_prd_trace(market, bids, schedule, bound, 40)
@@ -654,6 +659,38 @@ def test_runner_charges_the_public_cap(monkeypatch):
     assert (intact.delta > 0).all()
     assert np.array_equal(halved.delta, 0.5 * intact.delta)
     assert np.array_equal(halved.potential, intact.potential)
+
+
+def test_runner_rounds_match_per_event_application(monkeypatch):
+    # Supply and utility columns, some rounds carrying both: every round's
+    # market and drift equal the ones applying its events one by one gave.
+    market = random_market(14, 3, 4, unit_supplies=True)
+    drift = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=3, every=2), market, 40)
+    supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=4, every=3), market, 40)
+    schedule = PerturbationSchedule(drift.columns + supply.columns)
+    seen = []
+    cap = prd.delta_prd_utility
+    monkeypatch.setattr(
+        prd, "delta_prd_utility", lambda m, s, eps: seen.append((m, eps)) or cap(m, s, eps)
+    )
+    bids = prd_step(proportional_bids(market), market, rounds=20)
+    run_prd_trace(market, bids, schedule, PrdBoundConfig.closed_form(market), 40)
+    assert len(seen) == 40
+    for t, (got, eps) in enumerate(seen, start=1):
+        logs = None
+        for event in events_at(schedule, t):
+            if event.channel == SUPPLY:
+                perturbed = apply_event(market, event)
+                factor_logs = market.rho[:, None] * np.log(perturbed.supplies)[None, :]
+                market = reduce_supply_to_utility(perturbed)
+            else:
+                factor_logs = np.log(event.payload)
+                market = apply_event(market, event)
+            logs = factor_logs if logs is None else logs + factor_logs
+        want = 0.0 if logs is None else max(float(logs.max()), float(-logs.min()))
+        assert eps == want
+        assert np.array_equal(got.coefficients, market.coefficients)
+        assert np.array_equal(got.supplies, market.supplies)
 
 
 # The warm-up and the closed-form constants read no solve, so a nudge of the

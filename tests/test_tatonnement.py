@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqtracer import (
+    BUDGET,
     CHANNELS,
     SUPPLY,
     CesMarket,
@@ -14,7 +15,6 @@ from eqtracer import (
     ScheduleSpec,
     TatonnementConfig,
     Trace,
-    apply_event,
     default_step_size,
     demand,
     delta_ms_supply,
@@ -26,13 +26,9 @@ from eqtracer import (
 )
 import eqtracer.market
 import eqtracer.tatonnement
-from eqtracer.tatonnement import (
-    MISSPENDING,
-    apply_round_events,
-    fit_contraction,
-    jump_cap,
-)
+from eqtracer.tatonnement import MISSPENDING, fit_contraction
 from eqtracer.instances import random_market, uniform_prices
+from test_perturbation import reference_run, reference_schedule
 
 
 def overdemand_market(x: float):
@@ -157,7 +153,7 @@ class TestTraces:
         config = TatonnementConfig(lam=default_step_size(market), price_cap=cap)
         eps = np.array([0.05, -0.02, 0.0, 0.03])
         bump = PerturbationEvent(50, SUPPLY, eps)
-        schedule = PerturbationSchedule(events=(bump,))
+        schedule = PerturbationSchedule.from_events([bump])
         trace = run_tatonnement_trace(
             market, uniform_prices(market), config, schedule, 0.001, 120
         )
@@ -174,11 +170,9 @@ class TestTraces:
         )
         delta, prices = fit_contraction(market, uniform_prices(market), config, 100)
         eps = np.full(4, 0.002)
-        events = tuple(
-            PerturbationEvent(t, SUPPLY, eps * (-1) ** t) for t in range(1, 301)
-        )
+        events = [PerturbationEvent(t, SUPPLY, eps * (-1) ** t) for t in range(1, 301)]
         trace = run_tatonnement_trace(
-            market, prices, config, PerturbationSchedule(events=events), delta, 300
+            market, prices, config, PerturbationSchedule.from_events(events), delta, 300
         )
         assert (trace.potential <= trace.bound + 1e-9).all()
         assert trace.assumption1_ok.all()
@@ -186,9 +180,7 @@ class TestTraces:
     def test_schedule_beyond_horizon_rejected(self):
         market = random_market(7, 2, 2)
         config = TatonnementConfig(lam=0.05, price_cap=2 * market.total_budget)
-        schedule = PerturbationSchedule(
-            events=(PerturbationEvent(10, SUPPLY, np.zeros(2)),)
-        )
+        schedule = PerturbationSchedule.from_events([PerturbationEvent(10, SUPPLY, np.zeros(2))])
         with pytest.raises(ValueError, match="beyond the horizon"):
             run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 5)
 
@@ -197,8 +189,8 @@ class TestTraces:
         config = TatonnementConfig(
             lam=0.05, variant="cpf", price_cap=2 * market.total_budget
         )
-        schedule = PerturbationSchedule(
-            events=(PerturbationEvent(1, "budget-additive", np.array([0.01, 0.0])),)
+        schedule = PerturbationSchedule.from_events(
+            [PerturbationEvent(1, "budget-additive", np.array([0.01, 0.0]))]
         )
         with pytest.raises(ValueError, match="c_prime"):
             run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 2)
@@ -208,12 +200,62 @@ class TestTraces:
         lam = 0.02
         config = TatonnementConfig(lam=lam, price_cap=2 * market.total_budget)
         shrink = -(1 - 1 / (1 + lam)) * 1.5  # factor below 1/(1+lam)
-        events = (PerturbationEvent(1, SUPPLY, np.full(3, shrink)),)
+        events = [PerturbationEvent(1, SUPPLY, np.full(3, shrink))]
         with pytest.warns(RuntimeWarning, match="tracing"):
             run_tatonnement_trace(
                 market, uniform_prices(market), config,
-                PerturbationSchedule(events=events), 0.05, 1,
+                PerturbationSchedule.from_events(events), 0.05, 1,
             )
+
+    @pytest.mark.parametrize(
+        "channel, field, start, step, message",
+        [
+            (SUPPLY, "supplies", 1.0, -0.3, "supply event would drive a supply non-positive"),
+            (BUDGET, "budgets", 1e308, 2e307, "budget event would drive a budget to infinity"),
+        ],
+    )
+    def test_cumulative_levels_are_checked_before_round_one(
+        self, monkeypatch, channel, field, start, step, message
+    ):
+        # The fourth event is the first to leave the valid range; the error
+        # comes before the first round's demand, with the single-event text.
+        market = random_market(12, 2, 2).replace(**{field: [start, 1.0]})
+        config = TatonnementConfig(lam=0.05, price_cap=1e309)
+        calls = []
+        monkeypatch.setattr(
+            eqtracer.tatonnement, "demand", lambda *a: calls.append(1) or demand(*a)
+        )
+        events = [PerturbationEvent(t, channel, [step, 0.0]) for t in range(3, 9)]
+        with pytest.raises(ValueError, match=message):
+            run_tatonnement_trace(
+                market, uniform_prices(market), config,
+                PerturbationSchedule.from_events(events), 0.05, 10,
+            )
+        assert len(calls) == 1  # the initial potential only
+
+    def test_levels_start_from_the_runners_market(self, monkeypatch):
+        # A schedule drawn on one market walks inside [0.5, 2] x its supplies.
+        # Run on another market, its levels are that market's supplies plus
+        # the steps in turn, and they are checked against that market.
+        market = random_market(12, 3, 4)
+        config = TatonnementConfig(
+            lam=default_step_size(market), price_cap=2 * market.total_budget
+        )
+        schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.5, seed=3), market, 40)
+        run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 40)
+        scarce = market.replace(supplies=np.full(4, 0.01))
+        with pytest.raises(ValueError, match="supply event would drive a supply non-positive"):
+            run_tatonnement_trace(scarce, uniform_prices(scarce), config, schedule, 0.05, 40)
+        seen = []
+        monkeypatch.setattr(
+            eqtracer.tatonnement, "demand", lambda m, p: seen.append(m.supplies) or demand(m, p)
+        )
+        ample = market.replace(supplies=market.supplies * 10)
+        run_tatonnement_trace(ample, uniform_prices(ample), config, schedule, 0.05, 40)
+        level = ample.supplies
+        for step, supplies in zip(schedule.columns[0].payload, seen[1:], strict=True):
+            level = level + step
+            assert np.array_equal(supplies, level)
 
     @pytest.mark.parametrize("spread", [0.0, 0.5e-8, 0.99e-8, 1.01e-8, 2e-8, 1e-6])
     def test_uniform_shrink_tolerance_matches_allclose(self, spread):
@@ -223,10 +265,12 @@ class TestTraces:
         payload = np.full(3, -0.05) + np.array([0.0, spread, -spread])
         factors = (market.supplies + payload) / market.supplies
         expected = np.allclose(factors, factors[0], rtol=1e-12)
+        schedule = PerturbationSchedule.from_events([PerturbationEvent(1, SUPPLY, payload)])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            apply_round_events(market, [PerturbationEvent(1, SUPPLY, payload)], config)
-        assert bool(caught) == expected == (spread < 1e-8)
+            run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 1)
+        shrinks = [w for w in caught if "tracing" in str(w.message)]
+        assert bool(shrinks) == expected == (spread < 1e-8)
 
 class TestFitContraction:
     def test_fitted_rate_is_attained(self):
@@ -283,20 +327,20 @@ def _reference_fit(market, prices, config, step, potential, rounds):
     return min(rates), p
 
 
-def _reference_trace(market, prices, config, step, potential, schedule, delta, horizon):
-    """run_tatonnement_trace written out: demand evaluated afresh by every call."""
+def _reference_trace(market, prices, config, step, potential, events, delta, horizon):
+    """run_tatonnement_trace written out: demand evaluated afresh by every call,
+    and each round's events applied one by one (`reference_run`)."""
     p = np.asarray(prices, dtype=float)
     initial = bound = potential(market, p)
-    rows = []
+    markets, jumps, _ = reference_run(market, events, config, horizon)
+    last, rows = market, []
     for t in range(1, horizon + 1):
         p = step(p, market, config.lam)
-        jump = 0.0
-        for event in schedule.events_at(t):
-            jump += jump_cap(
-                event, market, config.variant, config.price_cap, config.c_prime
-            )
-            # A validated copy that carries no cached state from `market`.
-            market = apply_event(market, event).replace()
+        jump = jumps[t - 1]
+        if markets[t - 1] is not last:  # the round had events
+            # A validated copy that carries no cached state from the old market.
+            last = markets[t - 1]
+            market = last.replace()
         phi = potential(market, p)
         bound = (1.0 - delta) * bound + jump
         rows.append((phi, jump, bound, p.max(), p.min(), p.max() <= config.price_cap))
@@ -325,9 +369,8 @@ class TestReferenceEquivalence:
         spec = ScheduleSpec(channel=channel, magnitude=0.01, seed=seed)
         schedule = generate_schedule(spec, market, 25)
         trace = run_tatonnement_trace(market, got[1], config, schedule, got[0], 25)
-        want = _reference_trace(
-            market, got[1], config, step, potential, schedule, got[0], 25
-        )
+        events = reference_schedule(spec, market, 25)
+        want = _reference_trace(market, got[1], config, step, potential, events, got[0], 25)
         # Every column, None for None; kl and recurrence are None on both.
         for field in fields(Trace):
             name = field.name
@@ -391,7 +434,7 @@ class TestWarmSolves:
         assert warm_solves == []
         spec = ScheduleSpec(SUPPLY, 0.01, seed=2, every=5)
         schedule = generate_schedule(spec, market, 40)
-        assert {event.round for event in schedule.events} == set(range(1, 41, 5))
+        assert schedule.columns[0].rounds.tolist() == list(range(1, 41, 5))
         run_tatonnement_trace(market, prices, config, schedule, delta, 40)
         assert len(warm_solves) == 40 // 5
         assert len(set(map(id, warm_solves))) == len(warm_solves)
