@@ -11,8 +11,7 @@ share deviation matches exhaustive search over all two-valued patterns.
 import numpy as np
 
 from eqtracer import (
-    PerturbationEvent,
-    apply_event,
+    ScheduleColumn,
     demand,
     delta_ms_budget,
     delta_ms_supply,
@@ -21,6 +20,7 @@ from eqtracer import (
     share_deviation,
 )
 from eqtracer.instances import random_market, uniform_prices
+from eqtracer.perturbation import apply_row
 
 rng = np.random.default_rng(3)
 market = random_market(rng, 4, 5)
@@ -39,9 +39,10 @@ for channel, make_payload, cap_fn in (
 ):
     worst_ratio = 0.0
     for _ in range(100):
-        event = PerturbationEvent(1, channel, make_payload())
-        measured = demand(apply_event(market, event), prices).misspending - before
-        cap = cap_fn(event)
+        event = ScheduleColumn(channel, [1], make_payload()[None])  # one row
+        perturbed = apply_row(market, channel, event.rows(market)[0])
+        measured = demand(perturbed, prices).misspending - before
+        cap = cap_fn(event)[0]
         if cap > 0:
             worst_ratio = max(worst_ratio, measured / cap)
     print(f"  {channel:<24} worst measured/cap = {worst_ratio:.3f}  (never above 1)")

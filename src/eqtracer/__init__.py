@@ -31,11 +31,9 @@ from .perturbation import (
     CHANNELS,
     SUPPLY,
     UTILITY,
-    PerturbationEvent,
     PerturbationSchedule,
     ScheduleColumn,
     ScheduleSpec,
-    apply_event,
     calibrate_c_prime,
     coefficient_share_floor,
     delta_cpf_budget,

@@ -35,7 +35,6 @@ from .instances import (
 from .market import CesMarket
 from .perturbation import (
     CHANNELS,
-    PerturbationEvent,
     PerturbationSchedule,
     ScheduleSpec,
     generate_schedule,
@@ -279,8 +278,9 @@ def _build_market(section: dict) -> CesMarket:
 def _build_schedule(section: dict, market, horizon: int) -> PerturbationSchedule:
     if "generator" in section:
         return generate_schedule(ScheduleSpec(**section["generator"]), market, horizon)
-    events = section.get("events", ())
-    return PerturbationSchedule.from_events(PerturbationEvent(**e) for e in events)
+    return PerturbationSchedule.from_events(
+        (e["round"], e["channel"], e["payload"]) for e in section.get("events", ())
+    )
 
 
 def _domination(trace) -> dict:

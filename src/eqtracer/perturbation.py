@@ -1,18 +1,19 @@
 """Market perturbations and their worst-case potential jumps.
 
-Events mutate supplies (additively), budgets (additively) or utility
-coefficients (multiplicatively); a schedule holds one checked, read-only
-payload array per channel (`ScheduleColumn`).  For each (potential,
-channel) pair there is a closed-form cap, per payload row, on how much an
-event can raise the potential at fixed prices; trace runners accumulate
-these caps into cumulative tracking bounds.
+A perturbation is a row of a `ScheduleColumn`: one channel's checked,
+read-only payload array, whose rows move supplies (additively), budgets
+(additively) or utility coefficients (multiplicatively).  A schedule holds
+at most one column per channel, and `apply_row` applies one row.  For each
+(potential, channel) pair there is a closed-form cap, per payload row, on
+how much a row can raise the potential at fixed prices; trace runners
+accumulate these caps into cumulative tracking bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,8 @@ class ScheduleColumn:
     def __post_init__(self):
         rounds = np.array(self.rounds, dtype=np.int64)
         payload = np.asarray(self.payload, dtype=float)
+        if (rounds != np.asarray(self.rounds)).any():
+            raise ValueError("event rounds must be whole numbers")
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}; expected one of {CHANNELS}")
         if not np.isfinite(payload).all():
@@ -93,19 +96,6 @@ class ScheduleColumn:
 
 
 @dataclass(frozen=True)
-class PerturbationEvent:
-    """One change, checked as a one-row `ScheduleColumn`; `payload` is a read-only copy."""
-
-    round: int
-    channel: str
-    payload: np.ndarray
-
-    def __post_init__(self):
-        column = ScheduleColumn(self.channel, [self.round], np.array([self.payload], dtype=float))
-        object.__setattr__(self, "payload", column.payload[0])
-
-
-@dataclass(frozen=True)
 class PerturbationSchedule:
     """At most one non-empty `ScheduleColumn` per channel, in channel order."""
 
@@ -119,12 +109,19 @@ class PerturbationSchedule:
 
     @classmethod
     def from_events(cls, events) -> "PerturbationSchedule":
-        """Stack `PerturbationEvent`s into one column per channel."""
-        ordered = sorted(events, key=attrgetter("channel", "round"))
-        return cls(tuple(
-            ScheduleColumn(channel, *zip(*((e.round, e.payload) for e in group)))
-            for channel, group in groupby(ordered, key=attrgetter("channel"))
-        ))
+        """Stack (round, channel, payload) triples into one column per channel."""
+        columns = []
+        for channel, group in groupby(sorted(events, key=itemgetter(1, 0)), key=itemgetter(1)):
+            rounds, _, payloads = zip(*group)
+            payloads = [np.asarray(p, dtype=float) for p in payloads]
+            for t, p in zip(rounds, payloads):
+                if p.shape != payloads[0].shape:
+                    raise ValueError(
+                        f"{channel} event for round {t} has payload shape {p.shape}; "
+                        f"expected {payloads[0].shape}, as in round {rounds[0]}"
+                    )
+            columns.append(ScheduleColumn(channel, rounds, payloads))
+        return cls(tuple(columns))
 
     @property
     def max_round(self) -> int:
@@ -152,16 +149,6 @@ def apply_row(market: CesMarket, channel: str, row: np.ndarray) -> CesMarket:
     return market._derive(coefficients=new)
 
 
-def apply_event(market: CesMarket, event: PerturbationEvent) -> CesMarket:
-    """Return the perturbed market; the original is untouched.
-
-    Only the field the event changes is built and checked; the others, and
-    for supply and budget events the cached (1-c) ln a, are shared.
-    """
-    row = ScheduleColumn(event.channel, [event.round], event.payload[None]).rows(market)[0]
-    return apply_row(market, event.channel, row)
-
-
 @dataclass(frozen=True)
 class ScheduleSpec:
     """Generator recipe for randomized schedules (reproducible via seed).
@@ -181,12 +168,12 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
-        if self.magnitude < 0:
+        if not self.magnitude >= 0:
             raise ValueError("magnitude must be non-negative")
         if self.distribution not in ("uniform", "gaussian"):
             raise ValueError("distribution must be 'uniform' or 'gaussian'")
-        if self.start_round < 1 or self.every < 1:
-            raise ValueError("start_round and every must be at least 1")
+        if not all(v >= 1 and v % 1 == 0 for v in (self.start_round, self.every)):
+            raise ValueError("start_round and every must be whole numbers, at least 1")
 
 
 def generate_schedule(
@@ -224,82 +211,82 @@ def _draw(rng: np.random.Generator, spec: ScheduleSpec, size) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Worst-case potential jumps at fixed prices, per (potential, channel) pair,
-# of a `PerturbationEvent` or, row by row and bit for bit, a `ScheduleColumn`.
+# Worst-case potential jumps at fixed prices, per (potential, channel) pair:
+# one cap per row of a `ScheduleColumn`.
 # ---------------------------------------------------------------------------
 
 
-def _require(event, channel: str):
-    if event.channel != channel:
-        raise ValueError(f"expected a {channel} event, got {event.channel}")
+def _require(column: ScheduleColumn, channel: str):
+    if column.channel != channel:
+        raise ValueError(f"expected a {channel} column, got {column.channel}")
 
 
-def delta_ms_supply(event, price_cap: float):
+def delta_ms_supply(column: ScheduleColumn, price_cap: float):
     """Misspending jump cap under a supply change: price_cap * l1(payload)."""
-    _require(event, SUPPLY)
-    if price_cap <= 0:
+    _require(column, SUPPLY)
+    if not price_cap > 0:
         raise ValueError("price_cap must be positive")
-    return price_cap * np.abs(event.payload).sum(axis=-1)
+    return price_cap * np.abs(column.payload).sum(axis=-1)
 
 
-def delta_ms_budget(event):
+def delta_ms_budget(column: ScheduleColumn):
     """Misspending jump cap under a budget change: l1(payload)."""
-    _require(event, BUDGET)
-    return np.abs(event.payload).sum(axis=-1)
+    _require(column, BUDGET)
+    return np.abs(column.payload).sum(axis=-1)
 
 
-def _worst_factor(event, exponents: np.ndarray):
+def _worst_factor(column: ScheduleColumn, exponents: np.ndarray):
     """max over entries of factor^(+/- exponent_i), always at least 1."""
-    logs = np.abs(np.log(event.payload))
+    logs = np.abs(np.log(column.payload))
     logs *= exponents[:, None]
     return np.exp(logs.max(axis=(-2, -1)))
 
 
-def delta_ms_utility(event, market: CesMarket):
+def delta_ms_utility(column: ScheduleColumn, market: CesMarket):
     """Misspending jump cap under coefficient rescaling.
 
     The worst single-buyer spending reshuffle from factors within
     [1/g, g] (g measured with the per-buyer exponent 1/(1-rho_i)) moves at
     most a 2(g-1)/(g+1) fraction of the total budget.
     """
-    _require(event, UTILITY)
+    _require(column, UTILITY)
     if (market.rho >= 1).any():
         raise ValueError("utility jump caps need rho < 1 for every buyer")
-    gamma = _worst_factor(event, 1.0 / (1.0 - market.rho))
+    gamma = _worst_factor(column, 1.0 / (1.0 - market.rho))
     return market.total_budget * 2.0 * (gamma - 1.0) / (gamma + 1.0)
 
 
-def delta_cpf_supply(event, price_cap: float, market: CesMarket):
+def delta_cpf_supply(column: ScheduleColumn, price_cap: float, market: CesMarket):
     """Convex-potential jump cap under a supply change: (P + B) * l1(payload).
 
     The extra B term covers the shift of the potential's minimum value.
     """
-    _require(event, SUPPLY)
-    if price_cap <= 0:
+    _require(column, SUPPLY)
+    if not price_cap > 0:
         raise ValueError("price_cap must be positive")
-    return (price_cap + market.total_budget) * np.abs(event.payload).sum(axis=-1)
+    return (price_cap + market.total_budget) * np.abs(column.payload).sum(axis=-1)
 
 
-def delta_cpf_budget(event, c_prime: float):
+def delta_cpf_budget(column: ScheduleColumn, c_prime: float):
     """Convex-potential jump cap under a budget change: C' * l1(payload).
 
     C' bounds |ln(Q_i at equilibrium / Q_i at current prices)| over the run;
     it is a configuration input or comes from calibrate_c_prime.
     """
-    _require(event, BUDGET)
-    if c_prime <= 0:
+    _require(column, BUDGET)
+    if not c_prime > 0:
         raise ValueError("c_prime must be positive")
-    return c_prime * np.abs(event.payload).sum(axis=-1)
+    return c_prime * np.abs(column.payload).sum(axis=-1)
 
 
-def delta_cpf_utility(event, market: CesMarket):
+def delta_cpf_utility(column: ScheduleColumn, market: CesMarket):
     """Convex-potential jump cap under coefficient rescaling: 2B ln(chi).
 
     chi is the worst unit-cost ratio, measured with the per-buyer exponent
     1/|rho_i|.
     """
-    _require(event, UTILITY)
-    chi = _worst_factor(event, 1.0 / np.abs(market.rho))
+    _require(column, UTILITY)
+    chi = _worst_factor(column, 1.0 / np.abs(market.rho))
     return 2.0 * market.total_budget * np.log(chi)
 
 

@@ -68,7 +68,7 @@ class TatonnementConfig:
             raise ValueError("step size must lie in (0, 1)")
         if self.variant == CPF and self.lam >= 1.0 / 6.0:
             raise ValueError("the cpf update requires a step size below 1/6")
-        if self.price_cap <= 0:
+        if not self.price_cap > 0:
             raise ValueError("price_cap must be positive")
 
 
@@ -142,23 +142,23 @@ def dynamics(market, config):
     return _update_cpf, cpf
 
 
-def jump_cap(event, market, variant, price_cap, c_prime):
-    """Closed-form cap on the jump `event` (or each row of a column) causes on `market`."""
+def jump_cap(column, market, variant, price_cap, c_prime):
+    """Closed-form caps on the jump each row of `column` causes on `market`."""
     if variant == MISSPENDING:
-        if event.channel == SUPPLY:
-            return delta_ms_supply(event, price_cap)
-        if event.channel == BUDGET:
-            return delta_ms_budget(event)
-        return delta_ms_utility(event, market)
-    if event.channel == SUPPLY:
-        return delta_cpf_supply(event, price_cap, market)
-    if event.channel == BUDGET:
+        if column.channel == SUPPLY:
+            return delta_ms_supply(column, price_cap)
+        if column.channel == BUDGET:
+            return delta_ms_budget(column)
+        return delta_ms_utility(column, market)
+    if column.channel == SUPPLY:
+        return delta_cpf_supply(column, price_cap, market)
+    if column.channel == BUDGET:
         if c_prime is None:
             raise ValueError(
                 "budget events in a cpf trace need c_prime in the config"
             )
-        return delta_cpf_budget(event, c_prime)
-    return delta_cpf_utility(event, market)
+        return delta_cpf_budget(column, c_prime)
+    return delta_cpf_utility(column, market)
 
 
 def fit_contraction(

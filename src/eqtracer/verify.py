@@ -35,10 +35,8 @@ from .perturbation import (
     BUDGET,
     SUPPLY,
     UTILITY,
-    PerturbationEvent,
     ScheduleColumn,
     ScheduleSpec,
-    apply_event,
     apply_row,
     calibrate_c_prime,
     extremize_shares,
@@ -164,14 +162,15 @@ def check_static_cpf(markets: int = 50) -> CheckResult:
 
 
 def _random_event(rng, market, channel):
+    """A one-row `ScheduleColumn` on `channel`."""
     if channel == UTILITY:
         logs = rng.uniform(-0.1, 0.1, market.coefficients.shape)
-        return PerturbationEvent(1, UTILITY, np.exp(logs))
+        return ScheduleColumn(UTILITY, [1], np.exp(logs)[None])
     eps = rng.uniform(-1.0, 1.0, market.num_goods if channel == SUPPLY else market.num_buyers)
     eps *= 0.1 / max(np.abs(eps).sum(), 1.0)
     if channel == BUDGET:
         eps = np.maximum(eps, -0.4 * market.budgets)
-    return PerturbationEvent(1, channel, eps)
+    return ScheduleColumn(channel, [1], eps[None])
 
 
 def check_delta_domination(trials: int = 200) -> CheckResult:
@@ -203,7 +202,7 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
                 market = random_market(rng, m, n, 0.2, 0.8)
             prices = uniform_prices(market) * rng.uniform(0.3, 3.0, n)
             event = _random_event(rng, market, channel)
-            perturbed = apply_event(market, event)
+            perturbed = apply_row(market, channel, event.rows(market)[0])
             _, potential = dynamics(market, config)
             phi = potential(demand(market, prices))  # market first: it anchors psi_star
             measured = potential(demand(perturbed, prices)) - phi
@@ -214,7 +213,7 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
                 c_prime = calibrate_c_prime(market, [before.prices, after.prices], [prices])
                 c_prime_max = max(c_prime_max, c_prime)
             # The same cap dispatch the trace runners use.
-            cap = jump_cap(event, market, potential_kind, float(prices.max()), c_prime)
+            cap = jump_cap(event, market, potential_kind, float(prices.max()), c_prime)[0]
             margin = measured - cap
             worst_margin = max(worst_margin, margin)
             if margin > 1e-9:

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -555,6 +556,47 @@ def test_infinite_market_field_exits_3_before_any_output(
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, section, message",
+    [
+        ("tatonnement-ms", {"dynamics": {"price_cap": math.nan}}, "price_cap must be positive"),
+        (
+            "tatonnement-cpf",
+            {
+                "dynamics": {"c_prime": math.nan},
+                "schedule": {"events": [{"round": 1, "channel": "budget-additive",
+                                         "payload": [0.01, 0.0, 0.0]}]},
+            },
+            "c_prime must be positive",
+        ),
+        (
+            "tatonnement-ms",
+            {"schedule": {"generator": {"channel": "supply-additive", "magnitude": math.nan,
+                                        "seed": 2}}},
+            "magnitude must be non-negative",
+        ),
+        (
+            "tatonnement-ms",
+            {"schedule": {"events": [
+                {"round": 1, "channel": "supply-additive", "payload": [0.01, 0.0, 0.0, 0.0]},
+                {"round": 2, "channel": "supply-additive", "payload": [0.01, 0.0]},
+            ]}},
+            "supply-additive event for round 2 has payload shape (2,); expected (4,)",
+        ),
+    ],
+    ids=["nan-price-cap", "nan-c-prime", "nan-magnitude", "ragged-events"],
+)
+def test_bad_constants_and_events_exit_3_by_name_before_any_output(
+    tmp_path, capsys, kind, section, message
+):
+    # JSON reads NaN as a float, which every "x <= 0" check lets through.
+    cfg = write_config(tmp_path, "c.json", {**BASE, "kind": kind, "horizon": 20, **section})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_SIMULATION
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cached_parser_leaks_no_state_between_calls(tmp_path, capsys):
     assert build_parser() is build_parser()
     cfg = write_config(tmp_path, "a.json", BASE)
@@ -734,6 +776,71 @@ def test_large_configs_match_golden_digests(tmp_path, capsys, kind):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     got = (file_sha256(out / "trace.csv"), file_sha256(out / "report.json"))
     assert got == LARGE_DIGESTS[kind]
+
+
+# sha256 of (trace.csv, report.json) of explicit events on several channels
+# that share rounds, listed out of order.  In the tatonnement configs, budget
+# events fall on supply and utility rounds, so the caps of a round after a
+# budget event read that event's budgets.
+_UTILITY_ROWS = (
+    [[1.01, 0.99, 1.0, 1.02], [0.98, 1.0, 1.01, 1.0], [1.0, 1.03, 0.99, 0.97]],
+    [[0.99, 1.0, 1.02, 0.98], [1.01, 1.01, 0.99, 1.0], [0.97, 1.0, 1.0, 1.02]],
+)
+_MIXED_EVENTS = [
+    {"round": 7, "channel": "supply-additive", "payload": [-0.01, 0.02, 0.0, 0.01]},
+    {"round": 2, "channel": "budget-additive", "payload": [0.02, -0.01, 0.0]},
+    {"round": 2, "channel": "supply-additive", "payload": [0.01, 0.0, -0.01, 0.005]},
+    {"round": 2, "channel": "utility-multiplicative", "payload": _UTILITY_ROWS[0]},
+    {"round": 5, "channel": "supply-additive", "payload": [0.0, -0.02, 0.01, 0.0]},
+    {"round": 7, "channel": "budget-additive", "payload": [-0.01, 0.0, 0.03]},
+    {"round": 7, "channel": "utility-multiplicative", "payload": _UTILITY_ROWS[1]},
+    {"round": 9, "channel": "utility-multiplicative", "payload": _UTILITY_ROWS[0]},
+]
+EXPLICIT_EVENT_CONFIGS = {
+    "tatonnement-ms": {
+        "kind": "tatonnement-ms",
+        "horizon": 12,
+        "market": {"random": {"m": 3, "n": 4, "seed": 21}},
+        "schedule": {"events": _MIXED_EVENTS},
+    },
+    "tatonnement-cpf": {
+        "kind": "tatonnement-cpf",
+        "horizon": 12,
+        "market": {"random": {"m": 3, "n": 4, "seed": 22}},
+        "dynamics": {"c_prime": 1.5},
+        "schedule": {"events": _MIXED_EVENTS},
+    },
+    "prd": {
+        "kind": "prd",
+        "horizon": 12,
+        "market": {"random": {"m": 3, "n": 4, "seed": 23, "unit_supplies": True}},
+        "schedule": {"events": [e for e in _MIXED_EVENTS if e["channel"] != "budget-additive"]},
+        "bounds": {"fit_rounds": 20},
+    },
+}
+EXPLICIT_EVENT_DIGESTS = {
+    "tatonnement-ms": (
+        "a2581d6f9b0a3408d5ac0ed94e9e75101f4e1b0bd51f725ca88f02c16eb60748",
+        "0bbc5c82ab1e60749e2a4fc73c44ee0343a73ea151f21121ac7b3f8125aad4be",
+    ),
+    "tatonnement-cpf": (
+        "4afdb7dc815fe1b950d7adf5353b4fe0a72c6c37656f39d313e0fea570b53303",
+        "eb9f6e5e9e43a4c2e7e2cca4fec63403b1e94ac76db3d86c86b433f2a944a3f6",
+    ),
+    "prd": (
+        "aae9ca64dbf13c6642cf5c126ce181d3fd51c55276cff0d594b8e527d963698c",
+        "5ce2d33232fc227f2ed71ed1b53e29199ec1ea48c44947334e169569080fc1b2",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", EXPLICIT_EVENT_DIGESTS)
+def test_explicit_multi_channel_events_match_golden_digests(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, "c.json", EXPLICIT_EVENT_CONFIGS[kind])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    got = (file_sha256(out / "trace.csv"), file_sha256(out / "report.json"))
+    assert got == EXPLICIT_EVENT_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", SUPPLIED_DIGESTS)

@@ -16,7 +16,8 @@ from eqtracer import (
 from eqtracer.equilibrium import _gradient_hessian
 from eqtracer.instances import random_market, symmetric_market, uniform_prices
 from eqtracer.market import ces_weights, demand
-from eqtracer.perturbation import BUDGET, SUPPLY, UTILITY, PerturbationEvent, apply_event
+from eqtracer.perturbation import BUDGET, SUPPLY, UTILITY
+from test_perturbation import applied, event
 
 
 def test_symmetric_market_uniform_prices():
@@ -97,11 +98,9 @@ class TestColdSolveMemo:
         "derive",
         [
             lambda m: m.replace(),
-            lambda m: apply_event(m, PerturbationEvent(1, SUPPLY, np.zeros(m.num_goods))),
-            lambda m: apply_event(m, PerturbationEvent(1, BUDGET, np.zeros(m.num_buyers))),
-            lambda m: apply_event(
-                m, PerturbationEvent(1, UTILITY, np.ones_like(m.coefficients))
-            ),
+            lambda m: applied(m, event(SUPPLY, np.zeros(m.num_goods))),
+            lambda m: applied(m, event(BUDGET, np.zeros(m.num_buyers))),
+            lambda m: applied(m, event(UTILITY, np.ones_like(m.coefficients))),
         ],
         ids=["replace", "supply", "budget", "utility"],
     )
@@ -291,7 +290,7 @@ def test_warm_resolve_takes_few_newton_steps(rho_range):
     before = solve_equilibrium(market, tolerance=1e-10)
     rng = np.random.default_rng(4)
     factors = np.exp(rng.uniform(-0.005, 0.005, market.coefficients.shape))
-    perturbed = apply_event(market, PerturbationEvent(1, UTILITY, factors))
+    perturbed = applied(market, event(UTILITY, factors))
     after = solve_equilibrium(perturbed, tolerance=1e-10, previous=before)
     assert 1 <= after.iterations <= 3
     assert after.residual <= 1e-10 * perturbed.total_budget
@@ -361,7 +360,7 @@ def test_cold_and_warm_solves_take_few_newton_steps():
             assert demand(market, cold.prices).misspending == cold.residual
             rng = np.random.default_rng(args[0])
             factors = np.exp(rng.uniform(-0.005, 0.005, market.coefficients.shape))
-            perturbed = apply_event(market, PerturbationEvent(1, UTILITY, factors))
+            perturbed = applied(market, event(UTILITY, factors))
             warm = solve_equilibrium(perturbed, previous=cold)
             assert warm.iterations <= warm_steps, args
             assert warm.iterations + warm.chord_steps <= warm_total, args
@@ -376,7 +375,7 @@ def test_warm_resolve_keeps_its_buffers():
     market = random_market(5, m, n, unit_supplies=True)
     cold = solve_equilibrium(market, tolerance=1e-10)
     factors = np.exp(np.random.default_rng(3).uniform(-0.005, 0.005, (m, n)))
-    moved = apply_event(market, PerturbationEvent(1, UTILITY, factors))
+    moved = applied(market, event(UTILITY, factors))
     ces_weights(moved, cold.prices)  # warm: caches (1-c) ln a on the market
     tracemalloc.start()
     try:
@@ -394,7 +393,7 @@ def test_warm_resolve_keeps_its_buffers():
 
 def _drifted(market, rng, eps):
     factors = np.exp(rng.uniform(-eps, eps, market.coefficients.shape))
-    return apply_event(market, PerturbationEvent(1, UTILITY, factors))
+    return applied(market, event(UTILITY, factors))
 
 
 def test_later_solves_never_write_into_earlier_results():

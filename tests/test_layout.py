@@ -71,20 +71,3 @@ def test_names_the_benchmark_tracer_binds_resolve():
     ]
     assert missing == []
 
-
-def test_runners_build_no_per_event_objects():
-    # The trace runners read a columnar schedule's rows; a single-event type
-    # or its application in them would bring per-round event objects back.
-    single_event = {"PerturbationEvent", "apply_event"}
-    found = {
-        (module, name)
-        for module, tree in _trees() if module in ("tatonnement", "prd")
-        for node in ast.walk(tree)
-        for name in (
-            [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
-            else [node.id] if isinstance(node, ast.Name)
-            else [node.attr] if isinstance(node, ast.Attribute) else []
-        )
-        if name in single_event
-    }
-    assert found == set()

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -13,11 +14,9 @@ from eqtracer import (
     SUPPLY,
     UTILITY,
     CesMarket,
-    PerturbationEvent,
     PerturbationSchedule,
     ScheduleColumn,
     ScheduleSpec,
-    apply_event,
     calibrate_c_prime,
     coefficient_share_floor,
     delta_cpf_budget,
@@ -36,6 +35,7 @@ from eqtracer import (
 )
 from eqtracer import tatonnement
 from eqtracer.instances import random_market, uniform_prices
+from eqtracer.perturbation import apply_row
 from eqtracer.tatonnement import TatonnementConfig, default_step_size, jump_cap
 
 
@@ -43,31 +43,37 @@ FIELDS = ("budgets", "supplies", "rho", "coefficients")
 
 
 def event(channel, payload, round_=1):
-    return PerturbationEvent(round_, channel, np.asarray(payload, dtype=float))
+    """A one-row `ScheduleColumn`."""
+    return ScheduleColumn(channel, [round_], np.asarray(payload, dtype=float)[None])
+
+
+def applied(market, column):
+    """`market` moved by the first row of `column`."""
+    return apply_row(market, column.channel, column.rows(market)[0])
 
 
 class TestEvents:
     def test_zero_supply_event_is_identity(self):
         market = random_market(0, 2, 3)
-        out = apply_event(market, event(SUPPLY, np.zeros(3)))
+        out = applied(market, event(SUPPLY, np.zeros(3)))
         assert np.array_equal(out.supplies, market.supplies)
 
     def test_supply_addition(self):
         market = random_market(1, 2, 2).replace(supplies=np.array([1.0, 1.0]))
-        out = apply_event(market, event(SUPPLY, [0.1, 0.0]))
+        out = applied(market, event(SUPPLY, [0.1, 0.0]))
         assert out.supplies == pytest.approx([1.1, 1.0])
         assert market.supplies == pytest.approx([1.0, 1.0])  # original untouched
 
     def test_uniform_utility_factor(self):
         market = random_market(2, 2, 2)
         factors = np.full((2, 2), math.exp(0.01))
-        out = apply_event(market, event(UTILITY, factors))
+        out = applied(market, event(UTILITY, factors))
         assert np.allclose(out.coefficients, market.coefficients * math.exp(0.01))
 
     def test_invalid_supply_rejected(self):
         market = random_market(3, 2, 2).replace(supplies=np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="non-positive"):
-            apply_event(market, event(SUPPLY, [0.0, -0.5]))
+            applied(market, event(SUPPLY, [0.0, -0.5]))
 
     def test_wrong_channel_payload_shape(self):
         with pytest.raises(ValueError, match="payload"):
@@ -81,7 +87,7 @@ class TestEvents:
     def test_additive_overflow_rejected(self, channel, field):
         market = random_market(4, 2, 2).replace(**{field: np.array([1e308, 1.0])})
         with pytest.raises(ValueError, match="infinity"):
-            apply_event(market, event(channel, [1e308, 0.0]))
+            applied(market, event(channel, [1e308, 0.0]))
 
     def test_utility_underflow_of_a_whole_row_rejected(self):
         market = random_market(5, 2, 2).replace(
@@ -89,7 +95,7 @@ class TestEvents:
         )
         factors = np.array([[1e-200, 1e-200], [1.0, 1.0]])
         with pytest.raises(ValueError, match="no positive coefficient"):
-            apply_event(market, event(UTILITY, factors))
+            applied(market, event(UTILITY, factors))
 
     def test_utility_overflow_rejected(self):
         market = random_market(6, 2, 2).replace(
@@ -97,7 +103,7 @@ class TestEvents:
         )
         factors = np.array([[1e200, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="infinity"):
-            apply_event(market, event(UTILITY, factors))
+            applied(market, event(UTILITY, factors))
 
     @pytest.mark.parametrize("channel", [SUPPLY, BUDGET, UTILITY])
     def test_new_market_read_only_and_original_untouched(self, channel):
@@ -105,7 +111,7 @@ class TestEvents:
         before = {f: getattr(market, f).copy() for f in FIELDS}
         shape = {SUPPLY: (4,), BUDGET: (3,), UTILITY: (3, 4)}[channel]
         payload = np.full(shape, 1.01 if channel == UTILITY else 0.01)
-        out = apply_event(market, event(channel, payload))
+        out = applied(market, event(channel, payload))
         for f in FIELDS:
             assert not getattr(out, f).flags.writeable
             assert np.array_equal(getattr(market, f), before[f])
@@ -116,11 +122,11 @@ class TestEvents:
         # 20x20 takes the closed-form row shift, whose cache holds B as well.
         market = random_market(8, 20, 20)
         cached, log_a = market._weight_base, market.log_coefficients
-        shifted = apply_event(market, event(SUPPLY, np.full(20, 0.01)))
+        shifted = applied(market, event(SUPPLY, np.full(20, 0.01)))
         assert shifted._weight_base is cached
         assert shifted.log_coefficients is log_a
         factors = np.exp(np.linspace(-0.05, 0.05, 400)).reshape(20, 20)
-        out = apply_event(market, event(UTILITY, factors))
+        out = applied(market, event(UTILITY, factors))
         assert np.array_equal(out.log_coefficients, np.log(out.coefficients))
         assert not np.array_equal(out.log_coefficients, log_a)
         c = out.demand_exponent
@@ -142,7 +148,7 @@ def rows_of(schedule):
 
 class TestSchedules:
     def test_duplicate_round_channel_rejected(self):
-        events = (event(SUPPLY, [0.1, 0.0]), event(SUPPLY, [0.0, 0.1]))
+        events = ((1, SUPPLY, [0.1, 0.0]), (1, SUPPLY, [0.0, 0.1]))
         message = "duplicate event for round 1, channel supply-additive"
         with pytest.raises(ValueError, match=message):
             PerturbationSchedule.from_events(events)
@@ -154,6 +160,29 @@ class TestSchedules:
             ScheduleColumn(SUPPLY, [0, 2], np.zeros((2, 2)))
         with pytest.raises(ValueError, match="row per round"):
             ScheduleColumn(SUPPLY, [1, 2, 3], np.zeros((2, 2)))
+
+    def test_fractional_rounds_rejected(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            ScheduleColumn(SUPPLY, [1.5, 2.7], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="whole numbers"):
+            PerturbationSchedule.from_events([(2.5, SUPPLY, [0.1, 0.0])])
+        assert ScheduleColumn(SUPPLY, [1.0, 2.0], np.zeros((2, 2))).rounds.tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "field, whole, rounds", [("start_round", 2.0, [2, 3, 4, 5, 6]), ("every", 2.0, [1, 3, 5])]
+    )
+    def test_fractional_generator_rounds_rejected(self, field, whole, rounds):
+        with pytest.raises(ValueError, match="whole numbers"):
+            ScheduleSpec(SUPPLY, 0.01, 5, **{field: 1.5})
+        market = random_market(7, 3, 4)
+        schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.01, 5, **{field: whole}), market, 6)
+        assert [r for r, _ in rows_of(schedule)] == rounds
+
+    def test_ragged_payloads_name_channel_round_and_shape(self):
+        events = [(2, SUPPLY, [0.1, 0.0]), (1, SUPPLY, [0.1, 0.0, 0.0])]
+        message = "supply-additive event for round 2 has payload shape (2,); expected (3,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PerturbationSchedule.from_events(events)
 
     def test_column_payload_checked_once_and_frozen_in_place(self):
         payload = np.full((3, 2, 2), 1.01)
@@ -236,11 +265,11 @@ class TestSchedules:
 
 class TestJumpCaps:
     def test_supply_cap_plugin(self):
-        assert delta_ms_supply(event(SUPPLY, [0.1, 0.0]), price_cap=10.0) == pytest.approx(1.0)
-        assert delta_ms_supply(event(SUPPLY, [0.0, 0.0]), price_cap=10.0) == 0.0
+        assert delta_ms_supply(event(SUPPLY, [0.1, 0.0]), price_cap=10.0)[0] == pytest.approx(1.0)
+        assert delta_ms_supply(event(SUPPLY, [0.0, 0.0]), price_cap=10.0)[0] == 0.0
 
     def test_budget_cap_plugin(self):
-        assert delta_ms_budget(event(BUDGET, [0.05, -0.05])) == pytest.approx(0.1)
+        assert delta_ms_budget(event(BUDGET, [0.05, -0.05]))[0] == pytest.approx(0.1)
 
     def test_utility_cap_of_three_equals_budget(self):
         # worst factor 3 moves 2(3-1)/(3+1) = half the budget twice over.
@@ -251,28 +280,41 @@ class TestJumpCaps:
             coefficients=[[1.0], [1.0]],
         )
         factors = np.full((2, 1), 3.0 ** (1.0 - 0.5))  # gamma^(1/(1-rho)) = 3
-        assert delta_ms_utility(event(UTILITY, factors), market) == pytest.approx(
+        assert delta_ms_utility(event(UTILITY, factors), market)[0] == pytest.approx(
             market.total_budget, rel=1e-12
         )
 
     def test_identity_utility_event_is_free(self):
         market = random_market(7, 2, 3)
-        assert delta_ms_utility(event(UTILITY, np.ones((2, 3))), market) == 0.0
-        assert delta_cpf_utility(event(UTILITY, np.ones((2, 3))), market) == 0.0
+        assert delta_ms_utility(event(UTILITY, np.ones((2, 3))), market)[0] == 0.0
+        assert delta_cpf_utility(event(UTILITY, np.ones((2, 3))), market)[0] == 0.0
 
     def test_cpf_supply_cap_plugin(self):
         market = random_market(8, 2, 2).replace(budgets=np.array([2.0, 3.0]))
         cap = delta_cpf_supply(event(SUPPLY, [0.1, 0.0]), 10.0, market)
-        assert cap == pytest.approx((10.0 + 5.0) * 0.1)
+        assert cap[0] == pytest.approx((10.0 + 5.0) * 0.1)
 
     def test_cpf_budget_cap_plugin(self):
-        assert delta_cpf_budget(event(BUDGET, [0.1]), c_prime=2.0) == pytest.approx(0.2)
+        assert delta_cpf_budget(event(BUDGET, [0.1]), c_prime=2.0)[0] == pytest.approx(0.2)
 
     def test_cpf_utility_single_buyer(self):
         market = CesMarket(budgets=[1.0], supplies=[1.0], rho=[0.5], coefficients=[[1.0]])
         factors = np.full((1, 1), math.exp(0.05))
         cap = delta_cpf_utility(event(UTILITY, factors), market)
-        assert cap == pytest.approx(0.2 * market.total_budget, rel=1e-12)
+        assert cap[0] == pytest.approx(0.2 * market.total_budget, rel=1e-12)
+
+    def test_nan_constants_rejected(self):
+        market = random_market(9, 2, 2)
+        supply, budget = event(SUPPLY, [0.1, 0.0]), event(BUDGET, [0.1, 0.0])
+        for call, name in (
+            (lambda: TatonnementConfig(lam=0.1, price_cap=math.nan), "price_cap"),
+            (lambda: delta_ms_supply(supply, math.nan), "price_cap"),
+            (lambda: delta_cpf_supply(supply, math.nan, market), "price_cap"),
+            (lambda: delta_cpf_budget(budget, math.nan), "c_prime"),
+            (lambda: ScheduleSpec(SUPPLY, math.nan, 1), "magnitude"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                call()
 
     def test_wrong_channel_raises(self):
         with pytest.raises(ValueError, match="expected"):
@@ -411,34 +453,35 @@ class TestMeasuredJumps:
             prices = uniform_prices(market) * rng.uniform(0.3, 3.0, 4)
             eps = rng.uniform(-0.02, 0.02, 4)
             ev = event(SUPPLY, eps)
-            measured = demand(apply_event(market, ev), prices).misspending - \
+            measured = demand(applied(market, ev), prices).misspending - \
                 demand(market, prices).misspending
-            assert measured <= delta_ms_supply(ev, float(prices.max())) + 1e-9
+            assert measured <= delta_ms_supply(ev, float(prices.max()))[0] + 1e-9
 
     def test_calibrated_budget_constant_bounds_jump(self):
 
         market = random_market(21, 3, 3)
         prices = uniform_prices(market) * 1.7
         ev = event(BUDGET, [0.05, -0.03, 0.02])
-        perturbed = apply_event(market, ev)
+        perturbed = applied(market, ev)
         before = solve_equilibrium(market)
         after = solve_equilibrium(perturbed, previous=before)
         c_prime = calibrate_c_prime(market, [before.prices, after.prices], [prices])
         measured = (demand(perturbed, prices).cpf - after.psi_star) - (
             demand(market, prices).cpf - before.psi_star
         )
-        assert measured <= delta_cpf_budget(ev, c_prime) + 1e-9
+        assert measured <= delta_cpf_budget(ev, c_prime)[0] + 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the per-round schedule path, one PerturbationEvent per round, as
-# generate_schedule and the tatonnement runner's apply_round_events had it.
-# Columnar schedules must reproduce it bit for bit.
+# Oracle: the per-round schedule path, one draw, one checked one-row column,
+# one cap and one application per event, as generate_schedule and the
+# tatonnement runner's apply_round_events had it.  Columnar schedules must
+# reproduce it bit for bit.
 # ---------------------------------------------------------------------------
 
 
 def reference_schedule(spec, market, horizon):
-    """One draw and one validated PerturbationEvent per event round."""
+    """One draw and one (round, channel, payload) triple per event round."""
     rng = np.random.default_rng(spec.seed)
 
     def draw(size):
@@ -458,37 +501,38 @@ def reference_schedule(spec, market, horizon):
         size = market.coefficients.shape
     for t in range(spec.start_round, horizon + 1, spec.every):
         if spec.channel == UTILITY:
-            events.append(PerturbationEvent(t, UTILITY, np.exp(draw(size))))
+            events.append((t, UTILITY, np.exp(draw(size))))
             continue
         step = draw(size) / size
         outside = (level + step < low) | (level + step > high)
         step = np.where(outside, -step, step)
         level = level + step
-        events.append(PerturbationEvent(t, spec.channel, step))
+        events.append((t, spec.channel, step))
     return events
 
 
 def reference_round_events(market, events, config):
-    """One round's events in (channel) order: cap, shrink test, apply_event."""
+    """One round's events in (channel) order: check, cap, shrink test, apply."""
     total, shrinks = 0.0, False
-    for ev in events:
-        total += jump_cap(ev, market, config.variant, config.price_cap, config.c_prime)
-        if ev.channel == SUPPLY:
-            factors = (market.supplies + ev.payload) / market.supplies
+    for round_, channel, payload in events:
+        ev = event(channel, payload, round_)
+        total += jump_cap(ev, market, config.variant, config.price_cap, config.c_prime)[0]
+        if channel == SUPPLY:
+            factors = (market.supplies + payload) / market.supplies
             first = factors[0]
             shrinks |= bool(
                 first < 1.0 and (1.0 + config.lam) * first <= 1.0
                 and (np.abs(factors - first) <= 1e-8 + 1e-12 * abs(first)).all()
             )
-        market = apply_event(market, ev)
+        market = applied(market, ev)
     return market, total, shrinks
 
 
 def reference_run(market, events, config, horizon):
     """Per round: the market after its events, and its summed jump cap."""
     by_round = {}
-    for ev in sorted(events, key=lambda e: (e.round, e.channel)):
-        by_round.setdefault(ev.round, []).append(ev)
+    for ev in sorted(events, key=itemgetter(0, 1)):
+        by_round.setdefault(ev[0], []).append(ev)
     markets, jumps, shrinks = [], [], False
     for t in range(1, horizon + 1):
         market, jump, shrink = reference_round_events(market, by_round.get(t, []), config)
@@ -564,9 +608,9 @@ def test_columnar_schedule_matches_per_event_oracle(
     schedule = generate_schedule(spec, market, horizon)
     events = reference_schedule(spec, market, horizon)
     got = rows_of(schedule) if events else []
-    assert [r for r, _ in got] == [e.round for e in events]
-    for (_, row), ev in zip(got, events):
-        assert np.array_equal(row, ev.payload)
+    assert [r for r, _ in got] == [t for t, _, _ in events]
+    for (_, row), (_, _, payload) in zip(got, events):
+        assert np.array_equal(row, payload)
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_runs_match(market, events, schedule, _config(market, variant), horizon, monkeypatch)
 
@@ -596,10 +640,9 @@ def test_explicit_events_match_per_event_oracle(variant, m, n, draws):
         else:
             payload = rng.uniform(-0.05, 0.05, n if channel == SUPPLY else m)
         triples.append((round_, channel, payload))
-    events = [PerturbationEvent(*triple) for triple in triples]
-    schedule = PerturbationSchedule.from_events(events)
+    schedule = PerturbationSchedule.from_events(triples)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        assert_runs_match(market, events, schedule, _config(market, variant), 8, monkeypatch)
+        assert_runs_match(market, triples, schedule, _config(market, variant), 8, monkeypatch)
 
 
 @pytest.mark.parametrize("magnitude", [0.01, 100.0, 150.0])
@@ -612,11 +655,11 @@ def test_large_supply_schedule_matches_per_event_oracle(monkeypatch, magnitude):
     spec = ScheduleSpec(SUPPLY, magnitude, seed=18)
     schedule = generate_schedule(spec, market, 6)
     events = reference_schedule(spec, market, 6)
-    for (_, row), ev in zip(rows_of(schedule), events, strict=True):
-        assert np.array_equal(row, ev.payload)
+    for (_, row), (_, _, payload) in zip(rows_of(schedule), events, strict=True):
+        assert np.array_equal(row, payload)
     raw = np.random.default_rng(18).uniform(-magnitude, magnitude, (6, 200))
     reflected = sum(
-        int(np.count_nonzero(np.sign(ev.payload) != np.sign(r))) for ev, r in zip(events, raw)
+        int(np.count_nonzero(np.sign(ev[2]) != np.sign(r))) for ev, r in zip(events, raw)
     )
     assert (reflected > 100) == (magnitude > 1)
     assert_runs_match(market, events, schedule, _config(market, "misspending"), 6, monkeypatch)

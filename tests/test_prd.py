@@ -10,12 +10,10 @@ from eqtracer import (
     SUPPLY,
     UTILITY,
     CesMarket,
-    PerturbationEvent,
     PerturbationSchedule,
     PrdBoundConfig,
     ScheduleColumn,
     ScheduleSpec,
-    apply_event,
     check_bids,
     generate_schedule,
     kl_divergence,
@@ -30,6 +28,7 @@ from eqtracer import equilibrium, prd
 from eqtracer.equilibrium import EquilibriumResult
 from eqtracer.instances import random_market
 from eqtracer.trace import Trace
+from test_perturbation import applied
 
 
 def single_buyer(a=(1.0, 1.0), rho=0.5):
@@ -83,9 +82,9 @@ def oracle_step(bids, market, rounds):
 
 
 def events_at(schedule, t):
-    """Round t's rows of a columnar schedule as single events, in channel order."""
+    """Round t's rows of a columnar schedule as one-row columns, in channel order."""
     return [
-        PerturbationEvent(t, c.channel, c.payload[k])
+        ScheduleColumn(c.channel, [t], c.payload[k:k + 1])
         for c in schedule.columns
         for k in np.flatnonzero(c.rounds == t)
     ]
@@ -101,7 +100,7 @@ def oracle_trace(market, bids, schedule, horizon):
         bids = step
         if events_at(schedule, t):
             for event in events_at(schedule, t):
-                market = apply_event(market, event)
+                market = applied(market, event)
             eq = solve_equilibrium(market, tolerance=prd.SOLVER_TOLERANCE, previous=eq)
             g_star = oracle_logs_and_g(market, eq.bids)[1]
         step, g, prices = oracle_round(market, bids)
@@ -301,7 +300,7 @@ class TestFitAndTrace:
 
     def test_budget_events_rejected(self):
         market = random_market(11, 2, 3, unit_supplies=True)
-        schedule = PerturbationSchedule.from_events([PerturbationEvent(1, BUDGET, np.zeros(2))])
+        schedule = PerturbationSchedule.from_events([(1, BUDGET, np.zeros(2))])
         with pytest.raises(ValueError, match="budget"):
             run_prd_trace(
                 market, proportional_bids(market), schedule, PrdBoundConfig(0.5, 1.0), 2
@@ -680,12 +679,12 @@ def test_runner_rounds_match_per_event_application(monkeypatch):
         logs = None
         for event in events_at(schedule, t):
             if event.channel == SUPPLY:
-                perturbed = apply_event(market, event)
+                perturbed = applied(market, event)
                 factor_logs = market.rho[:, None] * np.log(perturbed.supplies)[None, :]
                 market = reduce_supply_to_utility(perturbed)
             else:
-                factor_logs = np.log(event.payload)
-                market = apply_event(market, event)
+                factor_logs = np.log(event.payload[0])
+                market = applied(market, event)
             logs = factor_logs if logs is None else logs + factor_logs
         want = 0.0 if logs is None else max(float(logs.max()), float(-logs.min()))
         assert eps == want

@@ -10,7 +10,6 @@ from eqtracer import (
     CHANNELS,
     SUPPLY,
     CesMarket,
-    PerturbationEvent,
     PerturbationSchedule,
     ScheduleSpec,
     TatonnementConfig,
@@ -152,13 +151,12 @@ class TestTraces:
         cap = 2 * market.total_budget
         config = TatonnementConfig(lam=default_step_size(market), price_cap=cap)
         eps = np.array([0.05, -0.02, 0.0, 0.03])
-        bump = PerturbationEvent(50, SUPPLY, eps)
-        schedule = PerturbationSchedule.from_events([bump])
+        schedule = PerturbationSchedule.from_events([(50, SUPPLY, eps)])
         trace = run_tatonnement_trace(
             market, uniform_prices(market), config, schedule, 0.001, 120
         )
         jump = trace.potential[49] - trace.potential[48]
-        assert jump <= delta_ms_supply(bump, cap) + 1e-9
+        assert jump <= delta_ms_supply(schedule.columns[0], cap)[0] + 1e-9
         tail = trace.potential[49:]
         assert (tail[1:] <= tail[:-1] + 1e-12).all()
 
@@ -170,7 +168,7 @@ class TestTraces:
         )
         delta, prices = fit_contraction(market, uniform_prices(market), config, 100)
         eps = np.full(4, 0.002)
-        events = [PerturbationEvent(t, SUPPLY, eps * (-1) ** t) for t in range(1, 301)]
+        events = [(t, SUPPLY, eps * (-1) ** t) for t in range(1, 301)]
         trace = run_tatonnement_trace(
             market, prices, config, PerturbationSchedule.from_events(events), delta, 300
         )
@@ -180,7 +178,7 @@ class TestTraces:
     def test_schedule_beyond_horizon_rejected(self):
         market = random_market(7, 2, 2)
         config = TatonnementConfig(lam=0.05, price_cap=2 * market.total_budget)
-        schedule = PerturbationSchedule.from_events([PerturbationEvent(10, SUPPLY, np.zeros(2))])
+        schedule = PerturbationSchedule.from_events([(10, SUPPLY, np.zeros(2))])
         with pytest.raises(ValueError, match="beyond the horizon"):
             run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 5)
 
@@ -190,7 +188,7 @@ class TestTraces:
             lam=0.05, variant="cpf", price_cap=2 * market.total_budget
         )
         schedule = PerturbationSchedule.from_events(
-            [PerturbationEvent(1, "budget-additive", np.array([0.01, 0.0]))]
+            [(1, "budget-additive", np.array([0.01, 0.0]))]
         )
         with pytest.raises(ValueError, match="c_prime"):
             run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 2)
@@ -200,7 +198,7 @@ class TestTraces:
         lam = 0.02
         config = TatonnementConfig(lam=lam, price_cap=2 * market.total_budget)
         shrink = -(1 - 1 / (1 + lam)) * 1.5  # factor below 1/(1+lam)
-        events = [PerturbationEvent(1, SUPPLY, np.full(3, shrink))]
+        events = [(1, SUPPLY, np.full(3, shrink))]
         with pytest.warns(RuntimeWarning, match="tracing"):
             run_tatonnement_trace(
                 market, uniform_prices(market), config,
@@ -225,7 +223,7 @@ class TestTraces:
         monkeypatch.setattr(
             eqtracer.tatonnement, "demand", lambda *a: calls.append(1) or demand(*a)
         )
-        events = [PerturbationEvent(t, channel, [step, 0.0]) for t in range(3, 9)]
+        events = [(t, channel, [step, 0.0]) for t in range(3, 9)]
         with pytest.raises(ValueError, match=message):
             run_tatonnement_trace(
                 market, uniform_prices(market), config,
@@ -265,7 +263,7 @@ class TestTraces:
         payload = np.full(3, -0.05) + np.array([0.0, spread, -spread])
         factors = (market.supplies + payload) / market.supplies
         expected = np.allclose(factors, factors[0], rtol=1e-12)
-        schedule = PerturbationSchedule.from_events([PerturbationEvent(1, SUPPLY, payload)])
+        schedule = PerturbationSchedule.from_events([(1, SUPPLY, payload)])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 1)
