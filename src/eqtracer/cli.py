@@ -358,8 +358,8 @@ def _run_prd(config: dict):
     else:  # static warm-up rounds, then the closed-form constants
         bids = prd_step(bids, reduced, rounds=bounds.get("fit_rounds", 200))
         bound, source = PrdBoundConfig.closed_form(reduced), "closed-form"
-    schedule = _build_schedule(config.get("schedule", {}), reduced, horizon)
-    trace = run_prd_trace(reduced, bids, schedule, bound, horizon)
+    schedule = _build_schedule(config.get("schedule", {}), market, horizon)
+    trace = run_prd_trace(market, bids, schedule, bound, horizon)
     recurrence = float(trace.recurrence_ok.mean()) if len(trace) else 1.0
     report = {
         "constants": {

@@ -41,9 +41,11 @@ class ScheduleColumn:
     payload: np.ndarray
 
     def __post_init__(self):
-        rounds = np.array(self.rounds, dtype=np.int64)
+        given = np.asarray(self.rounds, dtype=float)
+        with np.errstate(invalid="ignore"):  # NaN, infinite or beyond int64: cast to junk
+            rounds = given.astype(np.int64)
         payload = np.asarray(self.payload, dtype=float)
-        if (rounds != np.asarray(self.rounds)).any():
+        if (rounds != given).any():
             raise ValueError("event rounds must be whole numbers")
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}; expected one of {CHANNELS}")
@@ -65,13 +67,13 @@ class ScheduleColumn:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    def rows(self, market: CesMarket, cumulative: bool = True) -> np.ndarray:
+    def rows(self, market: CesMarket) -> np.ndarray:
         """The rows a runner reads on `market`, checked once.
 
         Utility rows are the factors.  Supply and budget rows are read-only
-        levels: row k is the market's field plus steps 0..k added in turn, or
-        plus step k alone if not `cumulative`.  The first row with a level
-        that is not positive and finite raises its event's error.
+        levels: row k is the market's field plus steps 0..k added in turn.
+        The first row with a level that is not positive and finite raises
+        its event's error.
         """
         if self.channel == UTILITY:
             if self.payload.shape[1:] != market.coefficients.shape:
@@ -81,12 +83,9 @@ class ScheduleColumn:
         start, steps = getattr(market, field), self.payload
         if steps.shape[1:] != start.shape:
             raise ValueError(f"{name} payload length must equal the number of {noun}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if cumulative:  # in place: the field, then each step added in turn
-                levels = np.vstack([start, steps])
-                levels = np.cumsum(levels, 0, out=levels)[1:]
-            else:
-                levels = start + steps
+        with np.errstate(over="ignore", invalid="ignore"):  # in place: the field, then each step
+            levels = np.vstack([start, steps])
+            levels = np.cumsum(levels, 0, out=levels)[1:]
         bad = np.flatnonzero(~((levels > 0) & (levels < np.inf)).all(axis=1))
         if bad.size:
             kind = "non-positive" if (levels[bad[0]] <= 0).any() else "to infinity"
@@ -109,23 +108,49 @@ class PerturbationSchedule:
 
     @classmethod
     def from_events(cls, events) -> "PerturbationSchedule":
-        """Stack (round, channel, payload) triples into one column per channel."""
+        """Stack (round, channel, payload) triples into one column per channel.
+
+        A round outside int64 or a payload numpy cannot stack raises an error
+        naming the event's channel and round.
+        """
         columns = []
         for channel, group in groupby(sorted(events, key=itemgetter(1, 0)), key=itemgetter(1)):
             rounds, _, payloads = zip(*group)
-            payloads = [np.asarray(p, dtype=float) for p in payloads]
+            rows = []
             for t, p in zip(rounds, payloads):
-                if p.shape != payloads[0].shape:
+                if not abs(t) < 2**63:
                     raise ValueError(
-                        f"{channel} event for round {t} has payload shape {p.shape}; "
-                        f"expected {payloads[0].shape}, as in round {rounds[0]}"
+                        f"{channel} event for round {t}: rounds must be whole numbers below 2**63"
                     )
-            columns.append(ScheduleColumn(channel, rounds, payloads))
+                try:
+                    rows.append(np.asarray(p, dtype=float))
+                except ValueError:
+                    raise ValueError(
+                        f"{channel} event for round {t} has a ragged or non-numeric payload"
+                    ) from None
+                if rows[-1].shape != rows[0].shape:
+                    raise ValueError(
+                        f"{channel} event for round {t} has payload shape {rows[-1].shape}; "
+                        f"expected {rows[0].shape}, as in round {rounds[0]}"
+                    )
+            columns.append(ScheduleColumn(channel, rounds, rows))
         return cls(tuple(columns))
 
-    @property
-    def max_round(self) -> int:
-        return max((int(c.rounds[-1]) for c in self.columns), default=0)
+    def by_round(self, market: CesMarket, horizon: int) -> tuple[dict, list]:
+        """Each column's `rows(market)`, read once, and each round's (channel, row) pairs.
+
+        The rows are keyed by channel; the round lists run 0..horizon, in channel order.
+        """
+        if horizon < 0:
+            raise ValueError("horizon must be non-negative")
+        if any(c.rounds[-1] > horizon for c in self.columns):
+            raise ValueError("schedule contains events beyond the horizon")
+        rows = {c.channel: c.rows(market) for c in self.columns}
+        due = [[] for _ in range(horizon + 1)]
+        for column in self.columns:
+            for t, row in zip(column.rounds.tolist(), rows[column.channel]):
+                due[t].append((column.channel, row))
+        return rows, due
 
     def channels(self) -> set:
         return {c.channel for c in self.columns}
@@ -333,7 +358,7 @@ def delta_prd_utility(market: CesMarket, min_share: np.ndarray, epsilon: float) 
         sum_i b_i (e^kappa_i - 1) |ln C_i - ln Pi_i| + 2 b_i eps / rho_i.
     Raises ValueError when that sum overflows (rho near 1 and eps too large).
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
     budgets, rho, c = market.budgets, market.rho, market.demand_exponent
     if ((rho <= 0) | (rho >= 1)).any():

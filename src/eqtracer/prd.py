@@ -298,9 +298,10 @@ def run_prd_trace(
 ) -> Trace:
     """Simulate bid dynamics while supplies and utility coefficients drift.
 
-    Supply events are first folded into utility coefficients (unit-supply
-    normalisation), budget events are rejected; each column's rows
-    (`ScheduleColumn.rows`) are checked once, before round 1.  Round t:
+    A supply event means what it means in every kind: a level on market0's
+    own supplies (`PerturbationSchedule.by_round`, read once, before round
+    1), folded into market0's unit-supply reduction as (w_k / w_{k-1})^rho.
+    Budget events are rejected.  Round t:
     update bids against the previous market, apply the round's rows,
     re-solve the per-round equilibrium
     (warm-started; cached on static rounds), then record the potential gap,
@@ -318,19 +319,12 @@ def run_prd_trace(
     `bound` is supplied or `PrdBoundConfig.closed_form(market0)`, with the
     argument for its constants; `bids0` is typically warmed up by `prd_step`.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    if schedule.max_round > horizon:
-        raise ValueError("schedule contains events beyond the horizon")
     if BUDGET in schedule.channels():
         raise ValueError("budget events are unsupported: the bid domain itself would move")
+    _, due = schedule.by_round(market0, horizon)
     # Checked once: events keep rho; a round keeps bids on the support, rows at the budgets.
-    market = reduce_supply_to_utility(market0)
+    market, supplies = reduce_supply_to_utility(market0), market0.supplies
     bids = check_bids(market, bids0)
-    due = [[] for _ in range(horizon + 1)]  # per round, its (channel, row) pairs in order
-    for column in schedule.columns:  # a supply row is one step on unit supplies
-        for t, row in zip(column.rounds.tolist(), column.rows(market, cumulative=False)):
-            due[t].append((column.channel, row))
     eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE)
     # The state (`_round`) and kept work arrays; bids0 is never one.
     shifted, logits, weights, terms = (np.empty(bids.shape) for _ in range(4))
@@ -350,10 +344,10 @@ def run_prd_trace(
         shifted, logits, scale = logits, shifted, next_scale
         logs = None  # ln of the round's coefficient factors, summed over its columns
         for channel, row in due[t + 1]:
-            factor_logs = np.log(row)
-            if channel == SUPPLY:  # supplies w fold into the coefficients as w^rho
+            factor_logs = np.log(row / supplies if channel == SUPPLY else row)
+            if channel == SUPPLY:  # level w_k folds in as (w_k / w_{k-1})^rho
                 factor_logs = market.rho[:, None] * factor_logs
-                row = np.exp(factor_logs)
+                supplies, row = row, np.exp(factor_logs)
             market = apply_row(market, UTILITY, row)
             logs = factor_logs if logs is None else logs + factor_logs
         eps_t = 0.0

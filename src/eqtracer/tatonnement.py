@@ -217,24 +217,21 @@ def run_tatonnement_trace(
     Each round evaluates demand once, through `demand`, which is also the
     round's only price validation: the demand that measures the potential at
     (market_t, p_t) drives the update of round t+1.  Schedule work is done
-    once, before round 1: each column's rows (`ScheduleColumn.rows`, levels
-    cumulative from market0), every round's jump cap and the uniform-shrink
-    warning; a round applies its rows (`apply_row`).
+    once, before round 1: the rows of every round
+    (`PerturbationSchedule.by_round`, levels from market0), every round's
+    jump cap and the uniform-shrink warning; a round applies its rows
+    (`apply_row`).
 
     `delta` is supplied or fitted beforehand with `fit_contraction`, whose
     final prices are then the natural `prices0`.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    if schedule.max_round > horizon:
-        raise ValueError("schedule contains events beyond the horizon")
     profile = demand(market0, prices0)
     if float(profile.prices.max()) > config.price_cap:
         raise ValueError("price cap must be at least the largest initial price")
+    rows, due = schedule.by_round(market0, horizon)
 
-    rows = {c.channel: c.rows(market0) for c in schedule.columns}
     # Every round's summed jump caps, one `jump_cap` call per column: a cap may
     # read the total budget, so rows after the k-th budget event see its budgets.
     jumps = np.zeros(horizon)
@@ -261,10 +258,6 @@ def run_tatonnement_trace(
                     "tracing is implausible at this step size", RuntimeWarning
                 )
                 break
-    due = [[] for _ in range(horizon + 1)]  # per round, its (channel, row) pairs in order
-    for column in schedule.columns:
-        for t, row in zip(column.rounds.tolist(), rows[column.channel]):
-            due[t].append((column.channel, row))
 
     market = market0
     update, potential = dynamics(market0, config)

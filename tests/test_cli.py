@@ -583,8 +583,25 @@ def test_infinite_market_field_exits_3_before_any_output(
             ]}},
             "supply-additive event for round 2 has payload shape (2,); expected (4,)",
         ),
+        (
+            "tatonnement-ms",
+            {"schedule": {"events": [
+                {"round": 3, "channel": "utility-multiplicative", "payload": [[1.0, 1.0], [1.0]]},
+            ]}},
+            "utility-multiplicative event for round 3 has a ragged or non-numeric payload",
+        ),
+        (
+            "tatonnement-ms",
+            {"schedule": {"events": [
+                {"round": 10**20, "channel": "supply-additive", "payload": [0.01, 0.0, 0.0, 0.0]},
+            ]}},
+            f"supply-additive event for round {10**20}: rounds must be whole numbers below 2**63",
+        ),
     ],
-    ids=["nan-price-cap", "nan-c-prime", "nan-magnitude", "ragged-events"],
+    ids=[
+        "nan-price-cap", "nan-c-prime", "nan-magnitude", "ragged-events", "ragged-payload",
+        "round-beyond-int64",
+    ],
 )
 def test_bad_constants_and_events_exit_3_by_name_before_any_output(
     tmp_path, capsys, kind, section, message
@@ -818,6 +835,12 @@ EXPLICIT_EVENT_CONFIGS = {
         "bounds": {"fit_rounds": 20},
     },
 }
+# The same prd events on non-unit supplies: each supply row is a level on the
+# market's own supplies, as in tatonnement, folded into the coefficients.
+EXPLICIT_EVENT_CONFIGS["prd-supplies"] = {
+    **EXPLICIT_EVENT_CONFIGS["prd"],
+    "market": {"random": {"m": 3, "n": 4, "seed": 23}},
+}
 EXPLICIT_EVENT_DIGESTS = {
     "tatonnement-ms": (
         "a2581d6f9b0a3408d5ac0ed94e9e75101f4e1b0bd51f725ca88f02c16eb60748",
@@ -828,8 +851,12 @@ EXPLICIT_EVENT_DIGESTS = {
         "eb9f6e5e9e43a4c2e7e2cca4fec63403b1e94ac76db3d86c86b433f2a944a3f6",
     ),
     "prd": (
-        "aae9ca64dbf13c6642cf5c126ce181d3fd51c55276cff0d594b8e527d963698c",
-        "5ce2d33232fc227f2ed71ed1b53e29199ec1ea48c44947334e169569080fc1b2",
+        "d00f5a8730d9485be1efe0027e2d43ce7e8159f0a3735b62aa6f1c3b4dc18647",
+        "e355cde869b3d9dc548ef69a4c38e462e57fc0c1bd055734506c3b069b64c0d0",
+    ),
+    "prd-supplies": (
+        "abc858caa4e04a2913826ab4ad25f94d1da9a81a90936e3d17eb8dfb35a3f680",
+        "a76112cb5716fbd964bfd5948fa170846fa792881257927ec03836f804b1f397",
     ),
 }
 

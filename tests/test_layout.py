@@ -71,3 +71,18 @@ def test_names_the_benchmark_tracer_binds_resolve():
     ]
     assert missing == []
 
+
+
+def test_runners_read_schedules_only_through_by_round():
+    # `PerturbationSchedule.by_round` is the one reading of a schedule, so a
+    # supply or budget event means the same level to every runner.
+    calls = {
+        (module, node.lineno)
+        for module, tree in _trees()
+        if module in ("tatonnement", "prd")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "rows"
+    }
+    assert calls == set()

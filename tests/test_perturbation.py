@@ -167,6 +167,9 @@ class TestSchedules:
         with pytest.raises(ValueError, match="whole numbers"):
             PerturbationSchedule.from_events([(2.5, SUPPLY, [0.1, 0.0])])
         assert ScheduleColumn(SUPPLY, [1.0, 2.0], np.zeros((2, 2))).rounds.tolist() == [1, 2]
+        for rounds in ([math.nan], [math.inf], np.array([math.nan]), [1e20]):
+            with pytest.raises(ValueError, match="event rounds must be whole numbers"):
+                ScheduleColumn(SUPPLY, rounds, np.zeros((1, 2)))
 
     @pytest.mark.parametrize(
         "field, whole, rounds", [("start_round", 2.0, [2, 3, 4, 5, 6]), ("every", 2.0, [1, 3, 5])]
@@ -183,6 +186,13 @@ class TestSchedules:
         message = "supply-additive event for round 2 has payload shape (2,); expected (3,)"
         with pytest.raises(ValueError, match=re.escape(message)):
             PerturbationSchedule.from_events(events)
+        # A single bad event is named too, before numpy would reject it.
+        for event, message in (
+            ((3, UTILITY, [[1.0, 1.0], [1.0]]), "utility-multiplicative event for round 3 has a"),
+            ((10**20, SUPPLY, [0.1, 0.0]), f"supply-additive event for round {10**20}: rounds"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                PerturbationSchedule.from_events([event])
 
     def test_column_payload_checked_once_and_frozen_in_place(self):
         payload = np.full((3, 2, 2), 1.01)
@@ -232,7 +242,29 @@ class TestSchedules:
         market = random_market(7, 3, 4)
         schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=14, start_round=9), market, 8)
         assert schedule.columns == () and schedule.channels() == set()
-        assert schedule.max_round == 0
+        assert schedule.by_round(market, 8) == ({}, [[]] * 9)
+
+    def test_by_round_reads_each_column_once_and_lists_each_rounds_rows(self, monkeypatch):
+        market = random_market(7, 3, 4)
+        supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=14, every=2), market, 9)
+        utility = generate_schedule(ScheduleSpec(UTILITY, 0.01, seed=15, every=3), market, 9)
+        schedule = PerturbationSchedule(utility.columns + supply.columns)
+        reads = []
+        rows_of_column = ScheduleColumn.rows
+        monkeypatch.setattr(
+            ScheduleColumn, "rows", lambda c, m: reads.append(c.channel) or rows_of_column(c, m)
+        )
+        rows, due = schedule.by_round(market, 10)
+        assert sorted(reads) == [SUPPLY, UTILITY] and rows.keys() == {SUPPLY, UTILITY}
+        assert np.array_equal(rows[SUPPLY], rows_of_column(supply.columns[0], market))
+        assert len(due) == 11 and due[0] == due[2] == due[10] == []
+        assert [c for c, _ in due[1]] == [SUPPLY, UTILITY] and [c for c, _ in due[4]] == [UTILITY]
+        assert np.array_equal(due[3][0][1], rows[SUPPLY][1])
+        assert np.array_equal(due[4][0][1], rows[UTILITY][1])
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            schedule.by_round(market, -1)
+        with pytest.raises(ValueError, match="beyond the horizon"):
+            schedule.by_round(market, 8)
 
     @pytest.mark.parametrize("channel", [SUPPLY, BUDGET, UTILITY])
     def test_gaussian_payloads_respect_magnitude(self, channel):
@@ -312,6 +344,7 @@ class TestJumpCaps:
             (lambda: delta_cpf_supply(supply, math.nan, market), "price_cap"),
             (lambda: delta_cpf_budget(budget, math.nan), "c_prime"),
             (lambda: ScheduleSpec(SUPPLY, math.nan, 1), "magnitude"),
+            (lambda: delta_prd_utility(market, np.ones(2), math.nan), "epsilon"),
         ):
             with pytest.raises(ValueError, match=name):
                 call()

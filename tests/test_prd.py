@@ -26,7 +26,9 @@ from eqtracer import (
 )
 from eqtracer import equilibrium, prd
 from eqtracer.equilibrium import EquilibriumResult
-from eqtracer.instances import random_market
+from eqtracer.instances import random_market, uniform_prices
+from eqtracer.perturbation import apply_row
+from eqtracer.tatonnement import TatonnementConfig, run_tatonnement_trace
 from eqtracer.trace import Trace
 from test_perturbation import applied
 
@@ -663,6 +665,8 @@ def test_runner_charges_the_public_cap(monkeypatch):
 def test_runner_rounds_match_per_event_application(monkeypatch):
     # Supply and utility columns, some rounds carrying both: every round's
     # market and drift equal the ones applying its events one by one gave.
+    # A supply event moves the supply level, which enters the coefficients
+    # as its ratio to the level before, to the power rho.
     market = random_market(14, 3, 4, unit_supplies=True)
     drift = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=3, every=2), market, 40)
     supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=4, every=3), market, 40)
@@ -675,13 +679,15 @@ def test_runner_rounds_match_per_event_application(monkeypatch):
     bids = prd_step(proportional_bids(market), market, rounds=20)
     run_prd_trace(market, bids, schedule, PrdBoundConfig.closed_form(market), 40)
     assert len(seen) == 40
+    supplied = market
     for t, (got, eps) in enumerate(seen, start=1):
         logs = None
         for event in events_at(schedule, t):
             if event.channel == SUPPLY:
-                perturbed = applied(market, event)
-                factor_logs = market.rho[:, None] * np.log(perturbed.supplies)[None, :]
-                market = reduce_supply_to_utility(perturbed)
+                perturbed = applied(supplied, event)
+                ratios = perturbed.supplies / supplied.supplies
+                factor_logs = market.rho[:, None] * np.log(ratios)
+                market, supplied = apply_row(market, UTILITY, np.exp(factor_logs)), perturbed
             else:
                 factor_logs = np.log(event.payload[0])
                 market = applied(market, event)
@@ -690,6 +696,44 @@ def test_runner_rounds_match_per_event_application(monkeypatch):
         assert eps == want
         assert np.array_equal(got.coefficients, market.coefficients)
         assert np.array_equal(got.supplies, market.supplies)
+
+
+def test_runner_markets_are_the_reduction_at_each_rounds_supply_level(monkeypatch):
+    # On non-unit supplies, round t's market is market0 at the round's supply
+    # level, folded into the coefficients (the reduction battery 7 checks).
+    market0 = random_market(23, 3, 4)
+    assert not (market0.supplies == 1.0).all()
+    schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.2, seed=5, every=2), market0, 30)
+    (column,) = schedule.columns
+    levels = column.rows(market0)
+    seen = []
+    cap = prd.delta_prd_utility
+    monkeypatch.setattr(
+        prd, "delta_prd_utility", lambda m, s, eps: seen.append(m) or cap(m, s, eps)
+    )
+    reduced = reduce_supply_to_utility(market0)
+    bids = prd_step(proportional_bids(reduced), reduced, rounds=20)
+    run_prd_trace(market0, bids, schedule, PrdBoundConfig.closed_form(reduced), 30)
+    assert len(seen) == 30
+    for t, got in enumerate(seen, start=1):
+        k = np.searchsorted(column.rounds, t, side="right") - 1
+        want = reduce_supply_to_utility(apply_row(market0, SUPPLY, levels[k]))
+        np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=1e-12, atol=0)
+        assert np.array_equal(got.supplies, want.supplies)
+
+
+def test_runner_refuses_supply_levels_the_tatonnement_runner_refuses():
+    # Steps of -0.6 on a unit supply are each valid alone; their level is not.
+    market = random_market(14, 3, 4, unit_supplies=True)
+    steps = [(t, SUPPLY, [-0.6, 0.0, 0.0, 0.0]) for t in (1, 2)]
+    schedule = PerturbationSchedule.from_events(steps)
+    message = "supply event would drive a supply non-positive"
+    config = TatonnementConfig(lam=0.05, price_cap=np.inf)
+    with pytest.raises(ValueError, match=message):
+        run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 5)
+    bids = proportional_bids(market)
+    with pytest.raises(ValueError, match=message):
+        run_prd_trace(market, bids, schedule, PrdBoundConfig.closed_form(market), 5)
 
 
 # The warm-up and the closed-form constants read no solve, so a nudge of the
