@@ -10,7 +10,6 @@ discounted sum of per-round jump caps.  Measured values must stay below it.
 import numpy as np
 
 from eqtracer import (
-    ScheduleSpec,
     TatonnementConfig,
     default_step_size,
     fit_contraction,
@@ -30,7 +29,7 @@ config = TatonnementConfig(
 # starts from the warmed prices.
 delta, prices = fit_contraction(market, uniform_prices(market), config, 100)
 schedule = generate_schedule(
-    ScheduleSpec(channel="supply-additive", magnitude=0.01, seed=21), market, 1500
+    market, 1500, channel="supply-additive", magnitude=0.01, seed=21
 )
 
 trace = run_tatonnement_trace(market, prices, config, schedule, delta, 1500)

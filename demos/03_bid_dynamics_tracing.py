@@ -15,7 +15,6 @@ import numpy as np
 
 from eqtracer import (
     PrdBoundConfig,
-    ScheduleSpec,
     generate_schedule,
     proportional_bids,
     run_prd_trace,
@@ -40,9 +39,7 @@ for t in range(61):
 
 # Dynamic run: coefficients drift; closed-form constants, from warmed-up bids.
 schedule = generate_schedule(
-    ScheduleSpec(channel="utility-multiplicative", magnitude=0.005, seed=5),
-    market,
-    600,
+    market, 600, channel="utility-multiplicative", magnitude=0.005, seed=5
 )
 bound = PrdBoundConfig.closed_form(market)
 warmed = prd_step(proportional_bids(market), market, rounds=200)

@@ -35,7 +35,7 @@ for channel, make_payload, cap_fn in (
     ("budget-additive", lambda: rng.uniform(-0.02, 0.02, 4),
      delta_ms_budget),
     ("utility-multiplicative", lambda: np.exp(rng.uniform(-0.05, 0.05, (4, 5))),
-     lambda e: delta_ms_utility(e, market)),
+     lambda e: delta_ms_utility(e, market.rho, market.total_budget)),
 ):
     worst_ratio = 0.0
     for _ in range(100):

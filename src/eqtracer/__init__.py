@@ -33,7 +33,6 @@ from .perturbation import (
     UTILITY,
     PerturbationSchedule,
     ScheduleColumn,
-    ScheduleSpec,
     calibrate_c_prime,
     coefficient_share_floor,
     delta_cpf_budget,

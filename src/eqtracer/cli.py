@@ -36,7 +36,6 @@ from .market import CesMarket
 from .perturbation import (
     CHANNELS,
     PerturbationSchedule,
-    ScheduleSpec,
     generate_schedule,
 )
 from .prd import (
@@ -61,6 +60,7 @@ KINDS = ("tatonnement-ms", "tatonnement-cpf", "prd", "gd-shifting", "diffusion")
 
 # One path component, so a run's outputs land directly inside --out.
 _FILE_NAME = {"type": "string", "pattern": r"^[^/\\]+$", "not": {"enum": [".", ".."]}}
+_MARKET_ARRAYS = ("budgets", "supplies", "rho", "coefficients")
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -97,10 +97,12 @@ CONFIG_SCHEMA = {
                 },
                 "initial_prices": {"type": "array", "items": {"type": "number"}},
             },
-            # A generated market has no explicit arrays beside it.
+            # A market is generated or given as all four arrays, never both.
             "dependentSchemas": {"random": {"properties": {
-                key: {"not": {}} for key in ("budgets", "supplies", "rho", "coefficients")
+                key: {"not": {}} for key in _MARKET_ARRAYS
             }}},
+            "if": {"required": ["random"]},
+            "else": {"required": list(_MARKET_ARRAYS)},
         },
         "dynamics": {
             "type": "object",
@@ -244,6 +246,7 @@ CONFIG_SCHEMA["allOf"] = [
     {
         "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
         "then": {
+            "required": ["market"] if "market" in reads else [],
             "propertyNames": {"enum": ["kind", "horizon", "output", *reads]},
             "properties": {
                 section: {"propertyNames": {"enum": keys}}
@@ -264,20 +267,12 @@ EXIT_BOUND = 4
 def _build_market(section: dict) -> CesMarket:
     if "random" in section:
         return random_market(**section["random"])
-    try:
-        return CesMarket(
-            budgets=section["budgets"],
-            supplies=section["supplies"],
-            rho=section["rho"],
-            coefficients=section["coefficients"],
-        )
-    except KeyError as missing:
-        raise ValueError(f"market section needs {missing} or a 'random' block")
+    return CesMarket(**{key: section[key] for key in _MARKET_ARRAYS})
 
 
 def _build_schedule(section: dict, market, horizon: int) -> PerturbationSchedule:
     if "generator" in section:
-        return generate_schedule(ScheduleSpec(**section["generator"]), market, horizon)
+        return generate_schedule(market, horizon, **section["generator"])
     return PerturbationSchedule.from_events(
         (e["round"], e["channel"], e["payload"]) for e in section.get("events", ())
     )
@@ -293,7 +288,7 @@ def _domination(trace) -> dict:
 
 
 def _run_tatonnement(config: dict):
-    market = _build_market(config.get("market", {}))
+    market = _build_market(config["market"])
     dynamics = config.get("dynamics", {})
     bounds = config.get("bounds", {})
     horizon = config["horizon"]
@@ -313,7 +308,7 @@ def _run_tatonnement(config: dict):
         c_prime=dynamics.get("c_prime"),
     )
     prices0 = np.asarray(
-        config.get("market", {}).get("initial_prices", uniform_prices(market)),
+        config["market"].get("initial_prices", uniform_prices(market)),
         dtype=float,
     )
     delta = bounds.get("delta", "fit")
@@ -348,7 +343,7 @@ def _run_tatonnement(config: dict):
 
 
 def _run_prd(config: dict):
-    market = _build_market(config.get("market", {}))
+    market = _build_market(config["market"])
     bounds = config.get("bounds", {})
     horizon = config["horizon"]
     reduced = reduce_supply_to_utility(market)

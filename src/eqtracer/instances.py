@@ -12,12 +12,6 @@ from .applications import LoadNetwork, ShiftingQuadratic
 from .market import CesMarket
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_market(
     seed,
     m: int,
@@ -33,7 +27,7 @@ def random_market(
     [0.2, 1.5] with an optional fraction zeroed (always keeping at least one
     positive coefficient per buyer).
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     budgets = rng.uniform(0.5, 2.0, size=m)
     supplies = np.ones(n) if unit_supplies else rng.uniform(0.5, 2.0, size=n)
     rho = rng.uniform(rho_low, rho_high, size=m)
@@ -131,7 +125,7 @@ def make_network(
         if speeds.ndim == 0:
             speeds = np.full(n, float(speeds))
     if loads is None:
-        loads = _rng(seed).uniform(0.0, 1.0, size=n)
+        loads = np.random.default_rng(seed).uniform(0.0, 1.0, size=n)
     else:
         loads = np.asarray(loads, dtype=float)
     if load_total is not None:
@@ -160,7 +154,7 @@ def drifting_speeds(
     """
     if mode not in ("common", "per-machine"):
         raise ValueError("mode must be 'common' or 'per-machine'")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     path = [np.ones(n)]
     for _ in range(T):
         size = n if mode == "per-machine" else None
@@ -181,7 +175,7 @@ def drifting_quadratic(
     Returns the problem, at the largest admissible step size 2/(alpha+beta),
     and a start `start_offset` times a normal vector away from the optimum.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     curvatures = rng.uniform(curvature_low, curvature_high, dims)
     directions = rng.normal(size=(horizon + 1, dims))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)

@@ -27,6 +27,7 @@ keep the fields it reads.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -162,15 +163,8 @@ class CesMarket:
         return base, bound, SHIFT_SPAN / max(1.0, float(-c.min()))
 
     def replace(self, **kwargs) -> "CesMarket":
-        """Return a copy with some fields replaced."""
-        fields = {
-            "budgets": self.budgets,
-            "supplies": self.supplies,
-            "rho": self.rho,
-            "coefficients": self.coefficients,
-        }
-        fields.update(kwargs)
-        return CesMarket(**fields)
+        """Return a validated copy with some fields replaced."""
+        return dataclasses.replace(self, **kwargs)
 
     def _derive(self, **kwargs) -> "CesMarket":
         """Unvalidated copy with fields replaced, for internal callers.

@@ -174,50 +174,50 @@ def apply_row(market: CesMarket, channel: str, row: np.ndarray) -> CesMarket:
     return market._derive(coefficients=new)
 
 
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Generator recipe for randomized schedules (reproducible via seed).
-
-    magnitude caps the L1 norm of additive payloads and the absolute log of
-    multiplicative factors.  Additive walks reflect at [0.5x, 2x] of the
-    initial values so generated schedules keep the market valid.
-    """
-
-    channel: str
-    magnitude: float
-    seed: int
-    distribution: str = "uniform"
-    start_round: int = 1
-    every: int = 1
-
-    def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}")
-        if not self.magnitude >= 0:
-            raise ValueError("magnitude must be non-negative")
-        if self.distribution not in ("uniform", "gaussian"):
-            raise ValueError("distribution must be 'uniform' or 'gaussian'")
-        if not all(v >= 1 and v % 1 == 0 for v in (self.start_round, self.every)):
-            raise ValueError("start_round and every must be whole numbers, at least 1")
-
-
 def generate_schedule(
-    spec: ScheduleSpec, market: CesMarket, horizon: int
+    market: CesMarket,
+    horizon: int,
+    channel: str,
+    magnitude: float,
+    seed: int,
+    distribution: str = "uniform",
+    start_round: int = 1,
+    every: int = 1,
 ) -> PerturbationSchedule:
     """A one-column schedule from one (T, ...) draw, bit-reproducible per seed.
 
-    Utility rows are exponentiated in place.  Additive components are scaled
-    to magnitude / size so an event's L1 norm stays at most magnitude, and
-    in-place sign flips keep supplies and budgets in [0.5, 2] x initial value.
+    Events fall on rounds start_round, start_round + every, ... up to
+    horizon.  magnitude caps the L1 norm of additive payloads and the
+    absolute log of multiplicative factors: a uniform draw on [-magnitude,
+    magnitude], or a gaussian one with standard deviation magnitude / 2
+    clipped there.  Utility rows are exponentiated in place.  Additive
+    components are scaled to magnitude / size, and in-place sign flips keep
+    supplies and budgets in [0.5, 2] x initial value, so generated schedules
+    keep the market valid.
     """
-    rng = np.random.default_rng(spec.seed)
-    rounds = np.arange(spec.start_round, horizon + 1, spec.every)
-    if spec.channel == UTILITY:
-        payload = _draw(rng, spec, (rounds.size, *market.coefficients.shape))
+    if channel not in CHANNELS:
+        raise ValueError(f"unknown channel {channel!r}")
+    if not magnitude >= 0:
+        raise ValueError("magnitude must be non-negative")
+    if distribution not in ("uniform", "gaussian"):
+        raise ValueError("distribution must be 'uniform' or 'gaussian'")
+    if not all(v >= 1 and v % 1 == 0 for v in (start_round, every)):
+        raise ValueError("start_round and every must be whole numbers, at least 1")
+    rng = np.random.default_rng(seed)
+    rounds = np.arange(start_round, horizon + 1, every)
+    if channel == UTILITY:
+        size = (rounds.size, *market.coefficients.shape)
+    else:
+        initial = getattr(market, _ADDITIVE[channel][0])
+        size = (rounds.size, initial.size)
+    if distribution == "uniform":
+        payload = rng.uniform(-magnitude, magnitude, size=size)
+    else:
+        payload = rng.normal(0.0, magnitude / 2.0, size=size)
+        np.clip(payload, -magnitude, magnitude, out=payload)
+    if channel == UTILITY:
         np.exp(payload, out=payload)
     else:
-        initial = getattr(market, _ADDITIVE[spec.channel][0])
-        payload = _draw(rng, spec, (rounds.size, initial.size))
         payload /= initial.size
         low, high, level = 0.5 * initial, 2.0 * initial, initial.copy()
         for step in payload:
@@ -225,19 +225,13 @@ def generate_schedule(
             moved = level + step
             np.negative(step, out=step, where=(moved < low) | (moved > high))
             level += step
-    return PerturbationSchedule((ScheduleColumn(spec.channel, rounds, payload),))
-
-
-def _draw(rng: np.random.Generator, spec: ScheduleSpec, size) -> np.ndarray:
-    if spec.distribution == "uniform":
-        return rng.uniform(-spec.magnitude, spec.magnitude, size=size)
-    draws = rng.normal(0.0, spec.magnitude / 2.0, size=size)
-    return np.clip(draws, -spec.magnitude, spec.magnitude, out=draws)
+    return PerturbationSchedule((ScheduleColumn(channel, rounds, payload),))
 
 
 # ---------------------------------------------------------------------------
 # Worst-case potential jumps at fixed prices, per (potential, channel) pair:
-# one cap per row of a `ScheduleColumn`.
+# one cap per row of a `ScheduleColumn`.  A cap that reads the total budget
+# takes it as one float or as one value per row.
 # ---------------------------------------------------------------------------
 
 
@@ -267,7 +261,7 @@ def _worst_factor(column: ScheduleColumn, exponents: np.ndarray):
     return np.exp(logs.max(axis=(-2, -1)))
 
 
-def delta_ms_utility(column: ScheduleColumn, market: CesMarket):
+def delta_ms_utility(column: ScheduleColumn, rho: np.ndarray, total_budget):
     """Misspending jump cap under coefficient rescaling.
 
     The worst single-buyer spending reshuffle from factors within
@@ -275,13 +269,13 @@ def delta_ms_utility(column: ScheduleColumn, market: CesMarket):
     most a 2(g-1)/(g+1) fraction of the total budget.
     """
     _require(column, UTILITY)
-    if (market.rho >= 1).any():
+    if (rho >= 1).any():
         raise ValueError("utility jump caps need rho < 1 for every buyer")
-    gamma = _worst_factor(column, 1.0 / (1.0 - market.rho))
-    return market.total_budget * 2.0 * (gamma - 1.0) / (gamma + 1.0)
+    gamma = _worst_factor(column, 1.0 / (1.0 - rho))
+    return total_budget * 2.0 * (gamma - 1.0) / (gamma + 1.0)
 
 
-def delta_cpf_supply(column: ScheduleColumn, price_cap: float, market: CesMarket):
+def delta_cpf_supply(column: ScheduleColumn, price_cap: float, total_budget):
     """Convex-potential jump cap under a supply change: (P + B) * l1(payload).
 
     The extra B term covers the shift of the potential's minimum value.
@@ -289,7 +283,7 @@ def delta_cpf_supply(column: ScheduleColumn, price_cap: float, market: CesMarket
     _require(column, SUPPLY)
     if not price_cap > 0:
         raise ValueError("price_cap must be positive")
-    return (price_cap + market.total_budget) * np.abs(column.payload).sum(axis=-1)
+    return (price_cap + total_budget) * np.abs(column.payload).sum(axis=-1)
 
 
 def delta_cpf_budget(column: ScheduleColumn, c_prime: float):
@@ -304,15 +298,15 @@ def delta_cpf_budget(column: ScheduleColumn, c_prime: float):
     return c_prime * np.abs(column.payload).sum(axis=-1)
 
 
-def delta_cpf_utility(column: ScheduleColumn, market: CesMarket):
+def delta_cpf_utility(column: ScheduleColumn, rho: np.ndarray, total_budget):
     """Convex-potential jump cap under coefficient rescaling: 2B ln(chi).
 
     chi is the worst unit-cost ratio, measured with the per-buyer exponent
     1/|rho_i|.
     """
     _require(column, UTILITY)
-    chi = _worst_factor(column, 1.0 / np.abs(market.rho))
-    return 2.0 * market.total_budget * np.log(chi)
+    chi = _worst_factor(column, 1.0 / np.abs(rho))
+    return 2.0 * total_budget * np.log(chi)
 
 
 def calibrate_c_prime(

@@ -245,15 +245,20 @@ def reduce_supply_to_utility(market: CesMarket) -> CesMarket:
 
     Good j's supply w_j is folded in as a_ij <- a_ij * w_j^rho_i, i.e.
     a_ij * exp(rho_i ln w_j); bid dynamics on the original and reduced
-    markets coincide entrywise.  A unit-supply market is returned as it is.
+    markets coincide entrywise.  A unit-supply market is returned as it is;
+    any other market keeps its reduction in its __dict__, next to its cold
+    solves, so later calls return that same object.
     """
     if (market.supplies == 1.0).all():
         return market
-    factors = np.exp(market.rho[:, None] * np.log(market.supplies)[None, :])
-    return market.replace(
-        coefficients=market.coefficients * factors,
-        supplies=np.ones(market.num_goods),
-    )
+    kept = market.__dict__
+    if "_unit_supply" not in kept:
+        factors = np.exp(market.rho[:, None] * np.log(market.supplies)[None, :])
+        kept["_unit_supply"] = market.replace(
+            coefficients=market.coefficients * factors,
+            supplies=np.ones(market.num_goods),
+        )
+    return kept["_unit_supply"]
 
 
 @dataclass(frozen=True)

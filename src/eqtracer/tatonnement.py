@@ -29,7 +29,6 @@ from .perturbation import (
     BUDGET,
     SUPPLY,
     PerturbationSchedule,
-    ScheduleColumn,
     apply_row,
     delta_cpf_budget,
     delta_cpf_supply,
@@ -142,23 +141,27 @@ def dynamics(market, config):
     return _update_cpf, cpf
 
 
-def jump_cap(column, market, variant, price_cap, c_prime):
-    """Closed-form caps on the jump each row of `column` causes on `market`."""
+def jump_cap(column, rho, total_budget, variant, price_cap, c_prime):
+    """Closed-form caps on the jump each row of `column` causes.
+
+    `rho` is the market's curvatures and `total_budget` its total budget B,
+    one float or one value per row.
+    """
     if variant == MISSPENDING:
         if column.channel == SUPPLY:
             return delta_ms_supply(column, price_cap)
         if column.channel == BUDGET:
             return delta_ms_budget(column)
-        return delta_ms_utility(column, market)
+        return delta_ms_utility(column, rho, total_budget)
     if column.channel == SUPPLY:
-        return delta_cpf_supply(column, price_cap, market)
+        return delta_cpf_supply(column, price_cap, total_budget)
     if column.channel == BUDGET:
         if c_prime is None:
             raise ValueError(
                 "budget events in a cpf trace need c_prime in the config"
             )
         return delta_cpf_budget(column, c_prime)
-    return delta_cpf_utility(column, market)
+    return delta_cpf_utility(column, rho, total_budget)
 
 
 def fit_contraction(
@@ -219,8 +222,8 @@ def run_tatonnement_trace(
     (market_t, p_t) drives the update of round t+1.  Schedule work is done
     once, before round 1: the rows of every round
     (`PerturbationSchedule.by_round`, levels from market0), every round's
-    jump cap and the uniform-shrink warning; a round applies its rows
-    (`apply_row`).
+    jump cap, each row priced at the total budget in force on its round, and
+    the uniform-shrink warning; a round applies its rows (`apply_row`).
 
     `delta` is supplied or fitted beforehand with `fit_contraction`, whose
     final prices are then the natural `prices0`.
@@ -232,19 +235,18 @@ def run_tatonnement_trace(
         raise ValueError("price cap must be at least the largest initial price")
     rows, due = schedule.by_round(market0, horizon)
 
-    # Every round's summed jump caps, one `jump_cap` call per column: a cap may
-    # read the total budget, so rows after the k-th budget event see its budgets.
+    # Every round's summed jump caps, one `jump_cap` call per column.  A row
+    # on or after the k-th budget round sees the k-th budget level's total.
     jumps = np.zeros(horizon)
-    budget_rounds = schedule.columns[0].rounds if BUDGET in rows else []  # channel order
+    budget_rounds, totals = [], np.array([market0.total_budget])
+    if BUDGET in rows:  # channel order puts the budget column first
+        budget_rounds = schedule.columns[0].rounds
+        totals = np.append(totals, rows[BUDGET].sum(axis=1))
     for column in schedule.columns:
-        cuts = [] if column.channel == BUDGET else np.searchsorted(column.rounds, budget_rounds)
-        for k, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(column.rounds)])):
-            part = column if hi - lo == len(column.rounds) else ScheduleColumn(
-                column.channel, column.rounds[lo:hi], column.payload[lo:hi]
-            )
-            market = market0 if k == 0 else apply_row(market0, BUDGET, rows[BUDGET][k - 1])
-            caps = jump_cap(part, market, config.variant, config.price_cap, config.c_prime)
-            jumps[part.rounds - 1] += caps
+        row_totals = totals[np.searchsorted(budget_rounds, column.rounds, side="right")]
+        jumps[column.rounds - 1] += jump_cap(
+            column, market0.rho, row_totals, config.variant, config.price_cap, config.c_prime
+        )
     if SUPPLY in rows:
         # A uniform multiplicative supply shrink outpaces the capped update unless
         # (1 + lam) * factor > 1.  Uniform: np.allclose(rtol=1e-12, atol=1e-8).

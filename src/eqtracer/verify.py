@@ -36,7 +36,6 @@ from .perturbation import (
     SUPPLY,
     UTILITY,
     ScheduleColumn,
-    ScheduleSpec,
     apply_row,
     calibrate_c_prime,
     extremize_shares,
@@ -195,11 +194,9 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
             # Integer entropy only: hash() of strings is salted per process.
             rng = np.random.default_rng(np.random.SeedSequence((case, trial)))
             m, n = _sizes(rng)
+            market = random_market(rng, m, n, 0.2, 0.8)
             if potential_kind == CPF and channel == SUPPLY:
-                market = random_market(rng, m, n, 0.2, 0.8)
                 market = market.replace(supplies=rng.uniform(1.2, 2.0, n))
-            else:
-                market = random_market(rng, m, n, 0.2, 0.8)
             prices = uniform_prices(market) * rng.uniform(0.3, 3.0, n)
             event = _random_event(rng, market, channel)
             perturbed = apply_row(market, channel, event.rows(market)[0])
@@ -213,7 +210,10 @@ def check_delta_domination(trials: int = 200) -> CheckResult:
                 c_prime = calibrate_c_prime(market, [before.prices, after.prices], [prices])
                 c_prime_max = max(c_prime_max, c_prime)
             # The same cap dispatch the trace runners use.
-            cap = jump_cap(event, market, potential_kind, float(prices.max()), c_prime)[0]
+            cap = jump_cap(
+                event, market.rho, market.total_budget, potential_kind,
+                float(prices.max()), c_prime,
+            )[0]
             margin = measured - cap
             worst_margin = max(worst_margin, margin)
             if margin > 1e-9:
@@ -248,8 +248,7 @@ def check_dynamic_tracing(traces: int = 20, horizon: int = 2000) -> CheckResult:
         magnitude = 0.01
         if channel == UTILITY:
             magnitude *= 1.0 - float(market.rho.max())
-        spec = ScheduleSpec(channel=channel, magnitude=magnitude, seed=3000 + i)
-        schedule = generate_schedule(spec, market, horizon)
+        schedule = generate_schedule(market, horizon, channel, magnitude, seed=3000 + i)
 
         delta_hat, warmed = fit_contraction(
             market, uniform_prices(market), config, rounds=100
@@ -336,8 +335,7 @@ def check_prd_convergence(markets: int = 30, horizon: int = 400) -> CheckResult:
         worst_slack = max([worst_slack, *slack])
         if max(slack, default=0.0) > 0:
             failures.append(f"seed {seed}: static recurrence fails by {max(slack):.2e} KL")
-        spec = ScheduleSpec(channel=UTILITY, magnitude=0.005, seed=5000 + seed)
-        schedule = generate_schedule(spec, market, horizon)
+        schedule = generate_schedule(market, horizon, UTILITY, 0.005, seed=5000 + seed)
         warmed = prd_step(proportional_bids(market), market, rounds=200)
         trace = run_prd_trace(market, warmed, schedule, bound, horizon)
         fraction = float(trace.recurrence_ok.mean())

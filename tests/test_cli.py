@@ -25,6 +25,7 @@ from eqtracer.cli import (
     main,
 )
 from eqtracer.instances import drifting_quadratic, drifting_speeds, random_market
+from eqtracer.perturbation import generate_schedule
 from eqtracer.trace import CSV_HEADER, file_sha256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,9 +94,34 @@ def test_malformed_json_exits_2_with_location(tmp_path, capsys):
 
 
 def test_schema_violation_exits_2_with_field(tmp_path, capsys):
-    cfg = write_config(tmp_path, "c.json", {"kind": "prd", "horizon": -3})
+    config = {"kind": "prd", "horizon": -3, "market": BASE["market"]}
+    cfg = write_config(tmp_path, "c.json", config)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, market, message",
+    [
+        ("tatonnement-ms", None, "config field <root>: 'market' is a required property"),
+        ("tatonnement-cpf", {}, "config field market: 'budgets' is a required property"),
+        (
+            "prd",
+            {"budgets": [1.0], "supplies": [1.0], "rho": [0.5]},
+            "config field market: 'coefficients' is a required property",
+        ),
+    ],
+    ids=["no-market", "empty", "no-coefficients"],
+)
+def test_missing_market_fields_are_config_errors(tmp_path, capsys, kind, market, message):
+    config = {"kind": kind, "horizon": 5}
+    if market is not None:
+        config["market"] = market
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulation_error_exits_3(tmp_path, capsys):
@@ -382,6 +408,7 @@ def test_report_without_measurable_contraction_is_valid_json(tmp_path, network):
         (("market", "random"), random_market),
         (("network", "drift"), drifting_speeds),
         (("quadratic",), drifting_quadratic),
+        (("schedule", "generator"), generate_schedule),
     ],
 )
 def test_generator_sections_name_generator_parameters(section, generator):
@@ -442,7 +469,8 @@ def test_overflowing_prd_cap_exits_3_by_name(tmp_path, capsys):
 
 @pytest.mark.parametrize("bounds", [{"q1": 0.5}, {"q2": 0.5}], ids=["q1-alone", "q2-alone"])
 def test_lone_prd_constant_is_a_config_error(tmp_path, capsys, bounds):
-    cfg = write_config(tmp_path, "c.json", {"kind": "prd", "horizon": 5, "bounds": bounds})
+    config = {"kind": "prd", "horizon": 5, "market": BASE["market"], "bounds": bounds}
+    cfg = write_config(tmp_path, "c.json", config)
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert "config field bounds" in capsys.readouterr().err

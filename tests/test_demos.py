@@ -19,3 +19,10 @@ def test_demo_exits_cleanly(demo):
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_quick_start_runs():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

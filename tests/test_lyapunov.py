@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from eqtracer import (
     PrdBoundConfig,
-    ScheduleSpec,
     TatonnementConfig,
     default_step_size,
     demand,
@@ -140,9 +139,7 @@ class TestRunnersFollowClosedForms:
             price_cap=2 * market.total_budget,
         )
         schedule = generate_schedule(
-            ScheduleSpec(channel="supply-additive", magnitude=0.01, seed=seed + 5),
-            market,
-            150,
+            market, 150, channel="supply-additive", magnitude=0.01, seed=seed + 5
         )
         prices = uniform_prices(market)
         trace = run_tatonnement_trace(market, prices, config, schedule, 0.01, 150)
@@ -170,11 +167,7 @@ class TestRunnersFollowClosedForms:
         bids = proportional_bids(market)
         bound = PrdBoundConfig.closed_form(market)
         schedule = generate_schedule(
-            ScheduleSpec(
-                channel="utility-multiplicative", magnitude=0.005, seed=seed + 5
-            ),
-            market,
-            100,
+            market, 100, channel="utility-multiplicative", magnitude=0.005, seed=seed + 5
         )
         trace = run_prd_trace(market, bids, schedule, bound, 100)
         kl0 = kl_divergence(solve_equilibrium(market, tolerance=1e-10).bids, bids)

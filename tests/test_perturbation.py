@@ -16,7 +16,6 @@ from eqtracer import (
     CesMarket,
     PerturbationSchedule,
     ScheduleColumn,
-    ScheduleSpec,
     calibrate_c_prime,
     coefficient_share_floor,
     delta_cpf_budget,
@@ -175,10 +174,10 @@ class TestSchedules:
         "field, whole, rounds", [("start_round", 2.0, [2, 3, 4, 5, 6]), ("every", 2.0, [1, 3, 5])]
     )
     def test_fractional_generator_rounds_rejected(self, field, whole, rounds):
-        with pytest.raises(ValueError, match="whole numbers"):
-            ScheduleSpec(SUPPLY, 0.01, 5, **{field: 1.5})
         market = random_market(7, 3, 4)
-        schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.01, 5, **{field: whole}), market, 6)
+        with pytest.raises(ValueError, match="whole numbers"):
+            generate_schedule(market, 6, SUPPLY, 0.01, 5, **{field: 1.5})
+        schedule = generate_schedule(market, 6, SUPPLY, 0.01, 5, **{field: whole})
         assert [r for r, _ in rows_of(schedule)] == rounds
 
     def test_ragged_payloads_name_channel_round_and_shape(self):
@@ -208,17 +207,15 @@ class TestSchedules:
 
     def test_generator_reproducible(self):
         market = random_market(4, 3, 4)
-        spec = ScheduleSpec(channel=SUPPLY, magnitude=0.05, seed=11)
-        a = generate_schedule(spec, market, 50)
-        b = generate_schedule(spec, market, 50)
+        a = generate_schedule(market, 50, channel=SUPPLY, magnitude=0.05, seed=11)
+        b = generate_schedule(market, 50, channel=SUPPLY, magnitude=0.05, seed=11)
         assert len(rows_of(a)) == len(rows_of(b)) == 50
         for (ra, pa), (rb, pb) in zip(rows_of(a), rows_of(b)):
             assert ra == rb and np.array_equal(pa, pb)
 
     def test_generator_respects_magnitude_and_validity(self):
         market = random_market(5, 3, 4)
-        spec = ScheduleSpec(channel=SUPPLY, magnitude=0.05, seed=12)
-        schedule = generate_schedule(spec, market, 500)
+        schedule = generate_schedule(market, 500, channel=SUPPLY, magnitude=0.05, seed=12)
         supplies = market.supplies.copy()
         for _, payload in rows_of(schedule):
             assert np.abs(payload).sum() <= 0.05 + 1e-12
@@ -227,27 +224,25 @@ class TestSchedules:
 
     def test_utility_generator_bounds_log_factors(self):
         market = random_market(6, 2, 3)
-        spec = ScheduleSpec(channel=UTILITY, magnitude=0.01, seed=13)
-        schedule = generate_schedule(spec, market, 100)
+        schedule = generate_schedule(market, 100, channel=UTILITY, magnitude=0.01, seed=13)
         assert np.all(np.abs(np.log(schedule.columns[0].payload)) <= 0.01 + 1e-12)
 
     @pytest.mark.parametrize("channel", [SUPPLY, BUDGET, UTILITY])
     def test_events_fall_on_start_round_then_every(self, channel):
         market = random_market(7, 3, 4)
-        spec = ScheduleSpec(channel, 0.01, seed=14, start_round=3, every=4)
-        schedule = generate_schedule(spec, market, 20)
+        schedule = generate_schedule(market, 20, channel, 0.01, seed=14, start_round=3, every=4)
         assert [r for r, _ in rows_of(schedule)] == [3, 7, 11, 15, 19]
 
     def test_schedule_without_rounds_has_no_channels(self):
         market = random_market(7, 3, 4)
-        schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=14, start_round=9), market, 8)
+        schedule = generate_schedule(market, 8, SUPPLY, 0.01, seed=14, start_round=9)
         assert schedule.columns == () and schedule.channels() == set()
         assert schedule.by_round(market, 8) == ({}, [[]] * 9)
 
     def test_by_round_reads_each_column_once_and_lists_each_rounds_rows(self, monkeypatch):
         market = random_market(7, 3, 4)
-        supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=14, every=2), market, 9)
-        utility = generate_schedule(ScheduleSpec(UTILITY, 0.01, seed=15, every=3), market, 9)
+        supply = generate_schedule(market, 9, SUPPLY, 0.01, seed=14, every=2)
+        utility = generate_schedule(market, 9, UTILITY, 0.01, seed=15, every=3)
         schedule = PerturbationSchedule(utility.columns + supply.columns)
         reads = []
         rows_of_column = ScheduleColumn.rows
@@ -271,8 +266,8 @@ class TestSchedules:
         # Draws have standard deviation magnitude/2 and are clipped at the
         # magnitude, so over 200 events some draws reach the clip.
         market = random_market(8, 3, 4)
-        spec = ScheduleSpec(channel, 0.05, seed=15, distribution="gaussian")
-        payload = generate_schedule(spec, market, 200).columns[0].payload
+        schedule = generate_schedule(market, 200, channel, 0.05, seed=15, distribution="gaussian")
+        payload = schedule.columns[0].payload
         if channel == UTILITY:
             draws = np.abs(np.log(payload))
         else:
@@ -287,8 +282,10 @@ class TestSchedules:
         market = random_market(9, 3, 4)
 
         def payloads(seed):
-            spec = ScheduleSpec(UTILITY, 0.05, seed, distribution=distribution, every=2)
-            return [payload for _, payload in rows_of(generate_schedule(spec, market, 30))]
+            schedule = generate_schedule(
+                market, 30, UTILITY, 0.05, seed, distribution=distribution, every=2
+            )
+            return [payload for _, payload in rows_of(schedule)]
 
         same, again, other = payloads(16), payloads(16), payloads(17)
         assert all(np.array_equal(x, y) for x, y in zip(same, again, strict=True))
@@ -312,18 +309,17 @@ class TestJumpCaps:
             coefficients=[[1.0], [1.0]],
         )
         factors = np.full((2, 1), 3.0 ** (1.0 - 0.5))  # gamma^(1/(1-rho)) = 3
-        assert delta_ms_utility(event(UTILITY, factors), market)[0] == pytest.approx(
-            market.total_budget, rel=1e-12
-        )
+        cap = delta_ms_utility(event(UTILITY, factors), market.rho, market.total_budget)
+        assert cap[0] == pytest.approx(market.total_budget, rel=1e-12)
 
     def test_identity_utility_event_is_free(self):
         market = random_market(7, 2, 3)
-        assert delta_ms_utility(event(UTILITY, np.ones((2, 3))), market)[0] == 0.0
-        assert delta_cpf_utility(event(UTILITY, np.ones((2, 3))), market)[0] == 0.0
+        identity = event(UTILITY, np.ones((2, 3)))
+        assert delta_ms_utility(identity, market.rho, market.total_budget)[0] == 0.0
+        assert delta_cpf_utility(identity, market.rho, market.total_budget)[0] == 0.0
 
     def test_cpf_supply_cap_plugin(self):
-        market = random_market(8, 2, 2).replace(budgets=np.array([2.0, 3.0]))
-        cap = delta_cpf_supply(event(SUPPLY, [0.1, 0.0]), 10.0, market)
+        cap = delta_cpf_supply(event(SUPPLY, [0.1, 0.0]), 10.0, 5.0)
         assert cap[0] == pytest.approx((10.0 + 5.0) * 0.1)
 
     def test_cpf_budget_cap_plugin(self):
@@ -332,7 +328,7 @@ class TestJumpCaps:
     def test_cpf_utility_single_buyer(self):
         market = CesMarket(budgets=[1.0], supplies=[1.0], rho=[0.5], coefficients=[[1.0]])
         factors = np.full((1, 1), math.exp(0.05))
-        cap = delta_cpf_utility(event(UTILITY, factors), market)
+        cap = delta_cpf_utility(event(UTILITY, factors), market.rho, market.total_budget)
         assert cap[0] == pytest.approx(0.2 * market.total_budget, rel=1e-12)
 
     def test_nan_constants_rejected(self):
@@ -341,9 +337,9 @@ class TestJumpCaps:
         for call, name in (
             (lambda: TatonnementConfig(lam=0.1, price_cap=math.nan), "price_cap"),
             (lambda: delta_ms_supply(supply, math.nan), "price_cap"),
-            (lambda: delta_cpf_supply(supply, math.nan, market), "price_cap"),
+            (lambda: delta_cpf_supply(supply, math.nan, market.total_budget), "price_cap"),
             (lambda: delta_cpf_budget(budget, math.nan), "c_prime"),
-            (lambda: ScheduleSpec(SUPPLY, math.nan, 1), "magnitude"),
+            (lambda: generate_schedule(market, 5, SUPPLY, math.nan, 1), "magnitude"),
             (lambda: delta_prd_utility(market, np.ones(2), math.nan), "epsilon"),
         ):
             with pytest.raises(ValueError, match=name):
@@ -513,34 +509,36 @@ class TestMeasuredJumps:
 # ---------------------------------------------------------------------------
 
 
-def reference_schedule(spec, market, horizon):
+def reference_schedule(
+    market, horizon, channel, magnitude, seed, distribution="uniform", start_round=1, every=1
+):
     """One draw and one (round, channel, payload) triple per event round."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
 
     def draw(size):
-        if spec.distribution == "uniform":
-            return rng.uniform(-spec.magnitude, spec.magnitude, size=size)
-        draws = rng.normal(0.0, spec.magnitude / 2.0, size=size)
-        return np.clip(draws, -spec.magnitude, spec.magnitude)
+        if distribution == "uniform":
+            return rng.uniform(-magnitude, magnitude, size=size)
+        draws = rng.normal(0.0, magnitude / 2.0, size=size)
+        return np.clip(draws, -magnitude, magnitude)
 
     events = []
-    if spec.channel == SUPPLY:
+    if channel == SUPPLY:
         size, low, high = market.num_goods, 0.5 * market.supplies, 2.0 * market.supplies
         level = market.supplies.copy()
-    elif spec.channel == BUDGET:
+    elif channel == BUDGET:
         size, low, high = market.num_buyers, 0.5 * market.budgets, 2.0 * market.budgets
         level = market.budgets.copy()
     else:
         size = market.coefficients.shape
-    for t in range(spec.start_round, horizon + 1, spec.every):
-        if spec.channel == UTILITY:
+    for t in range(start_round, horizon + 1, every):
+        if channel == UTILITY:
             events.append((t, UTILITY, np.exp(draw(size))))
             continue
         step = draw(size) / size
         outside = (level + step < low) | (level + step > high)
         step = np.where(outside, -step, step)
         level = level + step
-        events.append((t, spec.channel, step))
+        events.append((t, channel, step))
     return events
 
 
@@ -549,7 +547,10 @@ def reference_round_events(market, events, config):
     total, shrinks = 0.0, False
     for round_, channel, payload in events:
         ev = event(channel, payload, round_)
-        total += jump_cap(ev, market, config.variant, config.price_cap, config.c_prime)[0]
+        total += jump_cap(
+            ev, market.rho, market.total_budget, config.variant, config.price_cap,
+            config.c_prime,
+        )[0]
         if channel == SUPPLY:
             factors = (market.supplies + payload) / market.supplies
             first = factors[0]
@@ -637,9 +638,9 @@ def test_columnar_schedule_matches_per_event_oracle(
 ):
     market = random_market(seed, m, n, unit_supplies=variant == "cpf")
     horizon = 10
-    spec = ScheduleSpec(channel, magnitude, seed, distribution, start_round, every)
-    schedule = generate_schedule(spec, market, horizon)
-    events = reference_schedule(spec, market, horizon)
+    spec = (channel, magnitude, seed, distribution, start_round, every)
+    schedule = generate_schedule(market, horizon, *spec)
+    events = reference_schedule(market, horizon, *spec)
     got = rows_of(schedule) if events else []
     assert [r for r, _ in got] == [t for t, _, _ in events]
     for (_, row), (_, _, payload) in zip(got, events):
@@ -685,9 +686,8 @@ def test_large_supply_schedule_matches_per_event_oracle(monkeypatch, magnitude):
     # reflected walk still drives a supply negative, which both paths reject
     # with the same message.
     market = random_market(17, 200, 200)
-    spec = ScheduleSpec(SUPPLY, magnitude, seed=18)
-    schedule = generate_schedule(spec, market, 6)
-    events = reference_schedule(spec, market, 6)
+    schedule = generate_schedule(market, 6, SUPPLY, magnitude, seed=18)
+    events = reference_schedule(market, 6, SUPPLY, magnitude, seed=18)
     for (_, row), (_, _, payload) in zip(rows_of(schedule), events, strict=True):
         assert np.array_equal(row, payload)
     raw = np.random.default_rng(18).uniform(-magnitude, magnitude, (6, 200))
@@ -696,3 +696,49 @@ def test_large_supply_schedule_matches_per_event_oracle(monkeypatch, magnitude):
     )
     assert (reflected > 100) == (magnitude > 1)
     assert_runs_match(market, events, schedule, _config(market, "misspending"), 6, monkeypatch)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    variant=st.sampled_from(["misspending", "cpf"]),
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    budget_rounds=st.sets(st.integers(1, 12), min_size=1, max_size=6),
+    other_rounds=st.sets(st.integers(1, 12), max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_caps_at_per_row_totals_match_caps_on_budget_level_markets(
+    variant, m, n, budget_rounds, other_rounds, seed
+):
+    # The runner prices every row of a column in one `jump_cap` call, at the
+    # total budget of the latest budget level on or before the row's round.
+    # Oracle: one cap per row, on the market that budget level makes.
+    market0 = random_market(seed, m, n)
+    config = _config(market0, variant)
+    rng = np.random.default_rng(seed)
+    budget = ScheduleColumn(
+        BUDGET, sorted(budget_rounds), rng.uniform(-0.05, 0.05, (len(budget_rounds), m))
+    )
+    levels = budget.rows(market0)
+    totals = np.append(market0.total_budget, levels.sum(axis=1))
+    rounds = sorted(other_rounds | {min(budget_rounds)})  # at least one shared round
+    size = len(rounds)
+    columns = (
+        budget,
+        ScheduleColumn(SUPPLY, rounds, rng.uniform(-0.05, 0.05, (size, n))),
+        ScheduleColumn(UTILITY, rounds, np.exp(rng.uniform(-0.05, 0.05, (size, m, n)))),
+    )
+    for column in columns:
+        row_totals = totals[np.searchsorted(budget.rounds, column.rounds, side="right")]
+        got = jump_cap(
+            column, market0.rho, row_totals, variant, config.price_cap, config.c_prime
+        )
+        want = []
+        for t, payload in zip(column.rounds.tolist(), column.payload):
+            k = sum(r <= t for r in budget_rounds)
+            market = apply_row(market0, BUDGET, levels[k - 1]) if k else market0
+            want.append(jump_cap(
+                event(column.channel, payload, t), market.rho, market.total_budget,
+                variant, config.price_cap, config.c_prime,
+            )[0])
+        assert np.array_equal(got, want), column.channel

@@ -13,7 +13,6 @@ from eqtracer import (
     PerturbationSchedule,
     PrdBoundConfig,
     ScheduleColumn,
-    ScheduleSpec,
     check_bids,
     generate_schedule,
     kl_divergence,
@@ -261,6 +260,17 @@ class TestReduction:
         assert reduced.coefficients[0, 0] == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-14)
         assert np.array_equal(reduced.supplies, [1.0])
 
+    def test_reduction_is_kept_with_the_market(self):
+        market = random_market(8, 3, 4)  # non-unit supplies
+        reduced = reduce_supply_to_utility(market)
+        assert reduce_supply_to_utility(market) is reduced
+        # A derived market does not inherit it: the reduction carries the budgets.
+        levels = ScheduleColumn(BUDGET, [1], np.full((1, 3), 0.1)).rows(market)
+        moved = apply_row(market, BUDGET, levels[0])
+        image = reduce_supply_to_utility(moved)
+        assert image is not reduced and np.array_equal(image.budgets, moved.budgets)
+        assert np.array_equal(image.coefficients, reduced.coefficients)
+
     def test_trajectories_match_entrywise(self):
         market = random_market(8, 3, 4)  # non-unit supplies
         image = reduce_supply_to_utility(market)
@@ -334,8 +344,7 @@ class TestFitAndTrace:
 
     def test_dynamic_supply_events_run_through_reduction(self):
         market = random_market(14, 3, 4, unit_supplies=True)
-        spec = ScheduleSpec(channel=SUPPLY, magnitude=0.01, seed=3)
-        schedule = generate_schedule(spec, market, 100)
+        schedule = generate_schedule(market, 100, channel=SUPPLY, magnitude=0.01, seed=3)
         bound = PrdBoundConfig.closed_form(market)
         bids = prd_step(proportional_bids(market), market, rounds=200)
         trace = run_prd_trace(market, bids, schedule, bound, 100)
@@ -360,7 +369,7 @@ class TestFitAndTrace:
         # on the market, and the runner starts from it without a Newton step.
         market = random_market(16, 3, 4, unit_supplies=True)
         fresh = market.replace()
-        schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=4), market, 30)
+        schedule = generate_schedule(market, 30, UTILITY, 0.005, seed=4)
         bound = PrdBoundConfig.closed_form(market)
         bids = prd_step(proportional_bids(market), market, rounds=30)
         solve_equilibrium(market, tolerance=prd.SOLVER_TOLERANCE)
@@ -535,7 +544,7 @@ def test_anchor_g_star_is_the_kernel_g_at_equilibrium(sparse):
 
 def test_fit_and_runner_make_one_kernel_call_per_round(monkeypatch):
     market = random_market(22, 3, 4, unit_supplies=True)
-    schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=6), market, 12)
+    schedule = generate_schedule(market, 12, UTILITY, 0.005, seed=6)
     round_calls, g_calls = [], []
     round_, g_ = prd._round, prd._g
 
@@ -619,7 +628,7 @@ def test_prd_step_matches_the_kernel_oracle(name):
 @pytest.mark.parametrize("name", ["zeros", "large"])
 def test_trace_matches_the_kernel_oracle(name):
     market = random_market(*ORACLE_MARKETS[name])
-    schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=9, every=2), market, 20)
+    schedule = generate_schedule(market, 20, UTILITY, 0.005, seed=9, every=2)
     bids = prd_step(proportional_bids(market), market, rounds=10)
     trace = run_prd_trace(market, bids, schedule, PrdBoundConfig.closed_form(market), 20)
     gaps, kls, highs, lows = oracle_trace(market, bids, schedule, 20)
@@ -632,7 +641,7 @@ def test_trace_matches_the_kernel_oracle(name):
 
 def test_work_arrays_never_alias_callers_arrays():
     market = random_market(23, 6, 7, unit_supplies=True)
-    schedule = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=8), market, 10)
+    schedule = generate_schedule(market, 10, UTILITY, 0.005, seed=8)
     bids0 = proportional_bids(market)
     bids0.setflags(write=False)  # a write into it raises
     bids = prd_step(bids0, market, rounds=5)
@@ -648,8 +657,8 @@ def test_work_arrays_never_alias_callers_arrays():
 
 def test_runner_charges_the_public_cap(monkeypatch):
     market = random_market(14, 3, 4, unit_supplies=True)
-    drift = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=3), market, 40)
-    supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=4, every=3), market, 40)
+    drift = generate_schedule(market, 40, UTILITY, 0.005, seed=3)
+    supply = generate_schedule(market, 40, SUPPLY, 0.01, seed=4, every=3)
     schedule = PerturbationSchedule(drift.columns + supply.columns)
     bound = PrdBoundConfig.closed_form(market)
     bids = prd_step(proportional_bids(market), market, rounds=200)
@@ -668,8 +677,8 @@ def test_runner_rounds_match_per_event_application(monkeypatch):
     # A supply event moves the supply level, which enters the coefficients
     # as its ratio to the level before, to the power rho.
     market = random_market(14, 3, 4, unit_supplies=True)
-    drift = generate_schedule(ScheduleSpec(UTILITY, 0.005, seed=3, every=2), market, 40)
-    supply = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=4, every=3), market, 40)
+    drift = generate_schedule(market, 40, UTILITY, 0.005, seed=3, every=2)
+    supply = generate_schedule(market, 40, SUPPLY, 0.01, seed=4, every=3)
     schedule = PerturbationSchedule(drift.columns + supply.columns)
     seen = []
     cap = prd.delta_prd_utility
@@ -703,7 +712,7 @@ def test_runner_markets_are_the_reduction_at_each_rounds_supply_level(monkeypatc
     # level, folded into the coefficients (the reduction battery 7 checks).
     market0 = random_market(23, 3, 4)
     assert not (market0.supplies == 1.0).all()
-    schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.2, seed=5, every=2), market0, 30)
+    schedule = generate_schedule(market0, 30, SUPPLY, 0.2, seed=5, every=2)
     (column,) = schedule.columns
     levels = column.rows(market0)
     seen = []

@@ -11,7 +11,6 @@ from eqtracer import (
     SUPPLY,
     CesMarket,
     PerturbationSchedule,
-    ScheduleSpec,
     TatonnementConfig,
     Trace,
     default_step_size,
@@ -239,7 +238,7 @@ class TestTraces:
         config = TatonnementConfig(
             lam=default_step_size(market), price_cap=2 * market.total_budget
         )
-        schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.5, seed=3), market, 40)
+        schedule = generate_schedule(market, 40, SUPPLY, 0.5, seed=3)
         run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.05, 40)
         scarce = market.replace(supplies=np.full(4, 0.01))
         with pytest.raises(ValueError, match="supply event would drive a supply non-positive"):
@@ -364,10 +363,9 @@ class TestReferenceEquivalence:
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
 
-        spec = ScheduleSpec(channel=channel, magnitude=0.01, seed=seed)
-        schedule = generate_schedule(spec, market, 25)
+        schedule = generate_schedule(market, 25, channel, magnitude=0.01, seed=seed)
         trace = run_tatonnement_trace(market, got[1], config, schedule, got[0], 25)
-        events = reference_schedule(spec, market, 25)
+        events = reference_schedule(market, 25, channel, magnitude=0.01, seed=seed)
         want = _reference_trace(market, got[1], config, step, potential, events, got[0], 25)
         # Every column, None for None; kl and recurrence are None on both.
         for field in fields(Trace):
@@ -394,7 +392,7 @@ class TestDemandCalls:
         config = TatonnementConfig(
             lam=default_step_size(market), price_cap=2 * market.total_budget
         )
-        schedule = generate_schedule(ScheduleSpec(SUPPLY, 0.01, seed=1), market, 40)
+        schedule = generate_schedule(market, 40, SUPPLY, 0.01, seed=1)
         run_tatonnement_trace(market, uniform_prices(market), config, schedule, 0.01, 40)
         assert len(calls) == 40 + 1
 
@@ -430,8 +428,7 @@ class TestWarmSolves:
         )
         delta, prices = fit_contraction(market, uniform_prices(market), config, 20)
         assert warm_solves == []
-        spec = ScheduleSpec(SUPPLY, 0.01, seed=2, every=5)
-        schedule = generate_schedule(spec, market, 40)
+        schedule = generate_schedule(market, 40, SUPPLY, 0.01, seed=2, every=5)
         assert schedule.columns[0].rounds.tolist() == list(range(1, 41, 5))
         run_tatonnement_trace(market, prices, config, schedule, delta, 40)
         assert len(warm_solves) == 40 // 5
