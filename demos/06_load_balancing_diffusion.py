@@ -14,7 +14,7 @@ from eqtracer.instances import drifting_speeds, make_network
 
 for graph in ("path", "cycle", "complete"):
     net = make_network(graph, 10, loads=None, seed=4, load_total=10.0)
-    _, lam, contractions = simulate_diffusion(net, [net.speeds] * 201, 200)
+    _, lam, contractions = simulate_diffusion(net, [net.speeds] * 201)
     stepped = net
     for _ in range(50):
         stepped = diffusion_step(stepped)
@@ -26,7 +26,7 @@ for graph in ("path", "cycle", "complete"):
 print("\ncycle of 10 machines, speeds drifting by a common factor per round:")
 net = make_network("cycle", 10, loads=None, seed=4, load_total=10.0)
 path = drifting_speeds(17, 10, 600, magnitude=0.002, low=0.9, high=1.1, mode="common")
-trace, _, _ = simulate_diffusion(net, path, 600)
+trace, _, _ = simulate_diffusion(net, path)
 imbalance = np.concatenate(([trace.initial], trace.potential))
 envelope = np.concatenate(([trace.initial], trace.bound))
 

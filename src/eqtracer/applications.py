@@ -79,6 +79,9 @@ class ShiftingQuadratic:
             raise ValueError("curvatures must be a positive vector")
         if path.ndim != 2 or path.shape[1] != c.size:
             raise ValueError("optimum path must be (rounds + 1, dims)")
+        for name, value in (("curvatures", c), ("optima", path)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if not 0 < self.eta <= 2.0 / (c.min() + c.max()):
             raise ValueError("step size must lie in (0, 2/(alpha+beta)]")
         object.__setattr__(self, "curvatures", c)
@@ -116,12 +119,11 @@ def simulate_shifting_quadratic(problem: ShiftingQuadratic, x0) -> tuple[Trace, 
     x = np.asarray(x0, dtype=float)
     T = problem.optima.shape[0] - 1
     distances = np.empty(T)
-    shifts = np.empty(T)
+    shifts = np.array([np.linalg.norm(step) for step in np.diff(problem.optima, axis=0)])
     initial = float(np.linalg.norm(x - problem.optima[0]))
     regret = 0.0
     for t in range(1, T + 1):
         x = x - problem.eta * problem.gradient(t - 1, x)
-        shifts[t - 1] = float(np.linalg.norm(problem.optima[t] - problem.optima[t - 1]))
         distances[t - 1] = float(np.linalg.norm(x - problem.optima[t]))
         regret += problem.gap(t, x)
     root = (1.0 - problem.delta) ** 0.5
@@ -131,14 +133,6 @@ def simulate_shifting_quadratic(problem: ShiftingQuadratic, x0) -> tuple[Trace, 
 # ---------------------------------------------------------------------------
 # Diffusion load balancing with drifting machine speeds.
 # ---------------------------------------------------------------------------
-
-
-def _check_speeds(speeds) -> np.ndarray:
-    # Copy so freezing the field never locks a caller-owned array.
-    s = np.array(speeds, dtype=float)
-    if s.ndim != 1 or (s <= 0).any():
-        raise ValueError("speeds must be a positive vector")
-    return s
 
 
 def _check_loads(loads, n: int) -> np.ndarray:
@@ -155,7 +149,8 @@ class LoadNetwork:
     The matrix must be symmetric, stochastic, with diagonal at least 1/2 and
     positive entries exactly on the network's edges, which must connect every
     machine (else |lambda2| = 1).  It is validated once, at construction;
-    derived networks check only the replaced field.
+    `diffusion_step` checks only the loads it replaces, and `simulate_diffusion`
+    checks its whole speed path once.
     """
 
     speeds: np.ndarray       # (n,) positive
@@ -163,9 +158,15 @@ class LoadNetwork:
     diffusivity: np.ndarray  # (n, n)
 
     def __post_init__(self):
-        s = _check_speeds(self.speeds)
+        # Copies, so freezing the fields never locks a caller-owned array.
+        s = np.array(self.speeds, dtype=float)
+        if s.ndim != 1 or (s <= 0).any():
+            raise ValueError("speeds must be a positive vector")
         n = s.size
         l = _check_loads(np.array(self.loads, dtype=float), n)
+        for name, value in (("speeds", s), ("loads", l)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         P = np.array(self.diffusivity, dtype=float)
         if P.shape != (n, n):
             raise ValueError("diffusivity must be square and match the machine count")
@@ -192,12 +193,6 @@ class LoadNetwork:
     @property
     def finishing_times(self) -> np.ndarray:
         return self.loads / self.speeds
-
-    def with_speeds(self, speeds) -> "LoadNetwork":
-        s = _check_speeds(speeds)
-        _check_loads(self.loads, s.size)  # the loads must still match
-        s.setflags(write=False)
-        return self._derive(speeds=s)
 
     def _derive(self, **fields) -> "LoadNetwork":
         """Unvalidated copy sharing unchanged arrays, as `CesMarket._derive`."""
@@ -244,33 +239,40 @@ def second_eigenvalue(P) -> float:
     return float(np.abs(eigenvalues[:-1]).max(initial=0.0))
 
 
-def simulate_diffusion(
-    network: LoadNetwork, speed_path, T: int
-) -> tuple[Trace, float, np.ndarray]:
+def simulate_diffusion(network: LoadNetwork, speed_path) -> tuple[Trace, float, np.ndarray]:
     """Diffuse while speeds drift; return (trace, lambda2, contractions).
 
-    Round t: one diffusion step at the old speeds, then speeds move to
-    speed_path[t] (loads persist), then the L1 imbalance of finishing times
-    against the balanced state is measured.  speed_path[0] must equal the
-    network's speeds.  The trace's delta is the speed-change jump
-    M n |1/||s^t|| - 1/||s^(t-1)||| and its bound's rate |lambda2|;
-    contractions holds each round's L2 error ratio at fixed speeds.
+    `speed_path` holds T + 1 rows of n speeds, rounds 0..T; it is copied and
+    checked once, and row 0 must equal the network's speeds.  Round t: one
+    diffusion step at the old speeds, then speeds move to speed_path[t]
+    (loads persist), then the L1 imbalance of finishing times against the
+    balanced state is measured.  The trace's delta is the speed-change jump
+    M n |1/||s^t|| - 1/||s^(t-1)|||, one column taken before round 1, and
+    its bound's rate |lambda2|; contractions holds each round's L2 error
+    ratio at fixed speeds.
     """
-    path = [np.asarray(s, dtype=float) for s in speed_path]
-    if len(path) < T + 1:
-        raise ValueError(f"need {T + 1} speed vectors, got {len(path)}")
+    n = network.speeds.size
+    try:
+        path = np.array(speed_path, dtype=float)
+    except ValueError:  # ragged rows
+        path = None
+    if path is None or path.ndim != 2 or path.shape[1] != n or not len(path):
+        raise ValueError(f"speed_path must be a 2-d array of rows of {n} speeds")
+    if not (np.isfinite(path) & (path > 0)).all():
+        raise ValueError("speed_path must hold positive, finite speeds")
     if not np.array_equal(path[0], network.speeds):
         raise ValueError("speed_path[0] must match the network's speeds")
+    path.setflags(write=False)
+    T = len(path) - 1
     lam = second_eigenvalue(network.diffusivity)
     M = network.total_load
-    n = network.speeds.size
+    jumps = M * n * np.abs(np.diff(1.0 / path.sum(axis=1)))
 
     def imbalance(net):
         _, finish = balanced_state(net)
         return float(np.abs(net.finishing_times - finish).sum())
 
     potentials = np.empty(T)
-    jumps = np.empty(T)
     contractions = np.empty(T)
     initial = imbalance(network)
     for t in range(1, T + 1):
@@ -284,10 +286,7 @@ def simulate_diffusion(
         contractions[t - 1] = (
             error_after / error_before if error_before > noise_floor else np.nan
         )
-        inv_new = 1.0 / float(path[t].sum())
-        inv_old = 1.0 / float(path[t - 1].sum())
-        jumps[t - 1] = M * n * abs(inv_new - inv_old)
-        network = network.with_speeds(path[t])
+        network = network._derive(speeds=path[t])
         potentials[t - 1] = imbalance(network)
     trace = Trace(initial, potentials, jumps, running_bound(initial, lam, jumps))
     return trace, lam, contractions

@@ -191,9 +191,7 @@ CONFIG_SCHEMA = {
                     ]
                 },
                 "n": {"type": "integer", "minimum": 1},
-                "speeds": {
-                    "anyOf": [{"type": "number"}, {"type": "array"}]
-                },
+                "speeds": {"type": ["number", "array"], "items": {"type": "number"}},
                 "loads": {"type": "array", "items": {"type": "number"}},
                 "load_total": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer"},
@@ -412,11 +410,10 @@ def _run_diffusion(config: dict):
     )
     drift = spec.get("drift")
     if drift:
-        path = drifting_speeds(n=n, T=horizon, **drift)
-        path = [network.speeds * p for p in path]
+        path = network.speeds * drifting_speeds(n=n, T=horizon, **drift)
     else:
-        path = [network.speeds] * (horizon + 1)
-    trace, lam, contractions = simulate_diffusion(network, path, horizon)
+        path = np.tile(network.speeds, (horizon + 1, 1))
+    trace, lam, contractions = simulate_diffusion(network, path)
     # Rounds already within rounding noise of balance carry a NaN ratio.
     measured = contractions[~np.isnan(contractions)]
     report = {

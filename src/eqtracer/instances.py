@@ -144,25 +144,24 @@ def drifting_speeds(
     low: float = 0.8,
     high: float = 1.25,
     mode: str = "common",
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Speed path: multiplicative drift per round, reflected into [low, high].
 
     mode "common" scales every machine by the same random factor each round
     (machine mix constant, the regime the speed-change jump cap prices
-    exactly); "per-machine" drifts machines independently.  Returns T+1
-    vectors starting from all-ones.
+    exactly); "per-machine" drifts machines independently.  Returns a
+    (T+1, n) array whose first row is all ones.
     """
     if mode not in ("common", "per-machine"):
         raise ValueError("mode must be 'common' or 'per-machine'")
     rng = np.random.default_rng(seed)
-    path = [np.ones(n)]
-    for _ in range(T):
-        size = n if mode == "per-machine" else None
+    size = n if mode == "per-machine" else None
+    path = np.ones((T + 1, n))
+    for t in range(T):
         factors = np.exp(rng.uniform(-magnitude, magnitude, size=size))
-        nxt = path[-1] * factors
+        nxt = path[t] * factors
         outside = (nxt < low) | (nxt > high)
-        nxt = np.where(outside, path[-1] / factors, nxt)
-        path.append(nxt)
+        path[t + 1] = np.where(outside, path[t] / factors, nxt)
     return path
 
 

@@ -341,34 +341,38 @@ def coefficient_share_floor(market: CesMarket) -> np.ndarray:
     return np.min(a, axis=1, where=a > 0, initial=np.inf) / a.sum(axis=1)
 
 
-def delta_prd_utility(market: CesMarket, min_share: np.ndarray, epsilon: float) -> float:
-    """Bid-potential jump cap when coefficients drift within exp(+/- epsilon).
+def delta_prd_utility(budgets: np.ndarray, rho: np.ndarray, min_share, epsilon):
+    """Bid-potential jump cap, per row, when coefficients drift within exp(+/- epsilon).
 
-    `min_share` is the `coefficient_share_floor` reduced with np.minimum over
-    every market the drift has visited.  Evaluates, per buyer,
+    `epsilon` is one drift or one per row; `min_share` is one (m,) floor or
+    one per row, each the `coefficient_share_floor` reduced with np.minimum
+    over every market the drift has visited.  Evaluates, per buyer,
     kappa_i = 2 eps (1 - c_i (3 - 2 min_k c_k)) with c_i = rho_i/(rho_i - 1),
     the spending-floor constant Pi_i = min_share_i^(1/(1-rho_i)) and
-    C_i = (B/b_i)^(rho_i/(1-rho_i)), and returns
-        sum_i b_i (e^kappa_i - 1) |ln C_i - ln Pi_i| + 2 b_i eps / rho_i.
-    Raises ValueError when that sum overflows (rho near 1 and eps too large).
+    C_i = (B/b_i)^(rho_i/(1-rho_i)), B the budgets' sum, and returns
+        sum_i b_i (e^kappa_i - 1) |ln C_i - ln Pi_i| + 2 b_i eps / rho_i;
+    a zero drift gives exactly 0.0.  Raises ValueError, naming the drift of
+    the first failing row, when that sum overflows (rho near 1, eps too large).
     """
-    if not epsilon >= 0:
+    epsilon = np.asarray(epsilon, dtype=float)
+    if not (epsilon >= 0).all():
         raise ValueError("epsilon must be non-negative")
-    budgets, rho, c = market.budgets, market.rho, market.demand_exponent
     if ((rho <= 0) | (rho >= 1)).any():
         raise ValueError("the bid-potential cap needs rho in (0, 1) for every buyer")
-    if epsilon == 0.0:
-        return 0.0
-    kappa = epsilon * (2.0 * (1.0 - c * (3.0 - 2.0 * c.min())))
-    log_c = (rho / (1.0 - rho)) * np.log(market.total_budget / budgets)
+    c = rho / (rho - 1.0)
+    eps = epsilon[..., None]
+    kappa = eps * (2.0 * (1.0 - c * (3.0 - 2.0 * c.min())))
+    log_c = (rho / (1.0 - rho)) * np.log(budgets.sum() / budgets)
     log_pi = np.log(min_share) / (1.0 - rho)
     # kappa grows like eps c^2, so near rho = 1 the cap can overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         first = budgets * np.expm1(kappa) * np.abs(log_c - log_pi)
-        cap = float((first + 2.0 * budgets * epsilon / rho).sum())
-    if not np.isfinite(cap):
-        raise ValueError(f"drift {epsilon:.3g} is too large for rho this close to 1")
-    return cap
+        caps = (first + 2.0 * budgets * eps / rho).sum(axis=-1)
+    failed = ~np.isfinite(caps)
+    if failed.any():
+        drift = np.broadcast_to(epsilon, caps.shape)[failed][0]
+        raise ValueError(f"drift {drift:.3g} is too large for rho this close to 1")
+    return caps
 
 
 # ---------------------------------------------------------------------------

@@ -310,10 +310,11 @@ def run_prd_trace(
     update bids against the previous market, apply the round's rows,
     re-solve the per-round equilibrium
     (warm-started; cached on static rounds), then record the potential gap,
-    the KL distance to equilibrium, the per-round jump cap `delta_prd_utility`
-    (its `coefficient_share_floor` taken over rounds seen so far), the cumulative
-    bound, and whether the one-round recurrence held.  The trace's
-    `initial` is the gap of bids0.
+    the KL distance to equilibrium, the round's drift and its
+    `coefficient_share_floor` taken over rounds seen so far.  After the loop
+    one `delta_prd_utility` call prices every round's drift, and the jumps
+    give the cumulative bound and, against the KL column, whether each
+    one-round recurrence held.  The trace's `initial` is the gap of bids0.
 
     The bound unrolls the one-round recurrence
     gap_t <= q1 KL_{t-1} - q2 KL_t + jump_t, which `recurrence_ok` checks:
@@ -342,9 +343,11 @@ def run_prd_trace(
     scale = np.ones(len(bids))
     g, _, next_scale = _round(market, shifted, weights, scale, logits, terms)
     initial = g - g_star
-    kl_anchor = kl_prev = kl_to(shifted, np.log(scale))
-    gaps, deltas, highs, lows, kls = (np.empty(horizon) for _ in range(5))
-    recurrence = np.empty(horizon, dtype=bool)
+    kls = np.empty(horizon + 1)  # KL_0..KL_T
+    kls[0] = kl_to(shifted, np.log(scale))
+    gaps, highs, lows = (np.empty(horizon) for _ in range(3))
+    drifts = np.zeros(horizon)
+    floors = np.empty((horizon, len(min_share)))
     for t in range(horizon):
         shifted, logits, scale = logits, shifted, next_scale
         logs = None  # ln of the round's coefficient factors, summed over its columns
@@ -355,28 +358,26 @@ def run_prd_trace(
                 supplies, row = row, np.exp(factor_logs)
             market = apply_row(market, UTILITY, row)
             logs = factor_logs if logs is None else logs + factor_logs
-        eps_t = 0.0
         if logs is not None:
-            eps_t = max(float(logs.max()), float(-logs.min()))
+            drifts[t] = max(float(logs.max()), float(-logs.min()))
             min_share = np.minimum(min_share, coefficient_share_floor(market))
             eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE, previous=eq)
             g_star, kl_to = _anchor(market, eq, (logits, terms))
-        delta_t = delta_prd_utility(market, min_share, eps_t)
+        floors[t] = min_share
         # One round gives this round's gap and prices and next round's state.
         g, prices, next_scale = _round(market, shifted, weights, scale, logits, terms)
-        gap = g - g_star
-        kl = kl_to(shifted, np.log(scale))
-        gaps[t], deltas[t], kls[t] = gap, delta_t, kl
-        recurrence[t] = gap <= bound.q1 * kl_prev - bound.q2 * kl + delta_t + recurrence_slack
+        gaps[t] = g - g_star
+        kls[t + 1] = kl_to(shifted, np.log(scale))
         highs[t], lows[t] = prices.max(), prices.min()
-        kl_prev = kl
+    deltas = delta_prd_utility(market.budgets, market.rho, floors, drifts)
+    recurrence = gaps <= bound.q1 * kls[:-1] - bound.q2 * kls[1:] + deltas + recurrence_slack
     return Trace(
         initial=initial,
         potential=gaps,
         delta=deltas,
-        bound=running_bound(bound.q2 * kl_anchor, bound.q1 / bound.q2, deltas),
+        bound=running_bound(bound.q2 * kls[0], bound.q1 / bound.q2, deltas),
         max_price=highs,
         min_price=lows,
-        kl_to_equilibrium=kls,
+        kl_to_equilibrium=kls[1:],
         recurrence_ok=recurrence,
     )

@@ -123,9 +123,8 @@ def dynamics(market, config):
     update(profile, lam) returns the next prices and potential(profile) the
     potential at the profile's prices; runners and batteries share the pair.
     The cpf potential subtracts psi_star: first the market's kept cold
-    solve, then a re-solve warm-started from the last result (and, in the
-    substitutes regime, its kept H^-1) each time the profile's market
-    object changes.
+    solve, then a re-solve warm-started from the last result (and its kept
+    K^-1) each time the profile's market object changes.
     """
     if config.variant == MISSPENDING:
         return _update_ms, attrgetter("misspending")
@@ -239,8 +238,8 @@ def run_tatonnement_trace(
     # on or after the k-th budget round sees the k-th budget level's total.
     jumps = np.zeros(horizon)
     budget_rounds, totals = [], np.array([market0.total_budget])
-    if BUDGET in rows:  # channel order puts the budget column first
-        budget_rounds = schedule.columns[0].rounds
+    if BUDGET in rows:
+        (budget_rounds,) = [c.rounds for c in schedule.columns if c.channel == BUDGET]
         totals = np.append(totals, rows[BUDGET].sum(axis=1))
     for column in schedule.columns:
         row_totals = totals[np.searchsorted(budget_rounds, column.rounds, side="right")]

@@ -14,6 +14,7 @@ from itertools import product
 import numpy as np
 
 from .applications import (
+    LoadNetwork,
     balanced_state,
     diffusion_step,
     gd_regret_bound,
@@ -420,10 +421,10 @@ def check_diffusion(horizon: int = 400) -> CheckResult:
     reports = []
     for graph, n in (("path", 16), ("cycle", 16), ("complete", 16), ("path", 7)):
         net = make_network(graph, n, loads=None, seed=n, load_total=float(n))
-        _, lam, contractions = simulate_diffusion(net, [net.speeds] * 201, 200)
+        _, lam, contractions = simulate_diffusion(net, [net.speeds] * 201)
         contraction_ok = bool(np.nanmax(contractions) <= lam + 1e-9)
 
-        het = net.with_speeds(np.linspace(0.8, 1.25, n))
+        het = LoadNetwork(np.linspace(0.8, 1.25, n), net.loads, net.diffusivity)
         after = diffusion_step(het)
         conserved = abs(after.total_load - het.total_load) <= 1e-12 * het.total_load
         non_negative = bool(np.all(after.loads >= 0))
@@ -434,12 +435,11 @@ def check_diffusion(horizon: int = 400) -> CheckResult:
         fixed_ok = residual <= 1e-12
 
         path = drifting_speeds(100 + n, n, horizon, 0.002, 0.9, 1.1, mode="common")
-        trace, _, _ = simulate_diffusion(net, path, horizon)
+        trace, _, _ = simulate_diffusion(net, path)
         plain = trace.violations() == 0
         slacked = trace.violations(np.sqrt(n)) == 0
         per_machine, _, _ = simulate_diffusion(
-            net, drifting_speeds(200 + n, n, horizon, 0.002, 0.9, 1.1, "per-machine"),
-            horizon,
+            net, drifting_speeds(200 + n, n, horizon, 0.002, 0.9, 1.1, "per-machine")
         )
         pm_plain = per_machine.violations() == 0
         pm_slack = per_machine.violations(np.sqrt(n)) == 0

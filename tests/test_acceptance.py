@@ -14,26 +14,88 @@ import pytest
 from eqtracer import verify
 
 
+# Each battery's detail string is pinned: a change that keeps every byte keeps
+# these, and one that moves a figure re-pins it and says why in CHANGES.md.
 CRITERIA = [
-    ("1 static misspending contraction", verify.check_static_misspending, 30.0),
-    ("2 static convex-potential contraction", verify.check_static_cpf, None),
-    ("3 perturbation jump caps dominate", verify.check_delta_domination, None),
-    ("4 dynamic tracing under the running bound", verify.check_dynamic_tracing, None),
-    ("5 extremal shares equal exhaustive search", verify.check_extremal_shares, None),
-    ("6 bid dynamics convergence and recurrence", verify.check_prd_convergence, None),
-    ("7 supply perturbations reduce to utility", verify.check_supply_reduction, None),
-    ("8 gradient descent tracking", verify.check_gd_tracking, 5.0),
-    ("9 diffusion load balancing", verify.check_diffusion, None),
-    ("10 byte-identical reruns", verify.check_determinism, None),
+    (
+        "1 static misspending contraction",
+        verify.check_static_misspending,
+        30.0,
+        "50 markets, worst convergence 618 rounds",
+    ),
+    (
+        "2 static convex-potential contraction",
+        verify.check_static_cpf,
+        None,
+        "50 markets, worst convergence 474 rounds",
+    ),
+    (
+        "3 perturbation jump caps dominate",
+        verify.check_delta_domination,
+        None,
+        "200 trials x 6 pairs, worst margin -3.61e-16, calibrated C' up to 1.505",
+    ),
+    (
+        "4 dynamic tracing under the running bound",
+        verify.check_dynamic_tracing,
+        None,
+        "20 traces x 2000 rounds, fitted contraction rates",
+    ),
+    (
+        "5 extremal shares equal exhaustive search",
+        verify.check_extremal_shares,
+        None,
+        "500 instances vs exhaustive search, worst gap 0.00e+00",
+    ),
+    (
+        "6 bid dynamics convergence and recurrence",
+        verify.check_prd_convergence,
+        None,
+        (
+            "30 markets"
+            "; closed-form static premise on 593 rounds, worst slack -9.76e-04 KL"
+            "; recurrence fraction min 1.000"
+        ),
+    ),
+    (
+        "7 supply perturbations reduce to utility",
+        verify.check_supply_reduction,
+        None,
+        "20 drifting-supply instances x 500 rounds, worst gap 1.11e-15",
+    ),
+    (
+        "8 gradient descent tracking",
+        verify.check_gd_tracking,
+        5.0,
+        "50 drifting quadratics x 600 rounds",
+    ),
+    (
+        "9 diffusion load balancing",
+        verify.check_diffusion,
+        None,
+        (
+            "path-16: common drift plain, per-machine plain"
+            "; cycle-16: common drift plain, per-machine plain"
+            "; complete-16: common drift plain, per-machine unbounded"
+            "; path-7: common drift plain, per-machine plain"
+        ),
+    ),
+    (
+        "10 byte-identical reruns",
+        verify.check_determinism,
+        None,
+        "5 kinds x (2 runs + 1 batch copy)",
+    ),
 ]
 
 
-@pytest.mark.parametrize("label,check,budget", CRITERIA, ids=[c[0] for c in CRITERIA])
-def test_criterion(label, check, budget):
+@pytest.mark.parametrize("label,check,budget,detail", CRITERIA, ids=[c[0] for c in CRITERIA])
+def test_criterion(label, check, budget, detail):
     result = check()
     status = "PASS" if result.passed else "FAIL"
     print(f"{status}  criterion {label}  [{result.seconds:.2f}s]  {result.detail}")
     assert result.passed, f"criterion {label}: {result.detail}"
+    assert result.detail == detail
     if budget is not None:
         assert result.seconds < budget, (
             f"criterion {label} took {result.seconds:.1f}s, budget {budget}s"

@@ -64,6 +64,14 @@ class TestGdStep:
         with pytest.raises(ValueError):
             gd_contraction(1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["curvatures", "optima"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_quadratic_fields_must_be_finite(self, field, value):
+        arrays = {"curvatures": np.ones(2), "optima": np.zeros((3, 2))}
+        arrays[field].flat[1] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            ShiftingQuadratic(eta=1.0, **arrays)
+
 
 class TestGdBounds:
     def test_zero_shifts_pure_decay(self):
@@ -191,7 +199,7 @@ class TestDiffusion:
         for graph in ("path", "cycle", "complete"):
             net = make_network(graph, 10, loads=None, seed=3, load_total=10.0)
             lam = second_eigenvalue(net.diffusivity)
-            _, returned, contractions = simulate_diffusion(net, [net.speeds] * 101, 100)
+            _, returned, contractions = simulate_diffusion(net, [net.speeds] * 101)
             assert returned == lam
             assert np.nanmax(contractions) <= lam + 1e-9
 
@@ -213,7 +221,7 @@ class TestDiffusion:
     def test_static_bound_is_pure_decay(self):
         net = make_network("cycle", 6, loads=None, seed=5, load_total=3.0)
         lam = second_eigenvalue(net.diffusivity)
-        trace, _, _ = simulate_diffusion(net, [net.speeds] * 51, 50)
+        trace, _, _ = simulate_diffusion(net, [net.speeds] * 51)
         assert not trace.delta.any()
         assert trace.bound[-1] == pytest.approx(lam**50 * trace.initial, rel=1e-9)
         assert meta_bound(trace.initial, lam, trace.delta) == pytest.approx(
@@ -225,7 +233,7 @@ class TestDiffusion:
         # change survives in the envelope.
         net = make_network("complete", 2, speeds=[1.0, 1.0], loads=[2.0, 0.0])
         path = [np.array([1.0, 1.0]), np.array([1.1, 1.1])]
-        trace, lam, _ = simulate_diffusion(net, path, 1)
+        trace, lam, _ = simulate_diffusion(net, path)
         expected = net.total_load * 2 * abs(1 / 2.2 - 1 / 2.0)
         assert trace.delta[0] == pytest.approx(expected, rel=1e-12)
         assert trace.bound[-1] == pytest.approx(expected, rel=1e-12)
@@ -235,13 +243,20 @@ class TestDiffusion:
         for graph in ("path", "cycle", "complete"):
             net = make_network(graph, 8, loads=None, seed=6, load_total=5.0)
             path = drifting_speeds(7, 8, 300, 0.002, 0.9, 1.1, mode="common")
-            trace, _, _ = simulate_diffusion(net, path, 300)
+            trace, _, _ = simulate_diffusion(net, path)
             assert np.all(trace.potential <= np.sqrt(8) * trace.bound + 1e-9)
+
+    @pytest.mark.parametrize("mode", ["common", "per-machine"])
+    def test_drifting_speeds_is_one_array_from_unit_speeds(self, mode):
+        path = drifting_speeds(3, 5, 40, 0.01, mode=mode)
+        assert path.shape == (41, 5)
+        assert (path[0] == 1.0).all()
+        assert (path[:, 1:] == path[:, :1]).all() == (mode == "common")
 
     def test_speed_path_must_match_network(self):
         net = make_network("path", 4, seed=8)
         with pytest.raises(ValueError, match="match"):
-            simulate_diffusion(net, [np.full(4, 2.0)] * 11, 10)
+            simulate_diffusion(net, [np.full(4, 2.0)] * 11)
 
 
 class TestValidateOnce:
@@ -258,32 +273,43 @@ class TestValidateOnce:
             diffusion_step(net)
 
     @pytest.mark.parametrize(
-        "speeds, message",
+        "path, message",
         [
-            ([1.0, 0.0, 1.0], "speeds must be a positive vector"),
-            ([1.0, -2.0, 1.0], "speeds must be a positive vector"),
-            ([[1.0, 1.0, 1.0]], "speeds must be a positive vector"),
-            ([1.0, 1.0], "loads must be a non-negative vector of matching length"),
-            ([1.0, 1.0, 1.0, 1.0], "loads must be a non-negative vector of matching length"),
+            ([[1.0, 1.0, 1.0], [1.0, 1.0]], "speed_path must be a 2-d array of rows of 3 speeds"),
+            ([[1.0, 1.0]] * 2, "speed_path must be a 2-d array of rows of 3 speeds"),
+            ([[1.0] * 4] * 2, "speed_path must be a 2-d array of rows of 3 speeds"),
+            ([1.0, 1.0, 1.0], "speed_path must be a 2-d array of rows of 3 speeds"),
+            (np.empty((0, 3)), "speed_path must be a 2-d array of rows of 3 speeds"),
+            ([[1.0] * 3, [1.0, 0.0, 1.0]], "speed_path must hold positive, finite speeds"),
+            ([[1.0] * 3, [1.0, -2.0, 1.0]], "speed_path must hold positive, finite speeds"),
+            ([[1.0] * 3, [1.0, np.nan, 1.0]], "speed_path must hold positive, finite speeds"),
+            ([[1.0] * 3, [1.0, np.inf, 1.0]], "speed_path must hold positive, finite speeds"),
         ],
+        ids=["ragged", "narrow", "wide", "one-row", "no-rows", "zero", "negative", "nan", "inf"],
     )
-    def test_with_speeds_rejects_bad_speeds(self, speeds, message):
+    def test_simulate_diffusion_rejects_bad_speed_paths(self, path, message):
         net = make_network("path", 3, seed=1)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            net.with_speeds(speeds)
+            simulate_diffusion(net, path)
+
+    @pytest.mark.parametrize("field", ["speeds", "loads"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_network_fields_must_be_finite(self, field, value):
+        arrays = {"speeds": np.ones(3), "loads": np.ones(3)}
+        arrays[field][1] = value
+        P = make_network("path", 3).diffusivity
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            LoadNetwork(diffusivity=P, **arrays)
 
     def test_derived_networks_share_diffusivity_and_are_read_only(self):
         net = make_network("cycle", 5, speeds=np.linspace(0.5, 2.0, 5), seed=2)
         stepped = diffusion_step(net)
-        moved = stepped.with_speeds(np.linspace(0.6, 1.8, 5))
-        for derived in (stepped, moved):
-            assert derived.diffusivity is net.diffusivity
-            for field in ("speeds", "loads", "diffusivity"):
-                assert not getattr(derived, field).flags.writeable
+        assert stepped.diffusivity is net.diffusivity
+        for field in ("speeds", "loads", "diffusivity"):
+            assert not getattr(stepped, field).flags.writeable
         assert stepped.speeds is net.speeds
-        assert moved.loads is stepped.loads
         with pytest.raises(ValueError):
-            moved.loads[0] = 1.0
+            stepped.loads[0] = 1.0
 
     def test_simulate_diffusion_validates_no_network_of_its_own(self, monkeypatch):
         original = LoadNetwork.__post_init__
@@ -297,7 +323,7 @@ class TestValidateOnce:
         net = make_network("path", 6, speeds=np.linspace(0.8, 1.2, 6), seed=3)
         assert len(calls) == 1
         path = drifting_speeds(9, 6, 40, 0.01, mode="per-machine")
-        simulate_diffusion(net, [net.speeds * p for p in path], 40)
+        simulate_diffusion(net, [net.speeds * p for p in path])
         assert len(calls) == 1
 
     def test_caller_arrays_stay_writable(self):
@@ -306,7 +332,7 @@ class TestValidateOnce:
         LoadNetwork(speeds=speeds, loads=loads, diffusivity=P)
         made = make_network("cycle", 4, speeds=speeds, loads=loads)
         path = [made.speeds.copy()] + [np.full(4, 1.0 + t / 10) for t in range(1, 4)]
-        simulate_diffusion(made, path, 3)
+        simulate_diffusion(made, path)
         for array in (speeds, loads, P, *path):
             assert array.flags.writeable
 
@@ -314,7 +340,7 @@ class TestValidateOnce:
     def test_simulate_diffusion_bit_equal_to_rebuilding_loop(self, graph):
         net = make_network(graph, 7, speeds=np.linspace(0.5, 2.0, 7), seed=4)
         path = [net.speeds * p for p in drifting_speeds(5, 7, 60, 0.02, mode="per-machine")]
-        trace, lam, contractions = simulate_diffusion(net, path, 60)
+        trace, lam, contractions = simulate_diffusion(net, path)
         want_trace, want_lam, want_contractions = _rebuilding_diffusion(net, path, 60)
         for field in fields(Trace):
             name = field.name

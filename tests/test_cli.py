@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -94,10 +95,14 @@ def test_malformed_json_exits_2_with_location(tmp_path, capsys):
 
 
 def test_schema_violation_exits_2_with_field(tmp_path, capsys):
-    config = {"kind": "prd", "horizon": -3, "market": BASE["market"]}
-    cfg = write_config(tmp_path, "c.json", config)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "horizon" in capsys.readouterr().err
+    for config, field in (
+        ({"kind": "prd", "horizon": -3, "market": BASE["market"]}, "horizon"),
+        ({"kind": "diffusion", "horizon": 5, "network": {"speeds": ["fast", 1.0]}},
+         "network/speeds/0"),
+    ):
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"config field {field}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -426,6 +431,28 @@ def test_disconnected_diffusion_network_exits_3(tmp_path, capsys, graph):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_SIMULATION
     assert "the diffusion matrix must mix" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, section, field",
+    [
+        ("diffusion", {"network": {"n": 4, "speeds": math.inf}}, "speeds"),
+        ("diffusion", {"network": {"n": 4, "speeds": [1.0, math.nan, 1.0, 1.0]}}, "speeds"),
+        ("diffusion", {"network": {"n": 4, "loads": [1.0, math.inf, 1.0, 1.0]}}, "loads"),
+        ("gd-shifting", {"quadratic": {"shift": math.nan}}, "optima"),
+    ],
+    ids=["infinite-speed", "nan-speed", "infinite-load", "nan-shift"],
+)
+def test_non_finite_inputs_exit_3_by_name(tmp_path, capsys, kind, section, field):
+    # JSON's NaN and Infinity pass the schema's number type; the model refuses them.
+    cfg = write_config(tmp_path, "c.json", {"kind": kind, "horizon": 10, **section})
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_SIMULATION
+    assert capsys.readouterr().err == f"simulation error: {field} must be finite\n"
+    assert not caught
     assert not (out / "trace.csv").exists()
 
 

@@ -156,7 +156,7 @@ class TestRunnersFollowClosedForms:
     def test_diffusion_bound_is_meta_bound(self, graph):
         net = make_network(graph, 9, loads=None, seed=2, load_total=9.0)
         path = drifting_speeds(4, 9, 300, 0.002, 0.9, 1.1, mode="common")
-        trace, lam, _ = simulate_diffusion(net, path, 300)
+        trace, lam, _ = simulate_diffusion(net, path)
         _assert_bound_column_is_meta_bound(trace, lam)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])

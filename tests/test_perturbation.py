@@ -340,7 +340,10 @@ class TestJumpCaps:
             (lambda: delta_cpf_supply(supply, math.nan, market.total_budget), "price_cap"),
             (lambda: delta_cpf_budget(budget, math.nan), "c_prime"),
             (lambda: generate_schedule(market, 5, SUPPLY, math.nan, 1), "magnitude"),
-            (lambda: delta_prd_utility(market, np.ones(2), math.nan), "epsilon"),
+            (
+                lambda: delta_prd_utility(market.budgets, market.rho, np.ones(2), math.nan),
+                "epsilon",
+            ),
         ):
             with pytest.raises(ValueError, match=name):
                 call()
@@ -350,8 +353,20 @@ class TestJumpCaps:
             delta_ms_supply(event(BUDGET, [0.1]), 1.0)
 
 
+def per_round_prd_cap(market, min_share, eps):
+    """The cap of one round read off its market, as the runner once priced each round."""
+    if eps == 0.0:
+        return 0.0
+    budgets, rho, c = market.budgets, market.rho, market.demand_exponent
+    kappa = eps * (2.0 * (1.0 - c * (3.0 - 2.0 * c.min())))
+    log_c = (rho / (1.0 - rho)) * np.log(market.total_budget / budgets)
+    log_pi = np.log(min_share) / (1.0 - rho)
+    first = budgets * np.expm1(kappa) * np.abs(log_c - log_pi)
+    return float((first + 2.0 * budgets * eps / rho).sum())
+
+
 def prd_cap(market, eps):
-    return delta_prd_utility(market, coefficient_share_floor(market), eps)
+    return delta_prd_utility(market.budgets, market.rho, coefficient_share_floor(market), eps)
 
 
 class TestBidPotentialCap:
@@ -394,7 +409,8 @@ class TestBidPotentialCap:
         market = random_market(11, 2, 3, unit_supplies=True)
         shrunk = market.replace(coefficients=market.coefficients * np.array([[1.0, 1.0, 0.1]]))
         history = np.minimum(coefficient_share_floor(market), coefficient_share_floor(shrunk))
-        assert delta_prd_utility(market, history, 0.01) >= prd_cap(market, 0.01)
+        capped = delta_prd_utility(market.budgets, market.rho, history, 0.01)
+        assert capped >= prd_cap(market, 0.01)
 
     def test_overflowing_cap_fails_by_name(self):
         # rho in [0.99, 0.999] puts c near -1000, so kappa ~ eps c^2 makes
@@ -407,6 +423,38 @@ class TestBidPotentialCap:
         market = random_market(12, 2, 2, unit_supplies=True)
         with pytest.raises(ValueError):
             prd_cap(market, -0.1)
+
+    def test_rows_match_per_round_caps_bit_for_bit(self):
+        # One call over (T, m) floor rows and T drifts prices every row as the
+        # per-round cap on the round's market did, zero drifts included.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m, n, T = rng.integers(1, 12, size=3)
+            market = random_market(seed, m, n, unit_supplies=True)
+            budgets, rho = market.budgets, market.rho
+            drifts = rng.uniform(0.0, 0.02, T) * (rng.random(T) < 0.7)
+            floors = coefficient_share_floor(market) * rng.uniform(0.5, 1.0, (T, m))
+            caps = delta_prd_utility(budgets, rho, floors, drifts)
+            assert caps.shape == (T,)
+            for k in range(T):
+                want = np.float64(per_round_prd_cap(market, floors[k], drifts[k]))
+                assert caps[k].tobytes() == want.tobytes()
+                row = delta_prd_utility(budgets, rho, floors[k], drifts[k])
+                assert row.tobytes() == want.tobytes()
+            assert np.array_equal(delta_prd_utility(budgets, rho, floors, 0.0), np.zeros(T))
+            one_floor = delta_prd_utility(budgets, rho, floors[0], drifts)
+            assert one_floor.tobytes() == delta_prd_utility(
+                budgets, rho, np.tile(floors[0], (T, 1)), drifts
+            ).tobytes()
+
+    def test_overflow_names_the_drift_of_the_first_failing_row(self):
+        market = random_market(5, 2, 12, 0.99, 0.999, unit_supplies=True)
+        floors = np.tile(coefficient_share_floor(market), (4, 1))
+        drifts = np.array([0.0, 1e-6, 0.006, 0.01])
+        budgets, rho = market.budgets, market.rho
+        assert np.isfinite(delta_prd_utility(budgets, rho, floors[:2], drifts[:2])).all()
+        with pytest.raises(ValueError, match="^drift 0.006 is too large for rho this close to 1$"):
+            delta_prd_utility(budgets, rho, floors, drifts)
 
 
 class TestExtremalShares:

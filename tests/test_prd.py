@@ -680,16 +680,22 @@ def test_runner_rounds_match_per_event_application(monkeypatch):
     drift = generate_schedule(market, 40, UTILITY, 0.005, seed=3, every=2)
     supply = generate_schedule(market, 40, SUPPLY, 0.01, seed=4, every=3)
     schedule = PerturbationSchedule(drift.columns + supply.columns)
-    seen = []
-    cap = prd.delta_prd_utility
+    # The runner reads each event round's market once, for its share floor,
+    # and prices every round's drift in one cap call after the loop.
+    seen, priced = [], []
+    floor, cap = prd.coefficient_share_floor, prd.delta_prd_utility
+    monkeypatch.setattr(prd, "coefficient_share_floor", lambda m: seen.append(m) or floor(m))
     monkeypatch.setattr(
-        prd, "delta_prd_utility", lambda m, s, eps: seen.append((m, eps)) or cap(m, s, eps)
+        prd, "delta_prd_utility", lambda *args: priced.append(args[-1]) or cap(*args)
     )
     bids = prd_step(proportional_bids(market), market, rounds=20)
     run_prd_trace(market, bids, schedule, PrdBoundConfig.closed_form(market), 40)
-    assert len(seen) == 40
+    (drifts,) = priced
+    event_rounds = np.union1d(drift.columns[0].rounds, supply.columns[0].rounds)
+    assert len(drifts) == 40 and len(seen) == 1 + len(event_rounds)
     supplied = market
-    for t, (got, eps) in enumerate(seen, start=1):
+    for t, eps in enumerate(drifts, start=1):
+        got = seen[np.searchsorted(event_rounds, t, side="right")]
         logs = None
         for event in events_at(schedule, t):
             if event.channel == SUPPLY:
@@ -715,17 +721,16 @@ def test_runner_markets_are_the_reduction_at_each_rounds_supply_level(monkeypatc
     schedule = generate_schedule(market0, 30, SUPPLY, 0.2, seed=5, every=2)
     (column,) = schedule.columns
     levels = column.rows(market0)
-    seen = []
-    cap = prd.delta_prd_utility
-    monkeypatch.setattr(
-        prd, "delta_prd_utility", lambda m, s, eps: seen.append(m) or cap(m, s, eps)
-    )
+    seen = []  # market0's reduction, then each event round's market
+    floor = prd.coefficient_share_floor
+    monkeypatch.setattr(prd, "coefficient_share_floor", lambda m: seen.append(m) or floor(m))
     reduced = reduce_supply_to_utility(market0)
     bids = prd_step(proportional_bids(reduced), reduced, rounds=20)
     run_prd_trace(market0, bids, schedule, PrdBoundConfig.closed_form(reduced), 30)
-    assert len(seen) == 30
-    for t, got in enumerate(seen, start=1):
+    assert len(seen) == 1 + len(column.rounds)
+    for t in range(1, 31):
         k = np.searchsorted(column.rounds, t, side="right") - 1
+        got = seen[k + 1]
         want = reduce_supply_to_utility(apply_row(market0, SUPPLY, levels[k]))
         np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=1e-12, atol=0)
         assert np.array_equal(got.supplies, want.supplies)
