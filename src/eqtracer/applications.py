@@ -117,6 +117,10 @@ def simulate_shifting_quadratic(problem: ShiftingQuadratic, x0) -> tuple[Trace, 
     sqrt(1 - delta); regret sums the suboptimality over rounds 1..T.
     """
     x = np.asarray(x0, dtype=float)
+    if x.shape != problem.curvatures.shape:
+        raise ValueError(f"x0 must be a vector of {problem.curvatures.size} entries")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
     T = problem.optima.shape[0] - 1
     distances = np.empty(T)
     shifts = np.array([np.linalg.norm(step) for step in np.diff(problem.optima, axis=0)])

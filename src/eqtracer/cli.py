@@ -445,7 +445,7 @@ def _config_validator():
 
 
 def load_config(path: Path) -> dict:
-    from jsonschema.exceptions import best_match
+    from jsonschema.exceptions import best_match, relevance
 
     try:
         text = path.read_text()
@@ -457,10 +457,12 @@ def load_config(path: Path) -> dict:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
-    # The same error jsonschema.validate would raise, without re-checking
-    # the schema on every call.
-    error = best_match(_config_validator().iter_errors(config))
-    if error is not None:
+    # The error jsonschema.validate would raise, without re-checking the schema
+    # on every call, but naming the first of two sibling errors, not the last.
+    errors = _config_validator().iter_errors(config)
+    top = max(errors, key=lambda e: relevance(e)[:1] + relevance(e)[2:], default=None)
+    if top is not None:
+        error = best_match([top])
         path, message = list(error.absolute_path), error.message
         if "propertyNames" in error.schema_path:  # a KIND_READS rule
             path.append(error.instance)

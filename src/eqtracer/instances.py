@@ -129,6 +129,8 @@ def make_network(
     else:
         loads = np.asarray(loads, dtype=float)
     if load_total is not None:
+        if not np.isfinite(loads).all():  # checked before the rescale spreads it
+            raise ValueError("loads must be finite")
         current = loads.sum()
         if current <= 0:
             raise ValueError("cannot rescale all-zero loads")

@@ -8,16 +8,9 @@ matrix; the trace runner unrolls the per-round recurrence on the gap and KL
 into the running tracking envelope under drifting utility coefficients and
 supplies.  A round is a multiplicative-weights (mirror-descent) step on the
 bids (Birnbaum, Devanur & Xiao, EC 2011), so the rounds carry the shifted
-log-weights u = ln b - beta, beta_i = ln(B_i / S_i), with bids exp(u) B / S
-by rows and S the row sums of exp(u).  A round (`_round`) reads prices as one
-matrix-vector product, (B / S) @ exp(u), forms v = ln a + rho (u + ln w -
-ln p), and keeps v minus its row maximum, which absorbs rho_i beta_i, as the
-next state: one exp, and no log of the bids, no bids matrix, no row pinning.
-The runner reads the potential from v, u and beta (`_g`) and the KL distance
-from ln b = u + beta; `prd_step` builds and pins the bids once, after its
-last round.  Both keep their (m, n) work arrays for the whole run, so a
-round allocates no matrix.
-"""
+log-weights u = ln b - beta, beta_i = ln(B_i / S_i), S the row sums of
+exp(u) (`_round`, `_g`), in (m, n) work arrays kept for the whole run: a
+round takes no log of the bids and allocates no matrix."""
 
 from __future__ import annotations
 
@@ -244,20 +237,19 @@ def reduce_supply_to_utility(market: CesMarket) -> CesMarket:
     """Absorb supply scale into coefficients, returning a unit-supply market.
 
     Good j's supply w_j is folded in as a_ij <- a_ij * w_j^rho_i, i.e.
-    a_ij * exp(rho_i ln w_j); bid dynamics on the original and reduced
-    markets coincide entrywise.  A unit-supply market is returned as it is;
-    any other market keeps its reduction in its __dict__, next to its cold
-    solves, so later calls return that same object.
+    a_ij * exp(rho_i ln w_j), through `apply_row`'s checks; bid dynamics on
+    the original and reduced markets coincide entrywise.  A unit-supply
+    market is returned as it is; any other market keeps its reduction in its
+    __dict__, next to its cold solves, so later calls return that same object.
     """
     if (market.supplies == 1.0).all():
         return market
     kept = market.__dict__
     if "_unit_supply" not in kept:
         factors = np.exp(market.rho[:, None] * np.log(market.supplies)[None, :])
-        kept["_unit_supply"] = market.replace(
-            coefficients=market.coefficients * factors,
-            supplies=np.ones(market.num_goods),
-        )
+        ones = np.ones(market.num_goods)
+        ones.setflags(write=False)
+        kept["_unit_supply"] = apply_row(apply_row(market, UTILITY, factors), SUPPLY, ones)
     return kept["_unit_supply"]
 
 
@@ -303,18 +295,19 @@ def run_prd_trace(
 ) -> Trace:
     """Simulate bid dynamics while supplies and utility coefficients drift.
 
-    A supply event means what it means in every kind: a level on market0's
-    own supplies (`PerturbationSchedule.by_round`, read once, before round
-    1), folded into market0's unit-supply reduction as (w_k / w_{k-1})^rho.
-    Budget events are rejected.  Round t:
+    Every row (`PerturbationSchedule.by_round`, read once, before round 1)
+    is applied with `apply_row` to market0 as it stands, as in tatonnement,
+    and the bids move on `reduce_supply_to_utility` of that market, the
+    reduction battery 7 checks.  Budget events are rejected.  Round t:
     update bids against the previous market, apply the round's rows,
-    re-solve the per-round equilibrium
-    (warm-started; cached on static rounds), then record the potential gap,
-    the KL distance to equilibrium, the round's drift and its
-    `coefficient_share_floor` taken over rounds seen so far.  After the loop
-    one `delta_prd_utility` call prices every round's drift, and the jumps
-    give the cumulative bound and, against the KL column, whether each
-    one-round recurrence held.  The trace's `initial` is the gap of bids0.
+    re-solve the per-round equilibrium (warm-started; cached on static
+    rounds), then record the potential gap, the KL distance to equilibrium,
+    the round's drift (the largest move of ln a from the previous round's
+    market) and its `coefficient_share_floor` taken over rounds seen so far.
+    After the loop one `delta_prd_utility` call prices every round's drift,
+    and the jumps give the cumulative bound and, against the KL column,
+    whether each one-round recurrence held.  The trace's `initial` is the
+    gap of bids0.
 
     The bound unrolls the one-round recurrence
     gap_t <= q1 KL_{t-1} - q2 KL_t + jump_t, which `recurrence_ok` checks:
@@ -329,7 +322,7 @@ def run_prd_trace(
         raise ValueError("budget events are unsupported: the bid domain itself would move")
     _, due = schedule.by_round(market0, horizon)
     # Checked once: events keep rho; a round keeps bids on the support, rows at the budgets.
-    market, supplies = reduce_supply_to_utility(market0), market0.supplies
+    given, market = market0, reduce_supply_to_utility(market0)
     bids = check_bids(market, bids0)
     eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE)
     # The state (`_round`) and kept work arrays; bids0 is never one.
@@ -350,16 +343,14 @@ def run_prd_trace(
     floors = np.empty((horizon, len(min_share)))
     for t in range(horizon):
         shifted, logits, scale = logits, shifted, next_scale
-        logs = None  # ln of the round's coefficient factors, summed over its columns
-        for channel, row in due[t + 1]:
-            factor_logs = np.log(row / supplies if channel == SUPPLY else row)
-            if channel == SUPPLY:  # level w_k folds in as (w_k / w_{k-1})^rho
-                factor_logs = market.rho[:, None] * factor_logs
-                supplies, row = row, np.exp(factor_logs)
-            market = apply_row(market, UTILITY, row)
-            logs = factor_logs if logs is None else logs + factor_logs
-        if logs is not None:
-            drifts[t] = max(float(logs.max()), float(-logs.min()))
+        if due[t + 1]:
+            for channel, row in due[t + 1]:
+                given = apply_row(given, channel, row)
+            previous, market = market, reduce_supply_to_utility(given)
+            with np.errstate(invalid="ignore"):  # ln 0 - ln 0 where a stays 0
+                moves = np.subtract(market.log_coefficients, previous.log_coefficients)
+            del previous  # its ln a and caches are freed before the re-solve
+            drifts[t] = float(np.fmax.reduce(np.abs(moves, out=moves), axis=None))  # skips NaN
             min_share = np.minimum(min_share, coefficient_share_floor(market))
             eq = solve_equilibrium(market, tolerance=SOLVER_TOLERANCE, previous=eq)
             g_star, kl_to = _anchor(market, eq, (logits, terms))

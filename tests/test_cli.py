@@ -99,6 +99,8 @@ def test_schema_violation_exits_2_with_field(tmp_path, capsys):
         ({"kind": "prd", "horizon": -3, "market": BASE["market"]}, "horizon"),
         ({"kind": "diffusion", "horizon": 5, "network": {"speeds": ["fast", 1.0]}},
          "network/speeds/0"),
+        ({"kind": "diffusion", "horizon": 5, "network": {"speeds": ["fast", "slow"]}},
+         "network/speeds/0"),
     ):
         cfg = write_config(tmp_path, "c.json", config)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -299,6 +301,23 @@ def test_verify_json_prints_one_object_per_suite(capsys):
     assert report["passed"] == len(batteries) == 2
 
 
+def test_verify_prints_a_table_without_json(capsys):
+    assert main(["verify", "--suite", "oracles"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("PASS  ") for line in lines[:2])
+    assert lines[2] == "2/2 checks passed"
+
+
+def test_gd_report_reads_a_supplied_step_size(tmp_path):
+    config = {"kind": "gd-shifting", "horizon": 5, "dynamics": {"eta": 0.25}}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path, "c.json", config)),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["constants"]["eta"]["value"] == 0.25
+
+
 def test_prd_and_diffusion_reports(tmp_path):
     prd_cfg = write_config(
         tmp_path,
@@ -440,9 +459,13 @@ def test_disconnected_diffusion_network_exits_3(tmp_path, capsys, graph):
         ("diffusion", {"network": {"n": 4, "speeds": math.inf}}, "speeds"),
         ("diffusion", {"network": {"n": 4, "speeds": [1.0, math.nan, 1.0, 1.0]}}, "speeds"),
         ("diffusion", {"network": {"n": 4, "loads": [1.0, math.inf, 1.0, 1.0]}}, "loads"),
+        ("diffusion", {"network": {"n": 4, "loads": [1.0, math.inf, 1.0, 1.0], "load_total": 4}},
+         "loads"),
         ("gd-shifting", {"quadratic": {"shift": math.nan}}, "optima"),
+        ("gd-shifting", {"quadratic": {"start_offset": math.inf}}, "x0"),
     ],
-    ids=["infinite-speed", "nan-speed", "infinite-load", "nan-shift"],
+    ids=["infinite-speed", "nan-speed", "infinite-load", "infinite-rescaled-load", "nan-shift",
+         "infinite-start"],
 )
 def test_non_finite_inputs_exit_3_by_name(tmp_path, capsys, kind, section, field):
     # JSON's NaN and Infinity pass the schema's number type; the model refuses them.
@@ -726,8 +749,8 @@ GOLDEN_DIGESTS = {
         "931a4f31f40e86672f2185f5dfcba5a5e583f7b25fe933bdf492dd247376d93c",
     ),
     ("prd", None): (
-        "0e9ffc8956a1f50a7410816bfcf9c051ce37b87fc5e5423a7133271761ccdf5e",
-        "c6ce0ddc254da6710ce1809245e7a170f6da23647b0146738e1ff377a556196a",
+        "c90e97ca38e11bd542be5ab18d9663404a05d8fca7c913286e17676a79e6cbb7",
+        "58732b0059922787fa2fba1fc543355913eda13195533c7050d0c32565a52e80",
     ),
     ("prd", 0): (
         _HEADER_ONLY,
@@ -758,8 +781,8 @@ GOLDEN_DIGESTS = {
 SUPPLIED_BOUNDS = {"prd": {"q1": 0.5, "q2": 1.0}, "tatonnement-cpf": {"delta": 0.01}}
 SUPPLIED_DIGESTS = {
     "prd": (
-        "2d0ed5fc466a729a4ce1163e665d72ce1d959054426f72c4f46a1638262bf09f",
-        "64370747de6fde5b16a7c16c202b2f2d06dd7dc8bd156251d227e8e0d4a59c64",
+        "ee027490e7545914f8e99832794edb2d3633736d9e5bfe57e06a6a63a4e83340",
+        "746c16fdda80ebd4f3c4e9d582f671e26c1c33a6d9832922e8b6214dc08ebddb",
     ),
     "tatonnement-cpf": (
         "dc8e54f2b2a4c16c8ec1955333fff2f9459f41ca6b2dd12ecbfcbe3b51fed95d",
@@ -835,8 +858,8 @@ LARGE_DIGESTS = {
         "bf71fd10e1fc36ce0f8185ac1438481c740b2dd046d3cc6ebc801e381f3e8a12",
     ),
     "prd": (
-        "c431e6eaee1e5e7f421f662da2d7711f32276eaf7a32a970bf77a7d2818c3bca",
-        "b77f6f6503172aeee3f373ec236071affb6770829ef336bdd22d451060a55190",
+        "f269ce3b492816a9abbe749ce19b729776754ff7de12c637cf9195353984737d",
+        "8d7041e3d501adfc9ee974b20dde78d893d8ae53012ab2d3f126b67f16e74690",
     ),
 }
 
@@ -891,7 +914,8 @@ EXPLICIT_EVENT_CONFIGS = {
     },
 }
 # The same prd events on non-unit supplies: each supply row is a level on the
-# market's own supplies, as in tatonnement, folded into the coefficients.
+# market's own supplies, as in tatonnement, and each event round's market is
+# its `reduce_supply_to_utility`.
 EXPLICIT_EVENT_CONFIGS["prd-supplies"] = {
     **EXPLICIT_EVENT_CONFIGS["prd"],
     "market": {"random": {"m": 3, "n": 4, "seed": 23}},
@@ -906,12 +930,12 @@ EXPLICIT_EVENT_DIGESTS = {
         "eb9f6e5e9e43a4c2e7e2cca4fec63403b1e94ac76db3d86c86b433f2a944a3f6",
     ),
     "prd": (
-        "d00f5a8730d9485be1efe0027e2d43ce7e8159f0a3735b62aa6f1c3b4dc18647",
-        "e355cde869b3d9dc548ef69a4c38e462e57fc0c1bd055734506c3b069b64c0d0",
+        "26d1b0b8ca03ba7d0a4b2132b0a9e89b8a727a4aabb6265d4dd1bb47de54805a",
+        "3ffc7a4b04d6e11cc9228df301601a0cb78c524f3eedea8c3d2e024d963cfc35",
     ),
     "prd-supplies": (
-        "abc858caa4e04a2913826ab4ad25f94d1da9a81a90936e3d17eb8dfb35a3f680",
-        "a76112cb5716fbd964bfd5948fa170846fa792881257927ec03836f804b1f397",
+        "153a0a6509ddce6095a20499bf8152c164d26ddb58f687313c5b183fff12aa01",
+        "c2cf6df5bccf6fbadbb60da3e79c2fd534b49b0381d7d5732997b1949e6a6fc9",
     ),
 }
 

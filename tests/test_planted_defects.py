@@ -114,14 +114,31 @@ def test_squared_prd_rate_fails_battery_6(monkeypatch):
     assert "static recurrence" in result.detail
 
 
-def _solver_with(monkeypatch, module, original, mutated):
-    """Bind `module.solve_equilibrium` to a copy of the solver whose source
+def _mutant(monkeypatch, target, source, name, original, mutated):
+    """Bind `target.<name>` to a copy of `source.<name>` whose module source
     has `original` replaced by `mutated` (each must occur exactly once)."""
-    source = inspect.getsource(equilibrium)
-    assert source.count(original) == 1
-    namespace = {"__name__": equilibrium.__name__, "__package__": "eqtracer"}
-    exec(compile(source.replace(original, mutated), equilibrium.__file__, "exec"), namespace)
-    monkeypatch.setattr(module, "solve_equilibrium", namespace["solve_equilibrium"])
+    text = inspect.getsource(source)
+    assert text.count(original) == 1
+    namespace = {"__name__": source.__name__, "__package__": "eqtracer"}
+    exec(compile(text.replace(original, mutated), source.__file__, "exec"), namespace)
+    monkeypatch.setattr(target, name, namespace[name])
+
+
+def _solver_with(monkeypatch, module, original, mutated):
+    """Bind `module.solve_equilibrium` to a mutated copy of the solver."""
+    _mutant(monkeypatch, module, equilibrium, "solve_equilibrium", original, mutated)
+
+
+def test_reduction_without_rho_fails_battery_7(monkeypatch):
+    # Supply w folded in as a w, not a w^rho: the reduced market's bids
+    # drift away from the original's (the runner reads supply events through
+    # this same reduction).
+    factors = "np.exp(market.rho[:, None] * np.log(market.supplies)[None, :])"
+    _mutant(monkeypatch, verify, prd, "reduce_supply_to_utility", factors,
+            "np.exp(np.log(market.supplies)[None, :])")
+    result = verify.check_supply_reduction(instances=3, rounds=100)
+    assert not result.passed
+    assert "max entrywise gap" in result.detail
 
 
 _FULL_STEP = """\

@@ -606,7 +606,7 @@ def test_fit_rounds_allocate_no_matrix(monkeypatch):
 
 
 # Seeded markets: zero coefficients, non-unit supplies (through `prd_step` only:
-# the runner folds supplies into coefficients) and one 200x200.
+# the runner moves bids on their reduction) and one 200x200.
 ORACLE_MARKETS = {
     "zeros": (31, 6, 7, 0.2, 0.8, True, 0.3),
     "supplies": (32, 5, 6, 0.2, 0.8, False, 0.0),
@@ -673,9 +673,9 @@ def test_runner_charges_the_public_cap(monkeypatch):
 
 def test_runner_rounds_match_per_event_application(monkeypatch):
     # Supply and utility columns, some rounds carrying both: every round's
-    # market and drift equal the ones applying its events one by one gave.
-    # A supply event moves the supply level, which enters the coefficients
-    # as its ratio to the level before, to the power rho.
+    # market is the reduction of market0 moved by the events so far, applied
+    # one by one, and its drift is the largest move of ln a from the market
+    # before, bit for bit.
     market = random_market(14, 3, 4, unit_supplies=True)
     drift = generate_schedule(market, 40, UTILITY, 0.005, seed=3, every=2)
     supply = generate_schedule(market, 40, SUPPLY, 0.01, seed=4, every=3)
@@ -693,24 +693,21 @@ def test_runner_rounds_match_per_event_application(monkeypatch):
     (drifts,) = priced
     event_rounds = np.union1d(drift.columns[0].rounds, supply.columns[0].rounds)
     assert len(drifts) == 40 and len(seen) == 1 + len(event_rounds)
-    supplied = market
+    given = reached = market
     for t, eps in enumerate(drifts, start=1):
         got = seen[np.searchsorted(event_rounds, t, side="right")]
-        logs = None
-        for event in events_at(schedule, t):
-            if event.channel == SUPPLY:
-                perturbed = applied(supplied, event)
-                ratios = perturbed.supplies / supplied.supplies
-                factor_logs = market.rho[:, None] * np.log(ratios)
-                market, supplied = apply_row(market, UTILITY, np.exp(factor_logs)), perturbed
-            else:
-                factor_logs = np.log(event.payload[0])
-                market = applied(market, event)
-            logs = factor_logs if logs is None else logs + factor_logs
-        want = 0.0 if logs is None else max(float(logs.max()), float(-logs.min()))
-        assert eps == want
-        assert np.array_equal(got.coefficients, market.coefficients)
-        assert np.array_equal(got.supplies, market.supplies)
+        events = events_at(schedule, t)
+        if events:
+            for event in events:
+                given = applied(given, event)
+            previous, reached = reached, reduce_supply_to_utility(given)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                moves = np.log(reached.coefficients) - np.log(previous.coefficients)
+            assert eps == np.nanmax(np.abs(moves))
+        else:
+            assert eps == 0.0
+        assert np.array_equal(got.coefficients, reached.coefficients)
+        assert np.array_equal(got.supplies, reached.supplies)
 
 
 def test_runner_markets_are_the_reduction_at_each_rounds_supply_level(monkeypatch):
@@ -732,7 +729,7 @@ def test_runner_markets_are_the_reduction_at_each_rounds_supply_level(monkeypatc
         k = np.searchsorted(column.rounds, t, side="right") - 1
         got = seen[k + 1]
         want = reduce_supply_to_utility(apply_row(market0, SUPPLY, levels[k]))
-        np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=1e-12, atol=0)
+        assert np.array_equal(got.coefficients, want.coefficients)
         assert np.array_equal(got.supplies, want.supplies)
 
 
