@@ -27,6 +27,8 @@ def random_market(
     [0.2, 1.5] with an optional fraction zeroed (always keeping at least one
     positive coefficient per buyer).
     """
+    if rho_low > rho_high:
+        raise ValueError(f"rho_low ({rho_low}) must not exceed rho_high ({rho_high})")
     rng = np.random.default_rng(seed)
     budgets = rng.uniform(0.5, 2.0, size=m)
     supplies = np.ones(n) if unit_supplies else rng.uniform(0.5, 2.0, size=n)
@@ -152,10 +154,20 @@ def drifting_speeds(
     mode "common" scales every machine by the same random factor each round
     (machine mix constant, the regime the speed-change jump cap prices
     exactly); "per-machine" drifts machines independently.  Returns a
-    (T+1, n) array whose first row is all ones.
+    (T+1, n) array whose first row is all ones.  Reflection keeps every speed
+    in the band only when the band holds the start speed 1 and a factor's
+    round trip fits in it, 2 magnitude <= ln(high / low), so other ranges
+    are refused.
     """
     if mode not in ("common", "per-machine"):
         raise ValueError("mode must be 'common' or 'per-machine'")
+    if not 0 < low <= 1 <= high:
+        raise ValueError(f"drift low ({low}) and high ({high}) must satisfy 0 < low <= 1 <= high")
+    if not 0 <= 2 * magnitude <= np.log(high / low):
+        raise ValueError(
+            f"drift magnitude ({magnitude}) must lie in [0, ln(high / low) / 2]"
+            f" = [0, {np.log(high / low) / 2:.6g}]"
+        )
     rng = np.random.default_rng(seed)
     size = n if mode == "per-machine" else None
     path = np.ones((T + 1, n))
@@ -176,6 +188,10 @@ def drifting_quadratic(
     Returns the problem, at the largest admissible step size 2/(alpha+beta),
     and a start `start_offset` times a normal vector away from the optimum.
     """
+    if curvature_low > curvature_high:
+        raise ValueError(
+            f"curvature_low ({curvature_low}) must not exceed curvature_high ({curvature_high})"
+        )
     rng = np.random.default_rng(seed)
     curvatures = rng.uniform(curvature_low, curvature_high, dims)
     directions = rng.normal(size=(horizon + 1, dims))

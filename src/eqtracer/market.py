@@ -278,7 +278,10 @@ def ces_weights(market: CesMarket, prices: np.ndarray, out=None):
     if bound is not None:
         low = log_p.min()
         if log_p.max() - low <= max_spread:
-            logs = np.multiply(log_p - low, c[:, None], out=out)
+            # einsum writes the same products c_i x_j as the two-sided
+            # broadcast np.multiply in about half its time at this size; on
+            # the row-max branch's small markets it is the slower of the two.
+            logs = np.einsum("i,j->ij", c, log_p - low, out=out)
             logs += base
             weights = np.exp(logs, out=logs)
             sums = weights.sum(axis=1)

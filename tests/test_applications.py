@@ -253,6 +253,20 @@ class TestDiffusion:
         assert (path[0] == 1.0).all()
         assert (path[:, 1:] == path[:, :1]).all() == (mode == "common")
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        low=st.floats(0.05, 1.0),
+        high=st.floats(1.0, 20.0),
+        share=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["common", "per-machine"]),
+    )
+    def test_admissible_drift_keeps_every_speed_in_band(self, seed, low, high, share, mode):
+        # Any magnitude up to ln(high / low) / 2 reflects back into the band.
+        magnitude = share * np.log(high / low) / 2
+        path = drifting_speeds(seed, 4, 60, magnitude, low, high, mode=mode)
+        assert ((path >= low) & (path <= high)).all()
+
     def test_speed_path_must_match_network(self):
         net = make_network("path", 4, seed=8)
         with pytest.raises(ValueError, match="match"):

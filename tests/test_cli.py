@@ -480,6 +480,36 @@ def test_non_finite_inputs_exit_3_by_name(tmp_path, capsys, kind, section, field
 
 
 @pytest.mark.parametrize(
+    "kind, section, message",
+    [
+        ("tatonnement-ms", {"market": {"random": {"m": 3, "n": 4, "seed": 1, "rho_low": 0.8,
+                                                  "rho_high": 0.2}}},
+         "rho_low (0.8) must not exceed rho_high (0.2)"),
+        ("gd-shifting", {"quadratic": {"curvature_low": 2.0, "curvature_high": 1.0}},
+         "curvature_low (2.0) must not exceed curvature_high (1.0)"),
+        ("diffusion", {"network": {"n": 4, "drift": {"magnitude": 0.01, "seed": 2, "low": 2.0,
+                                                     "high": 0.5}}},
+         "drift low (2.0) and high (0.5) must satisfy 0 < low <= 1 <= high"),
+        ("diffusion", {"network": {"n": 4, "drift": {"magnitude": 0.01, "seed": 2, "low": 1.5,
+                                                     "high": 2.0}}},
+         "drift low (1.5) and high (2.0) must satisfy 0 < low <= 1 <= high"),
+        ("diffusion", {"network": {"n": 4, "drift": {"magnitude": 0.5, "seed": 2}}},
+         "drift magnitude (0.5) must lie in [0, ln(high / low) / 2] = [0, 0.223144]"),
+    ],
+    ids=["rho-range", "curvature-range", "drift-band-reversed", "drift-band-above-one",
+         "drift-too-wide"],
+)
+def test_generator_range_that_cannot_hold_exits_3_by_name(
+    tmp_path, capsys, kind, section, message
+):
+    cfg = write_config(tmp_path, "c.json", {"kind": kind, "horizon": 10, **section})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_SIMULATION
+    assert capsys.readouterr().err == f"simulation error: {message}\n"
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
     "graph", [[[0, 1.5], [1, 2]], [[0, -1], [0, 1]], [[0, 1, 2]], [[0]]],
     ids=["fractional", "negative", "triple", "single"],
 )

@@ -417,6 +417,15 @@ def assert_kernel_matches_row_max_oracle(market, prices):
     assert (shares[market.coefficients == 0] == 0).all()
     assert np.all(np.abs(log_q - ref_log_q) <= 1e-12 * (1.0 + np.abs(ref_log_q)))
     if takes_closed_form_shift(market, prices):
+        # The closed-form branch, written out as broadcast arithmetic, gives
+        # the kernel's bytes: its outer product holds the same products.
+        base, bound, _ = market._weight_base
+        low = log_p.min()
+        want_weights = np.exp(np.multiply(log_p - low, c[:, None]) + base)
+        want_sums = want_weights.sum(axis=1)
+        want_log_q = low + (bound + np.log(want_sums)) / c
+        for got, want in ((weights, want_weights), (sums, want_sums), (log_q, want_log_q)):
+            assert got.tobytes() == want.tobytes()
         top = weights.max(axis=1)
         substitutes = market.demand_exponent < 0
         assert (top[substitutes] >= math.exp(-SHIFT_SPAN)).all()
